@@ -20,6 +20,7 @@ from .bounds import (
     GkEvaluation,
     SteinFactorBound,
     best_bound,
+    best_of,
     bound_bx99,
     bound_cor3,
     bound_general,
@@ -109,6 +110,7 @@ __all__ = [
     "TwoPointMixing",
     "VerifyReport",
     "best_bound",
+    "best_of",
     "bound_bx99",
     "bound_cor3",
     "bound_general",

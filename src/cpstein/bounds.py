@@ -51,6 +51,7 @@ __all__ = [
     "bound_lemma_c",
     "bound_thm4",
     "evaluate_all",
+    "best_of",
     "best_bound",
 ]
 
@@ -337,12 +338,10 @@ def _exp_three_halves(gamma: float) -> float:
         return INF
 
 
-def _scaled_margin_factors(gamma: float, c: float) -> tuple[float, float, float]:
-    """delta = gamma/(2 c sqrt(pi)) and its M0/M1; shared so that the
-    c = exp(1.5 gamma) specialization is bitwise identical to the generic call."""
-    delta = gamma / (2.0 * c * math.sqrt(math.pi))
-    m0, m1 = _factors_from_delta(delta)
-    return delta, m0, m1
+def _scaled_margin_delta(gamma: float, c: float) -> float:
+    """delta = gamma/(2 c sqrt(pi)); shared so that the c = exp(1.5 gamma)
+    specialization is bitwise identical to the generic call."""
+    return gamma / (2.0 * c * math.sqrt(math.pi))
 
 
 def bound_lemma_c(th: ThetaVector, c: float) -> SteinFactorBound:
@@ -366,9 +365,10 @@ def bound_lemma_c(th: ThetaVector, c: float) -> SteinFactorBound:
         return _inapplicable(
             method, f"theta_1/theta_0 = {th[1] / th[0]:g} above interval endpoint"
         )
-    delta, m0, m1 = _scaled_margin_factors(gamma, c)
+    delta = _scaled_margin_delta(gamma, c)
     if not delta > 0.0:
         return _inapplicable(method, "delta underflowed to 0")
+    m0, m1 = _factors_from_delta(delta)
     return SteinFactorBound(m0, m1, method, True, f"delta = {delta:g}")
 
 
@@ -379,19 +379,25 @@ def bound_thm4(th: ThetaVector) -> SteinFactorBound:
     gamma = 2.0 * th[1] - th[0]
     if not gamma > 0.0:
         return _inapplicable("THM4", f"2*theta_1 - theta_0 = {gamma:g} <= 0")
-    c = _exp_three_halves(gamma)
-    delta, m0, m1 = _scaled_margin_factors(gamma, c)
+    delta = _scaled_margin_delta(gamma, _exp_three_halves(gamma))
     if not delta > 0.0:
         return _inapplicable("THM4", "delta underflowed to 0")
+    m0, m1 = _factors_from_delta(delta)
     return SteinFactorBound(m0, m1, "THM4", True, f"delta = {delta:g}")
 
 
 def evaluate_all(
-    params: CompoundPoissonParams, thm2_orders: tuple[int, ...] = ()
+    params: CompoundPoissonParams,
+    thm2_orders: tuple[int, ...] = (),
+    th: ThetaVector | None = None,
 ) -> list[SteinFactorBound]:
-    """Evaluate the five named bounds (plus optional THM2 orders) for params."""
-    K = max((3, *thm2_orders))
-    th = theta(params, K)
+    """Evaluate the five named bounds (plus optional THM2 orders) for params.
+
+    ``th`` may pass theta(params, K) already computed, with K at least
+    max(3, *thm2_orders).
+    """
+    if th is None:
+        th = theta(params, max((3, *thm2_orders)))
     out = [
         bound_general(params),
         bound_monotone(params),
@@ -404,29 +410,24 @@ def evaluate_all(
     return out
 
 
-def best_bound(
-    params: CompoundPoissonParams,
-    th: ThetaVector | None = None,
-    thm2_orders: tuple[int, ...] = (),
-) -> SteinFactorBound:
-    """Componentwise minimum of all applicable bounds, for m0 and m1 separately.
+def best_of(bounds: list[SteinFactorBound]) -> SteinFactorBound:
+    """Componentwise minimum of a bound list, for m0 and m1 separately.
 
     The winning method for each component is recorded in the condition note;
     the method tag is the m1 winner's.
     """
-    if th is None:
-        bounds = evaluate_all(params, thm2_orders)
-    else:
-        bounds = [
-            bound_general(params),
-            bound_monotone(params),
-            bound_bx99(th),
-            bound_cor3(th),
-            bound_thm4(th),
-        ] + [bound_thm2(th, k) for k in thm2_orders]
     best_m0 = min(bounds, key=lambda b: b.m0)
     best_m1 = min(bounds, key=lambda b: b.m1)
     note = f"m0: {best_m0.method}, m1: {best_m1.method}"
     return SteinFactorBound(
         best_m0.m0, best_m1.m1, best_m1.method, True, note
     )
+
+
+def best_bound(
+    params: CompoundPoissonParams,
+    th: ThetaVector | None = None,
+    thm2_orders: tuple[int, ...] = (),
+) -> SteinFactorBound:
+    """Componentwise minimum of all applicable bounds for params (see best_of)."""
+    return best_of(evaluate_all(params, thm2_orders, th))

@@ -24,7 +24,7 @@ import math
 import os
 import sys
 
-from .bounds import best_bound, evaluate_all
+from .bounds import best_of, evaluate_all
 from .core import (
     CompoundPoissonParams,
     DistributionTable,
@@ -249,8 +249,9 @@ def _model_dk_bound(model, m1: float) -> float | None:
 def cmd_bounds(args) -> tuple[int, str]:
     params, model = _build_params(args)
     th = theta(params, 3)
-    rows = [b.to_json() for b in evaluate_all(params)]
-    best = best_bound(params).to_json()
+    bounds = evaluate_all(params, th=th)
+    rows = [b.to_json() for b in bounds]
+    best = best_of(bounds).to_json()
     payload = {
         "rates": list(params.rates),
         "theta": [th[i] for i in range(4)],
@@ -269,10 +270,11 @@ def cmd_verify(args) -> tuple[int, str]:
     emp = empirical_factors(params)
     checks = []
     all_ok = True
-    for b in evaluate_all(params):
+    bounds = evaluate_all(params)
+    for b in bounds:
         if not b.applicable:
             continue
-        rep = verify_bound(params, b)
+        rep = verify_bound(params, b, emp=emp)
         checks.append(rep.to_json())
         all_ok = all_ok and rep.passed
     payload = {
@@ -291,7 +293,7 @@ def cmd_verify(args) -> tuple[int, str]:
         approx_table = cp_pmf(params)
         rep = distance(exact_table, approx_table)
         payload["distance"] = rep.to_json()
-        bb = best_bound(params)
+        bb = best_of(bounds)
         dk_bound = _model_dk_bound(model, bb.m1)
         if dk_bound is not None:
             upper = rep.d_k + rep.certified_slack - 4.0 * rep.mc_stderr
@@ -350,12 +352,12 @@ def _sweep_row(model, param_cols: dict) -> dict:
     th = theta(params, 3)
     for i in range(4):
         row[f"theta{i}"] = th[i]
-    bounds = evaluate_all(params)
+    bounds = evaluate_all(params, th=th)
     for b in bounds:
         key = b.method.split("(")[0].lower()
         row[f"{key}_applicable"] = b.applicable
         row[f"{key}_m1"] = b.m1
-    bb = best_bound(params)
+    bb = best_of(bounds)
     row["best_method"] = bb.method
     row["best_m1"] = bb.m1
     dk = _model_dk_bound(model, bb.m1)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .core import DistributionTable
 from .models import (
@@ -190,17 +190,24 @@ def reliability_mc_pmf(
     )
 
 
+def _poisson_ppf(q: float, lam: float) -> int:
+    """Smallest k with P(Poisson(lam) <= k) >= q, by scipy's rule: the ceiling
+    of the continuous inverse, stepped down once if the cdf allows."""
+    k = math.ceil(special.pdtrik(q, lam))
+    if k > 0 and special.pdtr(k - 1, lam) >= q:
+        k -= 1
+    return k
+
+
 def _poisson_mixture_table(
     weights: list[float], intensities: list[float]
 ) -> DistributionTable:
     """Weighted mixture of Poisson pmfs with an exact sf tail."""
-    hi = max(
-        int(stats.poisson.ppf(1.0 - MIXTURE_TAIL / 4.0, lam)) for lam in intensities
-    )
+    hi = max(_poisson_ppf(1.0 - MIXTURE_TAIL / 4.0, lam) for lam in intensities)
     x_max = hi + 10
     while True:
         tail = sum(
-            w * stats.poisson.sf(x_max, lam) for w, lam in zip(weights, intensities)
+            w * special.pdtrc(x_max, lam) for w, lam in zip(weights, intensities)
         )
         if tail <= MIXTURE_TAIL:
             break
@@ -208,8 +215,109 @@ def _poisson_mixture_table(
     x = np.arange(x_max + 1)
     pmf = np.zeros(x_max + 1)
     for w, lam in zip(weights, intensities):
-        pmf += w * stats.poisson.pmf(x, lam)
+        pmf += w * np.exp(special.xlogy(x, lam) - special.gammaln(x + 1) - lam)
     return DistributionTable(pmf=pmf, tail_mass=float(tail))
+
+
+# Stirling series coefficients B_2k / (2k (2k-1)), k = 1..5
+_STIRLING_COEF = (1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188)
+_STIRLING_MIN = 15.0
+
+
+def _stirlerr(n: np.ndarray) -> np.ndarray:
+    """log(n!) - log(sqrt(2 pi n) (n/e)^n) for n > 0.
+
+    Five terms of the Stirling series at n >= 15 (next term < 3e-16); below,
+    the upward recurrence stirlerr(n) = stirlerr(n+1) + (n+1/2) log1p(1/n) - 1,
+    whose steps involve only O(1) numbers, not differences of large
+    log-gammas.
+    """
+    n = np.asarray(n, dtype=float)
+    steps = np.ceil(np.maximum(_STIRLING_MIN - n, 0.0))
+    big = n + steps
+    nn = big * big
+    c0, c1, c2, c3, c4 = _STIRLING_COEF
+    out = (c0 - (c1 - (c2 - (c3 - c4 / nn) / nn) / nn) / nn) / big
+    small = steps > 0.0
+    if small.any():
+        k = n[small, None] + np.arange(_STIRLING_MIN)
+        term = (k + 0.5) * np.log1p(1.0 / k) - 1.0
+        out[small] += np.where(k < big[small, None], term, 0.0).sum(axis=1)
+    return out
+
+
+def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Deviance x log(x/m) + m - x, without cancellation.
+
+    Near x = m (|v| < 0.1, v = (x-m)/(x+m)) it is summed as the odd series
+    (x-m) v + 2x sum_j v^(2j+1)/(2j+1); elsewhere as m((1+t) log1p(t) - t)
+    with t = (x-m)/m.
+    """
+    d = x - m
+    v = d / (x + m)
+    near = np.abs(v) < 0.1
+    s = d * v
+    term = 2.0 * x * v
+    v2 = np.where(near, v * v, 0.0)
+    for j in range(3, 41, 2):
+        term = term * v2
+        s_next = s + term / j
+        if np.array_equal(s_next, s):
+            break
+        s = s_next
+    t = d / m
+    return np.where(near, s, m * ((1.0 + t) * np.log1p(t) - t))
+
+
+def _nbinom_pmf(x_max: int, r: float, succ: float) -> np.ndarray:
+    """Negative binomial pmf C(x+r-1, x) succ^r (1-succ)^x on x = 0..x_max.
+
+    Evaluated in Loader's saddle-point form (C. Loader, "Fast and accurate
+    computation of binomial probabilities", 2000), for x >= 1:
+
+        sqrt(r / (2 pi x n)) exp(stirlerr(n) - stirlerr(r) - stirlerr(x)
+                                 - bd0(r, n succ) - bd0(x, n (1-succ))),
+
+    n = x + r.  Every term is O(1) or a cancellation-free deviance, so the
+    relative error stays near 1e-14 where the log-gamma form loses digits
+    proportional to log Gamma(n).
+    """
+    pmf = np.zeros(x_max + 1)
+    pmf[0] = succ**r
+    if succ == 1.0:  # scale below rounding: a point mass at 0
+        return pmf
+    xs = np.arange(1.0, x_max + 1)
+    n = xs + r
+    st = _stirlerr(np.concatenate(([r], xs, n)))
+    lc = (
+        st[1 + x_max :]
+        - st[0]
+        - st[1 : 1 + x_max]
+        - _bd0(r, n * succ)
+        - _bd0(xs, n * (1.0 - succ))
+    )
+    pmf[1:] = np.sqrt(r / (2.0 * math.pi * xs * n)) * np.exp(lc)
+    return pmf
+
+
+def _nbinom_cdf(k: int, r: float, succ: float) -> float:
+    """P(NB <= k) = I_succ(r, k+1)."""
+    return special.betainc(r, k + 1.0, succ)
+
+
+def _nbinom_ppf(q: float, r: float, succ: float) -> int:
+    """Smallest k with cdf(k) >= q, by doubling then bisection."""
+    hi = 1
+    while _nbinom_cdf(hi, r, succ) < q:
+        hi *= 2
+    lo = -1  # cdf(-1) = 0 < q
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _nbinom_cdf(mid, r, succ) >= q:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def mixed_exact_pmf(m: MixedPoissonModel) -> DistributionTable:
@@ -221,13 +329,11 @@ def mixed_exact_pmf(m: MixedPoissonModel) -> DistributionTable:
     assert isinstance(mix, GammaMixing)
     r, s = mix.shape, mix.scale
     succ = 1.0 / (1.0 + s)
-    x_max = int(stats.nbinom.ppf(1.0 - MIXTURE_TAIL / 4.0, r, succ)) + 10
-    while stats.nbinom.sf(x_max, r, succ) > MIXTURE_TAIL:
+    x_max = _nbinom_ppf(1.0 - MIXTURE_TAIL / 4.0, r, succ) + 10
+    # P(NB > x_max) = I_{1-succ}(x_max+1, r)
+    while (tail := float(special.betainc(x_max + 1.0, r, 1.0 - succ))) > MIXTURE_TAIL:
         x_max *= 2
-    x = np.arange(x_max + 1)
-    pmf = stats.nbinom.pmf(x, r, succ)
-    tail = float(stats.nbinom.sf(x_max, r, succ))
-    return DistributionTable(pmf=pmf, tail_mass=tail)
+    return DistributionTable(pmf=_nbinom_pmf(x_max, r, succ), tail_mass=tail)
 
 
 def sums_exact_pmf(m: IndependentSumModel) -> DistributionTable:

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .core import CompoundPoissonParams, cp_pmf, theta
 from .bounds import SteinFactorBound
@@ -243,11 +243,17 @@ def verify_bound(
     bound: SteinFactorBound,
     y_max: int | None = None,
     x_max: int | None = None,
+    emp: EmpiricalFactors | None = None,
 ) -> VerifyReport:
-    """Check m0_hat <= bound.m0 and m1_hat <= bound.m1 for an applicable bound."""
+    """Check m0_hat <= bound.m0 and m1_hat <= bound.m1 for an applicable bound.
+
+    ``emp`` takes factors already measured for params, so that checking
+    several bounds runs the oracle once; y_max and x_max are then ignored.
+    """
     if not bound.applicable:
         raise ValueError("bound is not applicable; nothing to verify")
-    emp = empirical_factors(params, y_max=y_max, x_max=x_max)
+    if emp is None:
+        emp = empirical_factors(params, y_max=y_max, x_max=x_max)
     ok = emp.m0_hat <= bound.m0 and emp.m1_hat <= bound.m1
     m0_slack = bound.m0 / emp.m0_hat if emp.m0_hat > 0.0 else math.inf
     m1_slack = bound.m1 / emp.m1_hat if emp.m1_hat > 0.0 else math.inf
@@ -285,10 +291,10 @@ def poisson_stein_forward(lam: float, y: int, x_max: int) -> np.ndarray:
         raise ValueError("lam must be positive")
     x = np.arange(0, x_max, dtype=float)  # role of x in f(x+1)
     log_front = special.gammaln(x + 1.0) - (x + 1.0) * math.log(lam) + lam
-    cdf_x = stats.poisson.cdf(x, lam)
-    sf_x = stats.poisson.sf(x, lam)
-    p_le = stats.poisson.cdf(y, lam)
-    p_gt = stats.poisson.sf(y, lam)
+    cdf_x = special.pdtr(x, lam)
+    sf_x = special.pdtrc(x, lam)
+    p_le = special.pdtr(y, lam)
+    p_gt = special.pdtrc(y, lam)
     branch = np.where(x <= y, p_gt * cdf_x, p_le * sf_x)
     with np.errstate(divide="ignore"):
         logf = log_front + np.log(branch)

@@ -218,6 +218,28 @@ def test_gamma_mixing_moments():
     assert_allclose(mix.sigma2, 0.5, rtol=1e-15)
     # E|xi - nu|^3 for Gamma(2, 1/2), frozen from a 40-digit quadrature
     assert_allclose(mix.abs3(), 0.71801754912951422705, atol=1e-8)
+    assert type(mix.abs3()) is float
+
+
+@pytest.mark.parametrize("shape", [0.01, 0.3, 2.0, 17.3, 60.0, 1e4])
+def test_gamma_abs3_closed_form_matches_quadrature(shape):
+    # adaptive quadrature of |x - nu|^3 against the gamma density, split at nu
+    from scipy import integrate, stats
+
+    mix = GammaMixing(shape=shape, scale=1.0)
+    dist = stats.gamma(shape)
+
+    def integrand(x):
+        return abs(x - shape) ** 3 * dist.pdf(x)
+
+    left, _ = integrate.quad(integrand, 0.0, shape, epsabs=1e-10, epsrel=1e-12)
+    right, _ = integrate.quad(integrand, shape, math.inf, epsabs=1e-10, epsrel=1e-12)
+    got = mix.abs3()
+    assert type(got) is float
+    # quadrature itself is ~2e-13 off at shape 0.01; at shape 1e4, f_a(a) in
+    # logs carries a ~1e5 exponent, so the closed form is ~1e-11 off
+    assert_allclose(got, left + right, rtol=1e-12 if shape <= 60.0 else 1e-10)
+    assert_allclose(GammaMixing(shape, 0.41).abs3(), 0.41**3 * got, rtol=1e-14)
 
 
 def test_mixed_cp_params():

@@ -13,6 +13,7 @@ from cpstein import (
     SteinFactorBound,
     ThetaVector,
     best_bound,
+    best_of,
     bound_bx99,
     bound_cor3,
     bound_general,
@@ -381,6 +382,19 @@ def test_bound_lemma_c_underdispersed_inapplicable():
     assert not b.applicable
 
 
+def test_margin_bounds_inapplicable_once_delta_underflows():
+    # 2 theta_1 - theta_0 = 476.97 > 473: exp(1.5 gamma) overflows and
+    # delta = gamma / (2 c sqrt(pi)) is 0, which used to reach 1/delta
+    th = theta(CompoundPoissonParams([151.36, 71.0009, 54.0361]), 3)
+    assert 2.0 * th[1] - th[0] > 473.0
+    t4 = bound_thm4(th)
+    assert not t4.applicable
+    assert t4.condition_note == "delta underflowed to 0"
+    lc = bound_lemma_c(ThetaVector([1.0, 1.0]), math.inf)
+    assert not lc.applicable
+    assert lc.condition_note == "delta underflowed to 0"
+
+
 def test_bound_thm4_equals_lemma_at_endpoint():
     rng = np.random.default_rng(19)
     for _ in range(100):
@@ -448,3 +462,14 @@ def test_best_bound_dominates_each_method():
         for b in evaluate_all(p):
             assert bb.m0 <= b.m0
             assert bb.m1 <= b.m1
+
+
+def test_best_of_is_best_bound():
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        p = CompoundPoissonParams(rng.uniform(0.0, 2.0, size=3) + [0.1, 0.0, 0.0])
+        assert best_of(evaluate_all(p)) == best_bound(p)
+        th = theta(p, 4)
+        assert best_bound(p, th=th, thm2_orders=(4,)) == best_of(
+            evaluate_all(p, (4,))
+        )

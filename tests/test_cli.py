@@ -6,10 +6,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from numpy.testing import assert_allclose
 
+import cpstein
 from cpstein import cli
 from cpstein.cli import main
 
@@ -107,7 +111,7 @@ def test_verify_runs_model_distance(capsys):
 def test_verify_exit_one_on_violation(capsys, monkeypatch):
     from cpstein.oracle import VerifyReport
 
-    def fake_verify(params, bound, y_max=None, x_max=None):
+    def fake_verify(params, bound, y_max=None, x_max=None, emp=None):
         return VerifyReport(
             method=bound.method,
             m0_bound=bound.m0,
@@ -125,6 +129,35 @@ def test_verify_exit_one_on_violation(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--rates", "8")
     assert code == 1
     assert json.loads(out)["pass"] is False
+
+
+def test_verify_mixed_gamma(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--model", "mixed", "--gamma", "17.3,0.41"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["pass"] is True and doc["dk_pass"] is True
+    # a numpy bool here would not serialize
+    assert doc["vacuous"] is (doc["dk_bound"] > 1.0)
+
+
+def test_verify_runs_oracle_once(capsys, monkeypatch):
+    from cpstein import oracle
+
+    calls = []
+    real = oracle.empirical_factors
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "empirical_factors", counting)
+    monkeypatch.setattr(oracle, "empirical_factors", counting)
+    code, out, _ = run_cli(capsys, "verify", "--model", "runs", "--n", "200", "--p", "0.1")
+    assert code == 0
+    assert len(json.loads(out)["checks"]) > 1
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -310,3 +343,38 @@ def test_float_format_17g_roundtrip(capsys):
     doc = json.loads(out)
     # 17 significant digits reproduce the double exactly
     assert doc["theta"][0] == 0.1 + 2 * 0.2
+
+
+# ---------------------------------------------------------------------------
+# THM4 delta underflow (2 theta_1 - theta_0 > 473) and start-up imports
+
+
+def test_bounds_thm4_delta_underflow(capsys):
+    code, out, _ = run_cli(capsys, "bounds", "--rates", "151.36,71.0009,54.0361")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["bounds"][4]["method"] == "THM4"
+    assert doc["bounds"][4]["applicable"] is False
+
+
+def test_sweep_reliability_thm4_delta_underflow(capsys):
+    code, out, _ = run_cli(
+        capsys, "sweep", "--model", "reliability", "--n", "30", "--k", "2",
+        "--q-range", "0.1:0.9:8",
+    )
+    assert code == 0
+    assert len(json.loads(out)["rows"]) == 8
+
+
+def test_import_leaves_out_scipy_stats_and_integrate():
+    src = os.path.dirname(os.path.dirname(cpstein.__file__))
+    code = (
+        "import sys, cpstein, cpstein.cli\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'integrate'])))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert res.stdout.strip() == "[]"

@@ -187,6 +187,43 @@ def test_gamma_mixture_is_negative_binomial():
     assert_allclose(t.pmf, direct, rtol=1e-10, atol=1e-300)
 
 
+def test_two_point_table_bit_identical_to_scipy_stats():
+    # x_max, tail and pmf as first written with scipy.stats.poisson
+    for a, b, w in ((2.5, 3.5, 0.5), (0.01, 7.0, 0.9), (200.0, 210.0, 0.3)):
+        t = mixed_exact_pmf(MixedPoissonModel(TwoPointMixing(a, b, w)))
+        weights, lams = (w, 1.0 - w), (a, b)
+        x_max = max(int(stats.poisson.ppf(1.0 - 2.5e-13, lam)) for lam in lams) + 10
+        while True:
+            tail = sum(v * stats.poisson.sf(x_max, lam) for v, lam in zip(weights, lams))
+            if tail <= 1e-12:
+                break
+            x_max *= 2
+        x = np.arange(x_max + 1)
+        want = np.zeros(x_max + 1)
+        for v, lam in zip(weights, lams):
+            want += v * stats.poisson.pmf(x, lam)
+        assert t.x_max == x_max
+        assert t.tail_mass == float(tail)
+        assert np.array_equal(t.pmf, want)
+
+
+@pytest.mark.parametrize("r", [0.01, 0.3, 2.0, 17.3, 60.0, 300.0])
+@pytest.mark.parametrize("s", [1e-17, 0.01, 0.41, 0.9])
+def test_negative_binomial_table_matches_scipy_stats(r, s):
+    # same truncation rule and tail as scipy.stats.nbinom, pmf to 1e-12
+    # relative; at scale 1e-17 the success probability rounds to 1
+    succ = 1.0 / (1.0 + s)
+    t = mixed_exact_pmf(MixedPoissonModel(GammaMixing(r, s)))
+    x_max = int(stats.nbinom.ppf(1.0 - 2.5e-13, r, succ)) + 10
+    while stats.nbinom.sf(x_max, r, succ) > 1e-12:
+        x_max *= 2
+    assert t.x_max == x_max
+    assert t.tail_mass == float(stats.nbinom.sf(x_max, r, succ))
+    want = stats.nbinom.pmf(np.arange(x_max + 1), r, succ)
+    assert_allclose(t.pmf, want, rtol=1e-12, atol=0)
+    assert abs(1.0 - t.pmf.sum() - t.tail_mass) <= 2e-15
+
+
 # ---------------------------------------------------------------------------
 # independent sums
 

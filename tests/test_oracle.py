@@ -7,10 +7,12 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import special, stats
 
 from cpstein import (
     CompoundPoissonParams,
     ConvergenceError,
+    EmpiricalFactors,
     bound_general,
     bound_monotone,
     cp_pmf,
@@ -91,6 +93,24 @@ def test_backward_matches_forward_poisson():
             fwd = poisson_stein_forward(lam, y, 80)
             interior = slice(1, 60)
             assert_allclose(sol.f[interior], fwd[interior], atol=1e-8)
+
+
+def test_forward_solution_bit_identical_to_scipy_stats():
+    # the split form as first written with scipy.stats; pdtr/pdtrc are the
+    # same functions, so every entry must agree to the last bit
+    for lam, y, x_max in ((0.3, 0, 30), (5.0, 4, 60), (37.5, 40, 120)):
+        x = np.arange(0, x_max, dtype=float)
+        log_front = special.gammaln(x + 1.0) - (x + 1.0) * math.log(lam) + lam
+        p_gt = stats.poisson.sf(y, lam)
+        p_le = stats.poisson.cdf(y, lam)
+        branch = np.where(
+            x <= y, p_gt * stats.poisson.cdf(x, lam), p_le * stats.poisson.sf(x, lam)
+        )
+        with np.errstate(divide="ignore"):
+            want = np.where(branch > 0.0, np.exp(log_front + np.log(branch)), 0.0)
+        f = poisson_stein_forward(lam, y, x_max)
+        assert f[0] == 0.0
+        assert np.array_equal(f[1:], want)
 
 
 def test_forward_solution_positive():
@@ -197,3 +217,14 @@ def test_verify_bound_general_large_slack():
     rep = verify_bound(params, bound_general(params))
     assert rep.passed
     assert rep.m0_slack > 2.0  # the exponential bound is far from sharp
+
+
+def test_verify_bound_uses_given_factors():
+    params = CompoundPoissonParams([1.0, 0.2])
+    b = bound_general(params)
+    emp = empirical_factors(params)
+    assert verify_bound(params, b, emp=emp) == verify_bound(params, b)
+    fake = EmpiricalFactors(m0_hat=b.m0 * 2.0, m1_hat=0.0, y_max=3, x_max=7)
+    rep = verify_bound(params, b, emp=fake)
+    assert not rep.passed
+    assert (rep.m0_hat, rep.y_max, rep.x_max) == (b.m0 * 2.0, 3, 7)
