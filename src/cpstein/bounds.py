@@ -50,6 +50,7 @@ __all__ = [
     "bound_cor3",
     "bound_lemma_c",
     "bound_thm4",
+    "regime_classify",
     "evaluate_all",
     "best_of",
     "best_bound",
@@ -60,6 +61,12 @@ INF = float("inf")
 GRID_PHI_POINTS = 2049
 GRID_P_POINTS = 513
 GRID_REL_TOL = 1e-8
+
+
+def encode_float(x: float) -> float | str:
+    """x when finite, else "inf", "-inf" or "nan": JSON has no literal for them
+    (an inapplicable bound carries infinite factors)."""
+    return x if math.isfinite(x) else str(x)
 
 
 @dataclass(frozen=True)
@@ -79,12 +86,9 @@ class SteinFactorBound:
             raise ValueError("applicable bounds must be positive")
 
     def to_json(self) -> dict:
-        def enc(x: float):
-            return "inf" if math.isinf(x) else x
-
         return {
-            "m0": enc(self.m0),
-            "m1": enc(self.m1),
+            "m0": encode_float(self.m0),
+            "m1": encode_float(self.m1),
             "method": self.method,
             "applicable": self.applicable,
             "note": self.condition_note,
@@ -230,6 +234,14 @@ def delta_k_grid(
     return DeltaResult(k=k, delta=best, argmin=(phi_star, p_star), certified=False)
 
 
+def _cor3_delta(th: ThetaVector) -> float | None:
+    """The order-3 closed form theta_0 - 2 theta_1 + 2 theta_2 - (4/3) theta_3,
+    defined under theta_2 < 2 theta_1; None otherwise."""
+    if not th[2] < 2.0 * th[1]:
+        return None
+    return th[0] - 2.0 * th[1] + 2.0 * th[2] - (4.0 / 3.0) * th[3]
+
+
 def delta_k(th: ThetaVector, k: int) -> DeltaResult:
     """delta_k = inf g_k, via closed form where available.
 
@@ -255,8 +267,7 @@ def delta_k(th: ThetaVector, k: int) -> DeltaResult:
         ]
         idx = min(range(4), key=vals.__getitem__)
         return DeltaResult(k=2, delta=vals[idx], argmin=corners[idx], certified=True)
-    if k == 3 and th[2] < 2.0 * th[1]:
-        delta = th[0] - 2.0 * th[1] + 2.0 * th[2] - (4.0 / 3.0) * th[3]
+    if k == 3 and (delta := _cor3_delta(th)) is not None:
         return DeltaResult(k=3, delta=delta, argmin=(math.pi, 0.0), certified=True)
     return delta_k_grid(th, k)
 
@@ -322,9 +333,9 @@ def bound_cor3(th: ThetaVector) -> SteinFactorBound:
     closed form is available.
     """
     th.require(3)
-    if not th[2] < 2.0 * th[1]:
+    delta = _cor3_delta(th)
+    if delta is None:
         return bound_thm2(th, 3)
-    delta = th[0] - 2.0 * th[1] + 2.0 * th[2] - (4.0 / 3.0) * th[3]
     if not delta > 0.0:
         return _inapplicable("COR3", f"delta = {delta:g} <= 0")
     m0, m1 = _factors_from_delta(delta)
@@ -384,6 +395,23 @@ def bound_thm4(th: ThetaVector) -> SteinFactorBound:
         return _inapplicable("THM4", "delta underflowed to 0")
     m0, m1 = _factors_from_delta(delta)
     return SteinFactorBound(m0, m1, "THM4", True, f"delta = {delta:g}")
+
+
+def regime_classify(th: ThetaVector) -> str:
+    """First applicable of BX99_OK, COR3_OK, THM4_OK, GENERAL_ONLY, in that
+    order of preference (narrative sharpness; the numeric minimum of the
+    bounds themselves is taken by ``best_bound``).  BX99 and COR3 are judged
+    as ``bound_bx99`` and ``bound_cor3`` judge them, without a grid search.
+    """
+    th.require(3)
+    if bound_bx99(th).applicable:
+        return "BX99_OK"
+    cor3 = _cor3_delta(th)
+    if cor3 is not None and cor3 > 0.0:
+        return "COR3_OK"
+    if 2.0 * th[1] - th[0] > 0.0:
+        return "THM4_OK"
+    return "GENERAL_ONLY"
 
 
 def evaluate_all(

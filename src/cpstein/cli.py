@@ -24,37 +24,17 @@ import math
 import os
 import sys
 
-from .bounds import best_of, evaluate_all
-from .core import (
-    CompoundPoissonParams,
-    DistributionTable,
-    TruncationCapError,
-    cp_pmf,
-    theta,
+from .bounds import best_of, encode_float, evaluate_all
+from .core import CompoundPoissonParams, TruncationCapError, cp_pmf, theta
+from .exact import BudgetExceededError, distance
+from .models import MODELS, model_from_json, regime_classify
+from .oracle import (
+    ConvergenceError,
+    default_x_max,
+    empirical_factors,
+    solve_stein,
+    verify_bound,
 )
-from .exact import (
-    BudgetExceededError,
-    distance,
-    mixed_exact_pmf,
-    reliability_exact_pmf,
-    reliability_mc_pmf,
-    runs_exact_pmf,
-    sums_exact_pmf,
-)
-from .models import (
-    GammaMixing,
-    IndependentSumModel,
-    MixedPoissonModel,
-    ReliabilityModel,
-    RunsModel,
-    TwoPointMixing,
-    cp_params_for,
-    mixed_dk_bound,
-    regime_classify,
-    reliability_dk_bound,
-    runs_dk_bound,
-)
-from .oracle import ConvergenceError, empirical_factors, solve_stein, verify_bound
 
 DEFAULT_SEED = 12345
 DEFAULT_MC_SAMPLES = 1_000_000
@@ -73,11 +53,7 @@ class UsageError(ValueError):
 # deterministic serialization
 
 def _fmt_float(x: float) -> str:
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    if math.isnan(x):
-        return '"nan"'
-    return format(x, ".17g")
+    return format(x, ".17g") if math.isfinite(x) else f'"{encode_float(x)}"'
 
 
 def dumps(obj, indent: int = 0) -> str:
@@ -114,7 +90,7 @@ def _csv_cell(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return "inf" if math.isinf(v) else format(v, ".17g")
+        return _fmt_float(v).strip('"')
     return str(v)
 
 
@@ -161,9 +137,7 @@ def _parse_floats(text: str, what: str) -> list[float]:
 
 def _add_input_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--rates", help="comma-separated cluster rates lambda_1..lambda_J")
-    sp.add_argument(
-        "--model", choices=["runs", "reliability", "mixed", "sums"], help="model tag"
-    )
+    sp.add_argument("--model", choices=list(MODELS), help="model tag")
     sp.add_argument("--n", type=int, help="runs circle length / reliability grid side")
     sp.add_argument("--p", type=float, help="runs success probability")
     sp.add_argument("--k", type=int, help="reliability subgrid side")
@@ -175,79 +149,59 @@ def _add_input_args(sp: argparse.ArgumentParser) -> None:
     )
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+# list-valued model flags and the values their usage message names
+_LIST_FLAGS = {"two_point": "a,b,w", "gamma": "shape,scale"}
+
+
+def _json_value(key: str, value):
+    if key == "components":
+        parts = [part for part in value.split(";") if part.strip()]
+        return [_parse_floats(part, "--components") for part in parts]
+    if key not in _LIST_FLAGS:
+        return value
+    vals = _parse_floats(value, _flag(key))
+    if len(vals) != _LIST_FLAGS[key].count(",") + 1:
+        raise UsageError(f"{_flag(key)} expects {_LIST_FLAGS[key]}")
+    return vals
+
+
+def _model_json(args, keys, what: str) -> dict:
+    """The JSON form of --model from the flags named by ``keys``: each flag
+    carries the JSON field of its name; a tuple entry takes the first of its
+    alternatives given."""
+    alts = [k if isinstance(k, tuple) else (k,) for k in keys]
+    given = [next((k for k in a if getattr(args, k) is not None), None) for a in alts]
+    if None in given:
+        need = [" or ".join(map(_flag, a)) for a in alts]
+        need = need[0] if len(need) == 1 else ", ".join(need[:-1]) + " and " + need[-1]
+        raise UsageError(f"{args.model} {what} requires {need}")
+    return {"model": args.model, **{k: _json_value(k, getattr(args, k)) for k in given}}
+
+
 def _build_model(args):
     if args.model is None:
         return None
-    if args.model == "runs":
-        if args.n is None or args.p is None:
-            raise UsageError("runs model requires --n and --p")
-        return RunsModel(n=args.n, p=args.p)
-    if args.model == "reliability":
-        if args.n is None or args.k is None or args.q is None:
-            raise UsageError("reliability model requires --n, --k and --q")
-        return ReliabilityModel(n=args.n, k=args.k, q=args.q)
-    if args.model == "mixed":
-        if args.two_point is not None:
-            vals = _parse_floats(args.two_point, "--two-point")
-            if len(vals) != 3:
-                raise UsageError("--two-point expects a,b,w")
-            return MixedPoissonModel(TwoPointMixing(*vals))
-        if args.gamma is not None:
-            vals = _parse_floats(args.gamma, "--gamma")
-            if len(vals) != 2:
-                raise UsageError("--gamma expects shape,scale")
-            return MixedPoissonModel(GammaMixing(*vals))
-        raise UsageError("mixed model requires --two-point or --gamma")
-    if args.model == "sums":
-        if not args.components:
-            raise UsageError("sums model requires --components")
-        comps = [
-            _parse_floats(part, "--components")
-            for part in args.components.split(";")
-            if part.strip() != ""
-        ]
-        return IndependentSumModel(comps)
-    raise UsageError(f"unknown model {args.model!r}")
+    return model_from_json(_model_json(args, MODELS[args.model].keys, "model"))
 
 
-def _build_params(args) -> tuple[CompoundPoissonParams, object | None]:
-    model = _build_model(args)
+def _build_params(args, model) -> CompoundPoissonParams:
     if model is not None:
-        return cp_params_for(model), model
+        return model.cp_params()
     if args.rates is None:
         raise UsageError("provide --rates or --model")
-    return CompoundPoissonParams(_parse_floats(args.rates, "--rates")), None
-
-
-def _model_exact_pmf(model, args) -> DistributionTable:
-    if isinstance(model, RunsModel):
-        return runs_exact_pmf(model)
-    if isinstance(model, ReliabilityModel):
-        if getattr(args, "exact", False):
-            return reliability_exact_pmf(model)
-        return reliability_mc_pmf(model, samples=args.samples, seed=args.seed)
-    if isinstance(model, MixedPoissonModel):
-        return mixed_exact_pmf(model)
-    if isinstance(model, IndependentSumModel):
-        return sums_exact_pmf(model)
-    raise UsageError("model has no exact law")
-
-
-def _model_dk_bound(model, m1: float) -> float | None:
-    if isinstance(model, RunsModel):
-        return runs_dk_bound(model, m1)
-    if isinstance(model, ReliabilityModel):
-        return reliability_dk_bound(model, m1)
-    if isinstance(model, MixedPoissonModel):
-        return mixed_dk_bound(model, m1)
-    return None
+    return CompoundPoissonParams(_parse_floats(args.rates, "--rates"))
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_bounds(args) -> tuple[int, str]:
-    params, model = _build_params(args)
+    model = _build_model(args)
+    params = _build_params(args, model)
     th = theta(params, 3)
     bounds = evaluate_all(params, th=th)
     rows = [b.to_json() for b in bounds]
@@ -266,7 +220,8 @@ def cmd_bounds(args) -> tuple[int, str]:
 
 
 def cmd_verify(args) -> tuple[int, str]:
-    params, model = _build_params(args)
+    model = _build_model(args)
+    params = _build_params(args, model)
     emp = empirical_factors(params)
     checks = []
     all_ok = True
@@ -289,12 +244,11 @@ def cmd_verify(args) -> tuple[int, str]:
     }
     if model is not None:
         payload["input"] = model.to_json()
-        exact_table = _model_exact_pmf(model, args)
-        approx_table = cp_pmf(params)
-        rep = distance(exact_table, approx_table)
+        exact_table = model.exact_law(args.samples, args.seed, args.exact)
+        rep = distance(exact_table, cp_pmf(params))
         payload["distance"] = rep.to_json()
         bb = best_of(bounds)
-        dk_bound = _model_dk_bound(model, bb.m1)
+        dk_bound = model.dk_bound(bb.m1)
         if dk_bound is not None:
             upper = rep.d_k + rep.certified_slack - 4.0 * rep.mc_stderr
             dk_ok = upper <= dk_bound
@@ -324,31 +278,22 @@ def _parse_range(text: str, what: str) -> list[float]:
 
 
 def cmd_sweep(args) -> tuple[int, str]:
-    rows = []
-    if args.model == "runs":
-        if args.n is None or args.p_range is None:
-            raise UsageError("runs sweep requires --n and --p-range")
-        for p in _parse_range(args.p_range, "--p-range"):
-            rows.append(_sweep_row(RunsModel(n=args.n, p=p), {"n": args.n, "p": p}))
-    elif args.model == "reliability":
-        if args.n is None or args.k is None or args.q_range is None:
-            raise UsageError("reliability sweep requires --n, --k and --q-range")
-        for q in _parse_range(args.q_range, "--q-range"):
-            rows.append(
-                _sweep_row(
-                    ReliabilityModel(n=args.n, k=args.k, q=q),
-                    {"n": args.n, "k": args.k, "q": q},
-                )
-            )
-    else:
+    # the swept parameter is the model's last key, given as --<key>-range
+    cls = MODELS.get(args.model)
+    swept = cls.keys[-1] if cls is not None else None
+    if not hasattr(args, f"{swept}_range"):
         raise UsageError("sweep supports --model runs or reliability")
+    base = _model_json(args, cls.keys[:-1] + (f"{swept}_range",), "sweep")
+    values = _parse_range(base.pop(f"{swept}_range"), _flag(f"{swept}_range"))
+    rows = [_sweep_row({**base, swept: v}) for v in values]
     payload = {"model": args.model, "rows": rows}
     return EXIT_OK, _emit(args, payload, rows)
 
 
-def _sweep_row(model, param_cols: dict) -> dict:
-    row = {"model": model.to_json()["model"], **param_cols}
-    params = cp_params_for(model)
+def _sweep_row(obj: dict) -> dict:
+    model = model_from_json(obj)
+    row = dict(obj)
+    params = model.cp_params()
     th = theta(params, 3)
     for i in range(4):
         row[f"theta{i}"] = th[i]
@@ -360,29 +305,17 @@ def _sweep_row(model, param_cols: dict) -> dict:
     bb = best_of(bounds)
     row["best_method"] = bb.method
     row["best_m1"] = bb.m1
-    dk = _model_dk_bound(model, bb.m1)
+    dk = model.dk_bound(bb.m1)
     row["dk_bound"] = dk
     row["vacuous"] = None if dk is None else dk > 1.0
     return row
 
 
 def cmd_stein_solve(args) -> tuple[int, str]:
-    params, _ = _build_params(args)
+    params = _build_params(args, _build_model(args))
     if args.y is None:
         raise UsageError("stein-solve requires --y")
-    if args.x_max is not None:
-        x_max = args.x_max
-    else:
-        th = theta(params, 1)
-        J = params.max_cluster_size
-        x_max = int(
-            math.ceil(
-                max(
-                    4.0 * (th[0] + 10.0 * math.sqrt(th[0] + th[1])),
-                    args.y + 20.0 * J,
-                )
-            )
-        )
+    x_max = default_x_max(params, args.y) if args.x_max is None else args.x_max
     sol = solve_stein(params, args.y, x_max)
     payload = {
         "rates": list(params.rates),
@@ -399,11 +332,11 @@ def cmd_stein_solve(args) -> tuple[int, str]:
 
 
 def cmd_pmf(args) -> tuple[int, str]:
-    params, model = _build_params(args)
+    model = _build_model(args)
     if model is not None and args.law == "exact":
-        table = _model_exact_pmf(model, args)
+        table = model.exact_law(args.samples, args.seed, args.exact)
     else:
-        table = cp_pmf(params)
+        table = cp_pmf(_build_params(args, model))
     payload = table.to_json()
     if table.stderr is not None:
         payload["stderr"] = [float(s) for s in table.stderr]

@@ -12,19 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import special
 
 from .core import DistributionTable
-from .models import (
-    GammaMixing,
-    IndependentSumModel,
-    MixedPoissonModel,
-    ReliabilityModel,
-    RunsModel,
-    TwoPointMixing,
-)
+
+if TYPE_CHECKING:  # models imports this module; the laws read model attributes only
+    from . import models
 
 __all__ = [
     "DistanceReport",
@@ -76,7 +72,7 @@ class DistanceReport:
         }
 
 
-def runs_exact_pmf(m: RunsModel) -> DistributionTable:
+def runs_exact_pmf(m: models.RunsModel) -> DistributionTable:
     """Exact law of the circular 2-runs count by transfer-matrix DP.
 
     State: (first bit, current bit), each holding a probability vector
@@ -131,7 +127,7 @@ def _count_subgrids(grids: np.ndarray, k: int) -> np.ndarray:
     return np.count_nonzero(win == k * k, axis=(1, 2))
 
 
-def reliability_exact_pmf(m: ReliabilityModel) -> DistributionTable:
+def reliability_exact_pmf(m: models.ReliabilityModel) -> DistributionTable:
     """Exact law of the subgrid count by exhaustive enumeration of the 2^(n^2)
     failure patterns, processed in chunks."""
     if m.n > RELIABILITY_EXACT_N_BUDGET:
@@ -160,7 +156,7 @@ def reliability_exact_pmf(m: ReliabilityModel) -> DistributionTable:
 
 
 def reliability_mc_pmf(
-    m: ReliabilityModel, samples: int, seed: int
+    m: models.ReliabilityModel, samples: int, seed: int
 ) -> DistributionTable:
     """Monte Carlo law of the subgrid count, reproducible for a given seed.
 
@@ -199,7 +195,7 @@ def _poisson_ppf(q: float, lam: float) -> int:
     return k
 
 
-def _poisson_mixture_table(
+def poisson_mixture_table(
     weights: list[float], intensities: list[float]
 ) -> DistributionTable:
     """Weighted mixture of Poisson pmfs with an exact sf tail."""
@@ -320,15 +316,10 @@ def _nbinom_ppf(q: float, r: float, succ: float) -> int:
     return hi
 
 
-def mixed_exact_pmf(m: MixedPoissonModel) -> DistributionTable:
-    """Exact law of W ~ Poisson(xi): a two-atom Poisson mixture for two-point
-    mixing, the conjugate negative binomial for gamma mixing."""
-    mix = m.mixing
-    if isinstance(mix, TwoPointMixing):
-        return _poisson_mixture_table([mix.w, 1.0 - mix.w], [mix.a, mix.b])
-    assert isinstance(mix, GammaMixing)
-    r, s = mix.shape, mix.scale
-    succ = 1.0 / (1.0 + s)
+def nbinom_table(r: float, scale: float) -> DistributionTable:
+    """Law of Poisson(xi) with xi ~ Gamma(r, scale): the negative binomial with
+    success probability 1/(1 + scale), with an exact sf tail."""
+    succ = 1.0 / (1.0 + scale)
     x_max = _nbinom_ppf(1.0 - MIXTURE_TAIL / 4.0, r, succ) + 10
     # P(NB > x_max) = I_{1-succ}(x_max+1, r)
     while (tail := float(special.betainc(x_max + 1.0, r, 1.0 - succ))) > MIXTURE_TAIL:
@@ -336,7 +327,13 @@ def mixed_exact_pmf(m: MixedPoissonModel) -> DistributionTable:
     return DistributionTable(pmf=_nbinom_pmf(x_max, r, succ), tail_mass=tail)
 
 
-def sums_exact_pmf(m: IndependentSumModel) -> DistributionTable:
+def mixed_exact_pmf(m: models.MixedPoissonModel) -> DistributionTable:
+    """Exact law of W ~ Poisson(xi), from the mixing law: a two-atom Poisson
+    mixture for two-point mixing, a negative binomial for gamma mixing."""
+    return m.mixing.exact_law()
+
+
+def sums_exact_pmf(m: models.IndependentSumModel) -> DistributionTable:
     """Exact law of W = sum Z_i by iterated convolution of the component pmfs."""
     cost = 0
     length = 1

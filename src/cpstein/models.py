@@ -11,20 +11,33 @@ Kolmogorov-distance bounds d_K <= (coefficient) * M1:
 * mixed Poisson: W ~ Poisson(xi) with a positive random intensity xi.
 * independent integer-valued summands: W = Z_1 + ... + Z_n.
 
-Each model exposes its approximant's rates, the closed-form delta where one
-exists, and the end-to-end distance bound taking a Stein factor M1 as input.
+Every model class has ``tag`` (its JSON name), ``keys`` (its JSON fields; a
+tuple entry lists alternatives), ``cp_params()``, ``exact_law(samples, seed,
+exact)``, ``dk_bound(m1)`` (None without a bound), ``to_json()`` and
+``from_json(obj)``; ``MODELS`` maps tags to classes.  ``runs_cp_params`` and
+the other per-model functions are these methods under their older names.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence, Union
+from dataclasses import astuple, dataclass, field, fields
+from typing import Sequence
 
 import numpy as np
 from scipy import special
 
-from .core import CompoundPoissonParams, ThetaVector
+from .bounds import regime_classify
+from .core import CompoundPoissonParams, DistributionTable
+from .exact import (
+    mixed_exact_pmf,
+    nbinom_table,
+    poisson_mixture_table,
+    reliability_exact_pmf,
+    reliability_mc_pmf,
+    runs_exact_pmf,
+    sums_exact_pmf,
+)
 
 __all__ = [
     "RunsModel",
@@ -33,6 +46,7 @@ __all__ = [
     "GammaMixing",
     "MixedPoissonModel",
     "IndependentSumModel",
+    "MODELS",
     "runs_cp_params",
     "runs_dk_bound",
     "reliability_cp_params",
@@ -51,6 +65,8 @@ __all__ = [
 class RunsModel:
     """Circular 2-runs statistic: n Bernoulli(p) bits, indices modulo n."""
 
+    tag = "runs"
+    keys = ("n", "p")
     n: int
     p: float
 
@@ -60,14 +76,48 @@ class RunsModel:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
 
+    def cp_params(self) -> CompoundPoissonParams:
+        """Approximant rates lambda_1 = n p^2 (1-p)^2, lambda_2 = n p^3 (1-p),
+        lambda_3 = n p^4 / 3; the resulting theta vector is
+        (n p^2, 2 n p^3, 2 n p^4, 0)."""
+        n, p = self.n, self.p
+        return CompoundPoissonParams(
+            (
+                n * p**2 * (1.0 - p) ** 2,
+                n * p**3 * (1.0 - p),
+                n * p**4 / 3.0,
+            )
+        )
+
+    def exact_law(self, samples: int, seed: int, exact: bool) -> DistributionTable:
+        return runs_exact_pmf(self)
+
+    def dk_bound(self, m1: float) -> float:
+        """Kolmogorov bound d_K(W, U) <= 3 * M1 * n * p^4."""
+        if not math.isfinite(m1):
+            raise ValueError("m1 must be finite")
+        return 3.0 * m1 * self.n * self.p**4
+
     def to_json(self) -> dict:
-        return {"model": "runs", "n": self.n, "p": self.p}
+        return {"model": self.tag, "n": self.n, "p": self.p}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> RunsModel:
+        return cls(n=int(obj["n"]), p=float(obj["p"]))
+
+
+def _binom_pmf(ell: int, m: int, y: float) -> float:
+    if not 0 <= ell <= m:
+        return 0.0
+    return math.comb(m, ell) * y**ell * (1.0 - y) ** (m - ell)
 
 
 @dataclass(frozen=True)
 class ReliabilityModel:
     """k x k all-failed subgrid count on an n x n grid, failure probability q."""
 
+    tag = "reliability"
+    keys = ("n", "k", "q")
     n: int
     k: int
     q: float
@@ -85,14 +135,73 @@ class ReliabilityModel:
         """Probability q^(k^2) that a fixed k x k subgrid is all-failed."""
         return self.q ** (self.k * self.k)
 
+    def cp_params(self) -> CompoundPoissonParams:
+        """Approximant rates for the subgrid count, j = 1..5:
+
+            lambda_j = (1/j) psi [4 pi_1(j) + 4 u pi_2(j) + u^2 pi_3(j)],
+
+        with u = n-k-1 and pi_i(j) = P(Bin(i+1, q^k) = j-1).  Requires n > k+1
+        so the u factors are positive.
+        """
+        if self.n <= self.k + 1:
+            raise ValueError("n must exceed k+1")
+        u = self.n - self.k - 1
+        y = self.q**self.k
+        psi = self.psi
+        rates = []
+        for j in range(1, 6):
+            pi1 = _binom_pmf(j - 1, 2, y)
+            pi2 = _binom_pmf(j - 1, 3, y)
+            pi3 = _binom_pmf(j - 1, 4, y)
+            rates.append(psi / j * (4.0 * pi1 + 4.0 * u * pi2 + u * u * pi3))
+        return CompoundPoissonParams(rates)
+
+    def exact_law(self, samples: int, seed: int, exact: bool) -> DistributionTable:
+        """Exhaustive enumeration if ``exact``, else seeded Monte Carlo."""
+        if exact:
+            return reliability_exact_pmf(self)
+        return reliability_mc_pmf(self, samples=samples, seed=seed)
+
+    def dk_bound(self, m1: float) -> float:
+        """Kolmogorov bound
+        d_K <= M1 (n-k+1)^2 psi [(4k^2+12k-3) psi
+              + 4 sum_{r,s=1}^{k-1} q^{k^2-rs} + 4 sum_{s=1}^{k-2} q^{k^2-ks}]."""
+        if not math.isfinite(m1):
+            raise ValueError("m1 must be finite")
+        n, k, q = self.n, self.k, self.q
+        psi = self.psi
+        bracket = (4.0 * k * k + 12.0 * k - 3.0) * psi
+        for r in range(1, k):
+            for s in range(1, k):
+                bracket += 4.0 * q ** (k * k - r * s)
+        for s in range(1, k - 1):
+            bracket += 4.0 * q ** (k * k - k * s)
+        return m1 * (n - k + 1) ** 2 * psi * bracket
+
     def to_json(self) -> dict:
-        return {"model": "reliability", "n": self.n, "k": self.k, "q": self.q}
+        return {"model": self.tag, "n": self.n, "k": self.k, "q": self.q}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> ReliabilityModel:
+        return cls(n=int(obj["n"]), k=int(obj["k"]), q=float(obj["q"]))
+
+
+def reliability_delta(m: ReliabilityModel) -> float:
+    """Closed-form order-3 delta: psi [4 a(y) + 4 u b(y) + u^2 c(y)] at y = q^k,
+    with a(y) = (1-2y)^2, b(y) = (1-2y)^3, c(y) = (1-4y)(1-4y+8y^2)."""
+    u = m.n - m.k - 1
+    y = m.q**m.k
+    a = (1.0 - 2.0 * y) ** 2
+    b = (1.0 - 2.0 * y) ** 3
+    c = (1.0 - 4.0 * y) * (1.0 - 4.0 * y + 8.0 * y * y)
+    return m.psi * (4.0 * a + 4.0 * u * b + u * u * c)
 
 
 @dataclass(frozen=True)
 class TwoPointMixing:
     """Mixing law: xi = a with probability w, b with probability 1-w."""
 
+    tag = "two_point"
     a: float
     b: float
     w: float
@@ -117,11 +226,15 @@ class TwoPointMixing:
         nu = self.nu
         return self.w * abs(self.a - nu) ** 3 + (1.0 - self.w) * abs(self.b - nu) ** 3
 
+    def exact_law(self) -> DistributionTable:
+        return poisson_mixture_table([self.w, 1.0 - self.w], [self.a, self.b])
+
 
 @dataclass(frozen=True)
 class GammaMixing:
     """Mixing law: xi ~ Gamma(shape, scale)."""
 
+    tag = "gamma"
     shape: float
     scale: float
 
@@ -152,15 +265,20 @@ class GammaMixing:
         inner = 2.0 * a + 4.0 * (a * a * f_a - a * special.gammainc(a + 1.0, a))
         return float(self.scale**3 * inner)
 
+    def exact_law(self) -> DistributionTable:
+        return nbinom_table(self.shape, self.scale)
 
-Mixing = Union[TwoPointMixing, GammaMixing]
+
+MIXINGS = (TwoPointMixing, GammaMixing)
 
 
 @dataclass(frozen=True)
 class MixedPoissonModel:
     """W ~ Poisson(xi) with random intensity xi from the given mixing law."""
 
-    mixing: Mixing
+    tag = "mixed"
+    keys = (tuple(mix.tag for mix in MIXINGS),)
+    mixing: TwoPointMixing | GammaMixing
 
     @property
     def nu(self) -> float:
@@ -173,17 +291,42 @@ class MixedPoissonModel:
     def abs3(self) -> float:
         return self.mixing.abs3()
 
+    def cp_params(self) -> CompoundPoissonParams:
+        """Approximant rates lambda_1 = nu - sigma^2, lambda_2 = sigma^2 / 2."""
+        nu, s2 = self.nu, self.sigma2
+        if not nu > s2:
+            raise ValueError("approximant undefined (lambda_1 < 0)")
+        return CompoundPoissonParams((nu - s2, s2 / 2.0))
+
+    def exact_law(self, samples: int, seed: int, exact: bool) -> DistributionTable:
+        return mixed_exact_pmf(self)
+
+    def dk_bound(self, m1: float) -> float:
+        """Kolmogorov bound d_K(W, U) <= 1.2 * M1 * E|xi - nu|^3."""
+        if not math.isfinite(m1):
+            raise ValueError("m1 must be finite")
+        return 1.2 * m1 * self.abs3()
+
     def to_json(self) -> dict:
-        m = self.mixing
-        if isinstance(m, TwoPointMixing):
-            return {"model": "mixed", "two_point": [m.a, m.b, m.w]}
-        return {"model": "mixed", "gamma": [m.shape, m.scale]}
+        return {"model": self.tag, self.mixing.tag: list(astuple(self.mixing))}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> MixedPoissonModel:
+        for mix in MIXINGS:
+            if mix.tag in obj:
+                vals = [float(v) for v in obj[mix.tag]]
+                if len(vals) != len(fields(mix)):
+                    raise ValueError(f"{mix.tag} takes {len(fields(mix))} values")
+                return cls(mix(*vals))
+        raise KeyError(" or ".join(cls.keys[0]))
 
 
 @dataclass(frozen=True)
 class IndependentSumModel:
     """W = Z_1 + ... + Z_n with independent integer-valued components."""
 
+    tag = "sums"
+    keys = ("components",)
     components: tuple[tuple[float, ...], ...]
     _moments: tuple[float, float] = field(init=False, repr=False, compare=False)
 
@@ -217,165 +360,62 @@ class IndependentSumModel:
     def var_w(self) -> float:
         return self._moments[1]
 
+    def cp_params(self) -> CompoundPoissonParams:
+        """Approximant rates lambda_1 = 2 EW - Var W, lambda_2 = (Var W - EW)/2.
+
+        The derived identities theta_0 = EW and theta_1 = Var W - EW hold, so
+        the approximant matches W's mean and variance.
+        """
+        ew, vw = self.ew, self.var_w
+        lam2 = (vw - ew) / 2.0
+        lam1 = 2.0 * ew - vw
+        if lam2 < 0.0:
+            raise ValueError(f"Var(W) >= E(W) violated: Var(W) = {vw:g} < E(W) = {ew:g}")
+        if lam1 < 0.0:
+            raise ValueError(
+                f"E(W) >= Var(W)/2 violated: E(W) = {ew:g} < Var(W)/2 = {vw / 2.0:g}"
+            )
+        return CompoundPoissonParams((lam1, lam2))
+
+    def exact_law(self, samples: int, seed: int, exact: bool) -> DistributionTable:
+        return sums_exact_pmf(self)
+
+    def dk_bound(self, m1: float) -> None:
+        """No closed-form distance bound is known for general sums."""
+        return None
+
     def to_json(self) -> dict:
-        return {"model": "sums", "components": [list(c) for c in self.components]}
+        return {"model": self.tag, "components": [list(c) for c in self.components]}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> IndependentSumModel:
+        return cls(obj["components"])
 
 
-def runs_cp_params(m: RunsModel) -> CompoundPoissonParams:
-    """Approximant rates lambda_1 = n p^2 (1-p)^2, lambda_2 = n p^3 (1-p),
-    lambda_3 = n p^4 / 3; the resulting theta vector is
-    (n p^2, 2 n p^3, 2 n p^4, 0)."""
-    n, p = m.n, m.p
-    return CompoundPoissonParams(
-        (
-            n * p**2 * (1.0 - p) ** 2,
-            n * p**3 * (1.0 - p),
-            n * p**4 / 3.0,
-        )
-    )
+MODELS = {
+    cls.tag: cls
+    for cls in (RunsModel, ReliabilityModel, MixedPoissonModel, IndependentSumModel)
+}
+
+runs_cp_params = RunsModel.cp_params
+runs_dk_bound = RunsModel.dk_bound
+reliability_cp_params = ReliabilityModel.cp_params
+reliability_dk_bound = ReliabilityModel.dk_bound
+mixed_cp_params = MixedPoissonModel.cp_params
+mixed_dk_bound = MixedPoissonModel.dk_bound
+sums_cp_params = IndependentSumModel.cp_params
 
 
-def runs_dk_bound(m: RunsModel, m1: float) -> float:
-    """Kolmogorov bound d_K(W, U) <= 3 * M1 * n * p^4."""
-    if not math.isfinite(m1):
-        raise ValueError("m1 must be finite")
-    return 3.0 * m1 * m.n * m.p**4
+def cp_params_for(model) -> CompoundPoissonParams:
+    """The compound Poisson approximant of any model in ``MODELS``."""
+    if MODELS.get(getattr(model, "tag", None)) is not type(model):
+        raise TypeError(f"unknown model type {type(model).__name__}")
+    return model.cp_params()
 
 
-def _binom_pmf(ell: int, m: int, y: float) -> float:
-    if not 0 <= ell <= m:
-        return 0.0
-    return math.comb(m, ell) * y**ell * (1.0 - y) ** (m - ell)
-
-
-def reliability_cp_params(m: ReliabilityModel) -> CompoundPoissonParams:
-    """Approximant rates for the subgrid count, j = 1..5:
-
-        lambda_j = (1/j) psi [4 pi_1(j) + 4 u pi_2(j) + u^2 pi_3(j)],
-
-    with u = n-k-1 and pi_i(j) = P(Bin(i+1, q^k) = j-1).  Requires n > k+1
-    so the u factors are positive.
-    """
-    if m.n <= m.k + 1:
-        raise ValueError("n must exceed k+1")
-    u = m.n - m.k - 1
-    y = m.q**m.k
-    psi = m.psi
-    rates = []
-    for j in range(1, 6):
-        pi1 = _binom_pmf(j - 1, 2, y)
-        pi2 = _binom_pmf(j - 1, 3, y)
-        pi3 = _binom_pmf(j - 1, 4, y)
-        rates.append(psi / j * (4.0 * pi1 + 4.0 * u * pi2 + u * u * pi3))
-    return CompoundPoissonParams(rates)
-
-
-def reliability_delta(m: ReliabilityModel) -> float:
-    """Closed-form order-3 delta: psi [4 a(y) + 4 u b(y) + u^2 c(y)] at y = q^k,
-    with a(y) = (1-2y)^2, b(y) = (1-2y)^3, c(y) = (1-4y)(1-4y+8y^2)."""
-    u = m.n - m.k - 1
-    y = m.q**m.k
-    a = (1.0 - 2.0 * y) ** 2
-    b = (1.0 - 2.0 * y) ** 3
-    c = (1.0 - 4.0 * y) * (1.0 - 4.0 * y + 8.0 * y * y)
-    return m.psi * (4.0 * a + 4.0 * u * b + u * u * c)
-
-
-def reliability_dk_bound(m: ReliabilityModel, m1: float) -> float:
-    """Kolmogorov bound
-    d_K <= M1 (n-k+1)^2 psi [(4k^2+12k-3) psi
-          + 4 sum_{r,s=1}^{k-1} q^{k^2-rs} + 4 sum_{s=1}^{k-2} q^{k^2-ks}]."""
-    if not math.isfinite(m1):
-        raise ValueError("m1 must be finite")
-    n, k, q = m.n, m.k, m.q
-    psi = m.psi
-    bracket = (4.0 * k * k + 12.0 * k - 3.0) * psi
-    for r in range(1, k):
-        for s in range(1, k):
-            bracket += 4.0 * q ** (k * k - r * s)
-    for s in range(1, k - 1):
-        bracket += 4.0 * q ** (k * k - k * s)
-    return m1 * (n - k + 1) ** 2 * psi * bracket
-
-
-def mixed_cp_params(m: MixedPoissonModel) -> CompoundPoissonParams:
-    """Approximant rates lambda_1 = nu - sigma^2, lambda_2 = sigma^2 / 2."""
-    nu, s2 = m.nu, m.sigma2
-    if not nu > s2:
-        raise ValueError("approximant undefined (lambda_1 < 0)")
-    return CompoundPoissonParams((nu - s2, s2 / 2.0))
-
-
-def mixed_dk_bound(m: MixedPoissonModel, m1: float) -> float:
-    """Kolmogorov bound d_K(W, U) <= 1.2 * M1 * E|xi - nu|^3."""
-    if not math.isfinite(m1):
-        raise ValueError("m1 must be finite")
-    return 1.2 * m1 * m.abs3()
-
-
-def sums_cp_params(m: IndependentSumModel) -> CompoundPoissonParams:
-    """Approximant rates lambda_1 = 2 EW - Var W, lambda_2 = (Var W - EW)/2.
-
-    The derived identities theta_0 = EW and theta_1 = Var W - EW hold, so the
-    approximant matches W's mean and variance.
-    """
-    ew, vw = m.ew, m.var_w
-    lam2 = (vw - ew) / 2.0
-    lam1 = 2.0 * ew - vw
-    if lam2 < 0.0:
-        raise ValueError(f"Var(W) >= E(W) violated: Var(W) = {vw:g} < E(W) = {ew:g}")
-    if lam1 < 0.0:
-        raise ValueError(
-            f"E(W) >= Var(W)/2 violated: E(W) = {ew:g} < Var(W)/2 = {vw / 2.0:g}"
-        )
-    return CompoundPoissonParams((lam1, lam2))
-
-
-def regime_classify(th: ThetaVector) -> str:
-    """First applicable of BX99_OK, COR3_OK, THM4_OK, GENERAL_ONLY, in that
-    order of preference (narrative sharpness; the numeric minimum of the
-    bounds themselves is taken by ``best_bound``)."""
-    th.require(3)
-    if th[0] - 2.0 * th[1] > 0.0:
-        return "BX99_OK"
-    if th[2] < 2.0 * th[1]:
-        delta = th[0] - 2.0 * th[1] + 2.0 * th[2] - (4.0 / 3.0) * th[3]
-        if delta > 0.0:
-            return "COR3_OK"
-    if 2.0 * th[1] - th[0] > 0.0:
-        return "THM4_OK"
-    return "GENERAL_ONLY"
-
-
-Model = Union[RunsModel, ReliabilityModel, MixedPoissonModel, IndependentSumModel]
-
-
-def cp_params_for(model: Model) -> CompoundPoissonParams:
-    """Dispatch a model to its compound Poisson approximant."""
-    if isinstance(model, RunsModel):
-        return runs_cp_params(model)
-    if isinstance(model, ReliabilityModel):
-        return reliability_cp_params(model)
-    if isinstance(model, MixedPoissonModel):
-        return mixed_cp_params(model)
-    if isinstance(model, IndependentSumModel):
-        return sums_cp_params(model)
-    raise TypeError(f"unknown model type {type(model).__name__}")
-
-
-def model_from_json(obj: dict) -> Model:
+def model_from_json(obj: dict):
     """Rebuild a model from its tagged JSON form."""
     tag = obj.get("model")
-    if tag == "runs":
-        return RunsModel(n=int(obj["n"]), p=float(obj["p"]))
-    if tag == "reliability":
-        return ReliabilityModel(n=int(obj["n"]), k=int(obj["k"]), q=float(obj["q"]))
-    if tag == "mixed":
-        if "two_point" in obj:
-            a, b, w = obj["two_point"]
-            return MixedPoissonModel(TwoPointMixing(float(a), float(b), float(w)))
-        r, s = obj["gamma"]
-        return MixedPoissonModel(GammaMixing(float(r), float(s)))
-    if tag == "sums":
-        return IndependentSumModel(obj["components"])
-    raise ValueError(f"unknown model tag {tag!r}")
+    if tag not in MODELS:
+        raise ValueError(f"unknown model tag {tag!r}")
+    return MODELS[tag].from_json(obj)

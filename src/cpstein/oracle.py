@@ -25,7 +25,7 @@ import numpy as np
 from scipy import special
 
 from .core import CompoundPoissonParams, cp_pmf, theta
-from .bounds import SteinFactorBound
+from .bounds import SteinFactorBound, encode_float
 
 __all__ = [
     "SteinSolution",
@@ -37,6 +37,7 @@ __all__ = [
     "empirical_factors",
     "verify_bound",
     "poisson_stein_forward",
+    "default_x_max",
 ]
 
 TAIL_FOR_YMAX = 1e-8
@@ -89,14 +90,11 @@ class VerifyReport:
     y_max: int
 
     def to_json(self) -> dict:
-        def enc(x: float):
-            return "inf" if math.isinf(x) else x
-
         return {
             "method": self.method,
-            "m0_bound": enc(self.m0_bound),
+            "m0_bound": encode_float(self.m0_bound),
             "m0_hat": self.m0_hat,
-            "m1_bound": enc(self.m1_bound),
+            "m1_bound": encode_float(self.m1_bound),
             "m1_hat": self.m1_hat,
             "pass": self.passed,
             "x_max": self.x_max,
@@ -104,16 +102,28 @@ class VerifyReport:
         }
 
 
+def default_x_max(params: CompoundPoissonParams, y: int) -> int:
+    """Default truncation point for thresholds up to y:
+    max(4 (theta_0 + 10 sqrt(theta_0 + theta_1)), y + 20 J), rounded up."""
+    th = theta(params, 1)
+    bulk = 4.0 * (th[0] + 10.0 * math.sqrt(th[0] + th[1]))
+    return int(math.ceil(max(bulk, y + 20.0 * params.max_cluster_size)))
+
+
+def _jlam(params: CompoundPoissonParams) -> np.ndarray:
+    """Coefficients j lambda_j, j = 1..J, of f(x+j) in the Stein equation."""
+    return np.arange(1, params.max_cluster_size + 1) * np.asarray(params.rates)
+
+
 def _solve_matrix(
-    params: CompoundPoissonParams, ys: np.ndarray, x_max: int, eh_us: np.ndarray
+    jlam: np.ndarray, ys: np.ndarray, x_max: int, eh_us: np.ndarray
 ) -> np.ndarray:
     """Backward-recursion solutions for all thresholds at once.
 
     Returns F of shape (x_max + 1 + J, len(ys)); rows x_max+1.. are the zero
     tail initialization, row 0 is the f(0) placeholder.
     """
-    J = params.max_cluster_size
-    jlam = np.array([j * params.rates[j - 1] for j in range(1, J + 1)])
+    J = jlam.size
     F = np.zeros((x_max + 1 + J, ys.size))
     for x in range(x_max, 0, -1):
         s = jlam @ F[x + 1 : x + 1 + J]
@@ -138,12 +148,10 @@ def solve_stein(params: CompoundPoissonParams, y: int, x_max: int) -> SteinSolut
     table = cp_pmf(params)
     cdf = table.cdf()
     eh_u = float(cdf[min(y, table.x_max)])
-    ys = np.array([y], dtype=float)
-    F = _solve_matrix(params, ys, x_max, np.array([eh_u]))
-    J = params.max_cluster_size
-    jlam = np.array([j * params.rates[j - 1] for j in range(1, J + 1)])
+    jlam = _jlam(params)
+    F = _solve_matrix(jlam, np.array([y], dtype=float), x_max, np.array([eh_u]))
     h0 = 1.0  # h(0) = I(0 <= y) and y >= 0
-    residual0 = abs(float(jlam @ F[1 : 1 + J, 0]) - (h0 - eh_u))
+    residual0 = abs(float(jlam @ F[1 : 1 + jlam.size, 0]) - (h0 - eh_u))
     return SteinSolution(
         params=params,
         y=y,
@@ -159,12 +167,11 @@ def interior_residuals(sol: SteinSolution) -> np.ndarray:
 
     The last J points are excluded: they touch the truncated tail directly.
     """
-    params = sol.params
-    J = params.max_cluster_size
+    jlam = _jlam(sol.params)
+    J = jlam.size
     hi = sol.x_max - J
     if hi < 1:
         return np.zeros(0)
-    jlam = np.array([j * params.rates[j - 1] for j in range(1, J + 1)])
     x = np.arange(1, hi + 1)
     s = np.zeros(hi)
     for j in range(1, J + 1):
@@ -174,11 +181,11 @@ def interior_residuals(sol: SteinSolution) -> np.ndarray:
 
 
 def _factors_at(
-    params: CompoundPoissonParams, ys: np.ndarray, eh_us: np.ndarray, x_max: int
+    jlam: np.ndarray, ys: np.ndarray, eh_us: np.ndarray, x_max: int
 ) -> tuple[float, float]:
     """Sups of |f| and |delta f| over the sweep, interior points only."""
-    J = params.max_cluster_size
-    F = _solve_matrix(params, ys, x_max, eh_us)
+    J = jlam.size
+    F = _solve_matrix(jlam, ys, x_max, eh_us)
     hi = x_max - J
     if hi < 1:
         raise ValueError("x_max too small for interior sup")
@@ -199,9 +206,8 @@ def empirical_factors(
 
     y_max defaults to the smallest y with P(U > y) <= 1e-8; beyond it the
     right-hand side h - E h(U) is uniformly small and contributes nothing at
-    the reported precision.  x_max defaults to
-    max(4 (theta_0 + 10 sqrt(theta_0+theta_1)), y_max + 20 J) and is doubled
-    until both sups move by less than stability_tol.
+    the reported precision.  x_max defaults to ``default_x_max(params, y_max)``
+    and is doubled until both sups move by less than stability_tol.
     """
     table = cp_pmf(params)
     cdf = table.cdf()
@@ -218,20 +224,15 @@ def empirical_factors(
     ys = np.arange(0, y_max + 1, dtype=float)
     eh_us = cdf[: y_max + 1].astype(float)
 
-    th = theta(params, 1)
-    J = params.max_cluster_size
     if x_max is None:
-        x_max = int(
-            math.ceil(
-                max(4.0 * (th[0] + 10.0 * math.sqrt(th[0] + th[1])), y_max + 20.0 * J)
-            )
-        )
-    x_max = max(int(x_max), J + 2)
+        x_max = default_x_max(params, y_max)
+    jlam = _jlam(params)
+    x_max = max(int(x_max), jlam.size + 2)
 
-    m0_a, m1_a = _factors_at(params, ys, eh_us, x_max)
+    m0_a, m1_a = _factors_at(jlam, ys, eh_us, x_max)
     for _ in range(8):
         x2 = 2 * x_max
-        m0_b, m1_b = _factors_at(params, ys, eh_us, x2)
+        m0_b, m1_b = _factors_at(jlam, ys, eh_us, x2)
         if abs(m0_b - m0_a) <= stability_tol and abs(m1_b - m1_a) <= stability_tol:
             return EmpiricalFactors(m0_hat=m0_b, m1_hat=m1_b, y_max=y_max, x_max=x2)
         m0_a, m1_a, x_max = m0_b, m1_b, x2

@@ -341,3 +341,31 @@ def test_model_json_roundtrip():
     for m in models:
         back = model_from_json(m.to_json())
         assert back.to_json() == m.to_json()
+
+
+def test_model_interface_and_registry():
+    from cpstein.models import MODELS
+
+    models = [
+        RunsModel(30, 0.2),
+        ReliabilityModel(4, 2, 0.4),
+        MixedPoissonModel(TwoPointMixing(2.0, 3.0, 0.5)),
+        MixedPoissonModel(GammaMixing(2.0, 0.5)),
+        IndependentSumModel([[0.7, 0.12, 0.0, 0.18]] * 4),
+    ]
+    assert list(MODELS) == ["runs", "reliability", "mixed", "sums"]
+    for m in models:
+        assert MODELS[m.tag] is type(m)
+        assert model_from_json(m.to_json()) == m
+        table = m.exact_law(samples=10_000, seed=1, exact=True)
+        assert abs(table.total_mass() - 1.0) <= 1e-12
+        assert m.cp_params() == cp_params_for(m)
+        dk = m.dk_bound(0.5)
+        assert (dk is None) == isinstance(m, IndependentSumModel)
+    assert runs_cp_params is RunsModel.cp_params
+    with pytest.raises(TypeError, match="unknown model type"):
+        cp_params_for(TwoPointMixing(2.0, 3.0, 0.5))
+    with pytest.raises(ValueError, match="unknown model tag"):
+        model_from_json({"model": "lattice"})
+    with pytest.raises(ValueError, match="two_point takes 3 values"):
+        model_from_json({"model": "mixed", "two_point": [1.0, 2.0]})

@@ -351,6 +351,36 @@ def test_bound_cor3_falls_back_to_grid_route():
     assert b.method == "THM2(3)"
 
 
+def test_cor3_grid_fallback_searches_once(monkeypatch):
+    from cpstein import bounds
+
+    calls = []
+    real = bounds.delta_k_grid
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "delta_k_grid", counting)
+    # theta = (5, 20, 60, 120): theta_2 >= 2 theta_1, so no order-3 closed form
+    out = evaluate_all(CompoundPoissonParams([0.0, 0.0, 0.0, 0.0, 1.0]))
+    assert out[3].method == "THM2(3)"
+    assert len(calls) == 1
+
+
+def test_regime_classify_never_searches_the_grid(monkeypatch):
+    from cpstein import bounds
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("grid search")
+
+    monkeypatch.setattr(bounds, "delta_k_grid", forbidden)
+    th = theta(CompoundPoissonParams([0.0, 0.0, 0.0, 0.0, 1.0]), 3)
+    assert bounds.regime_classify(th) == "THM4_OK"
+    assert bounds.regime_classify(ThetaVector([1.0, 0.5, 1.0, 0.0])) == "GENERAL_ONLY"
+    assert bounds.regime_classify(ThetaVector([1.0, 0.6, 0.3, 0.0])) == "COR3_OK"
+
+
 def test_bound_lemma_c_validation():
     th = ThetaVector([1.0, 1.0])
     with pytest.raises(ValueError, match="c must exceed 1"):

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
@@ -269,6 +270,29 @@ def test_pmf_rates(capsys):
     doc = json.loads(out)
     assert_allclose(doc["pmf"][0], math.exp(-0.75), rtol=1e-14)
     assert doc["tail_mass"] <= 1e-12
+
+
+# nu = 3 < sigma^2 in both: the exact law exists, the approximant does not
+OVERDISPERSED_MIXED = [["--gamma", "2,1.5"], ["--two-point", "1,5,0.5"]]
+
+
+@pytest.mark.parametrize("mixing", OVERDISPERSED_MIXED)
+def test_pmf_exact_law_needs_no_approximant(capsys, mixing):
+    code, out, _ = run_cli(capsys, "pmf", "--model", "mixed", *mixing)
+    assert code == 0
+    doc = json.loads(out)
+    pmf = np.asarray(doc["pmf"], dtype=float)
+    assert abs(pmf.sum() + doc["tail_mass"] - 1.0) <= 1e-12
+    assert_allclose(np.arange(pmf.size) @ pmf, 3.0, rtol=1e-9)
+
+
+@pytest.mark.parametrize("mixing", OVERDISPERSED_MIXED)
+@pytest.mark.parametrize("command", [["pmf", "--law", "approx"], ["verify"]])
+def test_undefined_approximant_is_a_usage_error(capsys, mixing, command):
+    code, out, err = run_cli(capsys, *command, "--model", "mixed", *mixing)
+    assert code == 2
+    assert out == ""
+    assert err == "error: approximant undefined (lambda_1 < 0)\n"
 
 
 # ---------------------------------------------------------------------------

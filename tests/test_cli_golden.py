@@ -1,0 +1,173 @@
+"""Golden regression for the command line: a fixed command set against stored output.
+
+Each command runs in-process through ``cpstein.cli.main``.  Exit codes and
+stderr must match exactly; stdout is parsed (JSON, or CSV for
+``--format csv``) and compared with strings, ints and bools exact and floats
+at rtol 1e-12, so a refactor that keeps the numbers passes and one that
+changes them fails.
+
+The command set covers every subcommand, every model and both mixing laws,
+``--exact``, seeded Monte Carlo, CSV output and the usage and budget errors.
+It leaves out inputs whose output is known to be wrong (the Stein-equation
+oracle at total rate above about 40, ``cp_pmf`` above about 745), so that
+no defect is pinned.
+
+To regenerate ``data/cli_golden.json`` after an intended output change, run
+``PYTHONPATH=src python tests/test_cli_golden.py`` from the repository root.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import io
+import json
+import math
+import shlex
+import sys
+from pathlib import Path
+
+import pytest
+
+from cpstein.cli import main
+
+DATA = Path(__file__).parent / "data" / "cli_golden.json"
+RTOL = 1e-12
+
+SUMS = "0.7,0.1,0.1,0.1;0.6,0.1,0.3"
+
+COMMANDS = [
+    # bounds
+    "bounds --rates 1.0,0.2",
+    "bounds --rates 8 --format csv",
+    "bounds --rates 0.5,0.25,0.1",
+    "bounds --rates 151.36,71.0009,54.0361",
+    "bounds --model runs --n 50 --p 0.2",
+    "bounds --model runs --n 50 --p 0.45",
+    "bounds --model runs --n 100 --p 0.1 --format csv",
+    "bounds --model reliability --n 10 --k 2 --q 0.3",
+    "bounds --model mixed --two-point 2.5,3.5,0.5",
+    "bounds --model mixed --gamma 17.3,0.41",
+    f"bounds --model sums --components {SUMS}",
+    # verify
+    "verify --rates 8",
+    "verify --rates 1.0,0.2",
+    "verify --model runs --n 30 --p 0.15",
+    "verify --model runs --n 30 --p 0.15 --format csv",
+    "verify --model reliability --n 4 --k 2 --q 0.3 --exact",
+    "verify --model reliability --n 6 --k 2 --q 0.3 --samples 20000 --seed 7",
+    "verify --model mixed --two-point 2.5,3.5,0.5",
+    "verify --model mixed --gamma 17.3,0.41",
+    f"verify --model sums --components {SUMS}",
+    # sweep
+    "sweep --model runs --n 50 --p-range 0.05:0.45:5",
+    "sweep --model runs --n 50 --p-range 0.05:0.25:3 --format csv",
+    "sweep --model reliability --n 10 --k 2 --q-range 0.2:0.5:4",
+    "sweep --model reliability --n 30 --k 2 --q-range 0.1:0.9:8",
+    # stein-solve
+    "stein-solve --rates 8 --y 3 --x-max 60",
+    "stein-solve --rates 1.0,0.2 --y 2",
+    "stein-solve --model runs --n 30 --p 0.15 --y 1 --format csv",
+    # pmf
+    "pmf --model runs --n 3 --p 0.5",
+    "pmf --model runs --n 20 --p 0.3 --law approx",
+    "pmf --model runs --n 12 --p 0.4 --format csv",
+    "pmf --rates 0.5,0.25",
+    "pmf --rates 2,1 --format csv",
+    "pmf --model reliability --n 4 --k 2 --q 0.3 --exact",
+    "pmf --model reliability --n 5 --k 2 --q 0.3 --samples 20000 --seed 1",
+    "pmf --model mixed --two-point 2.5,3.5,0.5",
+    "pmf --model mixed --gamma 17.3,0.41",
+    f"pmf --model sums --components {SUMS}",
+    # usage errors (exit 2) and budget errors (exit 3)
+    "bounds",
+    "bounds --rates 1.0,abc",
+    "pmf --rates 0",
+    "bounds --model runs --n 50",
+    "bounds --model runs --n 2 --p 0.1",
+    "bounds --model reliability --n 10 --q 0.3",
+    "bounds --model reliability --n 3 --k 2 --q 0.3",
+    "bounds --model mixed",
+    "bounds --model mixed --two-point 1,2",
+    "bounds --model mixed --gamma 1,2,3",
+    "bounds --model mixed --gamma 2,1.5",
+    "bounds --model sums",
+    "verify --model mixed --gamma 2,1.5",
+    "pmf --model mixed --two-point 1,5,0.5 --law approx",
+    "sweep --model runs --n 50",
+    "sweep --model reliability --n 10 --q-range 0.1:0.2:2",
+    "sweep --model runs --n 50 --p-range 0.1:0.2",
+    "sweep --model mixed --gamma 1,1",
+    "stein-solve --rates 8",
+    "bounds --rates 1 --format csv --model runs --n 3",
+    "stein-solve --rates 8 --y 3 --format json --x-max 0",
+    "verify --model reliability --n 6 --k 2 --q 0.3 --exact",
+    "pmf --model runs --n 5000 --p 0.1",
+]
+
+
+def run(command: str) -> dict:
+    """Run one command line in-process; return its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(shlex.split(command))
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _cell(text: str):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _parse(command: str, stdout: str):
+    if not stdout:
+        return None
+    if "--format csv" in command:
+        return [[_cell(c) for c in row] for row in csv.reader(io.StringIO(stdout))]
+    return json.loads(stdout)
+
+
+def _assert_same(got, want, where: str) -> None:
+    if isinstance(want, float) or (isinstance(got, float) and isinstance(want, int)):
+        assert isinstance(got, (int, float)) and not isinstance(got, bool), where
+        close = math.isclose(got, want, rel_tol=RTOL, abs_tol=0.0)
+        assert close, f"{where}: {got!r} != {want!r}"
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), f"{where}: keys"
+        for key in want:
+            _assert_same(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), f"{where}: length"
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same(g, w, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(DATA.read_text())
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_matches_golden(command, golden):
+    want = golden[command]
+    got = run(command)
+    assert got["code"] == want["code"]
+    assert got["stderr"] == want["stderr"]
+    got_out, want_out = _parse(command, got["stdout"]), _parse(command, want["stdout"])
+    _assert_same(got_out, want_out, "stdout")
+
+
+def test_golden_covers_exactly_the_command_set(golden):
+    assert sorted(golden) == sorted(COMMANDS)
+
+
+if __name__ == "__main__":
+    DATA.parent.mkdir(exist_ok=True)
+    DATA.write_text(json.dumps({c: run(c) for c in COMMANDS}, indent=1) + "\n")
+    print(f"wrote {len(COMMANDS)} commands to {DATA}", file=sys.stderr)
