@@ -79,8 +79,11 @@ def dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [inner + dumps(v, indent + 1) for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        if all(type(v) is float for v in obj):
+            body = f",\n{inner}".join(map(_fmt_float, obj))
+        else:
+            body = f",\n{inner}".join(dumps(v, indent + 1) for v in obj)
+        return "[\n" + inner + body + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -371,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--exact",
         action="store_true",
-        help="use exhaustive enumeration for the reliability law",
+        help="use the exact transfer-matrix reliability law (n <= 11 at "
+        "k = 2, n <= 8 at k = 3) instead of Monte Carlo",
     )
     sp.set_defaults(func=cmd_verify)
 
@@ -398,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--exact",
         action="store_true",
-        help="use exhaustive enumeration for the reliability law",
+        help="use the exact transfer-matrix reliability law (n <= 11 at "
+        "k = 2, n <= 8 at k = 3) instead of Monte Carlo",
     )
     sp.set_defaults(func=cmd_pmf)
     return parser

@@ -157,7 +157,8 @@ class ReliabilityModel:
         return CompoundPoissonParams(rates)
 
     def exact_law(self, samples: int, seed: int, exact: bool) -> DistributionTable:
-        """Exhaustive enumeration if ``exact``, else seeded Monte Carlo."""
+        """The transfer-matrix law if ``exact`` (within its cost budget: n <= 11
+        at k = 2, n <= 8 at k = 3), else seeded Monte Carlo."""
         if exact:
             return reliability_exact_pmf(self)
         return reliability_mc_pmf(self, samples=samples, seed=seed)

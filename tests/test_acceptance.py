@@ -242,7 +242,7 @@ def test_acceptance_5_end_to_end_distance_suite():
             rep = distance(mixed_exact_pmf(mm), cp_pmf(params))
             bound = mixed_dk_bound(mm, best_bound(params).m1)
             assert rep.d_k + rep.certified_slack <= bound
-        # reliability: exhaustive 4x4 law vs the lattice bound chain
+        # reliability: transfer-matrix 4x4 law vs the lattice bound chain
         rm = ReliabilityModel(4, 2, 0.3)
         params = reliability_cp_params(rm)
         rep = distance(reliability_exact_pmf(rm), cp_pmf(params))

@@ -330,7 +330,7 @@ def test_reliability_exact_budget_exit_three(capsys):
         "--model",
         "reliability",
         "--n",
-        "6",
+        "12",
         "--k",
         "2",
         "--q",
@@ -338,6 +338,19 @@ def test_reliability_exact_budget_exit_three(capsys):
         "--exact",
     )
     assert code == 3
+    assert "budget" in err
+
+
+@pytest.mark.parametrize("k,q", [("2", "0.3"), ("3", "0.4")])
+def test_verify_reliability_exact_n5(capsys, k, q):
+    # n = 5 has 2^25 failure patterns; the transfer matrix takes milliseconds
+    code, out, _ = run_cli(
+        capsys, "verify", "--model", "reliability", "--n", "5", "--k", k, "--q", q, "--exact"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["pass"] is True
+    assert doc["distance"]["mc_stderr"] == 0
 
 
 def test_output_file_atomic(tmp_path, capsys):

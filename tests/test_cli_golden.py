@@ -102,6 +102,7 @@ COMMANDS = [
     "bounds --rates 1 --format csv --model runs --n 3",
     "stein-solve --rates 8 --y 3 --format json --x-max 0",
     "verify --model reliability --n 6 --k 2 --q 0.3 --exact",
+    "verify --model reliability --n 12 --k 2 --q 0.3 --exact",
     "pmf --model runs --n 5000 --p 0.1",
 ]
 

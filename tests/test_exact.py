@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,22 +39,53 @@ def runs_brute_force(n, p):
     return np.bincount(pairs, weights=weights, minlength=n + 1)
 
 
+def reliability_patterns(n, k):
+    """Every one of the 2^(n^2) failure patterns: its count of all-failed
+    k x k subgrids and its number of failed cells."""
+    cells = n * n
+    patterns = np.arange(1 << cells, dtype=np.int64)
+    grids = ((patterns[:, None] >> np.arange(cells)) & 1).astype(bool).reshape(-1, n, n)
+    count = np.zeros(len(patterns), dtype=np.int64)
+    for r in range(n - k + 1):
+        for c in range(n - k + 1):
+            count += grids[:, r : r + k, c : c + k].all(axis=(1, 2))
+    return count, grids.sum(axis=(1, 2))
+
+
 def reliability_brute_force(n, k, q):
     """Exhaustive 2^(n^2) enumeration of the all-failed k x k subgrid count."""
-    cells = n * n
-    pmax = (n - k + 1) ** 2
-    pmf = np.zeros(pmax + 1)
-    for pattern in range(1 << cells):
-        grid = np.array(
-            [(pattern >> i) & 1 for i in range(cells)], dtype=bool
-        ).reshape(n, n)
-        count = 0
-        for r in range(n - k + 1):
-            for c in range(n - k + 1):
-                if grid[r : r + k, c : c + k].all():
-                    count += 1
-        ones = int(grid.sum())
-        pmf[count] += q**ones * (1.0 - q) ** (cells - ones)
+    count, ones = reliability_patterns(n, k)
+    weights = q**ones * (1.0 - q) ** (n * n - ones)
+    return np.bincount(count, weights=weights, minlength=(n - k + 1) ** 2 + 1)
+
+
+def runs_dp_reference(n, p):
+    """The runs transfer matrix as first written: (first bit, current bit),
+    each a vector over the count, updated one pair at a time."""
+    prob = (1.0 - p, p)
+    dp = [[np.zeros(n + 1) for _ in range(2)] for _ in range(2)]
+    for b in range(2):
+        dp[b][b][0] = prob[b]
+    for _ in range(2, n + 1):
+        new = [[np.zeros(n + 1) for _ in range(2)] for _ in range(2)]
+        for b1 in range(2):
+            for prev in range(2):
+                vec = dp[b1][prev]
+                for cur in range(2):
+                    w = prob[cur] * vec
+                    if prev == 1 and cur == 1:
+                        new[b1][cur][1:] += w[:-1]
+                    else:
+                        new[b1][cur] += w
+        dp = new
+    pmf = np.zeros(n + 1)
+    for b1 in range(2):
+        for last in range(2):
+            vec = dp[b1][last]
+            if b1 == 1 and last == 1:
+                pmf[1:] += vec[:-1]
+            else:
+                pmf += vec
     return pmf
 
 
@@ -94,6 +126,13 @@ def test_runs_degenerate_edges():
     assert all_succeed.pmf[5] == 1.0
 
 
+@pytest.mark.parametrize("n", [3, 50, 2000])
+@pytest.mark.parametrize("p", [0.05, 0.5])
+def test_runs_matches_reference_dp(n, p):
+    t = runs_exact_pmf(RunsModel(n, p))
+    assert_allclose(t.pmf, runs_dp_reference(n, p), rtol=1e-14, atol=0)
+
+
 def test_runs_budget():
     with pytest.raises(BudgetExceededError):
         runs_exact_pmf(RunsModel(2001, 0.1))
@@ -113,10 +152,62 @@ def test_reliability_exact_matches_brute_force_asymmetric_q():
     assert_allclose(t.pmf, reliability_brute_force(3, 2, 0.3), atol=1e-14)
 
 
+@pytest.mark.parametrize("n,k", [(n, k) for n in (2, 3, 4) for k in range(2, n + 1)])
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.85])
+def test_reliability_exact_matches_brute_force_every_small_grid(n, k, q):
+    # the brute force adds up to 2^16 weights one at a time, which costs it
+    # up to ~5e-13 relative; the rational-law test below holds the engine to 1e-15
+    t = reliability_exact_pmf(ReliabilityModel(n, k, q))
+    assert_allclose(t.pmf, reliability_brute_force(n, k, q), rtol=1e-12, atol=0)
+
+
 def test_reliability_k_equals_n():
     # single k x k window: W ~ Bernoulli(q^{k^2})
     t = reliability_exact_pmf(ReliabilityModel(3, 3, 0.4))
     assert_allclose(t.pmf, [1 - 0.4**9, 0.4**9], atol=1e-15)
+
+
+def test_reliability_exact_against_rational_law():
+    # n = 4, q = 3/10 in exact rational arithmetic, from the counts of the
+    # 2^16 patterns by (subgrid count, failed cells)
+    n, k, q = 4, 2, Fraction(3, 10)
+    count, ones = reliability_patterns(n, k)
+    law = [Fraction(0)] * ((n - k + 1) ** 2 + 1)
+    pairs, times = np.unique(np.stack([count, ones], axis=1), axis=0, return_counts=True)
+    for (w, o), t in zip(pairs.tolist(), times.tolist()):
+        law[w] += t * q**o * (1 - q) ** (n * n - o)
+    assert sum(law) == 1
+    got = reliability_exact_pmf(ReliabilityModel(n, k, 0.3)).pmf
+    rel = [abs(Fraction(float(g)) - want) / want for g, want in zip(got, law)]
+    assert max(rel) <= Fraction(1, 10**15)
+
+
+@pytest.mark.parametrize(
+    "n,k", [(5, 2), (8, 2), (11, 2), (5, 3), (8, 3)]  # n = 11, 8: the largest in budget
+)
+@pytest.mark.parametrize("q", [0.3, 0.7])
+def test_reliability_exact_mass_and_mean(n, k, q):
+    t = reliability_exact_pmf(ReliabilityModel(n, k, q))
+    assert t.x_max == (n - k + 1) ** 2
+    assert abs(t.total_mass() - 1.0) <= 1e-13
+    assert_allclose(t.mean(), (n - k + 1) ** 2 * q ** (k * k), rtol=1e-13)
+
+
+@pytest.mark.parametrize("n,k", [(9, 3), (8, 4), (7, 5), (7, 7)])
+def test_reliability_exact_budget_limit(n, k):
+    # one step past the largest grid the cost budget admits for each k > 2
+    # (k = 2: test_reliability_budget)
+    with pytest.raises(BudgetExceededError, match="budget"):
+        reliability_exact_pmf(ReliabilityModel(n, k, 0.3))
+
+
+def test_reliability_exact_matches_mc_n8():
+    m = ReliabilityModel(8, 2, 0.4)
+    exact = reliability_exact_pmf(m)
+    mc = reliability_mc_pmf(m, samples=200_000, seed=8)
+    se = np.sqrt(exact.pmf * (1.0 - exact.pmf) / mc.mc_samples)
+    assert np.all(np.abs(mc.pmf - exact.pmf) <= 5 * se + 1e-12)
+    assert exact.pmf[1] > 0.1  # the check is not on empty bins only
 
 
 def test_reliability_degenerate_q():
@@ -128,7 +219,7 @@ def test_reliability_degenerate_q():
 
 def test_reliability_budget():
     with pytest.raises(BudgetExceededError):
-        reliability_exact_pmf(ReliabilityModel(6, 2, 0.3))
+        reliability_exact_pmf(ReliabilityModel(12, 2, 0.3))
 
 
 def test_reliability_mc_reproducible_and_consistent():
