@@ -36,6 +36,9 @@ __all__ = [
 
 DEFAULT_MASS_TARGET = 1.0 - 1e-12
 DEFAULT_X_CAP = 1_000_000
+MASS_TOL = 1e-9  # rounding allowance on the total mass of a table
+LOG_P0_FLOOR = 700.0  # e^-700 is a normal double; e^-746 is 0
+RESCALE_AT = 2.0**600  # cp_pmf scales its table down by this, exactly
 
 
 class TruncationCapError(RuntimeError):
@@ -169,6 +172,8 @@ class DistributionTable:
             raise ValueError("pmf entries must lie in [0, 1]")
         if self.tail_mass < 0.0:
             raise ValueError("tail_mass must be nonnegative")
+        if float(pmf.sum()) + self.tail_mass > 1.0 + MASS_TOL:
+            raise ValueError("total mass exceeds 1")
 
     @property
     def x_max(self) -> int:
@@ -226,6 +231,15 @@ def cp_pmf(
     The support {0..X_max} is grown until the Chernoff tail bound at X_max
     drops to 1 - mass_target; the recorded tail_mass is the exact residual
     1 - sum(pmf) (clipped at 0), which the Chernoff bound certifies.
+
+    For lambda > 700, where e^{-lambda} is subnormal or 0, the recursion
+    (Panjer 1981) starts from e^{-700} and carries the factor
+    e^{700 - lambda} apart in logs; each time an entry passes 2^600, the J
+    entries that the recursion still reads are divided by 2^600, which is
+    exact.  Every entry's factor is applied once at the end, and entries
+    that land below the normal range are set to 0.  For lambda <= 700 the
+    arithmetic is the plain recursion.  A table whose mass falls short of
+    mass_target by more than 1e-9 raises TruncationCapError.
     """
     if not 0.0 < mass_target < 1.0:
         raise ValueError("mass_target must lie in (0, 1)")
@@ -240,14 +254,31 @@ def cp_pmf(
 
     J = params.max_cluster_size
     jlam = [j * params.rates[j - 1] for j in range(1, J + 1)]
-    p = np.zeros(x_max + 1)
-    p[0] = math.exp(-lam)
+    # Start from log P(U=0) = -lambda: p[n] holds P(U=n) e^{shift} / RESCALE_AT^d,
+    # where d counts the rescalings whose window began at or before n.
+    shift = max(0.0, lam - LOG_P0_FLOOR)
+    p = [0.0] * (x_max + 1)
+    p[0] = math.exp(shift - lam)
+    starts = []
     for n in range(1, x_max + 1):
         acc = 0.0
         for j in range(1, min(n, J) + 1):
             acc += jlam[j - 1] * p[n - j]
-        p[n] = acc / n
+        pn = acc / n
+        p[n] = pn
+        if pn > RESCALE_AT:  # rescale the J entries the recursion still reads
+            lo = max(0, n - J + 1)
+            p[lo : n + 1] = [v / RESCALE_AT for v in p[lo : n + 1]]
+            starts.append(lo)
+    p = np.array(p)
+    if shift > 0.0:
+        d = np.searchsorted(starts, np.arange(p.size), side="right")
+        with np.errstate(divide="ignore"):
+            p = np.exp(np.log(p) + (d * math.log(RESCALE_AT) - shift))
+        p[p < np.finfo(float).tiny] = 0.0  # subnormal: exp's last bit decides it
     tail = max(0.0, 1.0 - float(p.sum()))
+    if tail > 1.0 - mass_target + MASS_TOL:
+        raise TruncationCapError("pmf does not reach its mass target")
     return DistributionTable(pmf=p, tail_mass=tail)
 
 

@@ -1,15 +1,27 @@
-"""Exact solver for the compound Poisson Stein equation and empirical factors.
+"""Two-boundary solver for the compound Poisson Stein equation and empirical factors.
 
 For U ~ CP with rates lambda_j and a Kolmogorov test function
 h = I(. <= y), the Stein equation is
 
-    h(x) - E h(U) = sum_j j lambda_j f(x+j) - x f(x),    x >= 1.       (*)
+    h(x) - E h(U) = sum_j j lambda_j f(x+j) - x f(x),    x >= 0.       (*)
 
-The solver fills f by backward recursion from a zero tail: division by x at
-each step damps the initialization error, and convergence is certified
-empirically by doubling the truncation point and comparing.  f(0) is not
-part of the solution: the x = 0 instance of (*) has coefficient 0 on f(0),
-and its defect is reported separately as a truncation diagnostic.
+The unknowns are f(1..N), with f = 0 beyond the truncation point N; f(0)
+has coefficient 0 in (*) and is not part of the solution.  (*) is imposed
+at x = 0..N except x0 = min(floor(theta_0), N): below the mean f is fixed
+from the left boundary x = 0, above it from the zero tail, so no rounding
+error is amplified (a recursion from either end alone grows it like
+e^lambda).  The defect of the one equation left out, at x0, is reported as
+``residual0``.
+
+The system has lower bandwidth 1 and upper bandwidth J.  Above
+M = max(y, x0) + J + 1 every equation is imposed and the system is
+triangular: f there comes from the scalar backward recursion, stable
+because theta_0 / x <= 1.  Its values enter the M x M block below as known
+terms, and only that block is solved, by banded Gaussian elimination with
+partial pivoting.  For a sweep of thresholds y = 0..y_max, linearity gives
+f_y = c_y - P(U <= y) g with (*) solved for right-hand sides I(. <= y) and
+1, and c_y = 0 above max(y, x0), so one elimination serves every y, and
+the solutions truncated at N and at 2N differ only in g.
 
 Sweeping y and taking sups of |f| and |f(x+1)-f(x)| yields empirical
 Kolmogorov Stein factors, the ground truth that every bound in
@@ -45,7 +57,7 @@ STABILITY_TOL = 1e-7
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when doubling the truncation does not stabilize the factors."""
+    """Raised when the factors at truncation N and 2N differ by more than the tolerance."""
 
 
 @dataclass(frozen=True)
@@ -115,30 +127,106 @@ def _jlam(params: CompoundPoissonParams) -> np.ndarray:
     return np.arange(1, params.max_cluster_size + 1) * np.asarray(params.rates)
 
 
-def _solve_matrix(
-    jlam: np.ndarray, ys: np.ndarray, x_max: int, eh_us: np.ndarray
-) -> np.ndarray:
-    """Backward-recursion solutions for all thresholds at once.
+def _tail(
+    jl: list[float], lo: int, n: int, r: float, ref: list[float] | None = None
+) -> list[float]:
+    """Backward recursion t(x) = (sum_j j lambda_j t(x+j) - r) / x, x = n..lo.
 
-    Returns F of shape (x_max + 1 + J, len(ys)); rows x_max+1.. are the zero
-    tail initialization, row 0 is the f(0) placeholder.
+    This is (*) with constant right-hand side r and t = 0 beyond n.  It is
+    stable for x > theta_0: an error in t(x+j) reaches t(x) multiplied by
+    at most theta_0 / x.  Returns [t(lo), ..., t(n)] followed by J zeros.
+    ``ref``, the same recursion from a larger n, is copied from the first
+    J consecutive values on which the two agree to the last bit.
     """
-    J = jlam.size
-    F = np.zeros((x_max + 1 + J, ys.size))
-    for x in range(x_max, 0, -1):
-        s = jlam @ F[x + 1 : x + 1 + J]
-        rhs = (x <= ys).astype(float) - eh_us
-        F[x] = (s - rhs) / x
-    return F
+    J = len(jl)
+    t = [0.0] * (n - lo + 1 + J)
+    for i in range(n - lo, -1, -1):
+        s = 0.0
+        k = i
+        for c in jl:
+            k += 1
+            s += c * t[k]
+        t[i] = v = (s - r) / (lo + i)
+        if ref is not None and v == ref[i] and t[i : i + J] == ref[i : i + J]:
+            t[:i] = ref[:i]
+            break
+    return t
+
+
+def _tail_terms(jl: list[float], x0: int, M: int, t: list[float]) -> np.ndarray:
+    """Known terms sum_{j: x+j > M} j lambda_j t(x+j) of the block equations.
+
+    One entry per block equation x = 0..M except x0, in order; ``t`` holds
+    the values from x = M + 1 on.
+    """
+    out = np.zeros(M)
+    J = len(jl)
+    for x in range(max(0, M + 1 - J), M + 1):
+        if x != x0:
+            s = 0.0
+            for j in range(M + 1 - x, J + 1):
+                s += jl[j - 1] * t[x + j - M - 1]
+            out[x - (x > x0)] = s
+    return out
+
+
+def _block_solve(jl: list[float], x0: int, M: int, B: np.ndarray | list[float]) -> None:
+    """Solve (*) at x = 0..M except x0 for f(1..M), in place on B.
+
+    B has one row per equation, in order of x, and one column per
+    right-hand side (a list of floats for a single one), with the terms in
+    f(x), x > M, already moved there.  Banded Gaussian elimination with
+    partial pivoting: the equations below x0 have one entry left of the
+    diagonal, so each pivot compares two scalars; the equations above x0
+    are already triangular.  The matrix entries are Python floats, and each
+    row operation on B is one vectorised call across its columns.  On
+    return row i of B holds f(i + 1).
+    """
+    J = len(jl)
+
+    def eq(x: int) -> list[float]:
+        # coefficients of equation x on f(x), ..., f(x + J + 1)
+        return [-float(x)] + [c if x + j <= M else 0.0 for j, c in enumerate(jl, 1)] + [0.0]
+
+    U = []  # row k of the upper factor, on f(k + 1), ..., f(k + J + 2)
+    cur, b = eq(0)[1:] + [0.0], B[0]
+    for k in range(x0 - 1):
+        nxt, b_nxt = eq(k + 1), B[k + 1]
+        if abs(nxt[0]) > abs(cur[0]):
+            cur, nxt, b, b_nxt = nxt, cur, b_nxt, b
+        m = nxt[0] / cur[0]
+        U.append(cur)  # row k is final; row k + 1 loses its column-k entry
+        cur = [a - m * c for a, c in zip(nxt[1:], cur[1:])] + [0.0]
+        b, B[k] = b_nxt - m * b, b
+    if x0 > 0:
+        U.append(cur)
+        B[x0 - 1] = b
+    U += [eq(x) for x in range(x0 + 1, M + 1)]
+    for k in range(M - 1, -1, -1):
+        u, b = U[k], B[k]
+        for i in range(1, min(J + 2, M - k)):
+            if u[i] != 0.0:
+                b = b - u[i] * B[k + i]
+        B[k] = b / u[0]
+
+
+def _split(params: CompoundPoissonParams, y: int) -> tuple[list[float], int, int]:
+    """j lambda_j, the equation left out x0 = floor(theta_0), and the block
+    size M = max(y, x0) + J + 1 for thresholds up to y."""
+    jl = _jlam(params).tolist()
+    x0 = int(math.floor(math.fsum(jl)))
+    return jl, x0, max(y, x0) + len(jl) + 1
 
 
 def solve_stein(params: CompoundPoissonParams, y: int, x_max: int) -> SteinSolution:
     """Solve the Stein equation for h = I(. <= y) on x = 1..x_max.
 
-    E h(U) comes from the certified pmf table; f is filled backward from a
-    zero tail.  residual0 is the defect of the (coefficient-0) x = 0
-    equation, |sum_j j lambda_j f(j) - (h(0) - E h(U))|, a pure truncation
-    diagnostic.
+    E h(U) comes from the certified pmf table.  f = 0 beyond x_max, and the
+    equation is imposed at x = 0..x_max except x0 = min(floor(theta_0),
+    x_max): f above the block x <= M comes from the backward recursion,
+    f on the block from its banded elimination.  residual0 is the defect
+    of the one equation left out, |sum_j j lambda_j f(x0+j) - x0 f(x0) -
+    (h(x0) - E h(U))|, a truncation and rounding diagnostic.
     """
     y = int(y)
     if y < 0:
@@ -148,15 +236,20 @@ def solve_stein(params: CompoundPoissonParams, y: int, x_max: int) -> SteinSolut
     table = cp_pmf(params)
     cdf = table.cdf()
     eh_u = float(cdf[min(y, table.x_max)])
-    jlam = _jlam(params)
-    F = _solve_matrix(jlam, np.array([y], dtype=float), x_max, np.array([eh_u]))
-    h0 = 1.0  # h(0) = I(0 <= y) and y >= 0
-    residual0 = abs(float(jlam @ F[1 : 1 + jlam.size, 0]) - (h0 - eh_u))
+    jl, x0, M = _split(params, y)
+    x0, M = min(x0, x_max), min(M, x_max)  # a short window is all block
+    t = _tail(jl, M + 1, x_max, -eh_u)  # f(x) = -E h(U) g(x) above the block
+    xs = np.delete(np.arange(M + 1), x0)
+    b = ((xs <= y) - eh_u - _tail_terms(jl, x0, M, t)).tolist()
+    _block_solve(jl, x0, M, b)
+    f = [0.0] + b + t  # f(0..x_max), then J zeros
+    lhs = math.fsum(c * f[x0 + j] for j, c in enumerate(jl, start=1))
+    residual0 = abs(lhs - x0 * f[x0] - ((x0 <= y) - eh_u))
     return SteinSolution(
         params=params,
         y=y,
         x_max=x_max,
-        f=F[: x_max + 1, 0].copy(),
+        f=np.array(f[: x_max + 1]),
         eh_u=eh_u,
         residual0=residual0,
     )
@@ -180,20 +273,35 @@ def interior_residuals(sol: SteinSolution) -> np.ndarray:
     return h - sol.eh_u - (s - x * sol.f[x])
 
 
-def _factors_at(
-    jlam: np.ndarray, ys: np.ndarray, eh_us: np.ndarray, x_max: int
+def _block_sups(
+    C: np.ndarray, P: np.ndarray, g: np.ndarray
+) -> tuple[float, float, np.ndarray]:
+    """Sups over y of |f_y(x)| on the block x = 1..M and of |f_y(x+1) - f_y(x)|
+    on x = 1..M-1, where f_y = C[:, y] - P[y] g; also f_y(M) for every y."""
+    F = np.outer(g, P)
+    np.subtract(C, F, out=F)
+    D = F[1:] - F[:-1]
+    return max(F.max(), -F.min()), max(D.max(), -D.min()), F[-1]
+
+
+def _sups(
+    block: tuple[float, float, np.ndarray], P: np.ndarray, g_tail: list[float]
 ) -> tuple[float, float]:
-    """Sups of |f| and |delta f| over the sweep, interior points only."""
-    J = jlam.size
-    F = _solve_matrix(jlam, ys, x_max, eh_us)
-    hi = x_max - J
-    if hi < 1:
-        raise ValueError("x_max too small for interior sup")
-    interior = F[1 : hi + 1]
-    m0 = float(np.max(np.abs(interior)))
-    diffs = F[2 : hi + 2] - F[1 : hi + 1]
-    m1 = float(np.max(np.abs(diffs)))
-    return m0, m1
+    """Sups of |f_y| and |f_y(x+1) - f_y(x)| over y and over x = 1..hi.
+
+    ``block`` is ``_block_sups`` of the block x = 1..M.  Above it f_y(x) =
+    -P[y] g(x), with ``g_tail`` holding g(M+1..hi+1); P is increasing, so
+    there the sups over y are P[-1] times those of g.
+    """
+    m0, m1, f_last = block
+    g = np.asarray(g_tail)
+    m0 = max(m0, P[-1] * np.max(np.abs(g[:-1]), initial=0.0))
+    m1 = max(
+        m1,
+        np.max(np.abs(g[0] * P + f_last)),  # across x = M
+        P[-1] * np.max(np.abs(np.diff(g)), initial=0.0),
+    )
+    return float(m0), float(m1)
 
 
 def empirical_factors(
@@ -206,8 +314,14 @@ def empirical_factors(
 
     y_max defaults to the smallest y with P(U > y) <= 1e-8; beyond it the
     right-hand side h - E h(U) is uniformly small and contributes nothing at
-    the reported precision.  x_max defaults to ``default_x_max(params, y_max)``
-    and is doubled until both sups move by less than stability_tol.
+    the reported precision.  x_max defaults to ``default_x_max(params,
+    y_max)`` (and is raised to M + J if smaller).  By linearity f_y = c_y -
+    P(U <= y) g, where c_y solves the equations with right-hand side
+    I(. <= y) and vanishes above max(y, x0), and g solves them with
+    right-hand side 1.  One elimination of the block x <= M solves every
+    c_y and g for truncation at x_max and at 2 x_max; the sups are taken
+    on the interior x <= x_max - J, and both pairs of sups must agree
+    within stability_tol.  The factors at 2 x_max are returned.
     """
     table = cp_pmf(params)
     cdf = table.cdf()
@@ -221,21 +335,29 @@ def empirical_factors(
         y_max = int(y_max)
         if y_max > table.x_max or tail[y_max] > TAIL_FOR_YMAX:
             raise ValueError("P(U > y_max) exceeds 1e-8; enlarge y_max")
-    ys = np.arange(0, y_max + 1, dtype=float)
-    eh_us = cdf[: y_max + 1].astype(float)
+    P = cdf[: y_max + 1].astype(float)
 
     if x_max is None:
         x_max = default_x_max(params, y_max)
-    jlam = _jlam(params)
-    x_max = max(int(x_max), jlam.size + 2)
-
-    m0_a, m1_a = _factors_at(jlam, ys, eh_us, x_max)
-    for _ in range(8):
-        x2 = 2 * x_max
-        m0_b, m1_b = _factors_at(jlam, ys, eh_us, x2)
-        if abs(m0_b - m0_a) <= stability_tol and abs(m1_b - m1_a) <= stability_tol:
-            return EmpiricalFactors(m0_hat=m0_b, m1_hat=m1_b, y_max=y_max, x_max=x2)
-        m0_a, m1_a, x_max = m0_b, m1_b, x2
+    jl, x0, M = _split(params, y_max)
+    J = len(jl)
+    n = max(int(x_max), M + J)
+    tail_2n = _tail(jl, M + 1, 2 * n, 1.0)
+    tails = [_tail(jl, M + 1, n, 1.0, ref=tail_2n), tail_2n]
+    xs = np.delete(np.arange(M + 1), x0)
+    B = np.empty((M, y_max + 3))
+    B[:, : y_max + 1] = xs[:, None] <= np.arange(y_max + 1)
+    for col, t in zip((y_max + 1, y_max + 2), tails):
+        B[:, col] = 1.0 - _tail_terms(jl, x0, M, t)
+    _block_solve(jl, x0, M, B)
+    C, g_n, g_2n = B[:, : y_max + 1], B[:, y_max + 1], B[:, y_max + 2]
+    block_n = _block_sups(C, P, g_n)
+    block_2n = block_n if np.array_equal(g_n, g_2n) else _block_sups(C, P, g_2n)
+    # the interior of truncation at n ends at x = n - J
+    m0_a, m1_a = _sups(block_n, P, tails[0][: n - J - M + 1])
+    m0_b, m1_b = _sups(block_2n, P, tails[1][: 2 * n - J - M + 1])
+    if abs(m0_b - m0_a) <= stability_tol and abs(m1_b - m1_a) <= stability_tol:
+        return EmpiricalFactors(m0_hat=m0_b, m1_hat=m1_b, y_max=y_max, x_max=2 * n)
     raise ConvergenceError("truncation not converged")
 
 
@@ -285,7 +407,7 @@ def poisson_stein_forward(lam: float, y: int, x_max: int) -> np.ndarray:
                                     { P(Z<=y) P(Z>x)   for x > y
     computed in logs.  Returns f on indices 0..x_max with f[0] = 0.
 
-    This is an independent route used to cross-check the backward solver on
+    This is an independent route used to cross-check the Stein solver on
     single-size-cluster (pure Poisson) inputs.
     """
     if lam <= 0.0:

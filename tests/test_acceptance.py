@@ -274,7 +274,7 @@ def test_acceptance_6_oracle_self_consistency():
             b = empirical_factors(params, y_max=a.y_max, x_max=2 * a.x_max)
             assert abs(a.m0_hat - b.m0_hat) <= 1e-7
             assert abs(a.m1_hat - b.m1_hat) <= 1e-7
-        # backward solver matches the classical forward Poisson solution
+        # the Stein solver matches the classical forward Poisson solution
         for lam in (1.0, 8.0):
             for y in (0, 3, 10):
                 sol = solve_stein(CompoundPoissonParams([lam]), y, 80)

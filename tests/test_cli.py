@@ -15,7 +15,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import cpstein
-from cpstein import cli
+from cpstein import cli, core
 from cpstein.cli import main
 
 
@@ -409,6 +409,65 @@ def test_import_leaves_out_scipy_stats_and_integrate():
         "import sys, cpstein, cpstein.cli\n"
         "print(sorted(m for m in sys.modules\n"
         "             if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'integrate'])))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert res.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# total rates beyond a one-sided Stein recursion and e^{-lambda}
+
+
+def test_verify_rates_50_passes(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--rates", "50")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["pass"] is True
+    assert 0.0 < doc["empirical"]["m0_hat"] < 0.1
+
+
+def test_stein_solve_large_rate_residuals(capsys):
+    code, out, _ = run_cli(capsys, "stein-solve", "--rates", "121.92", "--y", "113")
+    assert code == 0
+    doc = json.loads(out)
+    lam, y, eh_u = 121.92, doc["y"], doc["eh_u"]
+    f = np.asarray(doc["f"])
+    x = np.arange(1, doc["x_max"])  # interior: x + 1 <= x_max
+    res = (x <= y) - eh_u - (lam * f[x + 1] - x * f[x])
+    assert np.max(np.abs(res)) <= 1e-9
+    assert doc["residual0"] <= 1e-9
+
+
+def test_pmf_rates_800_mass_and_mean(capsys):
+    code, out, _ = run_cli(capsys, "pmf", "--rates", "800")
+    assert code == 0
+    doc = json.loads(out)
+    pmf = np.asarray(doc["pmf"])
+    assert abs(math.fsum(doc["pmf"]) - 1.0) <= 1e-12
+    assert doc["tail_mass"] <= 1e-12
+    assert_allclose(np.dot(np.arange(pmf.size), pmf), 800.0, rtol=1e-9)
+
+
+def test_pmf_mass_shortfall_exit_three(capsys, monkeypatch):
+    # a table that cannot reach its mass (here: started from e^{-800} = 0)
+    # is refused with the budget exit code, not printed as zeros
+    monkeypatch.setattr(core, "LOG_P0_FLOOR", math.inf)
+    code, out, err = run_cli(capsys, "pmf", "--rates", "800")
+    assert code == 3
+    assert out == ""
+    assert "mass target" in err
+
+
+def test_oracle_leaves_out_scipy_linalg():
+    # the banded elimination is plain numpy: no LAPACK import, no BLAS threads
+    src = os.path.dirname(os.path.dirname(cpstein.__file__))
+    code = (
+        "import sys, cpstein\n"
+        "cpstein.empirical_factors(cpstein.CompoundPoissonParams([80.0]))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'linalg']))"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     res = subprocess.run(

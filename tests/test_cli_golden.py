@@ -2,15 +2,15 @@
 
 Each command runs in-process through ``cpstein.cli.main``.  Exit codes and
 stderr must match exactly; stdout is parsed (JSON, or CSV for
-``--format csv``) and compared with strings, ints and bools exact and floats
-at rtol 1e-12, so a refactor that keeps the numbers passes and one that
-changes them fails.
+``--format csv``, whose dict and list cells are Python literals) and compared
+with strings, ints and bools exact and floats at rtol 1e-12, so a refactor
+that keeps the numbers passes and one that changes them fails.
 
 The command set covers every subcommand, every model and both mixing laws,
 ``--exact``, seeded Monte Carlo, CSV output and the usage and budget errors.
-It leaves out inputs whose output is known to be wrong (the Stein-equation
-oracle at total rate above about 40, ``cp_pmf`` above about 745), so that
-no defect is pinned.
+It also pins inputs beyond the reach of a one-sided Stein recursion or of a
+pmf recursion started from e^{-lambda}: ``verify --rates 50``, a
+``stein-solve`` at total rate 121.92 and ``pmf --rates 800``.
 
 To regenerate ``data/cli_golden.json`` after an intended output change, run
 ``PYTHONPATH=src python tests/test_cli_golden.py`` from the repository root.
@@ -18,6 +18,7 @@ To regenerate ``data/cli_golden.json`` after an intended output change, run
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import csv
 import io
@@ -54,6 +55,7 @@ COMMANDS = [
     "verify --rates 1.0,0.2",
     "verify --model runs --n 30 --p 0.15",
     "verify --model runs --n 30 --p 0.15 --format csv",
+    "verify --rates 50",
     "verify --model reliability --n 4 --k 2 --q 0.3 --exact",
     "verify --model reliability --n 6 --k 2 --q 0.3 --samples 20000 --seed 7",
     "verify --model mixed --two-point 2.5,3.5,0.5",
@@ -68,12 +70,14 @@ COMMANDS = [
     "stein-solve --rates 8 --y 3 --x-max 60",
     "stein-solve --rates 1.0,0.2 --y 2",
     "stein-solve --model runs --n 30 --p 0.15 --y 1 --format csv",
+    "stein-solve --rates 121.92 --y 113",
     # pmf
     "pmf --model runs --n 3 --p 0.5",
     "pmf --model runs --n 20 --p 0.3 --law approx",
     "pmf --model runs --n 12 --p 0.4 --format csv",
     "pmf --rates 0.5,0.25",
     "pmf --rates 2,1 --format csv",
+    "pmf --rates 800",
     "pmf --model reliability --n 4 --k 2 --q 0.3 --exact",
     "pmf --model reliability --n 5 --k 2 --q 0.3 --samples 20000 --seed 1",
     "pmf --model mixed --two-point 2.5,3.5,0.5",
@@ -121,6 +125,8 @@ def _cell(text: str):
             return kind(text)
         except ValueError:
             pass
+    if text[:1] in ("{", "["):
+        return ast.literal_eval(text)
     return text
 
 

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cpstein import core
 from cpstein import (
     CompoundPoissonParams,
+    DistributionTable,
     ThetaVector,
     TruncationCapError,
     chernoff_tail,
@@ -171,11 +173,71 @@ def test_pmf_truncation_cap():
 
 def test_pmf_json_roundtrip():
     t = cp_pmf(CompoundPoissonParams([0.5, 0.25]))
-    from cpstein import DistributionTable
-
     back = DistributionTable.from_json(t.to_json())
     assert_allclose(back.pmf, t.pmf, rtol=0, atol=0)
     assert back.tail_mass == t.tail_mass
+
+
+def plain_recursion_pmf(rates, x_max):
+    """The one-step recursion from P(U=0) = e^{-lambda}, as first written."""
+    J = len(rates)
+    jlam = [j * rates[j - 1] for j in range(1, J + 1)]
+    p = np.zeros(x_max + 1)
+    p[0] = math.exp(-math.fsum(rates))
+    for n in range(1, x_max + 1):
+        acc = 0.0
+        for j in range(1, min(n, J) + 1):
+            acc += jlam[j - 1] * p[n - j]
+        p[n] = acc / n
+    return p
+
+
+@pytest.mark.parametrize(
+    "rates", [[0.5, 0.25], [8.0], [300.0, 100.0, 50.0], [699.9, 0.1], [700.0]]
+)
+def test_pmf_bit_identical_to_plain_recursion_up_to_700(rates):
+    t = cp_pmf(CompoundPoissonParams(rates))
+    assert np.array_equal(t.pmf, plain_recursion_pmf(rates, t.x_max))
+
+
+@pytest.mark.parametrize("rates", [[740.0], [800.0], [2000.0], [600.0, 150.0, 20.0]])
+def test_pmf_large_total_rate_mass_and_mean(rates):
+    # e^{-lambda} is subnormal at 740 and 0 from about 746 on
+    p = CompoundPoissonParams(rates)
+    t = cp_pmf(p)
+    assert abs(float(t.pmf.sum()) - 1.0) <= 1e-12
+    assert t.tail_mass <= 1e-12
+    assert_allclose(t.mean(), theta(p, 0)[0], rtol=1e-9)
+    assert_allclose(t.var(), variance(p), rtol=1e-8)
+
+
+def test_pmf_large_total_rate_matches_poisson_components():
+    # U = N_1 + 2 N_2 with independent Poisson counts: an independent route
+    from scipy import stats
+
+    t = cp_pmf(CompoundPoissonParams([900.0, 100.0]))
+    x = np.arange(t.x_max + 1)
+    want = np.zeros(t.x_max + 1)
+    for k in range(t.x_max // 2 + 1):
+        want[2 * k :] += stats.poisson.pmf(k, 100.0) * stats.poisson.pmf(x[: x.size - 2 * k], 900.0)
+    big = want > 1e-200
+    assert_allclose(t.pmf[big], want[big], rtol=1e-9)
+
+
+def test_pmf_mass_shortfall_raises(monkeypatch):
+    # started from e^{-800}, which is 0, every entry is 0: refuse, do not print it
+    monkeypatch.setattr(core, "LOG_P0_FLOOR", math.inf)
+    with pytest.raises(TruncationCapError, match="mass target"):
+        cp_pmf(CompoundPoissonParams([800.0]))
+
+
+def test_table_rejects_mass_above_one():
+    with pytest.raises(ValueError, match="total mass"):
+        DistributionTable(pmf=np.array([0.6, 0.4 + 2e-9]), tail_mass=0.0)
+    with pytest.raises(ValueError, match="total mass"):
+        DistributionTable(pmf=np.array([0.6, 0.4]), tail_mass=1e-8)
+    # rounding within 1e-9 is allowed
+    DistributionTable(pmf=np.array([0.6, 0.4 + 5e-10]), tail_mass=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,13 @@ from cpstein import (
     bound_monotone,
     cp_pmf,
     empirical_factors,
+    evaluate_all,
     interior_residuals,
     poisson_stein_forward,
     solve_stein,
     verify_bound,
 )
+from cpstein.oracle import default_x_max
 
 
 def stein_lhs(params, sol, x):
@@ -93,6 +95,40 @@ def test_backward_matches_forward_poisson():
             fwd = poisson_stein_forward(lam, y, 80)
             interior = slice(1, 60)
             assert_allclose(sol.f[interior], fwd[interior], atol=1e-8)
+
+
+def poisson_stein_ratio(lam, y, x_max):
+    """The forward-sum Poisson solution f(x+1) = P(Z>y) R(x) / lam (x <= y),
+    P(Z<=y) S(x) / lam (x > y), with R(x) = P(Z<=x)/P(Z=x) and
+    S(x) = P(Z>x)/P(Z=x) summed as ratios of consecutive Poisson weights:
+    sums of positive terms, with no exponential or logarithm to round."""
+    f = np.zeros(x_max + 1)
+    r = 0.0
+    for x in range(min(y, x_max - 1) + 1):
+        r = 1.0 + x / lam * r
+        f[x + 1] = r * special.pdtrc(y, lam) / lam
+    s = 0.0
+    for x in range(4 * x_max, y, -1):
+        s = lam / (x + 1) * (1.0 + s)
+        if x < x_max:
+            f[x + 1] = s * special.pdtr(y, lam) / lam
+    return f
+
+
+@pytest.mark.parametrize("lam", [10.0, 50.0, 200.0, 600.0])
+def test_solve_stein_matches_poisson_closed_form(lam):
+    # total rates at which a recursion from the zero tail alone blows up
+    params = CompoundPoissonParams([lam])
+    for y in (int(lam), int(lam + math.sqrt(lam))):
+        x_max = default_x_max(params, y)
+        sol = solve_stein(params, y, x_max)
+        half = slice(1, x_max // 2 + 1)
+        assert_allclose(sol.f[half], poisson_stein_ratio(lam, y, x_max)[half], rtol=1e-12)
+        # the log-space front of the forward form rounds to 1.4e-12 at lam = 600
+        rtol = 1e-12 if lam <= 200.0 else 3e-12
+        assert_allclose(sol.f[half], poisson_stein_forward(lam, y, x_max)[half], rtol=rtol)
+        assert sol.residual0 <= 1e-12
+        assert np.max(np.abs(interior_residuals(sol))) <= 1e-12
 
 
 def test_forward_solution_bit_identical_to_scipy_stats():
@@ -181,6 +217,27 @@ def test_empirical_factors_unreachable_tolerance():
     params = CompoundPoissonParams([0.3])
     with pytest.raises(ConvergenceError, match="truncation not converged"):
         empirical_factors(params, x_max=4, stability_tol=-1.0)
+
+
+@pytest.mark.parametrize("rates", [[50.0], [200.0], [600.0], [200.0, 100.0, 30.0]])
+def test_measured_factors_within_every_applicable_bound_at_large_rates(rates):
+    params = CompoundPoissonParams(rates)
+    # the truncations at N and 2N give the same factors to the last bit
+    emp = empirical_factors(params, stability_tol=0.0)
+    assert 0.0 < emp.m1_hat <= emp.m0_hat < 1.0
+    applicable = [b for b in evaluate_all(params) if b.applicable]
+    assert applicable
+    for b in applicable:
+        assert emp.m0_hat <= b.m0 and emp.m1_hat <= b.m1, b.method
+
+
+def test_empirical_factors_raises_small_truncation():
+    # x_max below the block the thresholds need is raised, not used
+    params = CompoundPoissonParams([3.0])
+    a = empirical_factors(params)
+    b = empirical_factors(params, x_max=5)
+    assert b.x_max > 2 * 5 and b.y_max == a.y_max
+    assert_allclose([b.m0_hat, b.m1_hat], [a.m0_hat, a.m1_hat], rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
