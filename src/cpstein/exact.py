@@ -389,7 +389,12 @@ def mixed_exact_pmf(m: models.MixedPoissonModel) -> DistributionTable:
 
 
 def sums_exact_pmf(m: models.IndependentSumModel) -> DistributionTable:
-    """Exact law of W = sum Z_i by iterated convolution of the component pmfs."""
+    """Exact law of W = sum Z_i by iterated convolution of the component pmfs.
+
+    Each component is divided by its sum first: the model accepts sums
+    within 1e-9 of 1, and their product could otherwise exceed the mass a
+    table may hold.
+    """
     cost = 0
     length = 1
     for comp in m.components:
@@ -401,7 +406,7 @@ def sums_exact_pmf(m: models.IndependentSumModel) -> DistributionTable:
             )
     pmf = np.array([1.0])
     for comp in m.components:
-        pmf = np.convolve(pmf, np.asarray(comp, dtype=float))
+        pmf = np.convolve(pmf, np.asarray(comp, dtype=float) / math.fsum(comp))
     return DistributionTable(pmf=pmf, tail_mass=0.0)
 
 

@@ -7,11 +7,21 @@ h = I(. <= y), the Stein equation is
 
 The unknowns are f(1..N), with f = 0 beyond the truncation point N; f(0)
 has coefficient 0 in (*) and is not part of the solution.  (*) is imposed
-at x = 0..N except x0 = min(floor(theta_0), N): below the mean f is fixed
-from the left boundary x = 0, above it from the zero tail, so no rounding
-error is amplified (a recursion from either end alone grows it like
-e^lambda).  The defect of the one equation left out, at x0, is reported as
-``residual0``.
+at x = 0..N except one point x0 <= min(floor(theta_0), N): below the mean
+f is fixed from the left boundary x = 0, above it from the zero tail, so
+no rounding error is amplified (a recursion from either end alone grows it
+like e^lambda).  The defect of the one equation left out, at x0, is
+reported as ``residual0``.
+
+Summing (*) against the law of U gives sum_x P(U = x) d(x) = 0 for the
+defects d of a bounded f, so the defect at x0 is the P-weighted sum of
+the others divided by P(U = x0): rounding in the imposed equations
+reaches f in proportion to 1 / P(U = x0).  So x0 is floor(theta_0) unless
+its probability is below half the largest P(U = x) at x <= floor(theta_0);
+then it is the largest x whose probability is not.  That moves x0 on
+or near a lattice, for one: if U lives on d Z, d > 1, (*) splits into d chains
+x = r mod d, the chains r != 0 have as many equations as unknowns, and
+leaving out an equation off d Z would make the system singular.
 
 The system has lower bandwidth 1 and upper bandwidth J.  Above
 M = max(y, x0) + J + 1 every equation is imposed and the system is
@@ -127,16 +137,12 @@ def _jlam(params: CompoundPoissonParams) -> np.ndarray:
     return np.arange(1, params.max_cluster_size + 1) * np.asarray(params.rates)
 
 
-def _tail(
-    jl: list[float], lo: int, n: int, r: float, ref: list[float] | None = None
-) -> list[float]:
+def _tail(jl: list[float], lo: int, n: int, r: float) -> list[float]:
     """Backward recursion t(x) = (sum_j j lambda_j t(x+j) - r) / x, x = n..lo.
 
     This is (*) with constant right-hand side r and t = 0 beyond n.  It is
     stable for x > theta_0: an error in t(x+j) reaches t(x) multiplied by
     at most theta_0 / x.  Returns [t(lo), ..., t(n)] followed by J zeros.
-    ``ref``, the same recursion from a larger n, is copied from the first
-    J consecutive values on which the two agree to the last bit.
     """
     J = len(jl)
     t = [0.0] * (n - lo + 1 + J)
@@ -146,10 +152,7 @@ def _tail(
         for c in jl:
             k += 1
             s += c * t[k]
-        t[i] = v = (s - r) / (lo + i)
-        if ref is not None and v == ref[i] and t[i : i + J] == ref[i : i + J]:
-            t[:i] = ref[:i]
-            break
+        t[i] = (s - r) / (lo + i)
     return t
 
 
@@ -210,11 +213,18 @@ def _block_solve(jl: list[float], x0: int, M: int, B: np.ndarray | list[float]) 
         B[k] = b / u[0]
 
 
-def _split(params: CompoundPoissonParams, y: int) -> tuple[list[float], int, int]:
-    """j lambda_j, the equation left out x0 = floor(theta_0), and the block
-    size M = max(y, x0) + J + 1 for thresholds up to y."""
+def _split(
+    params: CompoundPoissonParams, pmf: np.ndarray, y: int
+) -> tuple[list[float], int, int]:
+    """j lambda_j, the equation left out x0, and the block size
+    M = max(y, x0) + J + 1 for thresholds up to y.
+
+    x0 is the largest x <= floor(theta_0) with P(U = x) at least half the
+    largest such probability (see the module docstring).
+    """
     jl = _jlam(params).tolist()
-    x0 = int(math.floor(math.fsum(jl)))
+    p = pmf[: int(math.floor(math.fsum(jl))) + 1]
+    x0 = int(np.flatnonzero(p >= 0.5 * p.max())[-1])
     return jl, x0, max(y, x0) + len(jl) + 1
 
 
@@ -222,9 +232,10 @@ def solve_stein(params: CompoundPoissonParams, y: int, x_max: int) -> SteinSolut
     """Solve the Stein equation for h = I(. <= y) on x = 1..x_max.
 
     E h(U) comes from the certified pmf table.  f = 0 beyond x_max, and the
-    equation is imposed at x = 0..x_max except x0 = min(floor(theta_0),
-    x_max): f above the block x <= M comes from the backward recursion,
-    f on the block from its banded elimination.  residual0 is the defect
+    equation is imposed at x = 0..x_max except one point x0 <=
+    min(floor(theta_0), x_max), chosen as in the module docstring: f above
+    the block x <= M comes from the backward recursion, f on the block
+    from its banded elimination.  residual0 is the defect
     of the one equation left out, |sum_j j lambda_j f(x0+j) - x0 f(x0) -
     (h(x0) - E h(U))|, a truncation and rounding diagnostic.
     """
@@ -236,8 +247,8 @@ def solve_stein(params: CompoundPoissonParams, y: int, x_max: int) -> SteinSolut
     table = cp_pmf(params)
     cdf = table.cdf()
     eh_u = float(cdf[min(y, table.x_max)])
-    jl, x0, M = _split(params, y)
-    x0, M = min(x0, x_max), min(M, x_max)  # a short window is all block
+    jl, x0, M = _split(params, table.pmf[: x_max + 1], y)
+    M = min(M, x_max)  # a short window is all block
     t = _tail(jl, M + 1, x_max, -eh_u)  # f(x) = -E h(U) g(x) above the block
     xs = np.delete(np.arange(M + 1), x0)
     b = ((xs <= y) - eh_u - _tail_terms(jl, x0, M, t)).tolist()
@@ -339,11 +350,10 @@ def empirical_factors(
 
     if x_max is None:
         x_max = default_x_max(params, y_max)
-    jl, x0, M = _split(params, y_max)
+    jl, x0, M = _split(params, table.pmf, y_max)
     J = len(jl)
     n = max(int(x_max), M + J)
-    tail_2n = _tail(jl, M + 1, 2 * n, 1.0)
-    tails = [_tail(jl, M + 1, n, 1.0, ref=tail_2n), tail_2n]
+    tails = [_tail(jl, M + 1, n, 1.0), _tail(jl, M + 1, 2 * n, 1.0)]
     xs = np.delete(np.arange(M + 1), x0)
     B = np.empty((M, y_max + 3))
     B[:, : y_max + 1] = xs[:, None] <= np.arange(y_max + 1)
@@ -351,11 +361,9 @@ def empirical_factors(
         B[:, col] = 1.0 - _tail_terms(jl, x0, M, t)
     _block_solve(jl, x0, M, B)
     C, g_n, g_2n = B[:, : y_max + 1], B[:, y_max + 1], B[:, y_max + 2]
-    block_n = _block_sups(C, P, g_n)
-    block_2n = block_n if np.array_equal(g_n, g_2n) else _block_sups(C, P, g_2n)
     # the interior of truncation at n ends at x = n - J
-    m0_a, m1_a = _sups(block_n, P, tails[0][: n - J - M + 1])
-    m0_b, m1_b = _sups(block_2n, P, tails[1][: 2 * n - J - M + 1])
+    m0_a, m1_a = _sups(_block_sups(C, P, g_n), P, tails[0][: n - J - M + 1])
+    m0_b, m1_b = _sups(_block_sups(C, P, g_2n), P, tails[1][: 2 * n - J - M + 1])
     if abs(m0_b - m0_a) <= stability_tol and abs(m1_b - m1_a) <= stability_tol:
         return EmpiricalFactors(m0_hat=m0_b, m1_hat=m1_b, y_max=y_max, x_max=2 * n)
     raise ConvergenceError("truncation not converged")

@@ -429,6 +429,17 @@ def test_verify_rates_50_passes(capsys):
     assert 0.0 < doc["empirical"]["m0_hat"] < 0.1
 
 
+@pytest.mark.parametrize("rates", ["0,0.6", "0,0,0.8", "0,1.6"])
+def test_lattice_rates_solve_and_verify(capsys, rates):
+    # U on 2Z or 3Z, floor(theta_0) off the lattice
+    code, out, _ = run_cli(capsys, "stein-solve", "--rates", rates, "--y", "2")
+    assert code == 0
+    assert json.loads(out)["residual0"] <= 1e-14
+    code, out, _ = run_cli(capsys, "verify", "--rates", rates)
+    assert code == 0
+    assert 0.0 < json.loads(out)["empirical"]["m0_hat"] < 1.0
+
+
 def test_stein_solve_large_rate_residuals(capsys):
     code, out, _ = run_cli(capsys, "stein-solve", "--rates", "121.92", "--y", "113")
     assert code == 0

@@ -27,6 +27,7 @@ from cpstein import (
     runs_exact_pmf,
     sums_exact_pmf,
 )
+from cpstein.cli import main
 
 
 def runs_brute_force(n, p):
@@ -341,6 +342,20 @@ def test_sums_exact_moments():
     assert_allclose(t.mean(), m.ew, rtol=1e-12)
     assert_allclose(t.var(), m.var_w, rtol=1e-10)
     assert_allclose(t.total_mass(), 1.0, atol=1e-12)
+
+
+def test_sums_exact_components_summing_just_above_one(capsys):
+    # each component is within the model's 1e-9 of 1, their product is not
+    comp = [0.6 + 9e-10, 0.1, 0.3]
+    t = sums_exact_pmf(IndependentSumModel([comp, comp]))
+    assert_allclose(t.total_mass(), 1.0, atol=1e-15)
+    c = [v / (1.0 + 9e-10) for v in comp]
+    want = [sum(c[a] * c[k - a] for a in range(3) if 0 <= k - a < 3) for k in range(5)]
+    assert_allclose(t.pmf, want, rtol=1e-15)
+    comps = "0.6000000009,0.1,0.3;0.6000000009,0.1,0.3"
+    for command in ("pmf", "verify"):
+        assert main([command, "--model", "sums", "--components", comps]) == 0
+    capsys.readouterr()
 
 
 def test_sums_budget():

@@ -131,6 +131,53 @@ def test_solve_stein_matches_poisson_closed_form(lam):
         assert np.max(np.abs(interior_residuals(sol))) <= 1e-12
 
 
+def backward_stein(params, y, x_max):
+    """f by the backward recursion from the zero tail at every x >= 1, with
+    the equation at x = 0 left out: the same truncated solution in exact
+    arithmetic, and stable at the small total rates it is used at."""
+    jl = [j * r for j, r in enumerate(params.rates, start=1)]
+    eh_u = float(cp_pmf(params).cdf()[y])
+    f = [0.0] * (x_max + 1 + len(jl))
+    for x in range(x_max, 0, -1):
+        s = math.fsum(c * f[x + j] for j, c in enumerate(jl, start=1))
+        f[x] = (s - ((x <= y) - eh_u)) / x
+    return np.array(f[: x_max + 1])
+
+
+# U on 2Z, 3Z and 2Z with lambda_1 = 0 and floor(theta_0) = 1, 2 and 3 off
+# the lattice, and next to 2Z; pure size-J laws are J times a Poisson
+LATTICE_RATES = [[0.0, 0.6], [0.0, 0.0, 0.8], [0.0, 1.6], [1e-14, 0.6]]
+
+
+@pytest.mark.parametrize("rates", LATTICE_RATES)
+def test_solve_stein_on_a_lattice(rates):
+    params = CompoundPoissonParams(rates)
+    J = params.max_cluster_size
+    for y in range(6):
+        x_max = default_x_max(params, y)
+        sol = solve_stein(params, y, x_max)
+        assert_allclose(sol.f, backward_stein(params, y, x_max), rtol=1e-12, atol=1e-15)
+        assert sol.residual0 <= 1e-14
+        if rates[:-1] == [0.0] * (J - 1):
+            # on J Z, J f(J k) is the Poisson(lambda_J) solution at y // J
+            fwd = poisson_stein_forward(rates[-1], y // J, x_max // (2 * J))
+            assert_allclose(J * sol.f[J : x_max // 2 + 1 : J], fwd[1:], rtol=1e-12)
+
+
+@pytest.mark.parametrize("rates", LATTICE_RATES)
+def test_empirical_factors_on_a_lattice(rates):
+    params = CompoundPoissonParams(rates)
+    emp = empirical_factors(params)
+    J = params.max_cluster_size
+    hi = emp.x_max - J  # the interior of the reported truncation
+    m0 = m1 = 0.0
+    for y in range(emp.y_max + 1):
+        f = backward_stein(params, y, emp.x_max)[1 : hi + 1]
+        m0 = max(m0, np.max(np.abs(f)))
+        m1 = max(m1, np.max(np.abs(np.diff(f))))
+    assert_allclose([emp.m0_hat, emp.m1_hat], [m0, m1], rtol=1e-12)
+
+
 def test_forward_solution_bit_identical_to_scipy_stats():
     # the split form as first written with scipy.stats; pdtr/pdtrc are the
     # same functions, so every entry must agree to the last bit
