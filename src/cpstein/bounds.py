@@ -15,20 +15,30 @@ positivity of delta_k = inf over (phi, p) in (-pi, pi] x [0, 1] of g_k yields
     M_0 <= 2 sqrt(2/delta_k),   M_1 <= (1/(2 delta_k)) (1 + log+(pi delta_k)).
 
 Closed forms for the infimum are used where the classical positivity
-conditions pin it down; a dense deterministic grid search with local zoom
-refinement covers every other case.  Note that the order-3 closed form is
-the value of g_3 at (pi, 0); it equals the true infimum only when
-theta_2 <= (2/5) theta_1 (for larger theta_2 the phi-slice at p = 0 has an
-interior minimum at cos phi* = 1/4 - theta_1/(2 theta_2)).  ``delta_k``
+conditions pin it down.  Every other case goes to a Bernstein range
+enclosure (Garloff's method): with t = (cos phi + 1)/2 and q = 1 - p, g_k is
+a polynomial of degree k - 1 in each of t and q on [0, 1]^2, and de
+Casteljau subdivision brackets its infimum between an attained value and a
+lower bound that is certified, in floating point too; the two are at most
+1e-8 max(1, |delta|) apart.  The criterion bounds use that lower end.
+
+Note that the order-3 closed form is the value of g_3 at (pi, 0); it equals
+the true infimum only when theta_2 <= (2/5) theta_1 (for larger theta_2 the
+phi-slice at p = 0 has an interior minimum at
+cos phi* = 1/4 - theta_1/(2 theta_2)).  ``delta_k``
 keeps the closed-form shortcut under the classical condition
 theta_2 < 2 theta_1, matching the published criterion; ``delta_k_grid``
-always computes the numerical infimum.
+always encloses the infimum.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -58,9 +68,12 @@ __all__ = [
 
 INF = float("inf")
 
-GRID_PHI_POINTS = 2049
-GRID_P_POINTS = 513
-GRID_REL_TOL = 1e-8
+EPS = sys.float_info.epsilon
+
+# delta_k_grid stops once the certified lower end is this close to the best
+# attained value, relative to max(1, |delta|), or after this many box splits
+ENCLOSURE_REL_GAP = 1e-8
+ENCLOSURE_MAX_SPLITS = 4096
 
 
 def encode_float(x: float) -> float | str:
@@ -106,12 +119,17 @@ class GkEvaluation:
 
 @dataclass(frozen=True)
 class DeltaResult:
-    """delta_k = inf g_k, with the argmin and whether a closed form was used."""
+    """delta_k = inf g_k: a value, where it is attained, whether a closed form
+    gave it (``certified``), and ``lower``, the end that bounds the infimum
+    from below.  On a closed-form route ``lower`` is ``delta``; on the
+    enclosure route ``delta`` is the best attained value and ``lower`` a
+    certified lower bound, at most 1e-8 max(1, |delta|) below it."""
 
     k: int
     delta: float
     argmin: tuple[float, float]
     certified: bool
+    lower: float
 
 
 def log_plus(x: float) -> float:
@@ -193,45 +211,148 @@ def g_k_eval(th: ThetaVector, k: int, phi: float, p: float) -> GkEvaluation:
     return GkEvaluation(phi=phi, p=p, value=float(value))
 
 
-def delta_k_grid(
-    th: ThetaVector,
-    k: int,
-    n_phi: int = GRID_PHI_POINTS,
-    n_p: int = GRID_P_POINTS,
-    rel_tol: float = GRID_REL_TOL,
-) -> DeltaResult:
-    """Numerical infimum of g_k over (phi, p) by dense grid search plus zoom.
+@functools.cache
+def _bernstein_factors(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bernstein coefficients, degree k - 1 on [0, 1], of the two factors of
+    the j-th term of g_k, j = 1..k, as rows of two (k, k) arrays:
 
-    The phi grid covers [0, pi] (g_k is even in phi); each zoom step regrids
-    a 33 x 33 box around the current argmin until the minimum stops improving
-    by more than rel_tol in relative terms.  Deterministic: fixed grids,
-    first-index tie-breaking.
+    * R_j(t) = Re[(e^{i phi} - 1)^j] / (cos phi - 1) with t = (cos phi + 1)/2.
+      Re[(e^{i phi} - 1)^j] = sum_m C(j, m) (-1)^{j-m} T_m(cos phi) (T_m the
+      Chebyshev polynomials) vanishes at cos phi = 1, so the division is exact.
+    * Q_j(q) = sum_{i<j} q^i with q = 1 - p, that is (1 - (1-p)^j)/p.
+
+    Computed in integers and fractions; each entry is rounded to float once.
+    The arrays are shared by every caller and are read-only.
     """
-    phis = np.linspace(0.0, math.pi, n_phi)
-    ps = np.linspace(0.0, 1.0, n_p)
-    G = g_k_grid(th, k, phis, ps)
-    i, j = np.unravel_index(np.argmin(G), G.shape)
-    best = float(G[i, j])
-    phi_star, p_star = float(phis[i]), float(ps[j])
-    dphi = phis[1] - phis[0]
-    dp = ps[1] - ps[0]
-    for _ in range(80):
-        lo_phi, hi_phi = max(0.0, phi_star - dphi), min(math.pi, phi_star + dphi)
-        lo_p, hi_p = max(0.0, p_star - dp), min(1.0, p_star + dp)
-        sub_phis = np.linspace(lo_phi, hi_phi, 33)
-        sub_ps = np.linspace(lo_p, hi_p, 33)
-        S = g_k_grid(th, k, sub_phis, sub_ps)
-        si, sj = np.unravel_index(np.argmin(S), S.shape)
-        cand = float(S[si, sj])
-        improved = best - cand
-        if cand < best:
-            best = cand
-            phi_star, p_star = float(sub_phis[si]), float(sub_ps[sj])
-        dphi = (hi_phi - lo_phi) / 16.0
-        dp = (hi_p - lo_p) / 16.0
-        if improved <= rel_tol * max(1.0, abs(best)):
+    cheb = [[1], [0, 1]]  # T_m as coefficients of 1, c, c^2, ...
+    while len(cheb) <= k:
+        nxt = [0] + [2 * v for v in cheb[-1]]
+        for i, v in enumerate(cheb[-2]):
+            nxt[i] -= v
+        cheb.append(nxt)
+    r_rows, q_rows = [], []
+    for j in range(1, k + 1):
+        num = [0] * (j + 1)
+        for m in range(j + 1):
+            weight = math.comb(j, m) * (-1) ** (j - m)
+            for i, v in enumerate(cheb[m]):
+                num[i] += weight * v
+        # synthetic division by (c - 1); the remainder num[0] + quo[0] is 0
+        quo, carry = [0] * j, 0
+        for i in range(j, 0, -1):
+            carry += num[i]
+            quo[i - 1] = carry
+        # substitute c = 2t - 1
+        in_t = [0] * j
+        for i, v in enumerate(quo):
+            for m in range(i + 1):
+                in_t[m] += v * math.comb(i, m) * 2**m * (-1) ** (i - m)
+        r_rows.append(_to_bernstein(in_t, k - 1))
+        q_rows.append(_to_bernstein([1] * j, k - 1))
+    r, q = np.array(r_rows), np.array(q_rows)
+    r.flags.writeable = q.flags.writeable = False
+    return r, q
+
+
+def _to_bernstein(coeffs: list[int], n: int) -> list[float]:
+    """Degree-n Bernstein coefficients on [0, 1] of sum_i coeffs[i] x^i:
+    b_m = sum_{i<=m} C(m, i)/C(n, i) coeffs[i], exact and then rounded."""
+    return [
+        float(sum(Fraction(math.comb(m, i) * c, math.comb(n, i))
+                  for i, c in enumerate(coeffs[: m + 1])))
+        for m in range(n + 1)
+    ]
+
+
+def _halves(b: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """de Casteljau subdivision at the midpoint of one axis: the Bernstein
+    coefficients on the lower and upper half of the box."""
+    b = b if axis == 0 else b.T
+    lo, hi = [b[0]], [b[-1]]
+    while b.shape[0] > 1:
+        b = 0.5 * (b[:-1] + b[1:])
+        lo.append(b[0])
+        hi.append(b[-1])
+    lo, hi = np.array(lo), np.array(hi[::-1])
+    return (lo, hi) if axis == 0 else (lo.T, hi.T)
+
+
+def _add_down(a: float, b: float) -> float:
+    """a + b rounded toward -inf: the nearest sum, stepped down one ulp when
+    its exact rounding error (TwoSum) shows that it rounded up."""
+    s = a + b
+    bb = s - a
+    err = (a - (s - bb)) + (b - bb)
+    return math.nextafter(s, -INF) if err < 0.0 else s
+
+
+def delta_k_grid(th: ThetaVector, k: int) -> DeltaResult:
+    """inf g_k over (phi, p) by a certified Bernstein range enclosure.
+
+    With t = (cos phi + 1)/2 and q = 1 - p, g_k is theta_0 (the j = 1 term)
+    plus a polynomial of degree k - 1 in each of t and q on [0, 1]^2.  The
+    minimum of its Bernstein coefficients on a box bounds it from below on
+    that box, and the corner coefficients are its values at the box corners.
+    Boxes are taken best first (smallest lower bound) and halved by de
+    Casteljau subdivision, along t at even depth and q at odd depth, until
+    the best corner value and the smallest lower bound of any open box are
+    within ENCLOSURE_REL_GAP * max(1, |delta|), or ENCLOSURE_MAX_SPLITS boxes
+    have been split; the lower end is valid either way.
+
+    ``delta`` and ``argmin`` are the best corner value and its (phi, p).
+    ``lower`` is certified in floating point too: it subtracts
+    k (k + D) eps S, with D the deepest box made and S the sum over the
+    terms of max |coefficient| (which bounds every coefficient of every
+    box), covering the rounding of forming the coefficients and of D
+    subdivisions, and the final addition of theta_0 rounds down.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    th.require(k)
+    r, q = _bernstein_factors(k)
+    w = np.array([th[j - 1] / math.factorial(j) for j in range(2, k + 1)])
+    const = (2.0**k / math.factorial(k)) * th[k]
+    root = (r[1:].T * w) @ q[1:] - const
+    scale = float(np.abs(w) @ (np.abs(r[1:]).max(axis=1) * q[1:].max(axis=1)))
+    scale += abs(const)
+    n = k - 1
+    best, best_at = INF, (0.0, 0.0)
+    deepest = 0
+    heap: list = []
+
+    def push(b: np.ndarray, depth: int, t0: float, q0: float) -> None:
+        nonlocal best, best_at, deepest
+        deepest = max(deepest, depth)
+        wt, wq = 0.5 ** ((depth + 1) // 2), 0.5 ** (depth // 2)
+        for i, j in ((0, 0), (0, n), (n, 0), (n, n)):
+            if b[i, j] < best:
+                best = float(b[i, j])
+                best_at = (t0 + wt * (i > 0), q0 + wq * (j > 0))
+        heapq.heappush(heap, (float(b.min()), depth, t0, q0, b))
+
+    push(root, 0, 0.0, 0.0)
+    for splits in range(ENCLOSURE_MAX_SPLITS + 1):
+        lo, depth, t0, q0, b = heap[0]
+        margin = k * (k + deepest) * EPS * scale
+        tol = ENCLOSURE_REL_GAP * max(1.0, abs(th[0] + best))
+        if best - lo + margin <= tol or splits == ENCLOSURE_MAX_SPLITS:
             break
-    return DeltaResult(k=k, delta=best, argmin=(phi_star, p_star), certified=False)
+        heapq.heappop(heap)
+        axis = depth % 2
+        first, second = _halves(b, axis)
+        push(first, depth + 1, t0, q0)
+        if axis == 0:
+            push(second, depth + 1, t0 + 0.5 ** ((depth + 2) // 2), q0)
+        else:
+            push(second, depth + 1, t0, q0 + 0.5 ** ((depth + 1) // 2))
+    t, qv = best_at
+    return DeltaResult(
+        k=k,
+        delta=th[0] + best,
+        argmin=(math.acos(2.0 * t - 1.0), 1.0 - qv),
+        certified=False,
+        lower=_add_down(th[0], lo - margin),
+    )
 
 
 def _cor3_delta(th: ThetaVector) -> float | None:
@@ -249,16 +370,15 @@ def delta_k(th: ThetaVector, k: int) -> DeltaResult:
     theta_0 + cos phi (2-p) theta_1 - 2 theta_2 is minimized over the four
     corners of the domain.  k=3 with theta_2 < 2 theta_1: the classical value
     theta_0 - 2 theta_1 + 2 theta_2 - (4/3) theta_3 at (pi, 0).  Everything
-    else falls through to the dense grid search.
+    else falls through to the Bernstein enclosure of ``delta_k_grid``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if th.order < k:
         raise ValueError("theta order insufficient")
     if k == 1:
-        return DeltaResult(
-            k=1, delta=th[0] - 2.0 * th[1], argmin=(math.pi, 0.0), certified=True
-        )
+        delta = th[0] - 2.0 * th[1]
+        return DeltaResult(1, delta, (math.pi, 0.0), True, delta)
     if k == 2:
         corners = [(math.pi, 0.0), (math.pi, 1.0), (0.0, 0.0), (0.0, 1.0)]
         vals = [
@@ -266,9 +386,9 @@ def delta_k(th: ThetaVector, k: int) -> DeltaResult:
             for phi, p in corners
         ]
         idx = min(range(4), key=vals.__getitem__)
-        return DeltaResult(k=2, delta=vals[idx], argmin=corners[idx], certified=True)
+        return DeltaResult(2, vals[idx], corners[idx], True, vals[idx])
     if k == 3 and (delta := _cor3_delta(th)) is not None:
-        return DeltaResult(k=3, delta=delta, argmin=(math.pi, 0.0), certified=True)
+        return DeltaResult(3, delta, (math.pi, 0.0), True, delta)
     return delta_k_grid(th, k)
 
 
@@ -316,21 +436,24 @@ def bound_bx99(th: ThetaVector) -> SteinFactorBound:
 
 
 def bound_thm2(th: ThetaVector, k: int) -> SteinFactorBound:
-    """Criterion-function bound at order k, applicable iff delta_k > 0."""
+    """Criterion-function bound at order k, applicable iff delta_k > 0.
+
+    Uses the lower end of ``delta_k``: the closed form where there is one,
+    else the certified lower bound of the Bernstein enclosure."""
     method = f"THM2({k})"
     dr = delta_k(th, k)
-    if not dr.delta > 0.0:
-        return _inapplicable(method, f"delta_{k} = {dr.delta:g} <= 0")
-    m0, m1 = _factors_from_delta(dr.delta)
-    route = "closed form" if dr.certified else "grid infimum"
-    return SteinFactorBound(m0, m1, method, True, f"delta_{k} = {dr.delta:g} ({route})")
+    if not dr.lower > 0.0:
+        return _inapplicable(method, f"delta_{k} = {dr.lower:g} <= 0")
+    m0, m1 = _factors_from_delta(dr.lower)
+    route = "closed form" if dr.certified else "Bernstein enclosure"
+    return SteinFactorBound(m0, m1, method, True, f"delta_{k} = {dr.lower:g} ({route})")
 
 
 def bound_cor3(th: ThetaVector) -> SteinFactorBound:
     """Order-3 bound with the closed-form delta under theta_2 < 2 theta_1.
 
-    Falls back to the order-3 grid route when theta_2 >= 2 theta_1, where no
-    closed form is available.
+    Falls back to THM2(3), the certified lower end of the order-3 Bernstein
+    enclosure, when theta_2 >= 2 theta_1, where no closed form is available.
     """
     th.require(3)
     delta = _cor3_delta(th)
@@ -401,7 +524,7 @@ def regime_classify(th: ThetaVector) -> str:
     """First applicable of BX99_OK, COR3_OK, THM4_OK, GENERAL_ONLY, in that
     order of preference (narrative sharpness; the numeric minimum of the
     bounds themselves is taken by ``best_bound``).  BX99 and COR3 are judged
-    as ``bound_bx99`` and ``bound_cor3`` judge them, without a grid search.
+    as ``bound_bx99`` and ``bound_cor3`` judge them, without an enclosure.
     """
     th.require(3)
     if bound_bx99(th).applicable:

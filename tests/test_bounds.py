@@ -28,7 +28,8 @@ from cpstein import (
     g_k_grid,
     theta,
 )
-from cpstein.bounds import log_plus
+from cpstein.bounds import _factors_from_delta, log_plus
+from cpstein.models import RunsModel
 
 
 def g3_closed(th, phi, p):
@@ -194,10 +195,11 @@ def test_delta_3_grid_branch_when_clusters_large():
 def test_delta_k_poisson_case_is_theta0():
     # single-size clusters: every theta_k vanishes for k >= 1 and g_k is
     # identically theta_0, so the infimum equals theta_0 at every order
+    # (every Bernstein coefficient is theta_0, so both ends are exact)
     th = theta(CompoundPoissonParams([1.7]), 6)
     for k in range(1, 7):
         gr = delta_k_grid(th, k)
-        assert_allclose(gr.delta, 1.7, rtol=1e-9)
+        assert gr.lower == gr.delta == 1.7
 
 
 def test_delta_grid_argmin_attains_value():
@@ -240,6 +242,61 @@ def test_delta_3_closed_form_is_true_infimum_for_small_ratio():
         closed = th[0] - 2.0 * th[1] + 2.0 * th[2] - (4.0 / 3.0) * th[3]
         gr = delta_k_grid(th, 3)
         assert_allclose(gr.delta, closed, rtol=1e-8, atol=1e-10)
+
+
+def test_enclosure_brackets_dense_grid_minimum():
+    # the certified lower end never exceeds g_k anywhere on a dense grid, and
+    # the enclosure closes to 1e-8 max(1, |delta|)
+    rng = np.random.default_rng(19)
+    phis = np.linspace(0.0, math.pi, 257)
+    ps = np.linspace(0.0, 1.0, 65)
+    for _ in range(200):
+        k = int(rng.integers(1, 7))
+        lam = rng.uniform(0.0, 2.0, size=int(rng.integers(1, 7)))
+        th = theta(CompoundPoissonParams(lam), k)
+        gr = delta_k_grid(th, k)
+        assert gr.lower <= g_k_grid(th, k, phis, ps).min()
+        assert gr.lower <= gr.delta
+        assert gr.delta - gr.lower <= 1e-8 * max(1.0, abs(gr.delta))
+
+
+@pytest.mark.parametrize("n, want", [(50, -0.056953125), (200, -0.2278125)])
+def test_enclosure_runs_p045_infimum(n, want):
+    # the interior minimum at p = 0 that the order-3 closed form misses
+    th = theta(RunsModel(n, 0.45).cp_params(), 3)
+    gr = delta_k_grid(th, 3)
+    assert abs(gr.delta - want) <= 1e-9
+    assert gr.lower <= want <= gr.delta
+
+
+def test_enclosure_huge_theta_terminates():
+    # theta of a sweep-reliability-large row (n = 30, q near 0.9)
+    th = ThetaVector([385.66, 1163.29, 2630.21, 3962.31])
+    gr = delta_k_grid(th, 3)
+    assert gr.lower <= gr.delta < 0.0
+    assert gr.delta - gr.lower <= 1e-8 * abs(gr.delta)
+
+
+def test_enclosure_lower_end_valid_at_split_budget(monkeypatch):
+    from cpstein import bounds
+
+    th = ThetaVector([2.24036051, 1.44003286, 1.52745556, 0.38508633])
+    monkeypatch.setattr(bounds, "ENCLOSURE_MAX_SPLITS", 3)
+    gr = delta_k_grid(th, 3)
+    grid = g_k_grid(th, 3, np.linspace(0.0, math.pi, 513), np.linspace(0.0, 1.0, 129))
+    assert gr.lower <= grid.min() <= gr.delta
+    assert gr.delta - gr.lower > 1e-3  # stopped early, still a valid bracket
+
+
+def test_thm2_on_cor3_fallback_uses_lower_end():
+    # theta = (5.05, 0.2, 0.6, 1.2): theta_2 >= 2 theta_1 and delta_3 > 0
+    th = theta(CompoundPoissonParams([5.0, 0.0, 0.0, 0.0, 0.01]), 3)
+    gr = delta_k_grid(th, 3)
+    assert 0.0 < gr.lower < gr.delta
+    b = bound_cor3(th)
+    assert b.method == "THM2(3)"
+    assert (b.m0, b.m1) == _factors_from_delta(gr.lower)
+    assert b.condition_note == f"delta_3 = {gr.lower:g} (Bernstein enclosure)"
 
 
 def test_delta_k_validates_k():
@@ -369,7 +426,7 @@ def test_cor3_grid_fallback_searches_once(monkeypatch):
 
 
 def test_regime_classify_never_searches_the_grid(monkeypatch):
-    from cpstein import bounds
+    from cpstein import bounds, cli
 
     def forbidden(*args, **kwargs):
         raise AssertionError("grid search")
@@ -379,6 +436,11 @@ def test_regime_classify_never_searches_the_grid(monkeypatch):
     assert bounds.regime_classify(th) == "THM4_OK"
     assert bounds.regime_classify(ThetaVector([1.0, 0.5, 1.0, 0.0])) == "GENERAL_ONLY"
     assert bounds.regime_classify(ThetaVector([1.0, 0.6, 0.3, 0.0])) == "COR3_OK"
+    # the other closed-form paths: COR3 under theta_2 < 2 theta_1, and a runs
+    # sweep row
+    assert bound_cor3(ThetaVector([1.0, 0.6, 0.3, 0.0])).method == "COR3"
+    row = cli._sweep_row({"model": "runs", "n": 50, "p": 0.2})
+    assert row["cor3_applicable"]
 
 
 def test_bound_lemma_c_validation():

@@ -305,6 +305,17 @@ def test_usage_error_bad_rates(capsys):
     assert "positive" in err
 
 
+def test_parser_reused_after_rejected_call(capsys):
+    cli._parser.cache_clear()
+    first = run_cli(capsys, "bounds", "--rates", "1,0.2")
+    parser = cli._parser()
+    with pytest.raises(SystemExit):
+        main(["bounds", "--rates", "1,0.2", "--no-such-flag"])
+    capsys.readouterr()
+    assert run_cli(capsys, "bounds", "--rates", "1,0.2") == first
+    assert cli._parser() is parser
+
+
 def test_usage_error_missing_input(capsys):
     code, _, err = run_cli(capsys, "bounds")
     assert code == 2
