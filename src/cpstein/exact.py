@@ -1,16 +1,18 @@
 """Exact and Monte Carlo laws of the application statistics, plus distances.
 
 These are the verification side of every end-to-end bound: the law of the
-statistic W is computed exactly (one transfer-matrix step for runs and
+statistic W is computed exactly (transfer matrices for runs and
 lattice reliability, closed-form mixtures, iterated convolution for sums) or
 by reproducible Monte Carlo, and compared against the compound Poisson
 approximant via Kolmogorov and total variation distances.
 
 The transfer matrix is the Markov-chain imbedding of Fu & Koutras (JASA
 1994): a state x count array advanced one site at a time, each transition
-keeping the count or raising it by one.  Runs take n <= 2000 (about 55 ms
-at n = 2000); reliability takes grids up to n = 11 for k = 2 and n = 8 for
-k = 3 (0.2-0.25 s there; 2 vCPUs, numpy 2.4), Monte Carlo beyond.
+keeping the count or raising it by one.  Runs have a kernel of their own
+that advances only the live window of counts and take n <= 2000 (10-25 ms
+at n = 2000, by p); reliability takes grids up to n = 11 for k = 2 and
+n = 8 for k = 3 (0.2-0.25 s there), Monte Carlo beyond (about 7 ms per
+10 000 grids at n = 10, most of it drawing them); 2 vCPUs, numpy 2.4.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ __all__ = [
 ]
 
 RUNS_N_BUDGET = 2000
+RUNS_TRIM_EVERY = 16
 RELIABILITY_COST_BUDGET = 60_000_000
 SUMS_CELL_BUDGET = 10_000_000
 MC_MIN_SAMPLES = 10_000
@@ -86,10 +89,6 @@ def _advance(step: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
     leading axes of ``step`` after the first are the new states.  ``out``
     receives the result and has one more count than ``x`` exactly when
     ``step[1]`` is present.  ``out`` may overlap ``x``.
-
-    The products go through einsum rather than BLAS, whose kernels may fuse
-    multiply and add: so the runs law stays bit for bit that of the
-    vector-by-vector recursion it replaced (checked up to n = 2000).
     """
     y = np.einsum("...k,kl->...l", step, x.reshape(len(x), -1))
     y = y.reshape(step.shape[:-1] + x.shape[1:])
@@ -104,45 +103,83 @@ def _advance(step: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
 def runs_exact_pmf(m: models.RunsModel) -> DistributionTable:
     """Exact law of the circular 2-runs count by transfer-matrix DP.
 
-    State 2 b1 + b: the first bit b1 and the current bit b, in one (4, n+1)
-    array over the run count so far.  Positions 2..n each add the pair
-    (i-1, i) by two 4 x 4 matrix products on the live count prefix; the
-    cycle closes with the pair (n, 1).  O(n^2) time.
+    Each value b1 of the first bit carries its own chain of two vectors over
+    the run count so far, a (current bit 0) and b (current bit 1).  Site i
+    adds the pair (i-1, i):
+
+        a'[c] = q a[c] + q b[c],    b'[c] = p a[c] + p b[c-1],
+
+    the two products and one sum per cell that the 4 x 4 transfer matrix
+    leaves nonzero, so the law is bit for bit that of the vector-by-vector
+    recursion (checked up to n = 2000).  The cycle closes with the pair
+    (n, 1).
+
+    Only the live window of counts is advanced.  Cells outside it are exact
+    zeros and stay so: below it no mass can arrive, above it only the one
+    new top count does.  Mass at high counts underflows to 0 for small p,
+    and at low counts for p near 1, so every RUNS_TRIM_EVERY sites the
+    window is cut to its nonzero cells and copied into fresh contiguous
+    buffers, with one zero cell below it and room for the counts the next
+    sites add on top.  A site is then two ufunc calls on those buffers: one
+    multiply of every vector by (q | p), one add whose second operand is a
+    strided view that reads p b one count lower.  O(n^2) time at worst
+    (about 20 ms at n = 2000, p = 0.5), less while the window is narrow.
     """
     if m.n > RUNS_N_BUDGET:
         raise BudgetExceededError(f"runs n = {m.n} exceeds budget {RUNS_N_BUDGET}")
     n, p = m.n, m.p
-    prob = (1.0 - p, p)
-    step = np.zeros((2, 4, 4))
-    for b1 in range(2):
-        for prev in range(2):
-            for b in range(2):
-                step[prev & b, 2 * b1 + b, 2 * b1 + prev] = prob[b]
-    dp = np.zeros((4, n + 1))
-    dp[0, 0], dp[3, 0] = prob
-    for i in range(1, n):  # i pairs after this step, counts 0..i-1 live before it
-        _advance(step, dp[:, :i], dp[:, : i + 1])
-    close = np.array([[[1.0, 1.0, 1.0, 0.0]], [[0.0, 0.0, 0.0, 1.0]]])
-    pmf = np.empty((1, n + 1))
-    _advance(close, dp[:, :n], pmf)
-    return DistributionTable(pmf=pmf[0], tail_mass=0.0)
+    q = 1.0 - p
+    factor = np.array([[q], [p]])
+    live = np.array([[[q], [0.0]], [[0.0], [p]]])  # current bit, first bit, count
+    lo = 0  # count of live[..., 0]
+    site = 1  # pairs added so far
+    while site < n:
+        steps = min(RUNS_TRIM_EVERY, n - site)
+        width = live.shape[-1] + steps + 1
+        x = np.zeros((2, 2, width))  # count lo - 1 + j at index j
+        x[..., 1 : 1 + live.shape[-1]] = live
+        y = np.empty((2, 2, 2, width))  # factor (q | p), current bit, first bit, count
+        # new current bit c reads y[c, 0, b1, j] + y[c, 1, b1, j - c]; at
+        # c = 1, j = 0 the view reads the top cell of the row before, which
+        # is still zero: the window reaches index width - 1 only at the
+        # block's last site
+        s = y.strides
+        keep = y[:, 0]
+        shifted = np.lib.stride_tricks.as_strided(
+            y[0, 1], shape=x.shape, strides=(s[0] - s[3], s[2], s[3])
+        )
+        x_flat, y_rows = x.reshape(-1), y.reshape(2, -1)
+        for _ in range(steps):
+            np.multiply(factor, x_flat, out=y_rows)
+            np.add(keep, shifted, out=x)
+        site += steps
+        nonzero = np.flatnonzero(x.reshape(4, width).any(axis=0))
+        live = x[..., nonzero[0] : nonzero[-1] + 1]
+        lo += nonzero[0] - 1
+    # the pair (n, 1) raises the count only from first bit 1 and last bit 1
+    hi = lo + live.shape[-1]
+    pmf = np.zeros(n + 1)
+    pmf[lo:hi] = live[0, 0] + live[1, 0] + live[0, 1]
+    pmf[lo + 1 : hi + 1] += live[1, 1]
+    return DistributionTable(pmf=pmf, tail_mass=0.0)
 
 
 def _count_subgrids(grids: np.ndarray, k: int) -> np.ndarray:
     """Count all-failed k x k subgrids in each n x n boolean grid.
 
-    ``grids`` has shape (m, n, n); returns shape (m,).  Uses 2-D prefix sums
-    so every window sum is four lookups.
+    ``grids`` has shape (m, n, n); returns shape (m,).  The AND of k
+    row-shifted views marks the cells that start a vertical run of k
+    failures; the AND of k column-shifted views of that marks the top-left
+    corners of all-failed windows, which are then counted per grid.
     """
-    S = np.zeros((grids.shape[0], grids.shape[1] + 1, grids.shape[2] + 1), dtype=np.int32)
-    S[:, 1:, 1:] = np.cumsum(np.cumsum(grids, axis=1), axis=2)
-    win = (
-        S[:, k:, k:]
-        - S[:, :-k, k:]
-        - S[:, k:, :-k]
-        + S[:, :-k, :-k]
-    )
-    return np.count_nonzero(win == k * k, axis=(1, 2))
+    w = grids.shape[1] - k + 1
+    runs = grids[:, :w].copy()
+    for i in range(1, k):
+        runs &= grids[:, i : i + w]
+    full = runs[:, :, :w].copy()
+    for j in range(1, k):
+        full &= runs[:, :, j : j + w]
+    return np.count_nonzero(full, axis=(1, 2))
 
 
 def _reliability_step(k: int, q: float, row_start: bool, window: bool) -> np.ndarray:
@@ -231,7 +268,7 @@ def reliability_mc_pmf(
         rng = np.random.default_rng(child)
         take = min(MC_CHUNK, samples - done)
         grids = rng.random((take, n, n)) < q
-        counts = _count_subgrids(grids.astype(np.int8), k)
+        counts = _count_subgrids(grids, k)
         freq += np.bincount(counts, minlength=max_count + 1)
         done += take
     pmf = freq / samples

@@ -28,6 +28,7 @@ from cpstein import (
     sums_exact_pmf,
 )
 from cpstein.cli import main
+from cpstein.exact import MC_CHUNK, _count_subgrids
 
 
 def runs_brute_force(n, p):
@@ -90,6 +91,34 @@ def runs_dp_reference(n, p):
     return pmf
 
 
+def subgrid_counts_by_prefix_sums(grids, k):
+    """The all-failed k x k subgrid count as first written: 2-D prefix sums
+    of the int8 grids, each window sum four lookups."""
+    S = np.zeros((grids.shape[0], grids.shape[1] + 1, grids.shape[2] + 1), dtype=np.int32)
+    S[:, 1:, 1:] = np.cumsum(np.cumsum(grids.astype(np.int8), axis=1), axis=2)
+    win = S[:, k:, k:] - S[:, :-k, k:] - S[:, k:, :-k] + S[:, :-k, :-k]
+    return np.count_nonzero(win == k * k, axis=(1, 2))
+
+
+def reliability_mc_by_prefix_sums(m, samples, seed):
+    """The Monte Carlo loop of reliability_mc_pmf as first written: the same
+    substream per chunk and the same draws, counted by prefix sums."""
+    n, k, q = m.n, m.k, m.q
+    max_count = (n - k + 1) ** 2
+    n_chunks = (samples + MC_CHUNK - 1) // MC_CHUNK
+    freq = np.zeros(max_count + 1)
+    done = 0
+    for child in np.random.SeedSequence(seed).spawn(n_chunks):
+        rng = np.random.default_rng(child)
+        take = min(MC_CHUNK, samples - done)
+        grids = rng.random((take, n, n)) < q
+        counts = subgrid_counts_by_prefix_sums(grids, k)
+        freq += np.bincount(counts, minlength=max_count + 1)
+        done += take
+    pmf = freq / samples
+    return pmf, np.sqrt(pmf * (1.0 - pmf) / samples)
+
+
 # ---------------------------------------------------------------------------
 # runs
 
@@ -132,6 +161,17 @@ def test_runs_degenerate_edges():
 def test_runs_matches_reference_dp(n, p):
     t = runs_exact_pmf(RunsModel(n, p))
     assert_allclose(t.pmf, runs_dp_reference(n, p), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize(
+    "n, p",
+    [(2000, 0.001), (2000, 0.999), (1999, 0.3), (4, 0.5), (50, 0.0), (50, 1.0), (2000, 0.0), (2000, 1.0)],
+)
+def test_runs_live_window_bit_identical_to_reference_dp(n, p):
+    # p near 0 keeps the window a few counts wide, p near 1 trims it from
+    # below, n = 1999 ends on a partial trim block, n = 4 never trims
+    t = runs_exact_pmf(RunsModel(n, p))
+    assert np.array_equal(t.pmf, runs_dp_reference(n, p))
 
 
 def test_runs_budget():
@@ -235,6 +275,28 @@ def test_reliability_mc_reproducible_and_consistent():
         p = float(exact.pmf[x])
         se = math.sqrt(p * (1.0 - p) / a.mc_samples)  # true binomial scale
         assert abs(a.pmf[x] - exact.pmf[x]) <= 4 * se + 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_count_subgrids_matches_prefix_sums(n):
+    rng = np.random.default_rng(n)
+    for k in range(2, n + 1):  # k = n: a single window
+        for q in (0.3, 0.7, 0.95):
+            grids = rng.random((400, n, n)) < q
+            got = _count_subgrids(grids, k)
+            assert np.array_equal(got, subgrid_counts_by_prefix_sums(grids, k))
+
+
+@pytest.mark.parametrize(
+    "n, k, q, samples",
+    [(10, 2, 0.45, 150_000), (9, 3, 0.6, 20_000), (4, 4, 0.95, 20_000)],
+)
+def test_reliability_mc_bit_identical_to_prefix_sum_loop(n, k, q, samples):
+    # 150 000 samples span two chunks of MC_CHUNK
+    t = reliability_mc_pmf(ReliabilityModel(n, k, q), samples=samples, seed=11)
+    pmf, stderr = reliability_mc_by_prefix_sums(ReliabilityModel(n, k, q), samples, 11)
+    assert np.array_equal(t.pmf, pmf)
+    assert np.array_equal(t.stderr, stderr)
 
 
 def test_reliability_mc_seed_sensitivity():

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import special, stats
+from scipy import special
 
 from cpstein import (
     CompoundPoissonParams,
@@ -178,22 +178,20 @@ def test_empirical_factors_on_a_lattice(rates):
     assert_allclose([emp.m0_hat, emp.m1_hat], [m0, m1], rtol=1e-12)
 
 
-def test_forward_solution_bit_identical_to_scipy_stats():
-    # the split form as first written with scipy.stats; pdtr/pdtrc are the
-    # same functions, so every entry must agree to the last bit
-    for lam, y, x_max in ((0.3, 0, 30), (5.0, 4, 60), (37.5, 40, 120)):
-        x = np.arange(0, x_max, dtype=float)
-        log_front = special.gammaln(x + 1.0) - (x + 1.0) * math.log(lam) + lam
-        p_gt = stats.poisson.sf(y, lam)
-        p_le = stats.poisson.cdf(y, lam)
-        branch = np.where(
-            x <= y, p_gt * stats.poisson.cdf(x, lam), p_le * stats.poisson.sf(x, lam)
-        )
-        with np.errstate(divide="ignore"):
-            want = np.where(branch > 0.0, np.exp(log_front + np.log(branch)), 0.0)
+@pytest.mark.parametrize(
+    "lam, ys",
+    [(0.3, (0,)), (5.0, (4,)), (37.5, (40,)), (200.0, (200, 214)), (600.0, (600, 624))],
+    ids=["0.3", "5", "37.5", "200", "600"],
+)
+def test_forward_solution_matches_ratio_sum(lam, ys):
+    # the reference sums ratios of consecutive Poisson weights; a front in
+    # log-gamma form rounded to 4.9e-13 at lam = 200 and 1.4e-12 at 600
+    for y in ys:
+        x_max = default_x_max(CompoundPoissonParams([lam]), y)
+        half = slice(1, x_max // 2 + 1)
         f = poisson_stein_forward(lam, y, x_max)
         assert f[0] == 0.0
-        assert np.array_equal(f[1:], want)
+        assert_allclose(f[half], poisson_stein_ratio(lam, y, x_max)[half], rtol=1e-13, atol=0)
 
 
 def test_forward_solution_positive():
