@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,11 +93,18 @@ class SteinFactorBound:
     applicable: bool
     condition_note: str = ""
 
-    def __post_init__(self):
-        if not self.applicable and not (self.m0 == INF and self.m1 == INF):
+    def __init__(
+        self, m0: float, m1: float, method: str, applicable: bool, condition_note: str = ""
+    ):
+        if not applicable and not (m0 == INF and m1 == INF):
             raise ValueError("inapplicable bounds must carry infinite factors")
-        if self.applicable and not (self.m0 > 0.0 and self.m1 > 0.0):
+        if applicable and not (m0 > 0.0 and m1 > 0.0):
             raise ValueError("applicable bounds must be positive")
+        # one update of the instance dict, cheaper than the frozen dataclass's
+        # object.__setattr__ per field; the fields stay read-only after it
+        vars(self).update(
+            m0=m0, m1=m1, method=method, applicable=applicable, condition_note=condition_note
+        )
 
     def to_json(self) -> dict:
         return {
@@ -358,9 +366,10 @@ def delta_k_grid(th: ThetaVector, k: int) -> DeltaResult:
 def _cor3_delta(th: ThetaVector) -> float | None:
     """The order-3 closed form theta_0 - 2 theta_1 + 2 theta_2 - (4/3) theta_3,
     defined under theta_2 < 2 theta_1; None otherwise."""
-    if not th[2] < 2.0 * th[1]:
+    t0, t1, t2, t3 = th.values[:4]
+    if not t2 < 2.0 * t1:
         return None
-    return th[0] - 2.0 * th[1] + 2.0 * th[2] - (4.0 / 3.0) * th[3]
+    return t0 - 2.0 * t1 + 2.0 * t2 - (4.0 / 3.0) * t3
 
 
 def delta_k(th: ThetaVector, k: int) -> DeltaResult:
@@ -405,7 +414,7 @@ def _factors_from_delta(delta: float) -> tuple[float, float]:
 
 def bound_general(params: CompoundPoissonParams) -> SteinFactorBound:
     """The always-applicable exponential bound m0 = m1 = min{1, 1/lambda_1} e^lambda."""
-    lam1 = params.rate(1)
+    lam1 = params.rates[0]
     factor = 1.0 if lam1 == 0.0 else min(1.0, 1.0 / lam1)
     try:
         value = factor * math.exp(params.total_rate)
@@ -418,7 +427,7 @@ def bound_monotone(params: CompoundPoissonParams) -> SteinFactorBound:
     """Bound under the monotone-rates condition j lambda_j >= (j+1) lambda_{j+1}."""
     if not monotone_condition(params):
         return _inapplicable("MONOTONE", "rate sequence j*lambda_j not nonincreasing")
-    lam1 = params.rate(1)
+    lam1 = params.rates[0]
     m0 = min(1.0, math.sqrt(2.0 / (math.e * lam1)))
     m1 = min(0.5, 1.0 / (lam1 + 1.0))
     return SteinFactorBound(m0, m1, "MONOTONE", True, "j*lambda_j nonincreasing")
@@ -427,10 +436,11 @@ def bound_monotone(params: CompoundPoissonParams) -> SteinFactorBound:
 def bound_bx99(th: ThetaVector) -> SteinFactorBound:
     """Bound under theta_0 - 2 theta_1 > 0: m0 = sqrt(theta_0)/(theta_0-2 theta_1)."""
     th.require(1)
-    gap = th[0] - 2.0 * th[1]
+    t0, t1 = th.values[:2]
+    gap = t0 - 2.0 * t1
     if not gap > 0.0:
         return _inapplicable("BX99", f"theta_0 - 2*theta_1 = {gap:g} <= 0")
-    m0 = math.sqrt(th[0]) / gap
+    m0 = math.sqrt(t0) / gap
     m1 = 1.0 / gap
     return SteinFactorBound(m0, m1, "BX99", True, f"theta_0 - 2*theta_1 = {gap:g} > 0")
 
@@ -510,7 +520,8 @@ def bound_thm4(th: ThetaVector) -> SteinFactorBound:
     """Overdispersed-regime bound: for 2 theta_1 > theta_0,
     delta = gamma/(2 sqrt(pi) e^{1.5 gamma}) with gamma = 2 theta_1 - theta_0."""
     th.require(1)
-    gamma = 2.0 * th[1] - th[0]
+    t0, t1 = th.values[:2]
+    gamma = 2.0 * t1 - t0
     if not gamma > 0.0:
         return _inapplicable("THM4", f"2*theta_1 - theta_0 = {gamma:g} <= 0")
     delta = _scaled_margin_delta(gamma, _exp_three_halves(gamma))
@@ -561,14 +572,17 @@ def evaluate_all(
     return out
 
 
+_M0, _M1 = operator.attrgetter("m0"), operator.attrgetter("m1")
+
+
 def best_of(bounds: list[SteinFactorBound]) -> SteinFactorBound:
     """Componentwise minimum of a bound list, for m0 and m1 separately.
 
     The winning method for each component is recorded in the condition note;
     the method tag is the m1 winner's.
     """
-    best_m0 = min(bounds, key=lambda b: b.m0)
-    best_m1 = min(bounds, key=lambda b: b.m1)
+    best_m0 = min(bounds, key=_M0)
+    best_m1 = min(bounds, key=_M1)
     note = f"m0: {best_m0.method}, m1: {best_m1.method}"
     return SteinFactorBound(
         best_m0.m0, best_m1.m1, best_m1.method, True, note

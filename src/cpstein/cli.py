@@ -57,25 +57,37 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g") if math.isfinite(x) else f'"{encode_float(x)}"'
 
 
+def _fmt_str(s: str) -> str:
+    escaped = s.replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{escaped}"'
+
+
+# scalar formatters by exact type; ``dumps`` serialises subclasses, such as
+# numpy's float64, through the isinstance fallback at its end
+_SCALARS = {
+    type(None): lambda v: "null",
+    bool: lambda v: "true" if v else "false",
+    int: str,
+    float: _fmt_float,
+    str: _fmt_str,
+}
+
+
 def dumps(obj, indent: int = 0) -> str:
     """Minimal deterministic JSON emitter with 17-significant-digit floats."""
+    fmt = _SCALARS.get(type(obj))
+    if fmt is not None:
+        return fmt(obj)
     pad = "  " * indent
     inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int,)):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f'{inner}"{k}": {dumps(v, indent + 1)}' for k, v in obj.items()]
+        get = _SCALARS.get
+        items = [
+            f'{inner}"{k}": {fmt(v) if (fmt := get(type(v))) else dumps(v, indent + 1)}'
+            for k, v in obj.items()
+        ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -85,6 +97,9 @@ def dumps(obj, indent: int = 0) -> str:
         else:
             body = f",\n{inner}".join(dumps(v, indent + 1) for v in obj)
         return "[\n" + inner + body + "\n" + pad + "]"
+    for base in (int, float, str):  # bool admits no subclass
+        if isinstance(obj, base):
+            return _SCALARS[base](obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -294,18 +309,27 @@ def cmd_sweep(args) -> tuple[int, str]:
     return EXIT_OK, _emit(args, payload, rows)
 
 
+_THETA_COLUMNS = tuple(f"theta{i}" for i in range(4))
+
+
+@functools.cache
+def _bound_columns(method: str) -> tuple[str, str]:
+    """The sweep columns of a bound: "THM2(3)" gives thm2_applicable, thm2_m1."""
+    key = method.split("(")[0].lower()
+    return f"{key}_applicable", f"{key}_m1"
+
+
 def _sweep_row(obj: dict) -> dict:
     model = model_from_json(obj)
     row = dict(obj)
     params = model.cp_params()
     th = theta(params, 3)
-    for i in range(4):
-        row[f"theta{i}"] = th[i]
+    row.update(zip(_THETA_COLUMNS, th.values))
     bounds = evaluate_all(params, th=th)
     for b in bounds:
-        key = b.method.split("(")[0].lower()
-        row[f"{key}_applicable"] = b.applicable
-        row[f"{key}_m1"] = b.m1
+        applicable, m1 = _bound_columns(b.method)
+        row[applicable] = b.applicable
+        row[m1] = b.m1
     bb = best_of(bounds)
     row["best_method"] = bb.method
     row["best_m1"] = bb.m1

@@ -17,6 +17,7 @@ samples.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -56,13 +57,12 @@ class CompoundPoissonParams:
     rates: tuple[float, ...]
 
     def __init__(self, rates: Sequence[float]):
-        rates = tuple(float(r) for r in rates)
+        rates = tuple(map(float, rates))
         if len(rates) == 0:
             raise ValueError("rates must be nonempty")
-        for r in rates:
-            if not math.isfinite(r) or r < 0.0:
-                raise ValueError("every rate must be finite and nonnegative")
-        if not any(r > 0.0 for r in rates):
+        if not all(map(math.isfinite, rates)) or min(rates) < 0.0:
+            raise ValueError("every rate must be finite and nonnegative")
+        if not max(rates) > 0.0:
             raise ValueError("at least one rate must be positive")
         object.__setattr__(self, "rates", rates)
 
@@ -103,7 +103,7 @@ class ThetaVector:
     values: tuple[float, ...]
 
     def __init__(self, values: Sequence[float]):
-        values = tuple(float(v) for v in values)
+        values = tuple(map(float, values))
         if len(values) == 0:
             raise ValueError("theta vector must contain at least theta_0")
         object.__setattr__(self, "values", values)
@@ -114,33 +114,44 @@ class ThetaVector:
         return len(self.values) - 1
 
     def __getitem__(self, k: int) -> float:
-        if not 0 <= k <= self.order:
+        if not 0 <= k < len(self.values):
             raise IndexError(f"theta order {k} not computed (have 0..{self.order})")
         return self.values[k]
 
     def require(self, k: int) -> None:
-        if self.order < k:
+        if len(self.values) <= k:
             raise ValueError("theta order insufficient")
+
+
+@functools.lru_cache(maxsize=64)
+def _falling_factorials(J: int, K: int) -> tuple[tuple[float, ...], ...]:
+    """Row k, for k = 0..K, holds j(j-1)...(j-k) for j = k+1..J, each formed
+    as the float product 1.0 * j * (j-1) * ... * (j-k), factor by factor."""
+    rows, ff = [], [1.0] * J
+    for k in range(K + 1):
+        ff = [f * (j - k) for j, f in enumerate(ff, start=1)]
+        rows.append(tuple(ff[k:]))
+    return tuple(rows)
 
 
 def theta(params: CompoundPoissonParams, K: int) -> ThetaVector:
     """Compute theta_k = sum_j j(j-1)...(j-k) lambda_j for k = 0..K.
 
     The falling factorial has k+1 factors, so theta_k = 0 whenever k >= J
-    (every product term contains a zero factor).
+    (every product term contains a zero factor).  The sum runs over j in
+    increasing order with one rounding per term; zero rates add nothing, so
+    they are skipped.  ``sum`` is not used: since Python 3.12 it compensates,
+    which would change the last bits.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
+    rates = params.rates
     values = []
-    for k in range(K + 1):
+    for k, ffs in enumerate(_falling_factorials(len(rates), K)):
         total = 0.0
-        for j, lam_j in enumerate(params.rates, start=1):
-            if j <= k:
-                continue  # falling factorial hits the factor (j - j) = 0
-            ff = 1.0
-            for i in range(k + 1):
-                ff *= j - i
-            total += ff * lam_j
+        for ff, lam_j in zip(ffs, rates[k:]):
+            if lam_j:
+                total += ff * lam_j
         values.append(total)
     return ThetaVector(values)
 
@@ -304,7 +315,8 @@ def cp_sample(
 
 def monotone_condition(params: CompoundPoissonParams) -> bool:
     """True iff j lambda_j >= (j+1) lambda_{j+1} for all j (lambda_{J+1} = 0)."""
-    for j in range(1, params.max_cluster_size + 1):
-        if j * params.rate(j) < (j + 1) * params.rate(j + 1):
+    rates = params.rates
+    for j, (lam_j, lam_next) in enumerate(zip(rates, rates[1:] + (0.0,)), start=1):
+        if j * lam_j < (j + 1) * lam_next:
             return False
     return True

@@ -46,6 +46,7 @@ RELIABILITY_COST_BUDGET = 60_000_000
 SUMS_CELL_BUDGET = 10_000_000
 MC_MIN_SAMPLES = 10_000
 MC_CHUNK = 1 << 17
+MC_BLOCK = 1 << 14  # grids drawn and counted at a time within a chunk
 MIXTURE_TAIL = 1e-12
 
 
@@ -253,8 +254,11 @@ def reliability_mc_pmf(
     """Monte Carlo law of the subgrid count, reproducible for a given seed.
 
     The seed stream is split into one substream per fixed-size chunk, so the
-    result does not depend on how chunks are scheduled.  Per-bin binomial
-    standard errors are attached to the table.
+    result does not depend on how chunks are scheduled.  A chunk is drawn
+    and counted MC_BLOCK grids at a time: consecutive draws continue one
+    stream, so the table is the same as from one draw of the whole chunk,
+    and memory stays bounded.  Per-bin binomial standard errors are attached
+    to the table.
     """
     if samples < MC_MIN_SAMPLES:
         raise ValueError(f"samples must be >= {MC_MIN_SAMPLES}")
@@ -267,9 +271,10 @@ def reliability_mc_pmf(
     for child in children:
         rng = np.random.default_rng(child)
         take = min(MC_CHUNK, samples - done)
-        grids = rng.random((take, n, n)) < q
-        counts = _count_subgrids(grids, k)
-        freq += np.bincount(counts, minlength=max_count + 1)
+        for start in range(0, take, MC_BLOCK):
+            grids = rng.random((min(MC_BLOCK, take - start), n, n)) < q
+            counts = _count_subgrids(grids, k)
+            freq += np.bincount(counts, minlength=max_count + 1)
         done += take
     pmf = freq / samples
     stderr = np.sqrt(pmf * (1.0 - pmf) / samples)

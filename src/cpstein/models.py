@@ -106,10 +106,8 @@ class RunsModel:
         return cls(n=int(obj["n"]), p=float(obj["p"]))
 
 
-def _binom_pmf(ell: int, m: int, y: float) -> float:
-    if not 0 <= ell <= m:
-        return 0.0
-    return math.comb(m, ell) * y**ell * (1.0 - y) ** (m - ell)
+# C(m, e) for m = 2, 3, 4, one row per e = j - 1 of the rates j = 1..5
+_RELIABILITY_BINOMIALS = tuple(tuple(math.comb(m, e) for m in (2, 3, 4)) for e in range(5))
 
 
 @dataclass(frozen=True)
@@ -148,12 +146,16 @@ class ReliabilityModel:
         u = self.n - self.k - 1
         y = self.q**self.k
         psi = self.psi
+        ys = list(map(y.__pow__, range(5)))  # y**e, e = 0..4
+        zs = list(map((1.0 - y).__pow__, range(5)))
+        four_u, u_sq = 4.0 * u, u * u
         rates = []
-        for j in range(1, 6):
-            pi1 = _binom_pmf(j - 1, 2, y)
-            pi2 = _binom_pmf(j - 1, 3, y)
-            pi3 = _binom_pmf(j - 1, 4, y)
-            rates.append(psi / j * (4.0 * pi1 + 4.0 * u * pi2 + u * u * pi3))
+        # P(Bin(m, y) = e) = C(m, e) * y**e * (1-y)**(m-e); C(m, e) = 0 for e > m
+        for e, (c2, c3, c4) in enumerate(_RELIABILITY_BINOMIALS):
+            pi1 = c2 * ys[e] * zs[2 - e] if c2 else 0.0
+            pi2 = c3 * ys[e] * zs[3 - e] if c3 else 0.0
+            pi3 = c4 * ys[e] * zs[4 - e]
+            rates.append(psi / (e + 1) * (4.0 * pi1 + four_u * pi2 + u_sq * pi3))
         return CompoundPoissonParams(rates)
 
     def exact_law(self, samples: int, seed: int, exact: bool) -> DistributionTable:

@@ -114,6 +114,40 @@ def test_reliability_params_requires_headroom():
         reliability_cp_params(ReliabilityModel(n=3, k=2, q=0.3))
 
 
+def reliability_rates_by_binomial_pmf(m):
+    """The approximant rates as first written: one call of the binomial pmf,
+    with its own powers of y and 1 - y, per term."""
+
+    def binom_pmf(ell, size, y):
+        if not 0 <= ell <= size:
+            return 0.0
+        return math.comb(size, ell) * y**ell * (1.0 - y) ** (size - ell)
+
+    u = m.n - m.k - 1
+    y = m.q**m.k
+    rates = []
+    for j in range(1, 6):
+        pi1 = binom_pmf(j - 1, 2, y)
+        pi2 = binom_pmf(j - 1, 3, y)
+        pi3 = binom_pmf(j - 1, 4, y)
+        rates.append(m.psi / j * (4.0 * pi1 + 4.0 * u * pi2 + u * u * pi3))
+    return tuple(rates)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_reliability_rates_bit_identical_to_binomial_pmf(k):
+    qs = [0.0, 1.0, 0.5, 1e-3, 0.999] + list(np.random.default_rng(k).random(40))
+    for n in (k + 2, k + 5, 30, 200):
+        for q in qs:
+            m = ReliabilityModel(n=n, k=k, q=float(q))
+            expect = reliability_rates_by_binomial_pmf(m)
+            if not any(expect):  # q = 0: no positive rate, so no approximant
+                with pytest.raises(ValueError, match="at least one rate"):
+                    reliability_cp_params(m)
+                continue
+            assert reliability_cp_params(m).rates == expect
+
+
 def test_reliability_psi():
     m = ReliabilityModel(n=10, k=3, q=0.5)
     assert_allclose(m.psi, 0.5**9, rtol=1e-15)

@@ -386,6 +386,74 @@ def test_mc_seed_flag_changes_output(capsys):
     assert a == a2
 
 
+def fmt_float_17g(x):
+    return format(x, ".17g") if math.isfinite(x) else f'"{x}"'
+
+
+def dumps_recursive(obj, indent=0):
+    """The JSON emitter as first written: an isinstance chain and one
+    recursive call per value."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int,)):
+        return str(obj)
+    if isinstance(obj, float):
+        return fmt_float_17g(obj)
+    if isinstance(obj, str):
+        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
+        return f'"{escaped}"'
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f'{inner}"{k}": {dumps_recursive(v, indent + 1)}' for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(type(v) is float for v in obj):
+            body = f",\n{inner}".join(map(fmt_float_17g, obj))
+        else:
+            body = f",\n{inner}".join(dumps_recursive(v, indent + 1) for v in obj)
+        return "[\n" + inner + body + "\n" + pad + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+EMITTER_PAYLOADS = [
+    {},
+    [],
+    {"a": {}, "b": [], "c": {"d": [1, [2.5, {}], {"e": []}]}, "f": ({"g": (0.1, 2)},)},
+    [math.inf, -math.inf, math.nan, 1.0, -0.0, 5e-324, 1.7976931348623157e308],
+    {"inf": math.inf, "ninf": -math.inf, "nan": math.nan, "list": [0.1, math.inf]},
+    {"t": True, "f": False, "one": 1, "zero": 0, "none": None, "l": [True, 1, False, 0, None]},
+    {"s": 'quote " and back\\slash', "l": ['\\"', "", "plain"], 'k"ey': "v"},
+    {"x": np.float64(0.1), "y": np.float64(math.inf), "z": [np.float64(2.5), 0.3, np.float64(-1e-300)]},
+    [np.float64(1.0), 2.0],
+    (1, "two", 3.0),
+    np.float64(math.nan),
+    "top-level string",
+    7,
+    None,
+]
+
+
+@pytest.mark.parametrize("payload", EMITTER_PAYLOADS)
+def test_dumps_bytes_equal_recursive_emitter(payload):
+    assert cli.dumps(payload) == dumps_recursive(payload)
+    assert cli.dumps(payload, 3) == dumps_recursive(payload, 3)
+
+
+@pytest.mark.parametrize("value", [np.int64(3), {1, 2}, np.bool_(True), object(), b"bytes"])
+def test_dumps_rejects_unsupported_types(value):
+    with pytest.raises(TypeError, match="cannot serialize"):
+        cli.dumps(value)
+    with pytest.raises(TypeError, match="cannot serialize"):
+        cli.dumps({"nested": [1.0, {"deeper": value}]})
+
+
 def test_float_format_17g_roundtrip(capsys):
     _, out, _ = run_cli(capsys, "bounds", "--rates", "0.1,0.2")
     doc = json.loads(out)

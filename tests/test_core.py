@@ -102,6 +102,55 @@ def test_theta_falling_factorial_definition():
     assert th[4] == 0.0
 
 
+def theta_by_triple_loop(rates, K):
+    """theta as first written: for each k a fresh sum over j of the falling
+    factorial formed factor by factor, zero rates included."""
+    values = []
+    for k in range(K + 1):
+        total = 0.0
+        for j, lam_j in enumerate(rates, start=1):
+            if j <= k:
+                continue
+            ff = 1.0
+            for i in range(k + 1):
+                ff *= j - i
+            total += ff * lam_j
+        values.append(total)
+    return values
+
+
+@pytest.mark.parametrize("J", range(1, 9))
+def test_theta_bit_identical_to_triple_loop(J):
+    rng = np.random.default_rng(J)
+    draws = [
+        rng.exponential(1.0, J),
+        rng.exponential(1.0, J) * 10.0 ** rng.uniform(-300, 300, J),
+    ]
+    zeros = rng.exponential(1.0, J)
+    zeros[rng.random(J) < 0.5] = 0.0  # interior zero rates
+    zeros[-1] = 0.0  # and a trailing one
+    draws.append(zeros)
+    for rates in draws:
+        if not rates.any():
+            rates[0] = 1.5
+        params = CompoundPoissonParams(rates)
+        for K in range(6):
+            assert list(theta(params, K).values) == theta_by_triple_loop(params.rates, K)
+
+
+def test_monotone_condition_matches_definition():
+    rng = np.random.default_rng(3)
+    for J in range(1, 7):
+        for _ in range(50):
+            rates = rng.choice([0.0, 0.5, 1.0, 2.0], J)
+            rates[0] = 1.0
+            params = CompoundPoissonParams(rates)
+            expect = all(
+                j * params.rate(j) >= (j + 1) * params.rate(j + 1) for j in range(1, J + 1)
+            )
+            assert monotone_condition(params) == expect
+
+
 def test_theta_vector_access_errors():
     th = theta(CompoundPoissonParams([1.0]), 1)
     assert th.order == 1

@@ -28,6 +28,7 @@ from cpstein import (
     sums_exact_pmf,
 )
 from cpstein.cli import main
+from cpstein import exact
 from cpstein.exact import MC_CHUNK, _count_subgrids
 
 
@@ -297,6 +298,19 @@ def test_reliability_mc_bit_identical_to_prefix_sum_loop(n, k, q, samples):
     pmf, stderr = reliability_mc_by_prefix_sums(ReliabilityModel(n, k, q), samples, 11)
     assert np.array_equal(t.pmf, pmf)
     assert np.array_equal(t.stderr, stderr)
+
+
+@pytest.mark.parametrize("block", [1000, 777, 1 << 17])
+def test_reliability_mc_block_size_leaves_table_unchanged(monkeypatch, block):
+    # blocks that divide the chunk, that do not, and one block per chunk:
+    # consecutive draws continue one stream, so every table is the same
+    m = ReliabilityModel(6, 2, 0.4)
+    samples = (1 << 17) + 5000  # two chunks, the second partial
+    default = reliability_mc_pmf(m, samples=samples, seed=5)
+    monkeypatch.setattr(exact, "MC_BLOCK", block)
+    other = reliability_mc_pmf(m, samples=samples, seed=5)
+    assert np.array_equal(default.pmf, other.pmf)
+    assert np.array_equal(default.stderr, other.stderr)
 
 
 def test_reliability_mc_seed_sensitivity():

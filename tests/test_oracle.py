@@ -124,9 +124,7 @@ def test_solve_stein_matches_poisson_closed_form(lam):
         sol = solve_stein(params, y, x_max)
         half = slice(1, x_max // 2 + 1)
         assert_allclose(sol.f[half], poisson_stein_ratio(lam, y, x_max)[half], rtol=1e-12)
-        # the log-space front of the forward form rounds to 1.4e-12 at lam = 600
-        rtol = 1e-12 if lam <= 200.0 else 3e-12
-        assert_allclose(sol.f[half], poisson_stein_forward(lam, y, x_max)[half], rtol=rtol)
+        assert_allclose(sol.f[half], poisson_stein_forward(lam, y, x_max)[half], rtol=1e-12)
         assert sol.residual0 <= 1e-12
         assert np.max(np.abs(interior_residuals(sol))) <= 1e-12
 
