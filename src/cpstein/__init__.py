@@ -11,6 +11,11 @@ The package has four layers:
 * :mod:`cpstein.models` / :mod:`cpstein.exact` - application models (runs on
   a circle, square lattice reliability, mixed Poisson, independent sums)
   with exact small-instance laws and certified distance computations.
+
+Importing the package loads numpy only. The functions that need
+``scipy.special`` (the mixed Poisson laws and ``poisson_stein_forward``)
+import it when called, because loading it costs more than half of a cold
+command that never uses it.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import special
 
 from .core import DistributionTable
 
@@ -286,6 +285,8 @@ def reliability_mc_pmf(
 def _poisson_ppf(q: float, lam: float) -> int:
     """Smallest k with P(Poisson(lam) <= k) >= q, by scipy's rule: the ceiling
     of the continuous inverse, stepped down once if the cdf allows."""
+    from scipy import special
+
     k = math.ceil(special.pdtrik(q, lam))
     if k > 0 and special.pdtr(k - 1, lam) >= q:
         k -= 1
@@ -296,6 +297,8 @@ def poisson_mixture_table(
     weights: list[float], intensities: list[float]
 ) -> DistributionTable:
     """Weighted mixture of Poisson pmfs with an exact sf tail."""
+    from scipy import special
+
     hi = max(_poisson_ppf(1.0 - MIXTURE_TAIL / 4.0, lam) for lam in intensities)
     x_max = hi + 10
     while True:
@@ -395,6 +398,8 @@ def _nbinom_pmf(x_max: int, r: float, succ: float) -> np.ndarray:
 
 def _nbinom_cdf(k: int, r: float, succ: float) -> float:
     """P(NB <= k) = I_succ(r, k+1)."""
+    from scipy import special
+
     return special.betainc(r, k + 1.0, succ)
 
 
@@ -416,6 +421,8 @@ def _nbinom_ppf(q: float, r: float, succ: float) -> int:
 def nbinom_table(r: float, scale: float) -> DistributionTable:
     """Law of Poisson(xi) with xi ~ Gamma(r, scale): the negative binomial with
     success probability 1/(1 + scale), with an exact sf tail."""
+    from scipy import special
+
     succ = 1.0 / (1.0 + scale)
     x_max = _nbinom_ppf(1.0 - MIXTURE_TAIL / 4.0, r, succ) + 10
     # P(NB > x_max) = I_{1-succ}(x_max+1, r)

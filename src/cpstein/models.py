@@ -25,7 +25,6 @@ from dataclasses import astuple, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from .bounds import regime_classify
 from .core import CompoundPoissonParams, DistributionTable
@@ -263,6 +262,8 @@ class GammaMixing:
 
         where f_a(a) = a^(a-1) e^(-a) / Gamma(a) is taken in logs.
         """
+        from scipy import special
+
         a = self.shape
         f_a = math.exp((a - 1.0) * math.log(a) - a - special.gammaln(a))
         inner = 2.0 * a + 4.0 * (a * a * f_a - a * special.gammainc(a + 1.0, a))

@@ -44,7 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .core import CompoundPoissonParams, cp_pmf, theta
 from .bounds import SteinFactorBound, encode_float
@@ -426,6 +425,8 @@ def poisson_stein_forward(lam: float, y: int, x_max: int) -> np.ndarray:
     """
     if lam <= 0.0:
         raise ValueError("lam must be positive")
+    from scipy import special
+
     p_le = float(special.pdtr(y, lam))
     p_gt = float(special.pdtrc(y, lam))
     f = [0.0] * (x_max + 1)
