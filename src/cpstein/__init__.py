@@ -12,10 +12,15 @@ The package has four layers:
   a circle, square lattice reliability, mixed Poisson, independent sums)
   with exact small-instance laws and certified distance computations.
 
-Importing the package loads numpy only. The functions that need
-``scipy.special`` (the mixed Poisson laws and ``poisson_stein_forward``)
-import it when called, because loading it costs more than half of a cold
-command that never uses it.
+Importing the package loads neither numpy nor scipy: each function that
+needs one imports it when called, because loading numpy costs more than
+half of a cold closed-form command, and scipy more again.  The closed-form
+bounds (``theta``, ``evaluate_all`` and the model approximants, which the
+``bounds`` and ``sweep`` commands run) are plain ``math`` and never load
+numpy, except for the sums model and an order-3 criterion that needs the
+Bernstein enclosure.  The oracle, ``cp_pmf`` and the exact laws load numpy
+on first use, and only the mixed Poisson laws and
+``poisson_stein_forward`` load ``scipy.special``.
 """
 
 from __future__ import annotations

@@ -40,10 +40,12 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import CompoundPoissonParams, ThetaVector, monotone_condition, theta
+
+if TYPE_CHECKING:  # numpy loads in the functions that use it
+    import numpy as np
 
 __all__ = [
     "SteinFactorBound",
@@ -160,6 +162,8 @@ def _ratio_columns(k: int, phis: np.ndarray) -> np.ndarray:
     limits (0 for j >= 3) emerge without a special case.  The ratio is even
     in phi and is evaluated at |phi|.
     """
+    import numpy as np
+
     aphi = np.abs(phis)
     s = np.sin(aphi / 2.0)
     cols = np.empty((phis.size, k))
@@ -179,6 +183,8 @@ def _q_rows(k: int, ps: np.ndarray) -> np.ndarray:
     (1-(1-p)^j)/p = sum_{i=0}^{j-1} (1-p)^i, which evaluates to j at p = 0
     without a special case and avoids cancellation for small p.
     """
+    import numpy as np
+
     omp = 1.0 - ps
     rows = np.empty((k, ps.size))
     power = np.ones_like(ps)
@@ -192,6 +198,8 @@ def _q_rows(k: int, ps: np.ndarray) -> np.ndarray:
 
 def g_k_grid(th: ThetaVector, k: int, phis: np.ndarray, ps: np.ndarray) -> np.ndarray:
     """Evaluate g_k on the grid phis x ps; returns shape (len(phis), len(ps))."""
+    import numpy as np
+
     if k < 1:
         raise ValueError("k must be >= 1")
     if th.order < k:
@@ -215,7 +223,7 @@ def g_k_eval(th: ThetaVector, k: int, phi: float, p: float) -> GkEvaluation:
         raise ValueError("phi must lie in (-pi, pi]")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    value = g_k_grid(th, k, np.array([abs(phi)]), np.array([p]))[0, 0]
+    value = g_k_grid(th, k, [abs(phi)], [p])[0, 0]
     return GkEvaluation(phi=phi, p=p, value=float(value))
 
 
@@ -232,6 +240,8 @@ def _bernstein_factors(k: int) -> tuple[np.ndarray, np.ndarray]:
     Computed in integers and fractions; each entry is rounded to float once.
     The arrays are shared by every caller and are read-only.
     """
+    import numpy as np
+
     cheb = [[1], [0, 1]]  # T_m as coefficients of 1, c, c^2, ...
     while len(cheb) <= k:
         nxt = [0] + [2 * v for v in cheb[-1]]
@@ -276,12 +286,12 @@ def _halves(b: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     """de Casteljau subdivision at the midpoint of one axis: the Bernstein
     coefficients on the lower and upper half of the box."""
     b = b if axis == 0 else b.T
-    lo, hi = [b[0]], [b[-1]]
-    while b.shape[0] > 1:
+    lo, hi = b.copy(), b.copy()  # lo[0] = b[0] and hi[n] = b[n] already
+    n = len(b) - 1
+    for i in range(1, n + 1):
         b = 0.5 * (b[:-1] + b[1:])
-        lo.append(b[0])
-        hi.append(b[-1])
-    lo, hi = np.array(lo), np.array(hi[::-1])
+        lo[i] = b[0]
+        hi[n - i] = b[-1]
     return (lo, hi) if axis == 0 else (lo.T, hi.T)
 
 
@@ -313,10 +323,17 @@ def delta_k_grid(th: ThetaVector, k: int) -> DeltaResult:
     terms of max |coefficient| (which bounds every coefficient of every
     box), covering the rounding of forming the coefficients and of D
     subdivisions, and the final addition of theta_0 rounds down.
+
+    When theta_1..theta_k are all 0, g_k is the constant theta_0, and the
+    result is the one the subdivision gives, returned without it.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     th.require(k)
+    if not any(th.values[1 : k + 1]):
+        return DeltaResult(k, th[0], (math.pi, 1.0), False, th[0])
+    import numpy as np
+
     r, q = _bernstein_factors(k)
     w = np.array([th[j - 1] / math.factorial(j) for j in range(2, k + 1)])
     const = (2.0**k / math.factorial(k)) * th[k]

@@ -18,6 +18,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -135,13 +136,20 @@ def _emit(args, payload, csv_rows: list[dict] | None = None) -> str:
 
 
 def _write_output(text: str, path: str | None) -> None:
+    """Write text to stdout, or to path through a temporary file and a rename;
+    a path that cannot be written is a usage error, and leaves no temporary."""
     if path is None:
         sys.stdout.write(text)
         return
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +361,9 @@ def cmd_stein_solve(args) -> tuple[int, str]:
         "residual0": sol.residual0,
         "f": [float(v) for v in sol.f],
     }
-    csv_rows = [
-        {"x": x, "f": float(v)} for x, v in enumerate(sol.f)
-    ]
+    csv_rows = None
+    if args.format == "csv":
+        csv_rows = [{"x": x, "f": float(v)} for x, v in enumerate(sol.f)]
     return EXIT_OK, _emit(args, payload, csv_rows)
 
 
@@ -368,9 +376,9 @@ def cmd_pmf(args) -> tuple[int, str]:
     payload = table.to_json()
     if table.stderr is not None:
         payload["stderr"] = [float(s) for s in table.stderr]
-    csv_rows = [
-        {"x": x, "probability": float(v)} for x, v in enumerate(table.pmf)
-    ]
+    csv_rows = None
+    if args.format == "csv":
+        csv_rows = [{"x": x, "probability": float(v)} for x, v in enumerate(table.pmf)]
     return EXIT_OK, _emit(args, payload, csv_rows)
 
 
@@ -445,6 +453,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         code, text = args.func(args)
+        _write_output(text, args.output)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -454,7 +463,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _write_output(text, args.output)
     return code
 
 

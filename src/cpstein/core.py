@@ -20,9 +20,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:  # numpy loads in the functions that use it
+    import numpy as np
 
 __all__ = [
     "CompoundPoissonParams",
@@ -175,6 +176,8 @@ class DistributionTable:
     mc_samples: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        import numpy as np
+
         pmf = np.asarray(self.pmf, dtype=float)
         object.__setattr__(self, "pmf", pmf)
         if pmf.ndim != 1 or pmf.size == 0:
@@ -191,12 +194,18 @@ class DistributionTable:
         return self.pmf.size - 1
 
     def cdf(self) -> np.ndarray:
+        import numpy as np
+
         return np.minimum(np.cumsum(self.pmf), 1.0)
 
     def mean(self) -> float:
+        import numpy as np
+
         return float(np.dot(np.arange(self.pmf.size), self.pmf))
 
     def var(self) -> float:
+        import numpy as np
+
         x = np.arange(self.pmf.size)
         m = self.mean()
         return float(np.dot((x - m) ** 2, self.pmf))
@@ -209,6 +218,8 @@ class DistributionTable:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DistributionTable":
+        import numpy as np
+
         return cls(np.asarray(obj["pmf"], dtype=float), float(obj["tail_mass"]))
 
 
@@ -219,6 +230,8 @@ def chernoff_tail(params: CompoundPoissonParams, x: float) -> float:
     s values.  The exponents are formed first and a single exp is taken of
     their minimum, so the evaluation never overflows.
     """
+    import numpy as np
+
     J = params.max_cluster_size
     s = np.geomspace(1e-2, 40.0 / J, 80)
     j = np.arange(1, J + 1, dtype=float)
@@ -252,6 +265,8 @@ def cp_pmf(
     arithmetic is the plain recursion.  A table whose mass falls short of
     mass_target by more than 1e-9 raises TruncationCapError.
     """
+    import numpy as np
+
     if not 0.0 < mass_target < 1.0:
         raise ValueError("mass_target must lie in (0, 1)")
     lam = params.total_rate
@@ -302,6 +317,8 @@ def cp_sample(
     N_j ~ Poisson(lambda_j), which has the same law as drawing N ~
     Poisson(lambda) cluster counts and then N sizes from mu.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     n = 1 if size is None else int(size)
     out = np.zeros(n, dtype=np.int64)

@@ -21,11 +21,13 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .core import DistributionTable
 
-if TYPE_CHECKING:  # models imports this module; the laws read model attributes only
+# for annotations only: numpy loads in the functions that use it, and models
+# imports this module (the laws read model attributes only)
+if TYPE_CHECKING:
+    import numpy as np
+
     from . import models
 
 __all__ = [
@@ -80,26 +82,6 @@ class DistanceReport:
         }
 
 
-def _advance(step: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
-    """Advance a state x count array by one site of the transfer matrix.
-
-    ``x`` has the states on its first axis and the counts on its last.
-    ``step[0]`` is the transition matrix of the moves that keep the count,
-    ``step[1]`` (if present) that of the moves that raise it by one; the
-    leading axes of ``step`` after the first are the new states.  ``out``
-    receives the result and has one more count than ``x`` exactly when
-    ``step[1]`` is present.  ``out`` may overlap ``x``.
-    """
-    y = np.einsum("...k,kl->...l", step, x.reshape(len(x), -1))
-    y = y.reshape(step.shape[:-1] + x.shape[1:])
-    if len(step) == 1:
-        out[...] = y[0]
-        return
-    out[..., :-1] = y[0]
-    out[..., -1] = 0.0
-    out[..., 1:] += y[1]
-
-
 def runs_exact_pmf(m: models.RunsModel) -> DistributionTable:
     """Exact law of the circular 2-runs count by transfer-matrix DP.
 
@@ -125,6 +107,8 @@ def runs_exact_pmf(m: models.RunsModel) -> DistributionTable:
     strided view that reads p b one count lower.  O(n^2) time at worst
     (about 20 ms at n = 2000, p = 0.5), less while the window is narrow.
     """
+    import numpy as np
+
     if m.n > RUNS_N_BUDGET:
         raise BudgetExceededError(f"runs n = {m.n} exceeds budget {RUNS_N_BUDGET}")
     n, p = m.n, m.p
@@ -172,6 +156,8 @@ def _count_subgrids(grids: np.ndarray, k: int) -> np.ndarray:
     failures; the AND of k column-shifted views of that marks the top-left
     corners of all-failed windows, which are then counted per grid.
     """
+    import numpy as np
+
     w = grids.shape[1] - k + 1
     runs = grids[:, :w].copy()
     for i in range(1, k):
@@ -183,7 +169,8 @@ def _count_subgrids(grids: np.ndarray, k: int) -> np.ndarray:
 
 
 def _reliability_step(k: int, q: float, row_start: bool, window: bool) -> np.ndarray:
-    """Transition of the local state (s, v) at one cell, as ``_advance`` reads it.
+    """Transition of the local state (s, v) at one cell, as ``advance`` in
+    ``reliability_exact_pmf`` reads it.
 
     v is the current column's run of failed cells up to the row above,
     capped at k-1; s is the number of columns just left of this cell, capped
@@ -193,6 +180,8 @@ def _reliability_step(k: int, q: float, row_start: bool, window: bool) -> np.nda
     (s', v').  With ``window`` the second layer raises the count; without,
     no state with v = s = k-1 has mass yet, as no window ends at this cell.
     """
+    import numpy as np
+
     step = np.zeros((1 + window, k, k, k * k))
     for s in range(k):
         for v in range(k):
@@ -221,6 +210,8 @@ def reliability_exact_pmf(m: models.ReliabilityModel) -> DistributionTable:
     the largest grids it admits are n = 11 for k = 2, 8 for k = 3, 7 for
     k = 4 and 6 for k = 5, 6.
     """
+    import numpy as np
+
     n, k, q = m.n, m.k, m.q
     cost = k ** (n + 1) * ((n - k + 1) ** 2 + 1) * n * n
     if cost > RELIABILITY_COST_BUDGET:
@@ -228,6 +219,26 @@ def reliability_exact_pmf(m: models.ReliabilityModel) -> DistributionTable:
             f"reliability transfer-matrix cost {cost} exceeds budget "
             f"{RELIABILITY_COST_BUDGET}; use reliability_mc_pmf"
         )
+
+    def advance(step: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+        """Advance a state x count array by one site of the transfer matrix.
+
+        ``x`` has the states on its first axis and the counts on its last.
+        ``step[0]`` is the transition matrix of the moves that keep the
+        count, ``step[1]`` (if present) that of the moves that raise it by
+        one; the leading axes of ``step`` after the first are the new
+        states.  ``out`` receives the result and has one more count than
+        ``x`` exactly when ``step[1]`` is present.  ``out`` may overlap ``x``.
+        """
+        y = np.einsum("...k,kl->...l", step, x.reshape(len(x), -1))
+        y = y.reshape(step.shape[:-1] + x.shape[1:])
+        if len(step) == 1:
+            out[...] = y[0]
+            return
+        out[..., :-1] = y[0]
+        out[..., -1] = 0.0
+        out[..., 1:] += y[1]
+
     start = _reliability_step(k, q, row_start=True, window=False)
     inner = {w: _reliability_step(k, q, row_start=False, window=w) for w in (False, True)}
     rest = k ** (n - 1)
@@ -238,7 +249,7 @@ def reliability_exact_pmf(m: models.ReliabilityModel) -> DistributionTable:
             window = r >= k - 1 and c >= k - 1
             new = np.empty((k, rest, k, dp.shape[-1] + window))
             step = start if c == 0 else inner[window]
-            _advance(step, dp, new.transpose(0, 2, 1, 3))
+            advance(step, dp, new.transpose(0, 2, 1, 3))
             dp = new.reshape(k * k, rest, -1)
     # pairwise summation over the states, which needs them contiguous
     pmf = np.ascontiguousarray(dp.reshape(-1, dp.shape[-1]).T).sum(axis=1)
@@ -259,6 +270,8 @@ def reliability_mc_pmf(
     and memory stays bounded.  Per-bin binomial standard errors are attached
     to the table.
     """
+    import numpy as np
+
     if samples < MC_MIN_SAMPLES:
         raise ValueError(f"samples must be >= {MC_MIN_SAMPLES}")
     n, k, q = m.n, m.k, m.q
@@ -297,6 +310,7 @@ def poisson_mixture_table(
     weights: list[float], intensities: list[float]
 ) -> DistributionTable:
     """Weighted mixture of Poisson pmfs with an exact sf tail."""
+    import numpy as np
     from scipy import special
 
     hi = max(_poisson_ppf(1.0 - MIXTURE_TAIL / 4.0, lam) for lam in intensities)
@@ -328,6 +342,8 @@ def _stirlerr(n: np.ndarray) -> np.ndarray:
     whose steps involve only O(1) numbers, not differences of large
     log-gammas.
     """
+    import numpy as np
+
     n = np.asarray(n, dtype=float)
     steps = np.ceil(np.maximum(_STIRLING_MIN - n, 0.0))
     big = n + steps
@@ -349,6 +365,8 @@ def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     (x-m) v + 2x sum_j v^(2j+1)/(2j+1); elsewhere as m((1+t) log1p(t) - t)
     with t = (x-m)/m.
     """
+    import numpy as np
+
     d = x - m
     v = d / (x + m)
     near = np.abs(v) < 0.1
@@ -378,6 +396,8 @@ def _nbinom_pmf(x_max: int, r: float, succ: float) -> np.ndarray:
     relative error stays near 1e-14 where the log-gamma form loses digits
     proportional to log Gamma(n).
     """
+    import numpy as np
+
     pmf = np.zeros(x_max + 1)
     pmf[0] = succ**r
     if succ == 1.0:  # scale below rounding: a point mass at 0
@@ -444,6 +464,8 @@ def sums_exact_pmf(m: models.IndependentSumModel) -> DistributionTable:
     within 1e-9 of 1, and their product could otherwise exceed the mass a
     table may hold.
     """
+    import numpy as np
+
     cost = 0
     length = 1
     for comp in m.components:
@@ -468,6 +490,8 @@ def distance(a: DistributionTable, b: DistributionTable) -> DistanceReport:
     certificate.  d_tv is half the l1 pmf distance plus the slack, capped
     at 1.
     """
+    import numpy as np
+
     hi = max(a.x_max, b.x_max)
     pa = np.zeros(hi + 1)
     pb = np.zeros(hi + 1)

@@ -24,8 +24,6 @@ import math
 from dataclasses import astuple, dataclass, field, fields
 from typing import Sequence
 
-import numpy as np
-
 from .bounds import regime_classify
 from .core import CompoundPoissonParams, DistributionTable
 from .exact import (
@@ -335,6 +333,8 @@ class IndependentSumModel:
     _moments: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __init__(self, components: Sequence[Sequence[float]]):
+        import numpy as np
+
         comps = []
         for pmf in components:
             arr = tuple(float(v) for v in pmf)

@@ -42,11 +42,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import CompoundPoissonParams, cp_pmf, theta
 from .bounds import SteinFactorBound, encode_float
+
+if TYPE_CHECKING:  # numpy loads in the functions that use it
+    import numpy as np
 
 __all__ = [
     "SteinSolution",
@@ -133,6 +135,8 @@ def default_x_max(params: CompoundPoissonParams, y: int) -> int:
 
 def _jlam(params: CompoundPoissonParams) -> np.ndarray:
     """Coefficients j lambda_j, j = 1..J, of f(x+j) in the Stein equation."""
+    import numpy as np
+
     return np.arange(1, params.max_cluster_size + 1) * np.asarray(params.rates)
 
 
@@ -161,6 +165,8 @@ def _tail_terms(jl: list[float], x0: int, M: int, t: list[float]) -> np.ndarray:
     One entry per block equation x = 0..M except x0, in order; ``t`` holds
     the values from x = M + 1 on.
     """
+    import numpy as np
+
     out = np.zeros(M)
     J = len(jl)
     for x in range(max(0, M + 1 - J), M + 1):
@@ -221,6 +227,8 @@ def _split(
     x0 is the largest x <= floor(theta_0) with P(U = x) at least half the
     largest such probability (see the module docstring).
     """
+    import numpy as np
+
     jl = _jlam(params).tolist()
     p = pmf[: int(math.floor(math.fsum(jl))) + 1]
     x0 = int(np.flatnonzero(p >= 0.5 * p.max())[-1])
@@ -238,6 +246,8 @@ def solve_stein(params: CompoundPoissonParams, y: int, x_max: int) -> SteinSolut
     of the one equation left out, |sum_j j lambda_j f(x0+j) - x0 f(x0) -
     (h(x0) - E h(U))|, a truncation and rounding diagnostic.
     """
+    import numpy as np
+
     y = int(y)
     if y < 0:
         raise ValueError("y must be >= 0")
@@ -270,6 +280,8 @@ def interior_residuals(sol: SteinSolution) -> np.ndarray:
 
     The last J points are excluded: they touch the truncated tail directly.
     """
+    import numpy as np
+
     jlam = _jlam(sol.params)
     J = jlam.size
     hi = sol.x_max - J
@@ -288,6 +300,8 @@ def _block_sups(
 ) -> tuple[float, float, np.ndarray]:
     """Sups over y of |f_y(x)| on the block x = 1..M and of |f_y(x+1) - f_y(x)|
     on x = 1..M-1, where f_y = C[:, y] - P[y] g; also f_y(M) for every y."""
+    import numpy as np
+
     F = np.outer(g, P)
     np.subtract(C, F, out=F)
     D = F[1:] - F[:-1]
@@ -303,6 +317,8 @@ def _sups(
     -P[y] g(x), with ``g_tail`` holding g(M+1..hi+1); P is increasing, so
     there the sups over y are P[-1] times those of g.
     """
+    import numpy as np
+
     m0, m1, f_last = block
     g = np.asarray(g_tail)
     m0 = max(m0, P[-1] * np.max(np.abs(g[:-1]), initial=0.0))
@@ -333,6 +349,8 @@ def empirical_factors(
     on the interior x <= x_max - J, and both pairs of sups must agree
     within stability_tol.  The factors at 2 x_max are returned.
     """
+    import numpy as np
+
     table = cp_pmf(params)
     cdf = table.cdf()
     tail = 1.0 - cdf + table.tail_mass
@@ -425,6 +443,7 @@ def poisson_stein_forward(lam: float, y: int, x_max: int) -> np.ndarray:
     """
     if lam <= 0.0:
         raise ValueError("lam must be positive")
+    import numpy as np
     from scipy import special
 
     p_le = float(special.pdtr(y, lam))

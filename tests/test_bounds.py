@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from cpstein import (
     CompoundPoissonParams,
+    DeltaResult,
     SteinFactorBound,
     ThetaVector,
     best_bound,
@@ -441,6 +442,15 @@ def test_regime_classify_never_searches_the_grid(monkeypatch):
     assert bound_cor3(ThetaVector([1.0, 0.6, 0.3, 0.0])).method == "COR3"
     row = cli._sweep_row({"model": "runs", "n": 50, "p": 0.2})
     assert row["cor3_applicable"]
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("rates", [[1e-4], [0.5], [8.0], [37.5], [1e3], [5.0, 0.0, 0.0]])
+def test_delta_k_grid_constant_criterion(k, rates):
+    # single-size rates: theta_1..theta_k = 0 and g_k is the constant theta_0;
+    # the result is the one the subdivision returns for it
+    th = theta(CompoundPoissonParams(rates), k)
+    assert delta_k_grid(th, k) == DeltaResult(k, th[0], (math.pi, 1.0), False, th[0])
 
 
 def test_bound_lemma_c_validation():
