@@ -423,9 +423,15 @@ def _inapplicable(method: str, note: str) -> SteinFactorBound:
 
 
 def _factors_from_delta(delta: float) -> tuple[float, float]:
-    """M0/M1 from a positive delta: 2 sqrt(2/delta), (1/(2 delta))(1+log+(pi delta))."""
+    """M0/M1 from a positive delta: 2 sqrt(2/delta), (1/(2 delta))(1+log+(pi delta)).
+
+    1/(2 delta) is formed as 0.5/delta, the same double wherever 2 delta is
+    finite, and log(pi delta) as log pi + log delta where pi delta overflows.
+    """
     m0 = 2.0 * math.sqrt(2.0 / delta)
-    m1 = (1.0 / (2.0 * delta)) * (1.0 + log_plus(math.pi * delta))
+    pi_delta = math.pi * delta
+    log_pi_delta = log_plus(pi_delta) if pi_delta < INF else math.log(math.pi) + math.log(delta)
+    m1 = (0.5 / delta) * (1.0 + log_pi_delta)
     return m0, m1
 
 
@@ -445,7 +451,8 @@ def bound_monotone(params: CompoundPoissonParams) -> SteinFactorBound:
     if not monotone_condition(params):
         return _inapplicable("MONOTONE", "rate sequence j*lambda_j not nonincreasing")
     lam1 = params.rates[0]
-    m0 = min(1.0, math.sqrt(2.0 / (math.e * lam1)))
+    e_lam1 = math.e * lam1
+    m0 = min(1.0, math.sqrt(2.0 / e_lam1 if e_lam1 < INF else 2.0 / math.e / lam1))
     m1 = min(0.5, 1.0 / (lam1 + 1.0))
     return SteinFactorBound(m0, m1, "MONOTONE", True, "j*lambda_j nonincreasing")
 

@@ -93,10 +93,13 @@ def dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if all(type(v) is float for v in obj):
-            body = f",\n{inner}".join(map(_fmt_float, obj))
+        sep = f",\n{inner}"
+        if {*map(type, obj)} != {float}:
+            body = sep.join(dumps(v, indent + 1) for v in obj)
+        elif math.isfinite(sum(obj)):  # a finite sum: no inf or nan among them
+            body = sep.join(["%.17g"] * len(obj)) % tuple(obj)
         else:
-            body = f",\n{inner}".join(dumps(v, indent + 1) for v in obj)
+            body = sep.join(map(_fmt_float, obj))
         return "[\n" + inner + body + "\n" + pad + "]"
     for base in (int, float, str):  # bool admits no subclass
         if isinstance(obj, base):
@@ -359,7 +362,7 @@ def cmd_stein_solve(args) -> tuple[int, str]:
         "x_max": sol.x_max,
         "eh_u": sol.eh_u,
         "residual0": sol.residual0,
-        "f": [float(v) for v in sol.f],
+        "f": sol.f.tolist(),
     }
     csv_rows = None
     if args.format == "csv":

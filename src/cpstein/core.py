@@ -223,22 +223,93 @@ class DistributionTable:
         return cls(np.asarray(obj["pmf"], dtype=float), float(obj["tail_mass"]))
 
 
+@functools.lru_cache(maxsize=16)
+def _chernoff_grid(J: int) -> tuple[np.ndarray, np.ndarray]:
+    """The s grid of ``chernoff_tail`` for cluster sizes up to J and
+    e^{s j} - 1 on it, one row per s and one column per j; read-only."""
+    import numpy as np
+
+    s = np.geomspace(1e-2, 40.0 / J, 80)
+    e = np.expm1(np.outer(s, np.arange(1, J + 1, dtype=float)))
+    s.flags.writeable = e.flags.writeable = False
+    return s, e
+
+
 def chernoff_tail(params: CompoundPoissonParams, x: float) -> float:
     """Exponential-moment bound on P(U > x).
 
     Minimizes exp(-s*x + sum_j lambda_j (e^{s j} - 1)) over a fixed grid of
-    s values.  The exponents are formed first and a single exp is taken of
-    their minimum, so the evaluation never overflows.
+    s values.  The exponents are formed first and exp is taken of their
+    minimum only when that is negative (the bound is 1 otherwise), so the
+    evaluation never overflows.
     """
     import numpy as np
 
-    J = params.max_cluster_size
-    s = np.geomspace(1e-2, 40.0 / J, 80)
-    j = np.arange(1, J + 1, dtype=float)
-    lam = np.asarray(params.rates)
-    cgf = np.expm1(np.outer(s, j)) @ lam  # sum_j lambda_j (e^{s j} - 1)
-    exponents = -s * x + cgf
-    return float(min(1.0, math.exp(np.min(exponents))))
+    s, e = _chernoff_grid(params.max_cluster_size)
+    cgf = e @ np.asarray(params.rates)  # sum_j lambda_j (e^{s j} - 1)
+    exponent = np.min(-s * x + cgf)
+    return math.exp(exponent) if exponent < 0.0 else 1.0
+
+
+def _panjer(jlam: list[float], p0: float, x_max: int) -> tuple[list[float], list[int]]:
+    """p[n] = (1/n) sum_{j <= min(n, J)} jlam[j-1] p[n-j] for n = 1..x_max, from p0.
+
+    Each sum runs over j in increasing order from 0.0, one rounding per
+    term; for J <= 3 it is written out from n = J on, with the last J
+    entries carried in locals, which gives the same bits as the loop over j
+    in less time.  Whenever an entry passes RESCALE_AT, it and the J - 1
+    entries before it, those the recursion still reads, are divided by
+    RESCALE_AT.  Returns the table and the first index of each such window.
+    """
+    J = len(jlam)
+    R = RESCALE_AT
+    p, starts = [p0], []
+    written_out = J <= 3 and x_max >= J
+    for n in range(1, J if written_out else x_max + 1):
+        acc = 0.0
+        for j in range(1, min(n, J) + 1):
+            acc += jlam[j - 1] * p[n - j]
+        pn = acc / n
+        p.append(pn)
+        if pn > R:  # rescale the J entries the recursion still reads
+            lo = max(0, n - J + 1)
+            p[lo : n + 1] = [v / R for v in p[lo : n + 1]]
+            starts.append(lo)
+    if not written_out:
+        return p, starts
+    push = p.append
+    if J == 1:
+        (c1,) = jlam
+        a1 = p[0]
+        for n in range(1, x_max + 1):
+            a1 = (0.0 + c1 * a1) / n
+            if a1 > R:
+                a1 /= R
+                starts.append(n)
+            push(a1)
+    elif J == 2:
+        c1, c2 = jlam
+        a1, a2 = p[1], p[0]
+        for n in range(2, x_max + 1):
+            pn = (0.0 + c1 * a1 + c2 * a2) / n
+            if pn > R:
+                pn, a1 = pn / R, a1 / R
+                p[-1] = a1
+                starts.append(n - 1)
+            a1, a2 = pn, a1
+            push(pn)
+    else:
+        c1, c2, c3 = jlam
+        a1, a2, a3 = p[2], p[1], p[0]
+        for n in range(3, x_max + 1):
+            pn = (0.0 + c1 * a1 + c2 * a2 + c3 * a3) / n
+            if pn > R:
+                pn, a1, a2 = pn / R, a1 / R, a2 / R
+                p[-2:] = a2, a1
+                starts.append(n - 2)
+            a1, a2, a3 = pn, a1, a2
+            push(pn)
+    return p, starts
 
 
 def cp_pmf(
@@ -269,33 +340,22 @@ def cp_pmf(
 
     if not 0.0 < mass_target < 1.0:
         raise ValueError("mass_target must lie in (0, 1)")
-    lam = params.total_rate
     th = theta(params, 1)
     sd = math.sqrt(th[0] + th[1])
-    x_max = max(16, int(math.ceil(th[0] + 10.0 * sd)) + 10 * params.max_cluster_size)
-    while chernoff_tail(params, x_max) > 1.0 - mass_target:
+    J = params.max_cluster_size
+    # past the cap, start at it: the bulk may not even be a finite float
+    x_max = max(16, math.ceil(min(th[0] + 10.0 * sd, x_cap)) + 10 * J)
+    while x_max <= x_cap and chernoff_tail(params, x_max) > 1.0 - mass_target:
         x_max *= 2
     if x_max > x_cap:
         raise TruncationCapError("truncation cap exceeded")
 
-    J = params.max_cluster_size
     jlam = [j * params.rates[j - 1] for j in range(1, J + 1)]
     # Start from log P(U=0) = -lambda: p[n] holds P(U=n) e^{shift} / RESCALE_AT^d,
     # where d counts the rescalings whose window began at or before n.
+    lam = params.total_rate
     shift = max(0.0, lam - LOG_P0_FLOOR)
-    p = [0.0] * (x_max + 1)
-    p[0] = math.exp(shift - lam)
-    starts = []
-    for n in range(1, x_max + 1):
-        acc = 0.0
-        for j in range(1, min(n, J) + 1):
-            acc += jlam[j - 1] * p[n - j]
-        pn = acc / n
-        p[n] = pn
-        if pn > RESCALE_AT:  # rescale the J entries the recursion still reads
-            lo = max(0, n - J + 1)
-            p[lo : n + 1] = [v / RESCALE_AT for v in p[lo : n + 1]]
-            starts.append(lo)
+    p, starts = _panjer(jlam, math.exp(shift - lam), x_max)
     p = np.array(p)
     if shift > 0.0:
         d = np.searchsorted(starts, np.arange(p.size), side="right")

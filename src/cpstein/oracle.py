@@ -44,8 +44,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .core import CompoundPoissonParams, cp_pmf, theta
+from .core import CompoundPoissonParams, TruncationCapError, cp_pmf, theta
 from .bounds import SteinFactorBound, encode_float
+from .exact import BudgetExceededError
 
 if TYPE_CHECKING:  # numpy loads in the functions that use it
     import numpy as np
@@ -65,6 +66,9 @@ __all__ = [
 
 TAIL_FOR_YMAX = 1e-8
 STABILITY_TOL = 1e-7
+# cells of the M x (y_max + 3) block that empirical_factors solves: 128 MB of
+# floats, about 400 MB of peak memory; theta_0 = 3000 takes 1.1e7 cells
+ORACLE_CELL_BUDGET = 16_000_000
 
 
 class ConvergenceError(RuntimeError):
@@ -130,6 +134,8 @@ def default_x_max(params: CompoundPoissonParams, y: int) -> int:
     max(4 (theta_0 + 10 sqrt(theta_0 + theta_1)), y + 20 J), rounded up."""
     th = theta(params, 1)
     bulk = 4.0 * (th[0] + 10.0 * math.sqrt(th[0] + th[1]))
+    if bulk == math.inf:  # far past any table cp_pmf builds
+        raise TruncationCapError("truncation cap exceeded")
     return int(math.ceil(max(bulk, y + 20.0 * params.max_cluster_size)))
 
 
@@ -146,16 +152,44 @@ def _tail(jl: list[float], lo: int, n: int, r: float) -> list[float]:
     This is (*) with constant right-hand side r and t = 0 beyond n.  It is
     stable for x > theta_0: an error in t(x+j) reaches t(x) multiplied by
     at most theta_0 / x.  Returns [t(lo), ..., t(n)] followed by J zeros.
+
+    The sum runs over j in increasing order from 0.0, one rounding per
+    term; for J <= 3 it is written out, with the last J values carried in
+    locals, which gives the same bits as the loop over j in less time.
     """
     J = len(jl)
-    t = [0.0] * (n - lo + 1 + J)
-    for i in range(n - lo, -1, -1):
-        s = 0.0
-        k = i
-        for c in jl:
-            k += 1
-            s += c * t[k]
-        t[i] = (s - r) / (lo + i)
+    if J > 3:
+        t = [0.0] * (n - lo + 1 + J)
+        for i in range(n - lo, -1, -1):
+            s = 0.0
+            k = i
+            for c in jl:
+                k += 1
+                s += c * t[k]
+            t[i] = (s - r) / (lo + i)
+        return t
+    t = [0.0] * J  # t(n + J), ..., t(n + 1), then t(n), ..., t(lo)
+    push = t.append
+    xs = range(n, lo - 1, -1)
+    if J == 1:
+        (c1,) = jl
+        a1 = 0.0
+        for x in xs:
+            a1 = (0.0 + c1 * a1 - r) / x
+            push(a1)
+    elif J == 2:
+        c1, c2 = jl
+        a1 = a2 = 0.0
+        for x in xs:
+            a1, a2 = (0.0 + c1 * a1 + c2 * a2 - r) / x, a1
+            push(a1)
+    else:
+        c1, c2, c3 = jl
+        a1 = a2 = a3 = 0.0
+        for x in xs:
+            a1, a2, a3 = (0.0 + c1 * a1 + c2 * a2 + c3 * a3 - r) / x, a1, a2
+            push(a1)
+    t.reverse()
     return t
 
 
@@ -178,44 +212,100 @@ def _tail_terms(jl: list[float], x0: int, M: int, t: list[float]) -> np.ndarray:
     return out
 
 
+def _factor(jl: list[float], x0: int, M: int) -> tuple[list, list[list[float]]]:
+    """Forward elimination of (*) at x = 0..x0 - 1, on f(1..M).
+
+    Equation x has -x on f(x) and j lambda_j on f(x + j), x + j <= M.  The
+    equations below x0 have one entry left of the diagonal, so each pivot
+    compares two scalars.  Returns the steps k = 0..x0 - 2, as (swap, m):
+    rows k and k + 1 trade places if swap, then row k + 1 loses m times row
+    k; and the rows U[k], k < x0, of the upper factor, on f(k + 1), ...,
+    f(k + J + 2).  The rows above x0 are the equations themselves.
+    """
+    J = len(jl)
+    inner = jl + [0.0]  # equation x on f(x + 1), ..., f(x + J + 1), for x + J <= M
+
+    def right(x: int) -> list[float]:
+        if x + J <= M:
+            return inner
+        return [c if x + j <= M else 0.0 for j, c in enumerate(jl, 1)] + [0.0]
+
+    steps, U = [], []
+    cur = right(0) + [0.0]
+    for x in range(1, x0):  # eliminate f(x) from equation x
+        d, nxt = -float(x), right(x)
+        swap = abs(d) > abs(cur[0])
+        if swap:  # equation x is the pivot row
+            m = cur[0] / d
+            U.append([d] + nxt)
+            cur = [a - m * c for a, c in zip(cur[1:], nxt)]
+        else:
+            m = d / cur[0]
+            U.append(cur)
+            cur = [a - m * c for a, c in zip(nxt, cur[1:])]
+        cur.append(0.0)
+        steps.append((swap, m))
+    if x0 > 0:
+        U.append(cur)
+    return steps, U
+
+
 def _block_solve(jl: list[float], x0: int, M: int, B: np.ndarray | list[float]) -> None:
     """Solve (*) at x = 0..M except x0 for f(1..M), in place on B.
 
     B has one row per equation, in order of x, and one column per
     right-hand side (a list of floats for a single one), with the terms in
     f(x), x > M, already moved there.  Banded Gaussian elimination with
-    partial pivoting: the equations below x0 have one entry left of the
-    diagonal, so each pivot compares two scalars; the equations above x0
-    are already triangular.  The matrix entries are Python floats, and each
-    row operation on B is one vectorised call across its columns.  On
-    return row i of B holds f(i + 1).
+    partial pivoting (``_factor``), then back substitution; the equations
+    above x0 are already triangular.  On an array each product and
+    difference is one numpy call across the columns, written into B or
+    into one scratch row, and a pivot swap exchanges the rows themselves.
+    On return row i of B holds f(i + 1).
     """
     J = len(jl)
+    steps, U = _factor(jl, x0, M)
+    above = [None] + jl + [0.0]  # row k >= x0, equation k + 1, right of its diagonal
+    if isinstance(B, list):
+        b = B[0]
+        for k, (swap, m) in enumerate(steps):
+            b_nxt = B[k + 1]
+            if swap:
+                b, b_nxt = b_nxt, b
+            b, B[k] = b_nxt - m * b, b
+        if x0 > 0:
+            B[x0 - 1] = b
+        for k in range(M - 1, -1, -1):
+            u, d = (U[k], U[k][0]) if k < x0 else (above, -float(k + 1))
+            b = B[k]
+            for i in range(1, min(J + 2, M - k)):
+                if u[i] != 0.0:
+                    b = b - u[i] * B[k + i]
+            B[k] = b / d
+        return
 
-    def eq(x: int) -> list[float]:
-        # coefficients of equation x on f(x), ..., f(x + J + 1)
-        return [-float(x)] + [c if x + j <= M else 0.0 for j, c in enumerate(jl, 1)] + [0.0]
+    import numpy as np
 
-    U = []  # row k of the upper factor, on f(k + 1), ..., f(k + J + 2)
-    cur, b = eq(0)[1:] + [0.0], B[0]
-    for k in range(x0 - 1):
-        nxt, b_nxt = eq(k + 1), B[k + 1]
-        if abs(nxt[0]) > abs(cur[0]):
-            cur, nxt, b, b_nxt = nxt, cur, b_nxt, b
-        m = nxt[0] / cur[0]
-        U.append(cur)  # row k is final; row k + 1 loses its column-k entry
-        cur = [a - m * c for a, c in zip(nxt[1:], cur[1:])] + [0.0]
-        b, B[k] = b_nxt - m * b, b
-    if x0 > 0:
-        U.append(cur)
-        B[x0 - 1] = b
-    U += [eq(x) for x in range(x0 + 1, M + 1)]
+    rows = list(B)  # row views: row k holds equation k's pending right-hand side
+    s = np.empty(B.shape[1])
+    mul, sub = np.multiply, np.subtract
+    for k, (swap, m) in enumerate(steps):
+        b, b_nxt = rows[k], rows[k + 1]
+        if swap:
+            mul(b_nxt, m, s)
+            sub(b, s, s)
+            b[...] = b_nxt
+            b_nxt[...] = s
+        else:
+            mul(b, m, s)
+            sub(b_nxt, s, b_nxt)
     for k in range(M - 1, -1, -1):
-        u, b = U[k], B[k]
+        u, d = (U[k], U[k][0]) if k < x0 else (above, -float(k + 1))
+        b = rows[k]
         for i in range(1, min(J + 2, M - k)):
             if u[i] != 0.0:
-                b = b - u[i] * B[k + i]
-        B[k] = b / u[0]
+                mul(rows[k + i], u[i], s)
+                sub(b, s, b)
+        np.divide(b, d, b)
 
 
 def _split(
@@ -347,7 +437,9 @@ def empirical_factors(
     right-hand side 1.  One elimination of the block x <= M solves every
     c_y and g for truncation at x_max and at 2 x_max; the sups are taken
     on the interior x <= x_max - J, and both pairs of sups must agree
-    within stability_tol.  The factors at 2 x_max are returned.
+    within stability_tol.  The factors at 2 x_max are returned.  A block
+    of more than ORACLE_CELL_BUDGET cells, M x (y_max + 3), raises
+    BudgetExceededError before anything is allocated.
     """
     import numpy as np
 
@@ -368,6 +460,11 @@ def empirical_factors(
     if x_max is None:
         x_max = default_x_max(params, y_max)
     jl, x0, M = _split(params, table.pmf, y_max)
+    if M * (y_max + 3) > ORACLE_CELL_BUDGET:
+        raise BudgetExceededError(
+            f"oracle block of M = {M} equations by y_max + 3 = {y_max + 3} thresholds"
+            f" exceeds budget {ORACLE_CELL_BUDGET} cells"
+        )
     J = len(jl)
     n = max(int(x_max), M + J)
     tails = [_tail(jl, M + 1, n, 1.0), _tail(jl, M + 1, 2 * n, 1.0)]

@@ -343,6 +343,36 @@ def test_bound_monotone_caps():
     assert b.m1 == 0.5
 
 
+@pytest.mark.parametrize("lam1", [6.6e307, 1e308, 1.7976931348623157e308])
+def test_bound_monotone_where_e_lambda1_overflows(lam1):
+    # e * lambda_1 is inf: 2/e divided by lambda_1, not 2 / inf = 0
+    b = bound_monotone(CompoundPoissonParams([lam1]))
+    assert b.applicable
+    assert 0.0 < b.m0 < 1e-153
+    assert_allclose(b.m0, math.sqrt(2.0 / math.e / lam1), rtol=1e-15)
+
+
+def test_factors_from_delta_bit_identical_where_products_are_finite():
+    # the formulas as first written, wherever 2 delta and pi delta are finite
+    for delta in (1e-300, 5e-300, 0.3, 1.0, 7.5, 1e10, 1e300, 5.6e307):
+        m0 = 2.0 * math.sqrt(2.0 / delta)
+        m1 = (1.0 / (2.0 * delta)) * (1.0 + log_plus(math.pi * delta))
+        assert _factors_from_delta(delta) == (m0, m1)
+
+
+@pytest.mark.parametrize("delta", [5.8e307, 1e308, 1.7976931348623157e308])
+def test_factors_from_delta_where_products_overflow(delta):
+    m0, m1 = _factors_from_delta(delta)
+    assert 0.0 < m0 and 0.0 < m1 < math.inf
+    assert_allclose(m1, (0.5 / delta) * (1.0 + math.log(math.pi) + math.log(delta)), rtol=1e-15)
+
+
+def test_bounds_positive_at_rates_near_the_float_limit():
+    for rates in ([1e308], [0.75e308, 0.25e308], [5.9e307, 1e300]):
+        for b in evaluate_all(CompoundPoissonParams(rates)):
+            assert not b.applicable or (b.m0 > 0.0 and b.m1 > 0.0), (rates, b)
+
+
 def test_bound_monotone_inapplicable():
     b = bound_monotone(CompoundPoissonParams([0.5, 0.3]))
     assert not b.applicable

@@ -445,6 +445,9 @@ EMITTER_PAYLOADS = [
     {"s": 'quote " and back\\slash', "l": ['\\"', "", "plain"], 'k"ey': "v"},
     {"x": np.float64(0.1), "y": np.float64(math.inf), "z": [np.float64(2.5), 0.3, np.float64(-1e-300)]},
     [np.float64(1.0), 2.0],
+    [0.1, -0.0, 5e-324, 1.7976931348623157e308, -2.5e-310, 1e16, 123456789.125] * 40,
+    [1e308, 1e308, 0.5],  # finite, but their sum overflows
+    {"f": [1.0, 2.0, 3.0], "g": [[0.25, -1e-300], [True, 1.5], [1, 2.0], ["a", 0.5]]},
     (1, "two", 3.0),
     np.float64(math.nan),
     "top-level string",
@@ -631,6 +634,19 @@ def test_pmf_mass_shortfall_exit_three(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "mass target" in err
+
+
+@pytest.mark.parametrize("total", [1e-300, 1.0, 1e5, 1e10, 1e300, 1e308])
+def test_commands_over_the_full_rate_range(capsys, total):
+    # every command ends in an answer, a failed inequality or a refused
+    # budget: no traceback, and no usage error for a valid --rates
+    for rates in ([total], [0.75 * total, 0.25 * total]):
+        arg = ",".join(map(repr, rates))
+        for command in (["bounds"], ["verify"], ["pmf"], ["stein-solve", "--y", "3"]):
+            code, out, err = run_cli(capsys, command[0], "--rates", arg, *command[1:])
+            assert code in (0, 1, 3), (command, arg, err)
+            assert (out == "") == (code == 3), (command, arg)
+            assert code != 3 or err.startswith("error: "), (command, arg, err)
 
 
 def test_oracle_leaves_out_scipy_linalg():

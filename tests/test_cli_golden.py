@@ -110,6 +110,12 @@ COMMANDS = [
     "verify --model reliability --n 6 --k 2 --q 0.3 --exact",
     "verify --model reliability --n 12 --k 2 --q 0.3 --exact",
     "pmf --model runs --n 5000 --p 0.1",
+    # past cp_pmf's truncation cap, past the oracle's block budget, and
+    # rates whose bound formulas overflow: exit 3, 3, 3 and 0
+    "pmf --rates 1e308",
+    "verify --rates 1e300",
+    "verify --rates 1e5",
+    "bounds --rates 1e308",
 ]
 
 

@@ -10,9 +10,11 @@ from numpy.testing import assert_allclose
 from scipy import special
 
 from cpstein import (
+    BudgetExceededError,
     CompoundPoissonParams,
     ConvergenceError,
     EmpiricalFactors,
+    TruncationCapError,
     bound_general,
     bound_monotone,
     cp_pmf,
@@ -23,6 +25,7 @@ from cpstein import (
     solve_stein,
     verify_bound,
 )
+from cpstein import oracle
 from cpstein.oracle import default_x_max
 
 
@@ -328,3 +331,27 @@ def test_verify_bound_uses_given_factors():
     rep = verify_bound(params, b, emp=fake)
     assert not rep.passed
     assert (rep.m0_hat, rep.y_max, rep.x_max) == (b.m0 * 2.0, 3, 7)
+
+
+def test_empirical_factors_block_budget(monkeypatch):
+    # verify --rates 8 solves a block of M = 30 equations by y_max + 3 = 31
+    # thresholds, 930 cells
+    params = CompoundPoissonParams([8.0])
+    emp = empirical_factors(params)
+    monkeypatch.setattr(oracle, "ORACLE_CELL_BUDGET", 930)
+    assert empirical_factors(params) == emp
+    monkeypatch.setattr(oracle, "ORACLE_CELL_BUDGET", 929)
+    with pytest.raises(BudgetExceededError, match=r"M = 30 equations by y_max \+ 3 = 31"):
+        empirical_factors(params)
+
+
+def test_empirical_factors_refuses_before_allocating():
+    # the block at total rate 1e5 would take 77 GiB
+    with pytest.raises(BudgetExceededError, match="exceeds budget"):
+        empirical_factors(CompoundPoissonParams([1e5]))
+    assert oracle.ORACLE_CELL_BUDGET >= 3314 * 3315  # verify --rates 3000
+
+
+def test_default_x_max_past_the_float_range():
+    with pytest.raises(TruncationCapError):
+        default_x_max(CompoundPoissonParams([1e308]), 3)

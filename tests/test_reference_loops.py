@@ -1,0 +1,293 @@
+"""Bit identity of the oracle and pmf hot loops against their first versions.
+
+The Stein elimination works in place on preallocated rows, and the scalar
+recurrences of ``cp_pmf`` and of the oracle's tail write the sum over rates
+out for J <= 3.  Each rewrite runs the same float operations in the same
+order, so the results must agree bit for bit, -0.0 and all, with the loops
+as first written, which are kept here: ``block_solve_reference``,
+``tail_reference``, ``panjer_reference`` and ``chernoff_tail_reference``.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+import numpy as np
+import pytest
+
+from cpstein import core, oracle
+from cpstein import (
+    CompoundPoissonParams,
+    ConvergenceError,
+    TruncationCapError,
+    chernoff_tail,
+    cp_pmf,
+    empirical_factors,
+    solve_stein,
+)
+from cpstein.oracle import default_x_max
+
+# ---------------------------------------------------------------------------
+# the loops as first written
+
+
+def chernoff_tail_reference(params, x):
+    J = params.max_cluster_size
+    s = np.geomspace(1e-2, 40.0 / J, 80)
+    j = np.arange(1, J + 1, dtype=float)
+    lam = np.asarray(params.rates)
+    cgf = np.expm1(np.outer(s, j)) @ lam
+    exponents = -s * x + cgf
+    return float(min(1.0, math.exp(np.min(exponents))))
+
+
+def panjer_reference(jlam, p0, x_max):
+    J = len(jlam)
+    p = [0.0] * (x_max + 1)
+    p[0] = p0
+    starts = []
+    for n in range(1, x_max + 1):
+        acc = 0.0
+        for j in range(1, min(n, J) + 1):
+            acc += jlam[j - 1] * p[n - j]
+        pn = acc / n
+        p[n] = pn
+        if pn > core.RESCALE_AT:
+            lo = max(0, n - J + 1)
+            p[lo : n + 1] = [v / core.RESCALE_AT for v in p[lo : n + 1]]
+            starts.append(lo)
+    return p, starts
+
+
+def cp_pmf_reference(params, mass_target=core.DEFAULT_MASS_TARGET, x_cap=core.DEFAULT_X_CAP):
+    lam = params.total_rate
+    th = core.theta(params, 1)
+    sd = math.sqrt(th[0] + th[1])
+    x_max = max(16, int(math.ceil(th[0] + 10.0 * sd)) + 10 * params.max_cluster_size)
+    while chernoff_tail_reference(params, x_max) > 1.0 - mass_target:
+        x_max *= 2
+    if x_max > x_cap:
+        raise TruncationCapError("truncation cap exceeded")
+    J = params.max_cluster_size
+    jlam = [j * params.rates[j - 1] for j in range(1, J + 1)]
+    shift = max(0.0, lam - core.LOG_P0_FLOOR)
+    p, starts = panjer_reference(jlam, math.exp(shift - lam), x_max)
+    p = np.array(p)
+    if shift > 0.0:
+        d = np.searchsorted(starts, np.arange(p.size), side="right")
+        with np.errstate(divide="ignore"):
+            p = np.exp(np.log(p) + (d * math.log(core.RESCALE_AT) - shift))
+        p[p < np.finfo(float).tiny] = 0.0
+    tail = max(0.0, 1.0 - float(p.sum()))
+    if tail > 1.0 - mass_target + core.MASS_TOL:
+        raise TruncationCapError("pmf does not reach its mass target")
+    return core.DistributionTable(pmf=p, tail_mass=tail)
+
+
+def tail_reference(jl, lo, n, r):
+    J = len(jl)
+    t = [0.0] * (n - lo + 1 + J)
+    for i in range(n - lo, -1, -1):
+        s = 0.0
+        k = i
+        for c in jl:
+            k += 1
+            s += c * t[k]
+        t[i] = (s - r) / (lo + i)
+    return t
+
+
+def block_solve_reference(jl, x0, M, B):
+    J = len(jl)
+
+    def eq(x):
+        return [-float(x)] + [c if x + j <= M else 0.0 for j, c in enumerate(jl, 1)] + [0.0]
+
+    U = []
+    cur, b = eq(0)[1:] + [0.0], B[0]
+    for k in range(x0 - 1):
+        nxt, b_nxt = eq(k + 1), B[k + 1]
+        if abs(nxt[0]) > abs(cur[0]):
+            cur, nxt, b, b_nxt = nxt, cur, b_nxt, b
+        m = nxt[0] / cur[0]
+        U.append(cur)
+        cur = [a - m * c for a, c in zip(nxt[1:], cur[1:])] + [0.0]
+        b, B[k] = b_nxt - m * b, b
+    if x0 > 0:
+        U.append(cur)
+        B[x0 - 1] = b
+    U += [eq(x) for x in range(x0 + 1, M + 1)]
+    for k in range(M - 1, -1, -1):
+        u, b = U[k], B[k]
+        for i in range(1, min(J + 2, M - k)):
+            if u[i] != 0.0:
+                b = b - u[i] * B[k + i]
+        B[k] = b / u[0]
+
+
+@pytest.fixture
+def reference(monkeypatch):
+    """Within the block: the oracle and cp_pmf run on the reference loops."""
+
+    def use():
+        monkeypatch.setattr(oracle, "_block_solve", block_solve_reference)
+        monkeypatch.setattr(oracle, "_tail", tail_reference)
+        monkeypatch.setattr(oracle, "cp_pmf", cp_pmf_reference)
+
+    return use
+
+
+# ---------------------------------------------------------------------------
+# the seeded input set
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _rates(rng: random.Random, J: int, total: float) -> list[float]:
+    """J rates summing to about ``total``; about one in three is 0 (never all)."""
+    w = [0.0 if rng.random() < 0.3 else rng.random() for _ in range(J)]
+    if not any(w):
+        w[rng.randrange(J)] = 1.0
+    s = math.fsum(w)
+    return [total * v / s for v in w]
+
+
+def _cases(seed: int, count: int, lo: float, hi: float) -> list[list[float]]:
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        J = 1 + i % 5
+        total = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+        out.append(_rates(rng, J, total))
+    return out
+
+
+# lattice laws (U on d Z, d > 1), zero rates inside and at the ends, -0.0
+# rates, and the worked examples (2, 0, 10), (0, 0, 10) and (0, 20)
+FIXED = [
+    [2.0, 0.0, 10.0],
+    [0.0, 0.0, 10.0],
+    [0.0, 20.0],
+    [0.0, 3.0, 0.0, 1.5],
+    [0.7, 0.0, 0.0, 0.0, 0.4],
+    [1.0, -0.0],
+    [-0.0, 0.0, 4.0],
+    [0.3, 0.1, 0.05, 0.02, 0.01],
+    [110.0, 20.0],
+    [4.0, 1.0, 0.5],
+]
+PMF_CASES = FIXED + _cases(13, 40, 1e-3, 1000.0) + [[699.9, 0.1], [700.0], [800.0, 150.0]]
+# past a total rate of 700 cp_pmf rescales its table
+ORACLE_CASES = FIXED + _cases(17, 25, 1e-3, 60.0) + [[750.0], [600.0, 100.0, 20.0]]
+
+
+def _ids(cases):
+    return [",".join(f"{r:.4g}" for r in rates) for rates in cases]
+
+
+# ---------------------------------------------------------------------------
+# tests
+
+
+@pytest.mark.parametrize("rates", PMF_CASES, ids=_ids(PMF_CASES))
+def test_cp_pmf_bit_identical_to_reference(rates):
+    params = CompoundPoissonParams(rates)
+    want = cp_pmf_reference(params)
+    got = cp_pmf(params)
+    assert _bits(got.pmf) == _bits(want.pmf)
+    assert _bits(got.tail_mass) == _bits(want.tail_mass)
+
+
+@pytest.mark.parametrize("J", [1, 2, 3, 4, 5])
+def test_panjer_bit_identical_to_reference_with_rescaling(J):
+    # start at 1 and let the entries grow past 2^600: every J rescales
+    rng = random.Random(J)
+    jlam = [rng.choice([0.0, rng.uniform(200.0, 800.0)]) for _ in range(J - 1)] + [1000.0]
+    got, got_starts = core._panjer(jlam, 1.0, 1500)
+    want, want_starts = panjer_reference(jlam, 1.0, 1500)
+    assert want_starts and got_starts == want_starts
+    assert _bits(got) == _bits(want)
+
+
+def test_panjer_bit_identical_to_reference_on_short_tables():
+    for J in range(1, 6):
+        jlam = [0.5 * j for j in range(1, J + 1)]
+        for x_max in range(0, 6):
+            got, want = core._panjer(jlam, 0.25, x_max), panjer_reference(jlam, 0.25, x_max)
+            assert _bits(got[0]) == _bits(want[0]) and got[1] == want[1] == []
+
+
+@pytest.mark.parametrize("J", [1, 2, 3, 4, 5])
+def test_tail_bit_identical_to_reference(J):
+    rng = random.Random(100 + J)
+    for _ in range(20):
+        jl = [rng.choice([0.0, -0.0, rng.uniform(0.0, 50.0)]) for _ in range(J)]
+        lo = rng.randrange(1, 80)  # lo = M + 1 >= 1
+        n = lo - 1 + rng.randrange(0, 300)
+        r = rng.choice([1.0, -0.4, 0.0, -0.0])
+        assert _bits(oracle._tail(jl, lo, n, r)) == _bits(tail_reference(jl, lo, n, r))
+    # every product -0.0: only the sum's 0.0 start makes it +0.0
+    for r in (0.0, -0.0):
+        jl = [-0.0] * J
+        assert _bits(oracle._tail(jl, 1, 5, r)) == _bits(tail_reference(jl, 1, 5, r))
+
+
+def test_chernoff_tail_bit_identical_to_reference():
+    for rates in PMF_CASES[::3] + [[1e-300, 2.0], [300.0]]:
+        params = CompoundPoissonParams(rates)
+        for x in (0, 1, 17, 250, 4096, 10**6):
+            assert _bits(chernoff_tail(params, x)) == _bits(chernoff_tail_reference(params, x))
+
+
+@pytest.mark.parametrize("rates", [[1e9], [1e300], [5e307, 0.0, 1.0], [1e308, 1e308]])
+def test_chernoff_tail_is_one_where_the_reference_overflowed(rates):
+    params = CompoundPoissonParams(rates)
+    with np.errstate(over="ignore"):
+        with pytest.raises(OverflowError):
+            chernoff_tail_reference(params, 16)
+        assert chernoff_tail(params, 16) == 1.0
+
+
+def _solve_cases():
+    rng = random.Random(29)
+    for rates in ORACLE_CASES:
+        params = CompoundPoissonParams(rates)
+        theta0 = math.fsum(j * r for j, r in enumerate(rates, 1))
+        y = rng.randrange(0, int(2 * theta0) + 3)
+        x_max = rng.choice([None, y + 1, default_x_max(params, y) // 2 + 1])
+        yield rates, y, x_max
+
+
+@pytest.mark.parametrize("rates, y, x_max", list(_solve_cases()), ids=_ids(ORACLE_CASES))
+def test_solve_stein_bit_identical_to_reference(rates, y, x_max, reference):
+    params = CompoundPoissonParams(rates)
+    x_max = default_x_max(params, y) if x_max is None else x_max
+    got = solve_stein(params, y, x_max)
+    reference()
+    want = solve_stein(params, y, x_max)
+    assert _bits(got.f) == _bits(want.f)
+    assert _bits([got.eh_u, got.residual0]) == _bits([want.eh_u, want.residual0])
+
+
+def _factors(params, **kw):
+    try:
+        emp = empirical_factors(params, **kw)
+    except ConvergenceError as exc:
+        return repr(exc)
+    return (_bits([emp.m0_hat, emp.m1_hat]), emp.y_max, emp.x_max)
+
+
+@pytest.mark.parametrize("rates", ORACLE_CASES, ids=_ids(ORACLE_CASES))
+def test_empirical_factors_bit_identical_to_reference(rates, reference):
+    params = CompoundPoissonParams(rates)
+    got = _factors(params)
+    table = cp_pmf(params)
+    y_max = int(np.argmax(1.0 - table.cdf() + table.tail_mass <= oracle.TAIL_FOR_YMAX))
+    # an explicit window: a larger y_max, and x_max at its floor M + J
+    got_window = _factors(params, y_max=y_max + 3, x_max=1)
+    reference()
+    assert got == _factors(params)
+    assert got_window == _factors(params, y_max=y_max + 3, x_max=1)
