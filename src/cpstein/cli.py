@@ -94,12 +94,11 @@ def dumps(obj, indent: int = 0) -> str:
         if not obj:
             return "[]"
         sep = f",\n{inner}"
-        if {*map(type, obj)} != {float}:
-            body = sep.join(dumps(v, indent + 1) for v in obj)
-        elif math.isfinite(sum(obj)):  # a finite sum: no inf or nan among them
+        # a finite sum means no inf or nan, which _fmt_float prints as strings
+        if {*map(type, obj)} == {float} and math.isfinite(sum(obj)):
             body = sep.join(["%.17g"] * len(obj)) % tuple(obj)
         else:
-            body = sep.join(map(_fmt_float, obj))
+            body = sep.join(dumps(v, indent + 1) for v in obj)
         return "[\n" + inner + body + "\n" + pad + "]"
     for base in (int, float, str):  # bool admits no subclass
         if isinstance(obj, base):

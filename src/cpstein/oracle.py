@@ -154,8 +154,10 @@ def _tail(jl: list[float], lo: int, n: int, r: float) -> list[float]:
     at most theta_0 / x.  Returns [t(lo), ..., t(n)] followed by J zeros.
 
     The sum runs over j in increasing order from 0.0, one rounding per
-    term; for J <= 3 it is written out, with the last J values carried in
+    term; for J <= 3 it is written out, with the last values carried in
     locals, which gives the same bits as the loop over j in less time.
+    J = 2 runs the J = 3 form with c3 = 0.0: the running sum is never -0.0,
+    so adding 0.0 * t, t finite, leaves its bits as they are.
     """
     J = len(jl)
     if J > 3:
@@ -177,14 +179,8 @@ def _tail(jl: list[float], lo: int, n: int, r: float) -> list[float]:
         for x in xs:
             a1 = (0.0 + c1 * a1 - r) / x
             push(a1)
-    elif J == 2:
-        c1, c2 = jl
-        a1 = a2 = 0.0
-        for x in xs:
-            a1, a2 = (0.0 + c1 * a1 + c2 * a2 - r) / x, a1
-            push(a1)
     else:
-        c1, c2, c3 = jl
+        c1, c2, c3 = jl + [0.0] * (3 - J)
         a1 = a2 = a3 = 0.0
         for x in xs:
             a1, a2, a3 = (0.0 + c1 * a1 + c2 * a2 + c3 * a3 - r) / x, a1, a2

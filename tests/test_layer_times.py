@@ -41,4 +41,3 @@ def test_layer_times_quick():
         assert case["n"] == doc["repeat"] == 3
         assert 0.0 < case["min_s"] <= case["median_s"], layer
         assert case["params"], layer
-    assert doc["total_s"] < 2.0  # import included

@@ -1,6 +1,6 @@
 """Wall time of each numerical layer of cpstein at small, medium and large parameters.
 
-    PYTHONPATH=src python tools/layer_times.py [--quick] [--repeat N] [--layer NAME ...]
+    python tools/layer_times.py [--quick]
 
 Run from the root of a source checkout.  Each case calls one public function
 on fixed parameters: one untimed call first (it loads numpy or scipy and
@@ -134,15 +134,11 @@ def _time(call, repeat: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="small cases only, N = 3")
-    parser.add_argument("--repeat", type=int, help="timed calls per case (default 15)")
-    parser.add_argument("--layer", action="append", help="time only this layer (repeatable)")
     args = parser.parse_args(argv)
-    repeat = args.repeat or (3 if args.quick else 15)
+    repeat = 3 if args.quick else 15
     sizes = ("small",) if args.quick else ("small", "medium", "large")
     out: dict = {"repeat": repeat, "layers": {}}
     for layer, cases in CASES.items():
-        if args.layer and layer not in args.layer:
-            continue
         out["layers"][layer] = {
             size: {"params": given, **_time(_call(layer, given), repeat)}
             for size, given in cases.items()
