@@ -202,8 +202,7 @@ def g_k_grid(th: ThetaVector, k: int, phis: np.ndarray, ps: np.ndarray) -> np.nd
 
     if k < 1:
         raise ValueError("k must be >= 1")
-    if th.order < k:
-        raise ValueError("theta order insufficient")
+    th.require(k)
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     ps = np.atleast_1d(np.asarray(ps, dtype=float))
     R = _ratio_columns(k, phis)
@@ -400,8 +399,7 @@ def delta_k(th: ThetaVector, k: int) -> DeltaResult:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if th.order < k:
-        raise ValueError("theta order insufficient")
+    th.require(k)
     if k == 1:
         delta = th[0] - 2.0 * th[1]
         return DeltaResult(1, delta, (math.pi, 0.0), True, delta)
@@ -460,6 +458,8 @@ def bound_monotone(params: CompoundPoissonParams) -> SteinFactorBound:
 def bound_bx99(th: ThetaVector) -> SteinFactorBound:
     """Bound under theta_0 - 2 theta_1 > 0: m0 = sqrt(theta_0)/(theta_0-2 theta_1)."""
     th.require(1)
+    if not th.finite:
+        return _inapplicable("BX99", "theta not finite")
     t0, t1 = th.values[:2]
     gap = t0 - 2.0 * t1
     if not gap > 0.0:
@@ -475,6 +475,8 @@ def bound_thm2(th: ThetaVector, k: int) -> SteinFactorBound:
     Uses the lower end of ``delta_k``: the closed form where there is one,
     else the certified lower bound of the Bernstein enclosure."""
     method = f"THM2({k})"
+    if not th.finite:
+        return _inapplicable(method, "theta not finite")
     dr = delta_k(th, k)
     if not dr.lower > 0.0:
         return _inapplicable(method, f"delta_{k} = {dr.lower:g} <= 0")
@@ -490,6 +492,8 @@ def bound_cor3(th: ThetaVector) -> SteinFactorBound:
     enclosure, when theta_2 >= 2 theta_1, where no closed form is available.
     """
     th.require(3)
+    if not th.finite:
+        return _inapplicable("COR3", "theta not finite")
     delta = _cor3_delta(th)
     if delta is None:
         return bound_thm2(th, 3)
@@ -544,6 +548,8 @@ def bound_thm4(th: ThetaVector) -> SteinFactorBound:
     """Overdispersed-regime bound: for 2 theta_1 > theta_0,
     delta = gamma/(2 sqrt(pi) e^{1.5 gamma}) with gamma = 2 theta_1 - theta_0."""
     th.require(1)
+    if not th.finite:
+        return _inapplicable("THM4", "theta not finite")
     t0, t1 = th.values[:2]
     gamma = 2.0 * t1 - t0
     if not gamma > 0.0:
@@ -562,6 +568,8 @@ def regime_classify(th: ThetaVector) -> str:
     as ``bound_bx99`` and ``bound_cor3`` judge them, without an enclosure.
     """
     th.require(3)
+    if not th.finite:
+        return "GENERAL_ONLY"
     if bound_bx99(th).applicable:
         return "BX99_OK"
     cor3 = _cor3_delta(th)

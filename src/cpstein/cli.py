@@ -25,11 +25,12 @@ import io
 import math
 import os
 import sys
+from dataclasses import fields
 
 from .bounds import best_of, encode_float, evaluate_all
 from .core import CompoundPoissonParams, TruncationCapError, cp_pmf, theta
 from .exact import BudgetExceededError, distance
-from .models import MODELS, model_from_json, regime_classify
+from .models import MIXINGS, MODELS, model_from_json, regime_classify
 from .oracle import (
     ConvergenceError,
     default_x_max,
@@ -183,7 +184,7 @@ def _flag(key: str) -> str:
 
 
 # list-valued model flags and the values their usage message names
-_LIST_FLAGS = {"two_point": "a,b,w", "gamma": "shape,scale"}
+_LIST_FLAGS = {mix.tag: ",".join(f.name for f in fields(mix)) for mix in MIXINGS}
 
 
 def _json_value(key: str, value):
@@ -228,13 +229,19 @@ def _build_params(args, model) -> CompoundPoissonParams:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _catalogue(params: CompoundPoissonParams):
+    """theta to order 3, the bound catalogue on it and its componentwise best."""
+    th = theta(params, 3)
+    bounds = evaluate_all(params, th=th)
+    return th, bounds, best_of(bounds)
+
+
 def cmd_bounds(args) -> tuple[int, str]:
     model = _build_model(args)
     params = _build_params(args, model)
-    th = theta(params, 3)
-    bounds = evaluate_all(params, th=th)
+    th, bounds, bb = _catalogue(params)
     rows = [b.to_json() for b in bounds]
-    best = best_of(bounds).to_json()
+    best = bb.to_json()
     payload = {
         "rates": list(params.rates),
         "theta": [th[i] for i in range(4)],
@@ -254,7 +261,7 @@ def cmd_verify(args) -> tuple[int, str]:
     emp = empirical_factors(params)
     checks = []
     all_ok = True
-    bounds = evaluate_all(params)
+    _, bounds, bb = _catalogue(params)
     for b in bounds:
         if not b.applicable:
             continue
@@ -276,7 +283,6 @@ def cmd_verify(args) -> tuple[int, str]:
         exact_table = model.exact_law(args.samples, args.seed, args.exact)
         rep = distance(exact_table, cp_pmf(params))
         payload["distance"] = rep.to_json()
-        bb = best_of(bounds)
         dk_bound = model.dk_bound(bb.m1)
         if dk_bound is not None:
             upper = rep.d_k + rep.certified_slack - 4.0 * rep.mc_stderr
@@ -332,15 +338,12 @@ def _bound_columns(method: str) -> tuple[str, str]:
 def _sweep_row(obj: dict) -> dict:
     model = model_from_json(obj)
     row = dict(obj)
-    params = model.cp_params()
-    th = theta(params, 3)
+    th, bounds, bb = _catalogue(model.cp_params())
     row.update(zip(_THETA_COLUMNS, th.values))
-    bounds = evaluate_all(params, th=th)
     for b in bounds:
         applicable, m1 = _bound_columns(b.method)
         row[applicable] = b.applicable
         row[m1] = b.m1
-    bb = best_of(bounds)
     row["best_method"] = bb.method
     row["best_m1"] = bb.m1
     dk = model.dk_bound(bb.m1)
@@ -397,8 +400,16 @@ def build_parser() -> argparse.ArgumentParser:
         _add_input_args(sp)
         sp.add_argument("--format", choices=["json", "csv"], default="json")
         sp.add_argument("--output", help="write to file (atomic) instead of stdout")
+
+    def exact_law(sp):  # for the commands that compute a model's exact law
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
         sp.add_argument("--samples", type=int, default=DEFAULT_MC_SAMPLES)
+        sp.add_argument(
+            "--exact",
+            action="store_true",
+            help="use the exact transfer-matrix reliability law (n <= 11 at "
+            "k = 2, n <= 8 at k = 3) instead of Monte Carlo",
+        )
 
     sp = sub.add_parser("bounds", help="evaluate all Stein-factor bounds")
     common(sp)
@@ -406,12 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="verify bounds against oracles")
     common(sp)
-    sp.add_argument(
-        "--exact",
-        action="store_true",
-        help="use the exact transfer-matrix reliability law (n <= 11 at "
-        "k = 2, n <= 8 at k = 3) instead of Monte Carlo",
-    )
+    exact_law(sp)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("sweep", help="evaluate bounds over a parameter grid")
@@ -434,12 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="exact",
         help="exact model law (default) or compound Poisson approximant",
     )
-    sp.add_argument(
-        "--exact",
-        action="store_true",
-        help="use the exact transfer-matrix reliability law (n <= 11 at "
-        "k = 2, n <= 8 at k = 3) instead of Monte Carlo",
-    )
+    exact_law(sp)
     sp.set_defaults(func=cmd_pmf)
     return parser
 

@@ -99,15 +99,17 @@ class CompoundPoissonParams:
 
 @dataclass(frozen=True)
 class ThetaVector:
-    """Factorial-moment sums theta_0..theta_K of a rate sequence."""
+    """Factorial-moment sums theta_0..theta_K of rates; ``finite`` when all of them are."""
 
     values: tuple[float, ...]
+    finite: bool = field(init=False, repr=False, compare=False)
 
     def __init__(self, values: Sequence[float]):
         values = tuple(map(float, values))
         if len(values) == 0:
             raise ValueError("theta vector must contain at least theta_0")
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "finite", all(map(math.isfinite, values)))
 
     @property
     def order(self) -> int:

@@ -381,36 +381,26 @@ def interior_residuals(sol: SteinSolution) -> np.ndarray:
     return h - sol.eh_u - (s - x * sol.f[x])
 
 
-def _block_sups(
-    C: np.ndarray, P: np.ndarray, g: np.ndarray
-) -> tuple[float, float, np.ndarray]:
-    """Sups over y of |f_y(x)| on the block x = 1..M and of |f_y(x+1) - f_y(x)|
-    on x = 1..M-1, where f_y = C[:, y] - P[y] g; also f_y(M) for every y."""
-    import numpy as np
-
-    F = np.outer(g, P)
-    np.subtract(C, F, out=F)
-    D = F[1:] - F[:-1]
-    return max(F.max(), -F.min()), max(D.max(), -D.min()), F[-1]
-
-
 def _sups(
-    block: tuple[float, float, np.ndarray], P: np.ndarray, g_tail: list[float]
+    C: np.ndarray, P: np.ndarray, g: np.ndarray, g_tail: list[float]
 ) -> tuple[float, float]:
     """Sups of |f_y| and |f_y(x+1) - f_y(x)| over y and over x = 1..hi.
 
-    ``block`` is ``_block_sups`` of the block x = 1..M.  Above it f_y(x) =
+    On the block x = 1..M, f_y = C[:, y] - P[y] g.  Above it f_y(x) =
     -P[y] g(x), with ``g_tail`` holding g(M+1..hi+1); P is increasing, so
     there the sups over y are P[-1] times those of g.
     """
     import numpy as np
 
-    m0, m1, f_last = block
+    F = np.outer(g, P)
+    np.subtract(C, F, out=F)
+    D = F[1:] - F[:-1]
+    m0, m1 = max(F.max(), -F.min()), max(D.max(), -D.min())
     g = np.asarray(g_tail)
     m0 = max(m0, P[-1] * np.max(np.abs(g[:-1]), initial=0.0))
     m1 = max(
         m1,
-        np.max(np.abs(g[0] * P + f_last)),  # across x = M
+        np.max(np.abs(g[0] * P + F[-1])),  # across x = M
         P[-1] * np.max(np.abs(np.diff(g)), initial=0.0),
     )
     return float(m0), float(m1)
@@ -472,8 +462,8 @@ def empirical_factors(
     _block_solve(jl, x0, M, B)
     C, g_n, g_2n = B[:, : y_max + 1], B[:, y_max + 1], B[:, y_max + 2]
     # the interior of truncation at n ends at x = n - J
-    m0_a, m1_a = _sups(_block_sups(C, P, g_n), P, tails[0][: n - J - M + 1])
-    m0_b, m1_b = _sups(_block_sups(C, P, g_2n), P, tails[1][: 2 * n - J - M + 1])
+    m0_a, m1_a = _sups(C, P, g_n, tails[0][: n - J - M + 1])
+    m0_b, m1_b = _sups(C, P, g_2n, tails[1][: 2 * n - J - M + 1])
     if abs(m0_b - m0_a) <= stability_tol and abs(m1_b - m1_a) <= stability_tol:
         return EmpiricalFactors(m0_hat=m0_b, m1_hat=m1_b, y_max=y_max, x_max=2 * n)
     raise ConvergenceError("truncation not converged")
@@ -482,19 +472,17 @@ def empirical_factors(
 def verify_bound(
     params: CompoundPoissonParams,
     bound: SteinFactorBound,
-    y_max: int | None = None,
-    x_max: int | None = None,
     emp: EmpiricalFactors | None = None,
 ) -> VerifyReport:
     """Check m0_hat <= bound.m0 and m1_hat <= bound.m1 for an applicable bound.
 
     ``emp`` takes factors already measured for params, so that checking
-    several bounds runs the oracle once; y_max and x_max are then ignored.
+    several bounds runs the oracle once.
     """
     if not bound.applicable:
         raise ValueError("bound is not applicable; nothing to verify")
     if emp is None:
-        emp = empirical_factors(params, y_max=y_max, x_max=x_max)
+        emp = empirical_factors(params)
     ok = emp.m0_hat <= bound.m0 and emp.m1_hat <= bound.m1
     m0_slack = bound.m0 / emp.m0_hat if emp.m0_hat > 0.0 else math.inf
     m1_slack = bound.m1 / emp.m1_hat if emp.m1_hat > 0.0 else math.inf

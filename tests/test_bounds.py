@@ -474,6 +474,25 @@ def test_regime_classify_never_searches_the_grid(monkeypatch):
     assert row["cor3_applicable"]
 
 
+@pytest.mark.parametrize(
+    "values", [[math.inf, math.inf, math.inf, 0.0], [math.inf, 8e307, 0.0, 0.0]]
+)
+def test_non_finite_theta_is_inapplicable_without_enclosure(monkeypatch, values):
+    # unguarded, theta_0 = inf with a finite theta_1 gives BX99 a nan m0, and
+    # (inf, inf, inf, 0) runs the enclosure on nan coefficients
+    from cpstein import bounds
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("enclosure entered")
+
+    monkeypatch.setattr(bounds, "_bernstein_factors", forbidden)
+    th = ThetaVector(values)
+    for b in (bound_bx99(th), bound_cor3(th), bound_thm2(th, 3), bound_thm4(th)):
+        assert not b.applicable
+        assert b.condition_note == "theta not finite"
+    assert bounds.regime_classify(th) == "GENERAL_ONLY"
+
+
 @pytest.mark.parametrize("k", [3, 4, 5])
 @pytest.mark.parametrize("rates", [[1e-4], [0.5], [8.0], [37.5], [1e3], [5.0, 0.0, 0.0]])
 def test_delta_k_grid_constant_criterion(k, rates):

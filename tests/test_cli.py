@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,28 @@ def test_verify_runs_oracle_once(capsys, monkeypatch):
     assert code == 0
     assert len(json.loads(out)["checks"]) > 1
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv,rows",
+    [
+        (["bounds", "--rates", "1.0,0.2"], 1),
+        (["verify", "--model", "runs", "--n", "30", "--p", "0.15"], 1),
+        (["sweep", "--model", "runs", "--n", "50", "--p-range", "0.05:0.45:5"], 5),
+    ],
+)
+def test_catalogue_evaluated_once_per_row(capsys, monkeypatch, argv, rows):
+    calls = []
+    real = cli.evaluate_all
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_all", counting)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(calls) == rows
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +337,20 @@ def test_parser_reused_after_rejected_call(capsys):
     capsys.readouterr()
     assert run_cli(capsys, "bounds", "--rates", "1,0.2") == first
     assert cli._parser() is parser
+
+
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--samples", "20000"], ["--exact"]])
+@pytest.mark.parametrize("command", ["bounds", "sweep", "stein-solve", "verify", "pmf"])
+def test_law_flags_only_on_verify_and_pmf(capsys, command, flag):
+    # the exact-law flags are registered only where a command reads them
+    argv = [command, "--rates", "1", *flag]
+    if command in ("verify", "pmf"):
+        assert run_cli(capsys, *argv)[0] == 0
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
 def test_usage_error_missing_input(capsys):
@@ -487,6 +524,31 @@ def test_bounds_thm4_delta_underflow(capsys):
     doc = json.loads(out)
     assert doc["bounds"][4]["method"] == "THM4"
     assert doc["bounds"][4]["applicable"] is False
+
+
+@pytest.mark.parametrize(
+    "rates,applicable",
+    [("5e307,0,5e307", ["GENERAL"]), ("1.7e308,4e307", ["GENERAL", "MONOTONE"])],
+)
+def test_bounds_non_finite_theta(capsys, monkeypatch, rates, applicable):
+    # theta overflows to inf: reported as such, with no enclosure run and
+    # no warning or error on stderr
+    from cpstein import bounds
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("enclosure entered")
+
+    monkeypatch.setattr(bounds, "_bernstein_factors", forbidden)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "bounds", "--rates", rates)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert "inf" in doc["theta"]
+    assert doc["regime"] == "GENERAL_ONLY"
+    assert [b["method"] for b in doc["bounds"] if b["applicable"]] == applicable
+    notes = {b["method"]: b["note"] for b in doc["bounds"]}
+    assert notes["BX99"] == notes["COR3"] == notes["THM4"] == "theta not finite"
 
 
 def test_sweep_reliability_thm4_delta_underflow(capsys):
