@@ -118,10 +118,10 @@ def _csv_cell(v) -> str:
 
 
 def to_csv(rows: list[dict]) -> str:
-    """Flatten homogeneous records to CSV with a stable column order."""
+    """Flatten records to CSV; the header is every key, in first-seen order."""
     if not rows:
         return ""
-    header = list(rows[0].keys())
+    header = list(dict.fromkeys(k for row in rows for k in row))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -130,12 +130,8 @@ def to_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _emit(args, payload, csv_rows: list[dict] | None = None) -> str:
-    if args.format == "csv":
-        if csv_rows is None:
-            raise UsageError("csv output is not defined for this subcommand")
-        return to_csv(csv_rows)
-    return dumps(payload) + "\n"
+def _emit(args, payload, csv_rows: list[dict] | None) -> str:
+    return to_csv(csv_rows) if args.format == "csv" else dumps(payload) + "\n"
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -165,18 +161,20 @@ def _parse_floats(text: str, what: str) -> list[float]:
         raise UsageError(f"malformed {what}: {text!r}") from exc
 
 
-def _add_input_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--rates", help="comma-separated cluster rates lambda_1..lambda_J")
-    sp.add_argument("--model", choices=list(MODELS), help="model tag")
-    sp.add_argument("--n", type=int, help="runs circle length / reliability grid side")
-    sp.add_argument("--p", type=float, help="runs success probability")
-    sp.add_argument("--k", type=int, help="reliability subgrid side")
-    sp.add_argument("--q", type=float, help="reliability failure probability")
-    sp.add_argument("--two-point", dest="two_point", help="mixed Poisson mixing a,b,w")
-    sp.add_argument("--gamma", help="mixed Poisson gamma mixing shape,scale")
-    sp.add_argument(
-        "--components", help="sum components as semicolon-separated pmfs p0,p1,..."
-    )
+# model-input flags by JSON field: argparse type and help
+_INPUTS = {
+    "rates": (str, "comma-separated cluster rates lambda_1..lambda_J"),
+    "n": (int, "runs circle length / reliability grid side"),
+    "p": (float, "runs success probability"),
+    "k": (int, "reliability subgrid side"),
+    "q": (float, "reliability failure probability"),
+    "two_point": (str, "mixed Poisson mixing a,b,w"),
+    "gamma": (str, "mixed Poisson gamma mixing shape,scale"),
+    "components": (str, "sum components as semicolon-separated pmfs p0,p1,..."),
+}
+# the models sweep takes, each with the field of its range flag: sweep steps
+# the model's last key over start:stop:count
+_SWEPT = {tag: MODELS[tag].keys[-1] + "_range" for tag in ("runs", "reliability")}
 
 
 def _flag(key: str) -> str:
@@ -201,15 +199,28 @@ def _json_value(key: str, value):
 
 def _model_json(args, keys, what: str) -> dict:
     """The JSON form of --model from the flags named by ``keys``: each flag
-    carries the JSON field of its name; a tuple entry takes the first of its
-    alternatives given."""
+    carries the JSON field of its name; a tuple entry lists alternatives, of
+    which exactly one is given."""
     alts = [k if isinstance(k, tuple) else (k,) for k in keys]
     given = [next((k for k in a if getattr(args, k) is not None), None) for a in alts]
     if None in given:
         need = [" or ".join(map(_flag, a)) for a in alts]
         need = need[0] if len(need) == 1 else ", ".join(need[:-1]) + " and " + need[-1]
         raise UsageError(f"{args.model} {what} requires {need}")
+    _refuse_unread(args, given, f"{args.model} {what}", alts)
     return {"model": args.model, **{k: _json_value(k, getattr(args, k)) for k in given}}
+
+
+def _refuse_unread(args, read, what: str, alts=()) -> None:
+    """Refuse model input the command would drop: an input flag given but not
+    in ``read``.  One of ``alts``' alternatives there is a second one given."""
+    for key, value in vars(args).items():
+        if value is None or key in read or not (key in _INPUTS or key in _SWEPT.values()):
+            continue
+        alt = next((a for a in alts if key in a), None)
+        if alt is not None:
+            raise UsageError(f"{what} takes only one of {' and '.join(map(_flag, alt))}")
+        raise UsageError(f"{what} does not take {_flag(key)}")
 
 
 def _build_model(args):
@@ -223,6 +234,7 @@ def _build_params(args, model) -> CompoundPoissonParams:
         return model.cp_params()
     if args.rates is None:
         raise UsageError("provide --rates or --model")
+    _refuse_unread(args, ("rates",), "--rates input")
     return CompoundPoissonParams(_parse_floats(args.rates, "--rates"))
 
 
@@ -313,14 +325,10 @@ def _parse_range(text: str, what: str) -> list[float]:
 
 
 def cmd_sweep(args) -> tuple[int, str]:
-    # the swept parameter is the model's last key, given as --<key>-range
-    cls = MODELS.get(args.model)
-    swept = cls.keys[-1] if cls is not None else None
-    if not hasattr(args, f"{swept}_range"):
-        raise UsageError("sweep supports --model runs or reliability")
-    base = _model_json(args, cls.keys[:-1] + (f"{swept}_range",), "sweep")
-    values = _parse_range(base.pop(f"{swept}_range"), _flag(f"{swept}_range"))
-    rows = [_sweep_row({**base, swept: v}) for v in values]
+    keys, swept = MODELS[args.model].keys, _SWEPT[args.model]
+    base = _model_json(args, keys[:-1] + (swept,), "sweep")
+    values = _parse_range(base.pop(swept), _flag(swept))
+    rows = [_sweep_row({**base, keys[-1]: v}) for v in values]
     payload = {"model": args.model, "rows": rows}
     return EXIT_OK, _emit(args, payload, rows)
 
@@ -396,10 +404,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        _add_input_args(sp)
+    def command(name, func, help, inputs=_INPUTS, models=MODELS, required=False):
+        sp = sub.add_parser(name, help=help, allow_abbrev=False)
+        sp.add_argument("--model", choices=list(models), required=required, help="model tag")
+        for key in inputs:
+            kind, text = _INPUTS[key]
+            sp.add_argument(_flag(key), type=kind, help=text)
         sp.add_argument("--format", choices=["json", "csv"], default="json")
         sp.add_argument("--output", help="write to file (atomic) instead of stdout")
+        sp.set_defaults(func=func)
+        return sp
 
     def exact_law(sp):  # for the commands that compute a model's exact law
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -411,29 +425,22 @@ def build_parser() -> argparse.ArgumentParser:
             "k = 2, n <= 8 at k = 3) instead of Monte Carlo",
         )
 
-    sp = sub.add_parser("bounds", help="evaluate all Stein-factor bounds")
-    common(sp)
-    sp.set_defaults(func=cmd_bounds)
+    command("bounds", cmd_bounds, "evaluate all Stein-factor bounds")
 
-    sp = sub.add_parser("verify", help="verify bounds against oracles")
-    common(sp)
-    exact_law(sp)
-    sp.set_defaults(func=cmd_verify)
+    exact_law(command("verify", cmd_verify, "verify bounds against oracles"))
 
-    sp = sub.add_parser("sweep", help="evaluate bounds over a parameter grid")
-    common(sp)
-    sp.add_argument("--p-range", dest="p_range", help="runs sweep start:stop:count")
-    sp.add_argument("--q-range", dest="q_range", help="reliability sweep start:stop:count")
-    sp.set_defaults(func=cmd_sweep)
+    # the fixed keys of the swept models, then a range flag per model
+    fixed = dict.fromkeys(k for tag in _SWEPT for k in MODELS[tag].keys[:-1])
+    sp = command("sweep", cmd_sweep, "evaluate bounds over a parameter grid", fixed,
+                 _SWEPT, required=True)
+    for tag, key in _SWEPT.items():
+        sp.add_argument(_flag(key), help=f"{tag} sweep start:stop:count")
 
-    sp = sub.add_parser("stein-solve", help="dump one Stein-equation solution")
-    common(sp)
+    sp = command("stein-solve", cmd_stein_solve, "dump one Stein-equation solution")
     sp.add_argument("--y", type=int, help="test-function threshold")
     sp.add_argument("--x-max", dest="x_max", type=int, help="truncation point")
-    sp.set_defaults(func=cmd_stein_solve)
 
-    sp = sub.add_parser("pmf", help="dump a distribution table")
-    common(sp)
+    sp = command("pmf", cmd_pmf, "dump a distribution table")
     sp.add_argument(
         "--law",
         choices=["exact", "approx"],
@@ -441,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exact model law (default) or compound Poisson approximant",
     )
     exact_law(sp)
-    sp.set_defaults(func=cmd_pmf)
     return parser
 
 
@@ -457,9 +463,6 @@ def main(argv=None) -> int:
     try:
         code, text = args.func(args)
         _write_output(text, args.output)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (BudgetExceededError, TruncationCapError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

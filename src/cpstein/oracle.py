@@ -69,6 +69,9 @@ STABILITY_TOL = 1e-7
 # cells of the M x (y_max + 3) block that empirical_factors solves: 128 MB of
 # floats, about 400 MB of peak memory; theta_0 = 3000 takes 1.1e7 cells
 ORACLE_CELL_BUDGET = 16_000_000
+# points x = 0..x_max of one solve_stein call, about 1.5 us and 140 B each:
+# x_max = 4e6 takes 6-8 s and 562 MB of peak memory
+STEIN_POINT_BUDGET = 4_000_000
 
 
 class ConvergenceError(RuntimeError):
@@ -330,7 +333,8 @@ def solve_stein(params: CompoundPoissonParams, y: int, x_max: int) -> SteinSolut
     the block x <= M comes from the backward recursion, f on the block
     from its banded elimination.  residual0 is the defect
     of the one equation left out, |sum_j j lambda_j f(x0+j) - x0 f(x0) -
-    (h(x0) - E h(U))|, a truncation and rounding diagnostic.
+    (h(x0) - E h(U))|, a truncation and rounding diagnostic.  An x_max above
+    STEIN_POINT_BUDGET raises BudgetExceededError before anything is built.
     """
     import numpy as np
 
@@ -339,6 +343,8 @@ def solve_stein(params: CompoundPoissonParams, y: int, x_max: int) -> SteinSolut
         raise ValueError("y must be >= 0")
     if x_max < 1:
         raise ValueError("x_max must be >= 1")
+    if x_max > STEIN_POINT_BUDGET:
+        raise BudgetExceededError(f"x_max = {x_max} exceeds budget {STEIN_POINT_BUDGET} points")
     table = cp_pmf(params)
     cdf = table.cdf()
     eh_u = float(cdf[min(y, table.x_max)])

@@ -252,6 +252,36 @@ def test_sweep_requires_range(capsys):
     assert "p-range" in err
 
 
+def test_sweep_takes_runs_and_reliability_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--model", "mixed", "--gamma", "1,1"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'mixed'" in capsys.readouterr().err
+
+
+def test_sweep_registers_seven_flags():
+    sweep = cli.build_parser()._subparsers._group_actions[0].choices["sweep"]
+    flags = {s for a in sweep._actions for s in a.option_strings} - {"-h", "--help"}
+    assert flags == {"--model", "--n", "--k", "--p-range", "--q-range", "--format", "--output"}
+
+
+def test_sweep_csv_header_is_union_of_row_keys(capsys):
+    # rows 1-7 carry COR3's columns; at q = 0.9 theta_2 >= 2 theta_1, and
+    # row 8 carries THM2(3)'s instead
+    argv = ["sweep", "--model", "reliability", "--n", "30", "--k", "2",
+            "--q-range", "0.1:0.9:8"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    table = list(csv.DictReader(io.StringIO(out)))
+    assert list(table[0]) == list(dict.fromkeys(k for row in rows for k in row))
+    assert "cor3_m1" not in rows[7] and table[7]["cor3_m1"] == ""
+    assert table[7]["thm2_m1"] == cli._csv_cell(rows[7]["thm2_m1"])
+    assert table[0]["thm2_m1"] == ""
+
+
 # ---------------------------------------------------------------------------
 # stein-solve and pmf
 
@@ -343,7 +373,8 @@ def test_parser_reused_after_rejected_call(capsys):
 @pytest.mark.parametrize("command", ["bounds", "sweep", "stein-solve", "verify", "pmf"])
 def test_law_flags_only_on_verify_and_pmf(capsys, command, flag):
     # the exact-law flags are registered only where a command reads them
-    argv = [command, "--rates", "1", *flag]
+    base = ["--model", "runs", "--n", "50", "--p-range", "0.1:0.2:2"]
+    argv = [command, *(base if command == "sweep" else ["--rates", "1"]), *flag]
     if command in ("verify", "pmf"):
         assert run_cli(capsys, *argv)[0] == 0
         return
@@ -351,6 +382,35 @@ def test_law_flags_only_on_verify_and_pmf(capsys, command, flag):
         main(argv)
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+# model input a command would drop, and abbreviated flags
+DROPPED_INPUT = [
+    ("bounds --rates 5 --model runs --n 30 --p 0.15", "runs model does not take --rates"),
+    ("stein-solve --model runs --n 30 --p 0.15 --rates 5 --y 1",
+     "runs model does not take --rates"),
+    ("bounds --model runs --n 30 --p 0.15 --q 0.3", "runs model does not take --q"),
+    ("bounds --rates 5 --n 3", "--rates input does not take --n"),
+    ("pmf --model mixed --two-point 1,5,0.5 --gamma 2,1",
+     "mixed model takes only one of --two-point and --gamma"),
+    ("sweep --model runs --n 50 --k 2 --p-range 0.1:0.2:2", "runs sweep does not take --k"),
+    ("sweep --model reliability --n 10 --k 2 --q-range 0.2:0.5:4 --p-range 0.1:0.2:2",
+     "reliability sweep does not take --p-range"),
+    ("bounds --rate 5", "unrecognized arguments: --rate 5"),
+    ("verify --rates 8 --sampl 20000 --exa", "unrecognized arguments: --sampl 20000 --exa"),
+    ("sweep --model runs --n 50 --p 0.3 --p-range 0.1:0.2:2", "unrecognized arguments: --p 0.3"),
+]
+
+
+@pytest.mark.parametrize("command,message", DROPPED_INPUT)
+def test_dropped_input_is_refused(capsys, command, message):
+    try:
+        code = main(command.split())
+    except SystemExit as exc:  # argparse: an unknown flag
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_usage_error_missing_input(capsys):
@@ -369,6 +429,13 @@ def test_budget_error_exit_three(capsys):
     code, _, err = run_cli(capsys, "pmf", "--model", "runs", "--n", "5000", "--p", "0.1")
     assert code == 3
     assert "budget" in err
+
+
+@pytest.mark.parametrize("extra", [["--y", "1000000000000"], ["--y", "1", "--x-max", "100000000"]])
+def test_stein_solve_budget_exit_three(capsys, extra):
+    code, out, err = run_cli(capsys, "stein-solve", "--rates", "1", *extra)
+    assert code == 3 and out == ""
+    assert "exceeds budget 4000000 points" in err
 
 
 def test_reliability_exact_budget_exit_three(capsys):

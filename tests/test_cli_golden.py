@@ -103,7 +103,7 @@ COMMANDS = [
     "sweep --model runs --n 50",
     "sweep --model reliability --n 10 --q-range 0.1:0.2:2",
     "sweep --model runs --n 50 --p-range 0.1:0.2",
-    "sweep --model mixed --gamma 1,1",
+    "sweep --model runs --n 50 --k 2 --p-range 0.1:0.2:2",
     "stein-solve --rates 8",
     "bounds --rates 1 --format csv --model runs --n 3",
     "stein-solve --rates 8 --y 3 --format json --x-max 0",
