@@ -27,10 +27,10 @@ import os
 import sys
 from dataclasses import fields
 
-from .bounds import best_of, encode_float, evaluate_all
+from .bounds import best_of, encode_float, evaluate_all, regime_classify
 from .core import CompoundPoissonParams, TruncationCapError, cp_pmf, theta
 from .exact import BudgetExceededError, distance
-from .models import MIXINGS, MODELS, model_from_json, regime_classify
+from .models import MIXINGS, MODELS, model_from_json
 from .oracle import (
     ConvergenceError,
     default_x_max,
@@ -39,8 +39,9 @@ from .oracle import (
     verify_bound,
 )
 
-DEFAULT_SEED = 12345
-DEFAULT_MC_SAMPLES = 1_000_000
+# rows of one sweep, about 0.1 ms and 0.7 KB of output each: a 100 000-row
+# reliability sweep takes 9.8 s, 399 MB of peak memory and prints 70 MB
+SWEEP_ROW_BUDGET = 100_000
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -175,6 +176,9 @@ _INPUTS = {
 # the models sweep takes, each with the field of its range flag: sweep steps
 # the model's last key over start:stop:count
 _SWEPT = {tag: MODELS[tag].keys[-1] + "_range" for tag in ("runs", "reliability")}
+# the flags _refuse_unread checks: model input, sweep ranges, and the law
+# flags of verify and pmf, of which a model reads its class's ``law_keys``
+_CHECKED = {*_INPUTS, *_SWEPT.values(), "law", "exact", "samples", "seed"}
 
 
 def _flag(key: str) -> str:
@@ -197,25 +201,25 @@ def _json_value(key: str, value):
     return vals
 
 
-def _model_json(args, keys, what: str) -> dict:
+def _model_json(args, keys, what: str, law=()) -> dict:
     """The JSON form of --model from the flags named by ``keys``: each flag
     carries the JSON field of its name; a tuple entry lists alternatives, of
-    which exactly one is given."""
+    which exactly one is given.  ``law`` names the law flags read besides."""
     alts = [k if isinstance(k, tuple) else (k,) for k in keys]
     given = [next((k for k in a if getattr(args, k) is not None), None) for a in alts]
     if None in given:
         need = [" or ".join(map(_flag, a)) for a in alts]
         need = need[0] if len(need) == 1 else ", ".join(need[:-1]) + " and " + need[-1]
         raise UsageError(f"{args.model} {what} requires {need}")
-    _refuse_unread(args, given, f"{args.model} {what}", alts)
+    _refuse_unread(args, (*given, *law), f"{args.model} {what}", alts)
     return {"model": args.model, **{k: _json_value(k, getattr(args, k)) for k in given}}
 
 
 def _refuse_unread(args, read, what: str, alts=()) -> None:
-    """Refuse model input the command would drop: an input flag given but not
-    in ``read``.  One of ``alts``' alternatives there is a second one given."""
+    """Refuse input the command would drop: a flag of ``_CHECKED`` given but
+    not in ``read``.  One of ``alts``' alternatives there is a second one given."""
     for key, value in vars(args).items():
-        if value is None or key in read or not (key in _INPUTS or key in _SWEPT.values()):
+        if value is None or key in read or key not in _CHECKED:
             continue
         alt = next((a for a in alts if key in a), None)
         if alt is not None:
@@ -224,9 +228,18 @@ def _refuse_unread(args, read, what: str, alts=()) -> None:
 
 
 def _build_model(args):
+    """The model --model names, or None.  Of the law flags, a model reads
+    --law and its class's ``law_keys``; a command that registers none has none."""
     if args.model is None:
         return None
-    return model_from_json(_model_json(args, MODELS[args.model].keys, "model"))
+    cls = MODELS[args.model]
+    return model_from_json(_model_json(args, cls.keys, "model", ("law", *cls.law_keys)))
+
+
+def _exact_law(args, model):
+    """The model's exact law, from the law flags given on the command line."""
+    law = {k: getattr(args, k) for k in model.law_keys if getattr(args, k) is not None}
+    return model.exact_law(**law)
 
 
 def _build_params(args, model) -> CompoundPoissonParams:
@@ -292,8 +305,7 @@ def cmd_verify(args) -> tuple[int, str]:
     }
     if model is not None:
         payload["input"] = model.to_json()
-        exact_table = model.exact_law(args.samples, args.seed, args.exact)
-        rep = distance(exact_table, cp_pmf(params))
+        rep = distance(_exact_law(args, model), cp_pmf(params))
         payload["distance"] = rep.to_json()
         dk_bound = model.dk_bound(bb.m1)
         if dk_bound is not None:
@@ -318,6 +330,8 @@ def _parse_range(text: str, what: str) -> list[float]:
         raise UsageError(f"malformed {what}: {text!r}") from exc
     if count < 1:
         raise UsageError(f"{what} count must be >= 1")
+    if count > SWEEP_ROW_BUDGET:
+        raise BudgetExceededError(f"{what} count {count} exceeds budget {SWEEP_ROW_BUDGET} rows")
     if count == 1:
         return [start]
     step = (stop - start) / (count - 1)
@@ -381,9 +395,11 @@ def cmd_stein_solve(args) -> tuple[int, str]:
 
 
 def cmd_pmf(args) -> tuple[int, str]:
+    if args.law == "approx":
+        _refuse_unread(args, (*_INPUTS, "law"), "--law approx")
     model = _build_model(args)
-    if model is not None and args.law == "exact":
-        table = model.exact_law(args.samples, args.seed, args.exact)
+    if model is not None and args.law != "approx":
+        table = _exact_law(args, model)
     else:
         table = cp_pmf(_build_params(args, model))
     payload = table.to_json()
@@ -416,11 +432,12 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     def exact_law(sp):  # for the commands that compute a model's exact law
-        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        sp.add_argument("--samples", type=int, default=DEFAULT_MC_SAMPLES)
+        sp.add_argument("--seed", type=int, help="reliability Monte Carlo seed")
+        sp.add_argument("--samples", type=int, help="reliability Monte Carlo sample count")
         sp.add_argument(
             "--exact",
             action="store_true",
+            default=None,
             help="use the exact transfer-matrix reliability law (n <= 11 at "
             "k = 2, n <= 8 at k = 3) instead of Monte Carlo",
         )
@@ -444,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--law",
         choices=["exact", "approx"],
-        default="exact",
         help="exact model law (default) or compound Poisson approximant",
     )
     exact_law(sp)

@@ -34,6 +34,8 @@ __all__ = [
     "cp_pmf",
     "cp_sample",
     "monotone_condition",
+    "variance",
+    "chernoff_tail",
 ]
 
 DEFAULT_MASS_TARGET = 1.0 - 1e-12
@@ -168,13 +170,12 @@ def variance(params: CompoundPoissonParams) -> float:
 class DistributionTable:
     """pmf of an integer random variable on {0..X_max} plus certified tail mass.
 
-    ``tail_mass`` is an upper bound on P(X > X_max).  ``stderr`` carries
-    per-bin standard errors for Monte Carlo tables and is None for exact ones.
+    ``tail_mass`` is an upper bound on P(X > X_max).  ``mc_samples`` is the
+    sample count of a Monte Carlo table and None for an exact one.
     """
 
     pmf: np.ndarray
     tail_mass: float
-    stderr: np.ndarray | None = field(default=None, compare=False)
     mc_samples: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -194,6 +195,15 @@ class DistributionTable:
     @property
     def x_max(self) -> int:
         return self.pmf.size - 1
+
+    @property
+    def stderr(self) -> np.ndarray | None:
+        """Per-bin standard errors sqrt(p (1 - p) / mc_samples), None if exact."""
+        if self.mc_samples is None:
+            return None
+        import numpy as np
+
+        return np.sqrt(self.pmf * (1.0 - self.pmf) / self.mc_samples)
 
     def cdf(self) -> np.ndarray:
         import numpy as np

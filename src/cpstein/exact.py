@@ -267,8 +267,8 @@ def reliability_mc_pmf(
     result does not depend on how chunks are scheduled.  A chunk is drawn
     and counted MC_BLOCK grids at a time: consecutive draws continue one
     stream, so the table is the same as from one draw of the whole chunk,
-    and memory stays bounded.  Per-bin binomial standard errors are attached
-    to the table.
+    and memory stays bounded.  The table's ``mc_samples`` gives its per-bin
+    binomial standard errors.
     """
     import numpy as np
 
@@ -288,11 +288,7 @@ def reliability_mc_pmf(
             counts = _count_subgrids(grids, k)
             freq += np.bincount(counts, minlength=max_count + 1)
         done += take
-    pmf = freq / samples
-    stderr = np.sqrt(pmf * (1.0 - pmf) / samples)
-    return DistributionTable(
-        pmf=pmf, tail_mass=0.0, stderr=stderr, mc_samples=samples
-    )
+    return DistributionTable(pmf=freq / samples, tail_mass=0.0, mc_samples=samples)
 
 
 def _poisson_ppf(q: float, lam: float) -> int:

@@ -12,10 +12,12 @@ Kolmogorov-distance bounds d_K <= (coefficient) * M1:
 * independent integer-valued summands: W = Z_1 + ... + Z_n.
 
 Every model class has ``tag`` (its JSON name), ``keys`` (its JSON fields; a
-tuple entry lists alternatives), ``cp_params()``, ``exact_law(samples, seed,
-exact)``, ``dk_bound(m1)`` (None without a bound), ``to_json()`` and
-``from_json(obj)``; ``MODELS`` maps tags to classes.  ``runs_cp_params`` and
-the other per-model functions are these methods under their older names.
+tuple entry lists alternatives), ``law_keys`` (the arguments its
+``exact_law`` reads: exact, samples and seed for reliability, none for the
+others), ``cp_params()``, ``exact_law(**law)``, ``dk_bound(m1)`` (None
+without a bound), ``to_json()`` and ``from_json(obj)``; ``MODELS`` maps tags
+to classes.  ``runs_cp_params`` and the other per-model functions are these
+methods under their older names.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import math
 from dataclasses import astuple, dataclass, field, fields
 from typing import Sequence
 
-from .bounds import regime_classify
 from .core import CompoundPoissonParams, DistributionTable
 from .exact import (
     mixed_exact_pmf,
@@ -52,10 +53,13 @@ __all__ = [
     "mixed_cp_params",
     "mixed_dk_bound",
     "sums_cp_params",
-    "regime_classify",
     "cp_params_for",
     "model_from_json",
 ]
+
+# the reliability law's Monte Carlo seed and sample count when none is given
+DEFAULT_SEED = 12345
+DEFAULT_MC_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -64,6 +68,7 @@ class RunsModel:
 
     tag = "runs"
     keys = ("n", "p")
+    law_keys = ()
     n: int
     p: float
 
@@ -86,7 +91,7 @@ class RunsModel:
             )
         )
 
-    def exact_law(self, samples: int, seed: int, exact: bool) -> DistributionTable:
+    def exact_law(self) -> DistributionTable:
         return runs_exact_pmf(self)
 
     def dk_bound(self, m1: float) -> float:
@@ -113,6 +118,7 @@ class ReliabilityModel:
 
     tag = "reliability"
     keys = ("n", "k", "q")
+    law_keys = ("exact", "samples", "seed")
     n: int
     k: int
     q: float
@@ -155,7 +161,9 @@ class ReliabilityModel:
             rates.append(psi / (e + 1) * (4.0 * pi1 + four_u * pi2 + u_sq * pi3))
         return CompoundPoissonParams(rates)
 
-    def exact_law(self, samples: int, seed: int, exact: bool) -> DistributionTable:
+    def exact_law(
+        self, exact: bool = False, samples: int = DEFAULT_MC_SAMPLES, seed: int = DEFAULT_SEED
+    ) -> DistributionTable:
         """The transfer-matrix law if ``exact`` (within its cost budget: n <= 11
         at k = 2, n <= 8 at k = 3), else seeded Monte Carlo."""
         if exact:
@@ -280,6 +288,7 @@ class MixedPoissonModel:
 
     tag = "mixed"
     keys = (tuple(mix.tag for mix in MIXINGS),)
+    law_keys = ()
     mixing: TwoPointMixing | GammaMixing
 
     @property
@@ -300,7 +309,7 @@ class MixedPoissonModel:
             raise ValueError("approximant undefined (lambda_1 < 0)")
         return CompoundPoissonParams((nu - s2, s2 / 2.0))
 
-    def exact_law(self, samples: int, seed: int, exact: bool) -> DistributionTable:
+    def exact_law(self) -> DistributionTable:
         return mixed_exact_pmf(self)
 
     def dk_bound(self, m1: float) -> float:
@@ -329,6 +338,7 @@ class IndependentSumModel:
 
     tag = "sums"
     keys = ("components",)
+    law_keys = ()
     components: tuple[tuple[float, ...], ...]
     _moments: tuple[float, float] = field(init=False, repr=False, compare=False)
 
@@ -381,7 +391,7 @@ class IndependentSumModel:
             )
         return CompoundPoissonParams((lam1, lam2))
 
-    def exact_law(self, samples: int, seed: int, exact: bool) -> DistributionTable:
+    def exact_law(self) -> DistributionTable:
         return sums_exact_pmf(self)
 
     def dk_bound(self, m1: float) -> None:

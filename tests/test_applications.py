@@ -388,10 +388,11 @@ def test_model_interface_and_registry():
         IndependentSumModel([[0.7, 0.12, 0.0, 0.18]] * 4),
     ]
     assert list(MODELS) == ["runs", "reliability", "mixed", "sums"]
+    law = {"exact": True, "samples": 10_000, "seed": 1}
     for m in models:
         assert MODELS[m.tag] is type(m)
         assert model_from_json(m.to_json()) == m
-        table = m.exact_law(samples=10_000, seed=1, exact=True)
+        table = m.exact_law(**{k: law[k] for k in m.law_keys})
         assert abs(table.total_mass() - 1.0) <= 1e-12
         assert m.cp_params() == cp_params_for(m)
         dk = m.dk_bound(0.5)

@@ -265,6 +265,17 @@ def test_sweep_registers_seven_flags():
     assert flags == {"--model", "--n", "--k", "--p-range", "--q-range", "--format", "--output"}
 
 
+def test_sweep_row_budget_exit_three(capsys, monkeypatch):
+    # refused before any row is built
+    monkeypatch.setattr(cli, "_sweep_row", lambda obj: pytest.fail("row built"))
+    over = cli.SWEEP_ROW_BUDGET + 1
+    code, out, err = run_cli(capsys, "sweep", "--model", "reliability", "--n", "10", "--k", "2",
+                             "--q-range", f"0.05:0.8:{over}")
+    assert code == 3 and out == ""
+    assert err == f"error: --q-range count {over} exceeds budget {cli.SWEEP_ROW_BUDGET} rows\n"
+    assert len(cli._parse_range(f"0.05:0.8:{cli.SWEEP_ROW_BUDGET}", "--q-range")) == over - 1
+
+
 def test_sweep_csv_header_is_union_of_row_keys(capsys):
     # rows 1-7 carry COR3's columns; at q = 0.9 theta_2 >= 2 theta_1, and
     # row 8 carries THM2(3)'s instead
@@ -373,8 +384,12 @@ def test_parser_reused_after_rejected_call(capsys):
 @pytest.mark.parametrize("command", ["bounds", "sweep", "stein-solve", "verify", "pmf"])
 def test_law_flags_only_on_verify_and_pmf(capsys, command, flag):
     # the exact-law flags are registered only where a command reads them
-    base = ["--model", "runs", "--n", "50", "--p-range", "0.1:0.2:2"]
-    argv = [command, *(base if command == "sweep" else ["--rates", "1"]), *flag]
+    base = {
+        "sweep": ["--model", "runs", "--n", "50", "--p-range", "0.1:0.2:2"],
+        "verify": ["--model", "reliability", "--n", "4", "--k", "2", "--q", "0.3"],
+    }
+    base["pmf"] = base["verify"]
+    argv = [command, *base.get(command, ["--rates", "1"]), *flag]
     if command in ("verify", "pmf"):
         assert run_cli(capsys, *argv)[0] == 0
         return
@@ -399,6 +414,14 @@ DROPPED_INPUT = [
     ("bounds --rate 5", "unrecognized arguments: --rate 5"),
     ("verify --rates 8 --sampl 20000 --exa", "unrecognized arguments: --sampl 20000 --exa"),
     ("sweep --model runs --n 50 --p 0.3 --p-range 0.1:0.2:2", "unrecognized arguments: --p 0.3"),
+    # law flags no law reads
+    ("pmf --rates 2 --law exact", "--rates input does not take --law"),
+    ("verify --rates 8 --exact", "--rates input does not take --exact"),
+    ("verify --model runs --n 30 --p 0.15 --samples 5 --seed 3 --exact",
+     "runs model does not take --seed"),
+    ("verify --model mixed --gamma 2,0.5 --samples 5", "mixed model does not take --samples"),
+    ("pmf --model reliability --n 4 --k 2 --q 0.3 --law approx --samples 20000",
+     "--law approx does not take --samples"),
 ]
 
 

@@ -115,10 +115,10 @@ def _call(layer: str, given: dict):
     obj = {k: v for k, v in given.items() if k != "samples"}
     model = model_from_json(obj)
     if layer == "distance":
-        a, b = model.exact_law(0, 0, True), cp_pmf(model.cp_params())
+        a, b = model.exact_law(), cp_pmf(model.cp_params())
         return lambda: distance(a, b)
-    exact = layer != "reliability_mc_pmf"
-    return lambda: model.exact_law(given.get("samples", 0), 1, exact)
+    law = {"exact": layer != "reliability_mc_pmf", "samples": given.get("samples"), "seed": 1}
+    return lambda: model.exact_law(**{k: law[k] for k in model.law_keys})
 
 
 def _time(call, repeat: int) -> dict:
