@@ -564,8 +564,9 @@ def bound_thm4(th: ThetaVector) -> SteinFactorBound:
 def regime_classify(th: ThetaVector) -> str:
     """First applicable of BX99_OK, COR3_OK, THM4_OK, GENERAL_ONLY, in that
     order of preference (narrative sharpness; the numeric minimum of the
-    bounds themselves is taken by ``best_bound``).  BX99 and COR3 are judged
-    as ``bound_bx99`` and ``bound_cor3`` judge them, without an enclosure.
+    bounds themselves is taken by ``best_bound``).  BX99, COR3 and THM4 are
+    judged as ``bound_bx99``, ``bound_cor3`` and ``bound_thm4`` judge them,
+    without an enclosure.
     """
     th.require(3)
     if not th.finite:
@@ -575,7 +576,7 @@ def regime_classify(th: ThetaVector) -> str:
     cor3 = _cor3_delta(th)
     if cor3 is not None and cor3 > 0.0:
         return "COR3_OK"
-    if 2.0 * th[1] - th[0] > 0.0:
+    if bound_thm4(th).applicable:
         return "THM4_OK"
     return "GENERAL_ONLY"
 

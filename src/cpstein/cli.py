@@ -229,11 +229,16 @@ def _refuse_unread(args, read, what: str, alts=()) -> None:
 
 def _build_model(args):
     """The model --model names, or None.  Of the law flags, a model reads
-    --law and its class's ``law_keys``; a command that registers none has none."""
+    --law and its class's ``law_keys``; a command that registers none has none.
+    --exact asks for a law that draws no samples, so it takes no --samples or
+    --seed."""
     if args.model is None:
         return None
     cls = MODELS[args.model]
-    return model_from_json(_model_json(args, cls.keys, "model", ("law", *cls.law_keys)))
+    obj = _model_json(args, cls.keys, "model", ("law", *cls.law_keys))
+    if getattr(args, "exact", None):
+        _refuse_unread(args, (*obj, "law", "exact"), "--exact")
+    return model_from_json(obj)
 
 
 def _exact_law(args, model):

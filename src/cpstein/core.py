@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:  # numpy loads in the functions that use it
     import numpy as np
@@ -185,10 +185,11 @@ class DistributionTable:
         object.__setattr__(self, "pmf", pmf)
         if pmf.ndim != 1 or pmf.size == 0:
             raise ValueError("pmf must be a nonempty 1-D array")
-        if np.any(pmf < -1e-12) or np.any(pmf > 1.0 + 1e-12):
-            raise ValueError("pmf entries must lie in [0, 1]")
-        if self.tail_mass < 0.0:
-            raise ValueError("tail_mass must be nonnegative")
+        # min and max are nan if any entry is, and nan fails both comparisons
+        if not (pmf.min() >= -1e-12 and pmf.max() <= 1.0 + 1e-12):
+            raise ValueError("pmf entries must be finite and lie in [0, 1]")
+        if not 0.0 <= self.tail_mass < math.inf:
+            raise ValueError("tail_mass must be finite and nonnegative")
         if float(pmf.sum()) + self.tail_mass > 1.0 + MASS_TOL:
             raise ValueError("total mass exceeds 1")
 
@@ -261,6 +262,20 @@ def chernoff_tail(params: CompoundPoissonParams, x: float) -> float:
     cgf = e @ np.asarray(params.rates)  # sum_j lambda_j (e^{s j} - 1)
     exponent = np.min(-s * x + cgf)
     return math.exp(exponent) if exponent < 0.0 else 1.0
+
+
+def _truncation_point(
+    x: int, tail: Callable[[int], float], target: float, cap: int = DEFAULT_X_CAP
+) -> tuple[int, float]:
+    """The first of x, 2x, 4x, ... at which tail(x) does not exceed target,
+    and tail there.  The one truncation rule of every tabulated law: a point
+    past ``cap`` raises TruncationCapError before tail is evaluated there."""
+    while x <= cap:
+        t = tail(x)
+        if not t > target:
+            return x, t
+        x *= 2
+    raise TruncationCapError("truncation cap exceeded")
 
 
 def _panjer(jlam: list[float], p0: float, x_max: int) -> tuple[list[float], list[int]]:
@@ -357,10 +372,9 @@ def cp_pmf(
     J = params.max_cluster_size
     # past the cap, start at it: the bulk may not even be a finite float
     x_max = max(16, math.ceil(min(th[0] + 10.0 * sd, x_cap)) + 10 * J)
-    while x_max <= x_cap and chernoff_tail(params, x_max) > 1.0 - mass_target:
-        x_max *= 2
-    if x_max > x_cap:
-        raise TruncationCapError("truncation cap exceeded")
+    x_max, _ = _truncation_point(
+        x_max, functools.partial(chernoff_tail, params), 1.0 - mass_target, x_cap
+    )
 
     jlam = [j * params.rates[j - 1] for j in range(1, J + 1)]
     # Start from log P(U=0) = -lambda: p[n] holds P(U=n) e^{shift} / RESCALE_AT^d,

@@ -12,16 +12,18 @@ keeping the count or raising it by one.  Runs have a kernel of their own
 that advances only the live window of counts and take n <= 2000 (10-25 ms
 at n = 2000, by p); reliability takes grids up to n = 11 for k = 2 and
 n = 8 for k = 3 (0.2-0.25 s there), Monte Carlo beyond (about 7 ms per
-10 000 grids at n = 10, most of it drawing them); 2 vCPUs, numpy 2.4.
+10 000 grids at n = 10, most of it drawing them, up to MC_CELL_BUDGET grid
+cells); 2 vCPUs, numpy 2.4.  The mixed-Poisson tables truncate by the rule
+of ``cp_pmf``, ``core._truncation_point``, under its 10^6-point cap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
-from .core import DistributionTable
+from .core import DistributionTable, _truncation_point
 
 # for annotations only: numpy loads in the functions that use it, and models
 # imports this module (the laws read model attributes only)
@@ -48,6 +50,12 @@ SUMS_CELL_BUDGET = 10_000_000
 MC_MIN_SAMPLES = 10_000
 MC_CHUNK = 1 << 17
 MC_BLOCK = 1 << 14  # grids drawn and counted at a time within a chunk
+# grid cells of one draw: MC_BLOCK grids up to n = 10, 13 MB of doubles
+MC_DRAW_CELLS = MC_BLOCK * 10 * 10
+# samples x n^2 grid cells of one Monte Carlo law, about 5 ns each in draws
+# of MC_DRAW_CELLS: 2e8 cells (10^6 samples at n = 14, 20 000 at n = 100)
+# take 1.1-1.2 s and 53 MB of peak memory, 10^6 samples at n = 10 0.8 s
+MC_CELL_BUDGET = 200_000_000
 MIXTURE_TAIL = 1e-12
 
 
@@ -265,16 +273,23 @@ def reliability_mc_pmf(
 
     The seed stream is split into one substream per fixed-size chunk, so the
     result does not depend on how chunks are scheduled.  A chunk is drawn
-    and counted MC_BLOCK grids at a time: consecutive draws continue one
-    stream, so the table is the same as from one draw of the whole chunk,
-    and memory stays bounded.  The table's ``mc_samples`` gives its per-bin
-    binomial standard errors.
+    and counted MC_BLOCK grids, and at most MC_DRAW_CELLS cells, at a time:
+    consecutive draws continue one stream, so the table is the same as from
+    one draw of the whole chunk, and memory stays bounded.  More than
+    MC_CELL_BUDGET cells in all raise BudgetExceededError before the first
+    draw.  The table's ``mc_samples`` gives its per-bin binomial standard
+    errors.
     """
     import numpy as np
 
     if samples < MC_MIN_SAMPLES:
         raise ValueError(f"samples must be >= {MC_MIN_SAMPLES}")
     n, k, q = m.n, m.k, m.q
+    if samples * n * n > MC_CELL_BUDGET:
+        raise BudgetExceededError(
+            f"Monte Carlo cost {samples} x {n}^2 cells exceeds budget {MC_CELL_BUDGET}"
+        )
+    block = min(MC_BLOCK, max(1, MC_DRAW_CELLS // (n * n)))
     max_count = (n - k + 1) ** 2
     n_chunks = (samples + MC_CHUNK - 1) // MC_CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
@@ -283,23 +298,26 @@ def reliability_mc_pmf(
     for child in children:
         rng = np.random.default_rng(child)
         take = min(MC_CHUNK, samples - done)
-        for start in range(0, take, MC_BLOCK):
-            grids = rng.random((min(MC_BLOCK, take - start), n, n)) < q
+        for start in range(0, take, block):
+            grids = rng.random((min(block, take - start), n, n)) < q
             counts = _count_subgrids(grids, k)
             freq += np.bincount(counts, minlength=max_count + 1)
         done += take
     return DistributionTable(pmf=freq / samples, tail_mass=0.0, mc_samples=samples)
 
 
-def _poisson_ppf(q: float, lam: float) -> int:
-    """Smallest k with P(Poisson(lam) <= k) >= q, by scipy's rule: the ceiling
-    of the continuous inverse, stepped down once if the cdf allows."""
-    from scipy import special
-
-    k = math.ceil(special.pdtrik(q, lam))
-    if k > 0 and special.pdtr(k - 1, lam) >= q:
-        k -= 1
-    return k
+def _quantile(cdf: Callable[[int], float], q: float) -> int:
+    """Smallest k >= 0 with cdf(k) >= q: doubling from 1 under the truncation
+    cap while q - cdf(k) > 0, that is cdf(k) < q, then bisection."""
+    hi, _ = _truncation_point(1, lambda k: q - cdf(k), 0.0)
+    lo = -1  # cdf(-1) = 0 < q
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if cdf(mid) >= q:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def poisson_mixture_table(
@@ -309,15 +327,13 @@ def poisson_mixture_table(
     import numpy as np
     from scipy import special
 
-    hi = max(_poisson_ppf(1.0 - MIXTURE_TAIL / 4.0, lam) for lam in intensities)
-    x_max = hi + 10
-    while True:
-        tail = sum(
-            w * special.pdtrc(x_max, lam) for w, lam in zip(weights, intensities)
-        )
-        if tail <= MIXTURE_TAIL:
-            break
-        x_max *= 2
+    q = 1.0 - MIXTURE_TAIL / 4.0
+    hi = max(_quantile(lambda k: special.pdtr(k, lam), q) for lam in intensities)
+    x_max, tail = _truncation_point(
+        hi + 10,
+        lambda x: sum(w * special.pdtrc(x, lam) for w, lam in zip(weights, intensities)),
+        MIXTURE_TAIL,
+    )
     x = np.arange(x_max + 1)
     pmf = np.zeros(x_max + 1)
     for w, lam in zip(weights, intensities):
@@ -376,7 +392,11 @@ def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
             break
         s = s_next
     t = d / m
-    return np.where(near, s, m * ((1.0 + t) * np.log1p(t) - t))
+    # t rounds to -1 once x/m is below rounding, and 0 * log1p(-1) is nan:
+    # the table refuses such a pmf, so the warning would only add noise
+    with np.errstate(divide="ignore", invalid="ignore"):
+        far = m * ((1.0 + t) * np.log1p(t) - t)
+    return np.where(near, s, far)
 
 
 def _nbinom_pmf(x_max: int, r: float, succ: float) -> np.ndarray:
@@ -412,38 +432,17 @@ def _nbinom_pmf(x_max: int, r: float, succ: float) -> np.ndarray:
     return pmf
 
 
-def _nbinom_cdf(k: int, r: float, succ: float) -> float:
-    """P(NB <= k) = I_succ(r, k+1)."""
-    from scipy import special
-
-    return special.betainc(r, k + 1.0, succ)
-
-
-def _nbinom_ppf(q: float, r: float, succ: float) -> int:
-    """Smallest k with cdf(k) >= q, by doubling then bisection."""
-    hi = 1
-    while _nbinom_cdf(hi, r, succ) < q:
-        hi *= 2
-    lo = -1  # cdf(-1) = 0 < q
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _nbinom_cdf(mid, r, succ) >= q:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def nbinom_table(r: float, scale: float) -> DistributionTable:
     """Law of Poisson(xi) with xi ~ Gamma(r, scale): the negative binomial with
     success probability 1/(1 + scale), with an exact sf tail."""
     from scipy import special
 
     succ = 1.0 / (1.0 + scale)
-    x_max = _nbinom_ppf(1.0 - MIXTURE_TAIL / 4.0, r, succ) + 10
-    # P(NB > x_max) = I_{1-succ}(x_max+1, r)
-    while (tail := float(special.betainc(x_max + 1.0, r, 1.0 - succ))) > MIXTURE_TAIL:
-        x_max *= 2
+    # P(NB <= k) = I_succ(r, k+1) and P(NB > x) = I_{1-succ}(x+1, r)
+    hi = _quantile(lambda k: special.betainc(r, k + 1.0, succ), 1.0 - MIXTURE_TAIL / 4.0)
+    x_max, tail = _truncation_point(
+        hi + 10, lambda x: float(special.betainc(x + 1.0, r, 1.0 - succ)), MIXTURE_TAIL
+    )
     return DistributionTable(pmf=_nbinom_pmf(x_max, r, succ), tail_mass=tail)
 
 

@@ -215,8 +215,8 @@ class TwoPointMixing:
     w: float
 
     def __post_init__(self):
-        if not (self.a > 0.0 and self.b > 0.0):
-            raise ValueError("mixing values must be positive")
+        if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
+            raise ValueError("mixing values must be finite and positive")
         if not 0.0 <= self.w <= 1.0:
             raise ValueError("weight must lie in [0, 1]")
 
@@ -247,8 +247,8 @@ class GammaMixing:
     scale: float
 
     def __post_init__(self):
-        if not (self.shape > 0.0 and self.scale > 0.0):
-            raise ValueError("shape and scale must be positive")
+        if not (0.0 < self.shape < math.inf and 0.0 < self.scale < math.inf):
+            raise ValueError("shape and scale must be finite and positive")
 
     @property
     def nu(self) -> float:
@@ -348,8 +348,8 @@ class IndependentSumModel:
         comps = []
         for pmf in components:
             arr = tuple(float(v) for v in pmf)
-            if len(arr) == 0 or any(v < 0.0 for v in arr):
-                raise ValueError("component pmfs must be nonempty and nonnegative")
+            if len(arr) == 0 or not all(0.0 <= v < math.inf for v in arr):
+                raise ValueError("component pmfs must be nonempty, finite and nonnegative")
             if abs(math.fsum(arr) - 1.0) > 1e-9:
                 raise ValueError("component pmf must sum to 1")
             comps.append(arr)

@@ -27,9 +27,10 @@ from cpstein import (
     evaluate_all,
     g_k_eval,
     g_k_grid,
+    regime_classify,
     theta,
 )
-from cpstein.bounds import _factors_from_delta, log_plus
+from cpstein.bounds import _cor3_delta, _factors_from_delta, log_plus
 from cpstein.models import RunsModel
 
 
@@ -472,6 +473,17 @@ def test_regime_classify_never_searches_the_grid(monkeypatch):
     assert bound_cor3(ThetaVector([1.0, 0.6, 0.3, 0.0])).method == "COR3"
     row = cli._sweep_row({"model": "runs", "n": 50, "p": 0.2})
     assert row["cor3_applicable"]
+
+
+@pytest.mark.parametrize("rates", [[10.0, 300.0], [0.0, 250.0], [1.0, 200.0], [0.4, 1.0]])
+def test_regime_is_thm4_only_where_bound_thm4_applies(rates):
+    # past 2 theta_1 - theta_0 of about 473, THM4's delta underflows to 0:
+    # (10, 300) has 590, and its THM4 row reads "delta underflowed to 0"
+    th = theta(CompoundPoissonParams(rates), 3)
+    assert not bound_bx99(th).applicable and _cor3_delta(th) < 0.0
+    thm4 = bound_thm4(th)
+    assert (regime_classify(th) == "THM4_OK") == thm4.applicable
+    assert thm4.applicable == (2.0 * rates[1] - rates[0] < 473.0)
 
 
 @pytest.mark.parametrize(

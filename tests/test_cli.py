@@ -422,6 +422,10 @@ DROPPED_INPUT = [
     ("verify --model mixed --gamma 2,0.5 --samples 5", "mixed model does not take --samples"),
     ("pmf --model reliability --n 4 --k 2 --q 0.3 --law approx --samples 20000",
      "--law approx does not take --samples"),
+    ("pmf --model reliability --n 4 --k 2 --q 0.3 --exact --samples 5 --seed 9",
+     "--exact does not take --seed"),
+    ("verify --model reliability --n 4 --k 2 --q 0.3 --exact --samples 20000",
+     "--exact does not take --samples"),
 ]
 
 
@@ -433,6 +437,33 @@ def test_dropped_input_is_refused(capsys, command, message):
         code = exc.code
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
+    assert message in err
+
+
+# (argv, exit code, message): tables past the truncation cap, a Monte Carlo
+# law past its cell budget, non-finite model input and a law that computes nan
+REFUSED = [
+    ("pmf --model mixed --gamma 1e8,10", 3, "truncation cap exceeded"),
+    ("pmf --model mixed --gamma 1e5,10", 3, "truncation cap exceeded"),
+    ("pmf --model mixed --two-point 1e9,2,0.5", 3, "truncation cap exceeded"),
+    ("pmf --model mixed --two-point 1e300,1e300,0.5", 3, "truncation cap exceeded"),
+    ("pmf --model reliability --n 100 --k 2 --q 0.3", 3, "exceeds budget 200000000"),
+    ("verify --model reliability --n 300 --k 2 --q 0.3", 3, "exceeds budget 200000000"),
+    ("pmf --model sums --components 0.5,0.5;nan", 2, "must be nonempty, finite and nonnegative"),
+    ("pmf --model mixed --gamma inf,1", 2, "shape and scale must be finite and positive"),
+    ("pmf --model mixed --two-point inf,1,0.5", 2, "mixing values must be finite and positive"),
+    ("pmf --model mixed --gamma 1e-300,1", 2, "pmf entries must be finite"),
+]
+
+
+@pytest.mark.parametrize("command,code,message", REFUSED)
+def test_refused_with_one_error_line(capsys, command, code, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        got = main(command.split())
+    out, err = capsys.readouterr()
+    assert got == code and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
 
 

@@ -289,6 +289,16 @@ def test_table_rejects_mass_above_one():
     DistributionTable(pmf=np.array([0.6, 0.4 + 5e-10]), tail_mass=0.0)
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+def test_table_rejects_non_finite_entries_and_tail(entry):
+    with pytest.raises(ValueError, match="finite"):
+        DistributionTable(pmf=np.array([1.0, entry, 0.0]), tail_mass=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        DistributionTable(pmf=np.array([entry]), tail_mass=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        DistributionTable(pmf=np.array([0.5]), tail_mass=entry)
+
+
 # ---------------------------------------------------------------------------
 # Chernoff tail
 

@@ -313,6 +313,40 @@ def test_reliability_mc_block_size_leaves_table_unchanged(monkeypatch, block):
     assert np.array_equal(default.stderr, other.stderr)
 
 
+class _Drawn(Exception):
+    pass
+
+
+def test_reliability_mc_budget_refused_before_the_first_draw(monkeypatch):
+    def drawn(*args, **kwargs):
+        raise _Drawn
+
+    monkeypatch.setattr(np.random, "SeedSequence", drawn)
+    # 20 001 x 100^2 cells is one grid row past the budget; n = 10 at the
+    # default 10^6 samples, and a budget of cells exactly, pass to the draw
+    with pytest.raises(BudgetExceededError, match="exceeds budget"):
+        reliability_mc_pmf(ReliabilityModel(100, 2, 0.3), samples=20_001, seed=1)
+    with pytest.raises(BudgetExceededError):
+        reliability_mc_pmf(ReliabilityModel(300, 2, 0.3), samples=10**6, seed=1)
+    for n, samples in ((10, 10**6), (100, 20_000), (14, exact.MC_CELL_BUDGET // 196)):
+        with pytest.raises(_Drawn):
+            reliability_mc_pmf(ReliabilityModel(n, 2, 0.3), samples=samples, seed=1)
+
+
+@pytest.mark.parametrize("n, grids", [(4, exact.MC_BLOCK), (10, exact.MC_BLOCK), (40, 1024)])
+def test_reliability_mc_draw_holds_at_most_draw_cells(monkeypatch, n, grids):
+    # up to n = 10 a draw is MC_BLOCK grids, as before the cap; past it,
+    # MC_DRAW_CELLS cells: 1024 grids of 40 x 40.  Stop at the first draw.
+    def first(drawn, k):
+        raise _Drawn(drawn.shape)
+
+    monkeypatch.setattr(exact, "_count_subgrids", first)
+    with pytest.raises(_Drawn) as info:
+        reliability_mc_pmf(ReliabilityModel(n, 2, 0.3), samples=50_000, seed=1)
+    assert info.value.args[0] == (grids, n, n)
+    assert grids * n * n <= exact.MC_DRAW_CELLS
+
+
 def test_reliability_mc_seed_sensitivity():
     m = ReliabilityModel(4, 2, 0.3)
     a = reliability_mc_pmf(m, samples=20_000, seed=1)

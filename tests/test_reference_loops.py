@@ -6,6 +6,13 @@ out for J <= 3.  Each rewrite runs the same float operations in the same
 order, so the results must agree bit for bit, -0.0 and all, with the loops
 as first written, which are kept here: ``block_solve_reference``,
 ``tail_reference``, ``panjer_reference`` and ``chernoff_tail_reference``.
+
+The truncation of ``cp_pmf`` and of both mixed-Poisson tables is one
+doubling rule, ``core._truncation_point``, and their quantiles one search,
+``exact._quantile``.  The three loops and two quantile functions they
+replace are kept here too: ``cp_pmf_x_max_reference``,
+``poisson_ppf_reference``, ``nbinom_ppf_reference``,
+``poisson_mixture_table_reference`` and ``nbinom_table_reference``.
 """
 
 from __future__ import annotations
@@ -16,7 +23,9 @@ import random
 import numpy as np
 import pytest
 
-from cpstein import core, oracle
+from scipy import special
+
+from cpstein import core, exact, oracle
 from cpstein import (
     CompoundPoissonParams,
     ConvergenceError,
@@ -83,6 +92,66 @@ def cp_pmf_reference(params, mass_target=core.DEFAULT_MASS_TARGET, x_cap=core.DE
     if tail > 1.0 - mass_target + core.MASS_TOL:
         raise TruncationCapError("pmf does not reach its mass target")
     return core.DistributionTable(pmf=p, tail_mass=tail)
+
+
+def cp_pmf_x_max_reference(params, mass_target=core.DEFAULT_MASS_TARGET, x_cap=core.DEFAULT_X_CAP):
+    th = core.theta(params, 1)
+    sd = math.sqrt(th[0] + th[1])
+    J = params.max_cluster_size
+    x_max = max(16, math.ceil(min(th[0] + 10.0 * sd, x_cap)) + 10 * J)
+    while x_max <= x_cap and chernoff_tail(params, x_max) > 1.0 - mass_target:
+        x_max *= 2
+    if x_max > x_cap:
+        raise TruncationCapError("truncation cap exceeded")
+    return x_max
+
+
+def poisson_ppf_reference(q, lam):
+    k = math.ceil(special.pdtrik(q, lam))
+    if k > 0 and special.pdtr(k - 1, lam) >= q:
+        k -= 1
+    return k
+
+
+def nbinom_cdf_reference(k, r, succ):
+    return special.betainc(r, k + 1.0, succ)
+
+
+def nbinom_ppf_reference(q, r, succ):
+    hi = 1
+    while nbinom_cdf_reference(hi, r, succ) < q:
+        hi *= 2
+    lo = -1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if nbinom_cdf_reference(mid, r, succ) >= q:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def poisson_mixture_table_reference(weights, intensities):
+    hi = max(poisson_ppf_reference(1.0 - exact.MIXTURE_TAIL / 4.0, lam) for lam in intensities)
+    x_max = hi + 10
+    while True:
+        tail = sum(w * special.pdtrc(x_max, lam) for w, lam in zip(weights, intensities))
+        if tail <= exact.MIXTURE_TAIL:
+            break
+        x_max *= 2
+    x = np.arange(x_max + 1)
+    pmf = np.zeros(x_max + 1)
+    for w, lam in zip(weights, intensities):
+        pmf += w * np.exp(special.xlogy(x, lam) - special.gammaln(x + 1) - lam)
+    return core.DistributionTable(pmf=pmf, tail_mass=float(tail))
+
+
+def nbinom_table_reference(r, scale):
+    succ = 1.0 / (1.0 + scale)
+    x_max = nbinom_ppf_reference(1.0 - exact.MIXTURE_TAIL / 4.0, r, succ) + 10
+    while (tail := float(special.betainc(x_max + 1.0, r, 1.0 - succ))) > exact.MIXTURE_TAIL:
+        x_max *= 2
+    return core.DistributionTable(pmf=exact._nbinom_pmf(x_max, r, succ), tail_mass=tail)
 
 
 def tail_reference(jl, lo, n, r):
@@ -291,3 +360,136 @@ def test_empirical_factors_bit_identical_to_reference(rates, reference):
     reference()
     assert got == _factors(params)
     assert got_window == _factors(params, y_max=y_max + 3, x_max=1)
+
+
+# ---------------------------------------------------------------------------
+# the one truncation rule
+
+
+def _log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def test_quantile_matches_poisson_ppf_reference():
+    # scipy's rule, the ceiling of pdtrik stepped down once, against
+    # doubling and bisection on pdtr, at the quantile the tables use
+    rng = random.Random(41)
+    q = 1.0 - exact.MIXTURE_TAIL / 4.0
+    lams = [_log_uniform(rng, 1e-3, 1e4) for _ in range(1500)] + [1e-300, 0.5, 1.0, 1e5]
+    for lam in lams:
+        want = poisson_ppf_reference(q, lam)
+        assert exact._quantile(lambda k: special.pdtr(k, lam), q) == want, lam
+    for p in (1e-12, 0.3, 0.5, 0.999):
+        assert exact._quantile(lambda k: special.pdtr(k, 7.3), p) == poisson_ppf_reference(p, 7.3)
+
+
+def test_quantile_matches_nbinom_ppf_reference():
+    rng = random.Random(43)
+    q = 1.0 - exact.MIXTURE_TAIL / 4.0
+    for _ in range(300):
+        r, scale = _log_uniform(rng, 1e-2, 1e3), _log_uniform(rng, 1e-3, 10.0)
+        succ = 1.0 / (1.0 + scale)
+        got = exact._quantile(lambda k: special.betainc(r, k + 1.0, succ), q)
+        assert got == nbinom_ppf_reference(q, r, succ), (r, scale)
+
+
+def _two_point_cases():
+    rng = random.Random(47)
+    cases = [(2.5, 3.5, 0.5), (0.01, 7.0, 0.9), (200.0, 210.0, 0.3), (1e-4, 1e-4, 0.0)]
+    for _ in range(30):
+        a, b = _log_uniform(rng, 1e-3, 3e3), _log_uniform(rng, 1e-3, 3e3)
+        cases.append((a, b, rng.choice([0.0, 1.0, rng.random()])))
+    return cases
+
+
+@pytest.mark.parametrize("a, b, w", _two_point_cases())
+def test_poisson_mixture_table_bit_identical_to_reference(a, b, w):
+    got = exact.poisson_mixture_table([w, 1.0 - w], [a, b])
+    want = poisson_mixture_table_reference([w, 1.0 - w], [a, b])
+    assert _bits(got.pmf) == _bits(want.pmf)
+    assert _bits(got.tail_mass) == _bits(want.tail_mass)
+
+
+def _gamma_cases():
+    rng = random.Random(53)
+    cases = [(3.0, 0.7), (0.01, 0.9), (300.0, 1e-17), (60.0, 0.41)]
+    for _ in range(30):
+        cases.append((_log_uniform(rng, 1e-2, 1e3), _log_uniform(rng, 1e-3, 10.0)))
+    return cases
+
+
+@pytest.mark.parametrize("r, scale", _gamma_cases())
+def test_nbinom_table_bit_identical_to_reference(r, scale):
+    got = exact.nbinom_table(r, scale)
+    want = nbinom_table_reference(r, scale)
+    assert _bits(got.pmf) == _bits(want.pmf)
+    assert _bits(got.tail_mass) == _bits(want.tail_mass)
+
+
+CAP_CASES = PMF_CASES + [[3e5], [5e5, 1e3], [9e5], [1e6], [1e300], [2.0] * 40]
+
+
+@pytest.mark.parametrize("rates", CAP_CASES, ids=_ids(CAP_CASES))
+def test_cp_pmf_truncation_matches_reference_loop(rates, monkeypatch):
+    # only the truncation point is compared: the table is never built
+    params = CompoundPoissonParams(rates)
+    for x_cap in (core.DEFAULT_X_CAP, 100):
+        try:
+            want = cp_pmf_x_max_reference(params, x_cap=x_cap)
+        except TruncationCapError as exc:
+            want = repr(exc)
+
+        def stop(jlam, p0, x_max):
+            raise LookupError(x_max)
+
+        monkeypatch.setattr(core, "_panjer", stop)
+        try:
+            cp_pmf(params, x_cap=x_cap)
+        except LookupError as exc:
+            got = exc.args[0]
+        except TruncationCapError as exc:
+            got = repr(exc)
+        assert got == want
+
+
+def _forbid(*args, **kwargs):
+    raise AssertionError("pmf built past the cap")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: cp_pmf(CompoundPoissonParams([2e6])),
+        lambda: cp_pmf(CompoundPoissonParams([1e300, 1.0])),
+        lambda: exact.poisson_mixture_table([0.5, 0.5], [1e8, 10.0]),
+        lambda: exact.poisson_mixture_table([0.5, 0.5], [1e300, 1e300]),
+        lambda: exact.nbinom_table(1e8, 10.0),
+        lambda: exact.nbinom_table(1e5, 10.0),
+    ],
+)
+def test_table_past_the_cap_is_refused_before_its_pmf_is_built(build, monkeypatch):
+    for module, name in ((core, "_panjer"), (exact, "_nbinom_pmf"), (special, "xlogy"),
+                         (special, "gammaln")):
+        monkeypatch.setattr(module, name, _forbid)
+    with pytest.raises(TruncationCapError, match="truncation cap exceeded"):
+        build()
+
+
+def test_truncation_point_never_evaluates_the_tail_past_the_cap():
+    seen = []
+
+    def tail(x):
+        seen.append(x)
+        return 1.0
+
+    with pytest.raises(TruncationCapError):
+        core._truncation_point(3, tail, 1e-12)
+    assert max(seen) <= core.DEFAULT_X_CAP < 2 * max(seen)
+    seen.clear()
+    with pytest.raises(TruncationCapError):
+        core._truncation_point(core.DEFAULT_X_CAP + 1, tail, 1e-12)
+    assert seen == []
+    # at or below the target, the start itself; a nan tail stops the doubling
+    assert core._truncation_point(16, lambda x: 1e-12, 1e-12) == (16, 1e-12)
+    x, t = core._truncation_point(16, lambda x: math.nan, 1e-12)
+    assert x == 16 and math.isnan(t)
