@@ -561,24 +561,12 @@ def bound_thm4(th: ThetaVector) -> SteinFactorBound:
     return SteinFactorBound(m0, m1, "THM4", True, f"delta = {delta:g}")
 
 
-def regime_classify(th: ThetaVector) -> str:
-    """First applicable of BX99_OK, COR3_OK, THM4_OK, GENERAL_ONLY, in that
-    order of preference (narrative sharpness; the numeric minimum of the
-    bounds themselves is taken by ``best_bound``).  BX99, COR3 and THM4 are
-    judged as ``bound_bx99``, ``bound_cor3`` and ``bound_thm4`` judge them,
-    without an enclosure.
-    """
-    th.require(3)
-    if not th.finite:
-        return "GENERAL_ONLY"
-    if bound_bx99(th).applicable:
-        return "BX99_OK"
-    cor3 = _cor3_delta(th)
-    if cor3 is not None and cor3 > 0.0:
-        return "COR3_OK"
-    if bound_thm4(th).applicable:
-        return "THM4_OK"
-    return "GENERAL_ONLY"
+def regime_classify(bounds: list[SteinFactorBound]) -> str:
+    """BX99_OK, COR3_OK or THM4_OK for the first of those rows applicable in a
+    catalogue from ``evaluate_all`` (a THM2(3) fallback is not COR3), else
+    GENERAL_ONLY."""
+    ok = {b.method for b in bounds if b.applicable}
+    return next((f"{m}_OK" for m in ("BX99", "COR3", "THM4") if m in ok), "GENERAL_ONLY")
 
 
 def evaluate_all(

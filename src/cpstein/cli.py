@@ -275,7 +275,7 @@ def cmd_bounds(args) -> tuple[int, str]:
     payload = {
         "rates": list(params.rates),
         "theta": [th[i] for i in range(4)],
-        "regime": regime_classify(th),
+        "regime": regime_classify(bounds),
         "bounds": rows,
         "best": best,
     }

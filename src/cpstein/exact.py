@@ -392,10 +392,10 @@ def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
             break
         s = s_next
     t = d / m
-    # t rounds to -1 once x/m is below rounding, and 0 * log1p(-1) is nan:
-    # the table refuses such a pmf, so the warning would only add noise
+    # t rounds to -1 once x/m is below rounding, where 0 * log1p(-1) is nan;
+    # the deviance there is its limit m, so the nan and its warning are dropped
     with np.errstate(divide="ignore", invalid="ignore"):
-        far = m * ((1.0 + t) * np.log1p(t) - t)
+        far = np.where(t == -1.0, m, m * ((1.0 + t) * np.log1p(t) - t))
     return np.where(near, s, far)
 
 

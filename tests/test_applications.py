@@ -18,6 +18,7 @@ from cpstein import (
     TwoPointMixing,
     bound_bx99,
     cp_params_for,
+    evaluate_all,
     mixed_cp_params,
     mixed_dk_bound,
     model_from_json,
@@ -342,14 +343,15 @@ def test_sums_cp_params_named_violations():
 
 
 def test_regime_classify():
-    assert regime_classify(theta(runs_cp_params(RunsModel(50, 0.1)), 3)) == "BX99_OK"
-    assert regime_classify(theta(runs_cp_params(RunsModel(50, 0.3)), 3)) == "COR3_OK"
+    assert regime_classify(evaluate_all(runs_cp_params(RunsModel(50, 0.1)))) == "BX99_OK"
+    assert regime_classify(evaluate_all(runs_cp_params(RunsModel(50, 0.3)))) == "COR3_OK"
     m = MixedPoissonModel(TwoPointMixing(0.4, 2.0, 0.5))
-    assert regime_classify(theta(mixed_cp_params(m), 3)) == "THM4_OK"
+    assert regime_classify(evaluate_all(mixed_cp_params(m))) == "THM4_OK"
     # boundary case: theta_0 = 2 theta_1 exactly, no criterion applies
-    from cpstein import ThetaVector
+    from cpstein import ThetaVector, bound_cor3, bound_thm4
 
-    assert regime_classify(ThetaVector([1.0, 0.5, 1.0, 0.0])) == "GENERAL_ONLY"
+    th = ThetaVector([1.0, 0.5, 1.0, 0.0])
+    assert regime_classify([bound_bx99(th), bound_cor3(th), bound_thm4(th)]) == "GENERAL_ONLY"
 
 
 def test_cp_params_for_dispatch():

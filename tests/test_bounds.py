@@ -457,22 +457,41 @@ def test_cor3_grid_fallback_searches_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_regime_classify_never_searches_the_grid(monkeypatch):
+def test_regime_classify_reads_only_its_rows(monkeypatch):
     from cpstein import bounds, cli
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("grid search")
+    def rows_of(th):
+        return [bound_bx99(th), bound_cor3(th), bound_thm4(th)]
 
+    # the rows are built first: the COR3 slot of (0, 0, 0, 0, 1) falls back to
+    # THM2(3) and searches the grid once
+    catalogues = [
+        ("BX99_OK", evaluate_all(CompoundPoissonParams([1.0, 0.2]))),  # COR3 applies too
+        ("COR3_OK", evaluate_all(CompoundPoissonParams([4.0, 1.0, 0.5]))),  # THM4 too
+        ("COR3_OK", rows_of(ThetaVector([1.0, 0.6, 0.3, 0.0]))),
+        ("THM4_OK", evaluate_all(CompoundPoissonParams([0.0, 0.0, 0.0, 0.0, 1.0]))),
+        ("GENERAL_ONLY", rows_of(ThetaVector([1.0, 0.5, 1.0, 0.0]))),
+    ]
+    # theta_2 >= 2 theta_1: the COR3 slot holds an applicable THM2(3)
+    thm2 = bound_cor3(ThetaVector([10.0, 0.5, 1.0, 0.0]))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("regime judged again")
+
+    # the closed-form paths never search the grid: COR3 under
+    # theta_2 < 2 theta_1, and a runs sweep row
     monkeypatch.setattr(bounds, "delta_k_grid", forbidden)
-    th = theta(CompoundPoissonParams([0.0, 0.0, 0.0, 0.0, 1.0]), 3)
-    assert bounds.regime_classify(th) == "THM4_OK"
-    assert bounds.regime_classify(ThetaVector([1.0, 0.5, 1.0, 0.0])) == "GENERAL_ONLY"
-    assert bounds.regime_classify(ThetaVector([1.0, 0.6, 0.3, 0.0])) == "COR3_OK"
-    # the other closed-form paths: COR3 under theta_2 < 2 theta_1, and a runs
-    # sweep row
     assert bound_cor3(ThetaVector([1.0, 0.6, 0.3, 0.0])).method == "COR3"
     row = cli._sweep_row({"model": "runs", "n": 50, "p": 0.2})
     assert row["cor3_applicable"]
+    for name in ("bound_bx99", "bound_cor3", "bound_thm4", "theta"):
+        monkeypatch.setattr(bounds, name, forbidden)
+    for regime, rows in catalogues:
+        assert bounds.regime_classify(rows) == regime
+        assert bounds.regime_classify(rows[::-1]) == regime  # preference, not row order
+    assert thm2.method == "THM2(3)" and thm2.applicable
+    assert bounds.regime_classify([thm2]) == "GENERAL_ONLY"
+    assert bounds.regime_classify([]) == "GENERAL_ONLY"
 
 
 @pytest.mark.parametrize("rates", [[10.0, 300.0], [0.0, 250.0], [1.0, 200.0], [0.4, 1.0]])
@@ -482,7 +501,9 @@ def test_regime_is_thm4_only_where_bound_thm4_applies(rates):
     th = theta(CompoundPoissonParams(rates), 3)
     assert not bound_bx99(th).applicable and _cor3_delta(th) < 0.0
     thm4 = bound_thm4(th)
-    assert (regime_classify(th) == "THM4_OK") == thm4.applicable
+    rows = evaluate_all(CompoundPoissonParams(rates))
+    assert rows[4] == thm4
+    assert (regime_classify(rows) == "THM4_OK") == thm4.applicable
     assert thm4.applicable == (2.0 * rates[1] - rates[0] < 473.0)
 
 
@@ -499,10 +520,11 @@ def test_non_finite_theta_is_inapplicable_without_enclosure(monkeypatch, values)
 
     monkeypatch.setattr(bounds, "_bernstein_factors", forbidden)
     th = ThetaVector(values)
-    for b in (bound_bx99(th), bound_cor3(th), bound_thm2(th, 3), bound_thm4(th)):
+    rows = [bound_bx99(th), bound_cor3(th), bound_thm2(th, 3), bound_thm4(th)]
+    for b in rows:
         assert not b.applicable
         assert b.condition_note == "theta not finite"
-    assert bounds.regime_classify(th) == "GENERAL_ONLY"
+    assert bounds.regime_classify(rows) == "GENERAL_ONLY"
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])

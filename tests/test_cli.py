@@ -441,7 +441,7 @@ def test_dropped_input_is_refused(capsys, command, message):
 
 
 # (argv, exit code, message): tables past the truncation cap, a Monte Carlo
-# law past its cell budget, non-finite model input and a law that computes nan
+# law past its cell budget and non-finite model input
 REFUSED = [
     ("pmf --model mixed --gamma 1e8,10", 3, "truncation cap exceeded"),
     ("pmf --model mixed --gamma 1e5,10", 3, "truncation cap exceeded"),
@@ -452,7 +452,6 @@ REFUSED = [
     ("pmf --model sums --components 0.5,0.5;nan", 2, "must be nonempty, finite and nonnegative"),
     ("pmf --model mixed --gamma inf,1", 2, "shape and scale must be finite and positive"),
     ("pmf --model mixed --two-point inf,1,0.5", 2, "mixing values must be finite and positive"),
-    ("pmf --model mixed --gamma 1e-300,1", 2, "pmf entries must be finite"),
 ]
 
 
@@ -465,6 +464,26 @@ def test_refused_with_one_error_line(capsys, command, code, message):
     assert got == code and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_gamma_mixture_near_a_point_mass_matches_mpmath(capsys):
+    # at shape r = 1e-300, x/m = r/(n succ) in the deviance bd0(r, n succ) is
+    # below rounding, where exact._bd0 takes the limit m; the law is all but a
+    # point mass at 0
+    mpmath = pytest.importorskip("mpmath")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "pmf", "--model", "mixed", "--gamma", "1e-300,1")
+    assert code == 0 and err == ""
+    pmf = json.loads(out)["pmf"]
+    assert len(pmf) == 11 and pmf[0] == 1.0
+    with mpmath.workdps(30):
+        r, succ = mpmath.mpf(1e-300), mpmath.mpf(0.5)  # succ = 1/(1 + scale)
+        want = [
+            float(mpmath.rf(r, x) / mpmath.factorial(x) * succ**r * (1 - succ) ** x)
+            for x in range(len(pmf))
+        ]
+    assert_allclose(pmf, want, rtol=1e-12)
 
 
 def test_usage_error_missing_input(capsys):

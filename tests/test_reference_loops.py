@@ -13,6 +13,10 @@ doubling rule, ``core._truncation_point``, and their quantiles one search,
 replace are kept here too: ``cp_pmf_x_max_reference``,
 ``poisson_ppf_reference``, ``nbinom_ppf_reference``,
 ``poisson_mixture_table_reference`` and ``nbinom_table_reference``.
+
+The regime is read from the bound catalogue's BX99, COR3 and THM4 rows;
+``regime_classify_reference``, which judged the three conditions on theta a
+second time, is kept here and must agree with the reading.
 """
 
 from __future__ import annotations
@@ -29,12 +33,20 @@ from cpstein import core, exact, oracle
 from cpstein import (
     CompoundPoissonParams,
     ConvergenceError,
+    ThetaVector,
     TruncationCapError,
+    bound_bx99,
+    bound_cor3,
+    bound_thm4,
     chernoff_tail,
     cp_pmf,
     empirical_factors,
+    evaluate_all,
+    regime_classify,
     solve_stein,
+    theta,
 )
+from cpstein.bounds import _cor3_delta
 from cpstein.oracle import default_x_max
 
 # ---------------------------------------------------------------------------
@@ -152,6 +164,20 @@ def nbinom_table_reference(r, scale):
     while (tail := float(special.betainc(x_max + 1.0, r, 1.0 - succ))) > exact.MIXTURE_TAIL:
         x_max *= 2
     return core.DistributionTable(pmf=exact._nbinom_pmf(x_max, r, succ), tail_mass=tail)
+
+
+def regime_classify_reference(th):
+    th.require(3)
+    if not th.finite:
+        return "GENERAL_ONLY"
+    if bound_bx99(th).applicable:
+        return "BX99_OK"
+    cor3 = _cor3_delta(th)
+    if cor3 is not None and cor3 > 0.0:
+        return "COR3_OK"
+    if bound_thm4(th).applicable:
+        return "THM4_OK"
+    return "GENERAL_ONLY"
 
 
 def tail_reference(jl, lo, n, r):
@@ -493,3 +519,46 @@ def test_truncation_point_never_evaluates_the_tail_past_the_cap():
     assert core._truncation_point(16, lambda x: 1e-12, 1e-12) == (16, 1e-12)
     x, t = core._truncation_point(16, lambda x: math.nan, 1e-12)
     assert x == 16 and math.isnan(t)
+
+
+# ---------------------------------------------------------------------------
+# the one regime judge
+
+
+def _regime_laws(seed: int, count: int) -> list[list[float]]:
+    """J <= 4 rates with total 0.1-300; about 40% of the laws have a zero rate."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        zero = rng.random() < 0.4
+        w = [rng.random() for _ in range(rng.randint(2 if zero else 1, 4))]
+        if zero:
+            w[rng.randrange(len(w))] = 0.0
+        total, s = _log_uniform(rng, 0.1, 300.0), math.fsum(w)
+        out.append([total * v / s for v in w])
+    return out
+
+
+# (10, 300): THM4's delta underflows; (0, 0, 0, 0, 1): the COR3 slot holds THM2(3)
+REGIME_LAWS = _regime_laws(59, 400) + [[10.0, 300.0], [0.0, 0.0, 0.0, 0.0, 1.0]]
+
+
+def test_regime_read_from_catalogue_matches_reference():
+    seen = set()
+    for rates in REGIME_LAWS:
+        params = CompoundPoissonParams(rates)
+        want = regime_classify_reference(theta(params, 3))
+        assert regime_classify(evaluate_all(params)) == want, rates
+        seen.add(want)
+    assert seen == {"BX99_OK", "COR3_OK", "THM4_OK", "GENERAL_ONLY"}
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[1.0, 0.5, 1.0, 0.0], [math.inf, math.inf, math.inf, 0.0], [math.inf, 8e307, 0.0, 0.0]],
+)
+def test_regime_read_from_rows_matches_reference_on_theta(values):
+    # theta_0 = 2 theta_1 exactly, and the two non-finite thetas
+    th = ThetaVector(values)
+    rows = [bound_bx99(th), bound_cor3(th), bound_thm4(th)]
+    assert regime_classify(rows) == regime_classify_reference(th) == "GENERAL_ONLY"
