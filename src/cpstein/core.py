@@ -362,20 +362,36 @@ def cp_pmf(
     that land below the normal range are set to 0.  For lambda <= 700 the
     arithmetic is the plain recursion.  A table whose mass falls short of
     mass_target by more than 1e-9 raises TruncationCapError.
-    """
-    import numpy as np
 
+    ``exact.poisson_mixture_table`` builds each component by this truncation
+    point, recursion and residual tail; ``exact.nbinom_table`` starts its
+    tail search at the same bulk start.
+    """
     if not 0.0 < mass_target < 1.0:
         raise ValueError("mass_target must lie in (0, 1)")
-    th = theta(params, 1)
-    sd = math.sqrt(th[0] + th[1])
-    J = params.max_cluster_size
-    # past the cap, start at it: the bulk may not even be a finite float
-    x_max = max(16, math.ceil(min(th[0] + 10.0 * sd, x_cap)) + 10 * J)
-    x_max, _ = _truncation_point(
-        x_max, functools.partial(chernoff_tail, params), 1.0 - mass_target, x_cap
-    )
+    x_max = _cp_x_max(params, mass_target, x_cap)
+    return _residual_table(_cp_table(params, x_max), mass_target)
 
+
+def _bulk_start(mean: float, var: float, J: int, x_cap: int = DEFAULT_X_CAP) -> int:
+    """First truncation point tried: 10 sd past the mean plus 10 J, at least 16.
+    Past the cap it starts at the cap: the bulk may not even be a finite float."""
+    return max(16, math.ceil(min(mean + 10.0 * math.sqrt(var), x_cap)) + 10 * J)
+
+
+def _cp_x_max(params: CompoundPoissonParams, mass_target: float, x_cap: int) -> int:
+    """cp_pmf's truncation point: the doubling rule on its Chernoff bound from ``_bulk_start``."""
+    th = theta(params, 1)
+    x = _bulk_start(th[0], th[0] + th[1], params.max_cluster_size, x_cap)
+    tail = functools.partial(chernoff_tail, params)
+    return _truncation_point(x, tail, 1.0 - mass_target, x_cap)[0]
+
+
+def _cp_table(params: CompoundPoissonParams, x_max: int) -> np.ndarray:
+    """P(U=n) for n = 0..x_max by cp_pmf's recursion and its shift in logs."""
+    import numpy as np
+
+    J = params.max_cluster_size
     jlam = [j * params.rates[j - 1] for j in range(1, J + 1)]
     # Start from log P(U=0) = -lambda: p[n] holds P(U=n) e^{shift} / RESCALE_AT^d,
     # where d counts the rescalings whose window began at or before n.
@@ -388,10 +404,15 @@ def cp_pmf(
         with np.errstate(divide="ignore"):
             p = np.exp(np.log(p) + (d * math.log(RESCALE_AT) - shift))
         p[p < np.finfo(float).tiny] = 0.0  # subnormal: exp's last bit decides it
-    tail = max(0.0, 1.0 - float(p.sum()))
+    return p
+
+
+def _residual_table(pmf: np.ndarray, mass_target: float) -> DistributionTable:
+    """pmf with tail_mass 1 - sum(pmf), clipped at 0 and checked against mass_target."""
+    tail = max(0.0, 1.0 - float(pmf.sum()))
     if tail > 1.0 - mass_target + MASS_TOL:
         raise TruncationCapError("pmf does not reach its mass target")
-    return DistributionTable(pmf=p, tail_mass=tail)
+    return DistributionTable(pmf=pmf, tail_mass=tail)
 
 
 def cp_sample(

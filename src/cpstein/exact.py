@@ -13,17 +13,19 @@ that advances only the live window of counts and take n <= 2000 (10-25 ms
 at n = 2000, by p); reliability takes grids up to n = 11 for k = 2 and
 n = 8 for k = 3 (0.2-0.25 s there), Monte Carlo beyond (about 7 ms per
 10 000 grids at n = 10, most of it drawing them, up to MC_CELL_BUDGET grid
-cells); 2 vCPUs, numpy 2.4.  The mixed-Poisson tables truncate by the rule
-of ``cp_pmf``, ``core._truncation_point``, under its 10^6-point cap.
+cells); 2 vCPUs, numpy 2.4.  The mixed-Poisson tables are ``cp_pmf``'s code:
+the two-point mixture mixes its Poisson tables, and the negative binomial
+starts its exact tail search where ``cp_pmf`` does, under its 10^6-point cap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
-from .core import DistributionTable, _truncation_point
+from .core import DEFAULT_MASS_TARGET, DEFAULT_X_CAP, CompoundPoissonParams, DistributionTable
+from .core import _bulk_start, _cp_table, _cp_x_max, _residual_table, _truncation_point
 
 # for annotations only: numpy loads in the functions that use it, and models
 # imports this module (the laws read model attributes only)
@@ -56,7 +58,6 @@ MC_DRAW_CELLS = MC_BLOCK * 10 * 10
 # of MC_DRAW_CELLS: 2e8 cells (10^6 samples at n = 14, 20 000 at n = 100)
 # take 1.1-1.2 s and 53 MB of peak memory, 10^6 samples at n = 10 0.8 s
 MC_CELL_BUDGET = 200_000_000
-MIXTURE_TAIL = 1e-12
 
 
 class BudgetExceededError(RuntimeError):
@@ -306,39 +307,14 @@ def reliability_mc_pmf(
     return DistributionTable(pmf=freq / samples, tail_mass=0.0, mc_samples=samples)
 
 
-def _quantile(cdf: Callable[[int], float], q: float) -> int:
-    """Smallest k >= 0 with cdf(k) >= q: doubling from 1 under the truncation
-    cap while q - cdf(k) > 0, that is cdf(k) < q, then bisection."""
-    hi, _ = _truncation_point(1, lambda k: q - cdf(k), 0.0)
-    lo = -1  # cdf(-1) = 0 < q
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if cdf(mid) >= q:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def poisson_mixture_table(
-    weights: list[float], intensities: list[float]
-) -> DistributionTable:
-    """Weighted mixture of Poisson pmfs with an exact sf tail."""
-    import numpy as np
-    from scipy import special
-
-    q = 1.0 - MIXTURE_TAIL / 4.0
-    hi = max(_quantile(lambda k: special.pdtr(k, lam), q) for lam in intensities)
-    x_max, tail = _truncation_point(
-        hi + 10,
-        lambda x: sum(w * special.pdtrc(x, lam) for w, lam in zip(weights, intensities)),
-        MIXTURE_TAIL,
-    )
-    x = np.arange(x_max + 1)
-    pmf = np.zeros(x_max + 1)
-    for w, lam in zip(weights, intensities):
-        pmf += w * np.exp(special.xlogy(x, lam) - special.gammaln(x + 1) - lam)
-    return DistributionTable(pmf=pmf, tail_mass=float(tail))
+def poisson_mixture_table(weights: list[float], intensities: list[float]) -> DistributionTable:
+    """Weighted mixture of Poisson pmfs: ``cp_pmf``'s recursion for each intensity
+    of positive weight, up to the largest of their ``cp_pmf`` truncation points,
+    and ``cp_pmf``'s residual tail, which their Chernoff bounds certify."""
+    parts = [(w, CompoundPoissonParams([lam])) for w, lam in zip(weights, intensities) if w > 0]
+    x_max = max(_cp_x_max(params, DEFAULT_MASS_TARGET, DEFAULT_X_CAP) for _, params in parts)
+    pmf = sum(w * _cp_table(params, x_max) for w, params in parts)
+    return _residual_table(pmf, DEFAULT_MASS_TARGET)
 
 
 # Stirling series coefficients B_2k / (2k (2k-1)), k = 1..5
@@ -434,14 +410,16 @@ def _nbinom_pmf(x_max: int, r: float, succ: float) -> np.ndarray:
 
 def nbinom_table(r: float, scale: float) -> DistributionTable:
     """Law of Poisson(xi) with xi ~ Gamma(r, scale): the negative binomial with
-    success probability 1/(1 + scale), with an exact sf tail."""
+    success probability 1/(1 + scale), with an exact sf tail, truncated by
+    ``cp_pmf``'s rule (mean r scale, variance r scale (1 + scale), J = 1)."""
     from scipy import special
 
     succ = 1.0 / (1.0 + scale)
-    # P(NB <= k) = I_succ(r, k+1) and P(NB > x) = I_{1-succ}(x+1, r)
-    hi = _quantile(lambda k: special.betainc(r, k + 1.0, succ), 1.0 - MIXTURE_TAIL / 4.0)
+    # P(NB > x) = I_{1-succ}(x+1, r)
     x_max, tail = _truncation_point(
-        hi + 10, lambda x: float(special.betainc(x + 1.0, r, 1.0 - succ)), MIXTURE_TAIL
+        _bulk_start(r * scale, r * scale * (1.0 + scale), 1),
+        lambda x: float(special.betainc(x + 1.0, r, 1.0 - succ)),
+        1.0 - DEFAULT_MASS_TARGET,
     )
     return DistributionTable(pmf=_nbinom_pmf(x_max, r, succ), tail_mass=tail)
 

@@ -446,6 +446,7 @@ REFUSED = [
     ("pmf --model mixed --gamma 1e8,10", 3, "truncation cap exceeded"),
     ("pmf --model mixed --gamma 1e5,10", 3, "truncation cap exceeded"),
     ("pmf --model mixed --two-point 1e9,2,0.5", 3, "truncation cap exceeded"),
+    ("pmf --model mixed --two-point 1e8,10,0.5", 3, "truncation cap exceeded"),
     ("pmf --model mixed --two-point 1e300,1e300,0.5", 3, "truncation cap exceeded"),
     ("pmf --model reliability --n 100 --k 2 --q 0.3", 3, "exceeds budget 200000000"),
     ("verify --model reliability --n 300 --k 2 --q 0.3", 3, "exceeds budget 200000000"),
@@ -476,7 +477,7 @@ def test_gamma_mixture_near_a_point_mass_matches_mpmath(capsys):
         code, out, err = run_cli(capsys, "pmf", "--model", "mixed", "--gamma", "1e-300,1")
     assert code == 0 and err == ""
     pmf = json.loads(out)["pmf"]
-    assert len(pmf) == 11 and pmf[0] == 1.0
+    assert len(pmf) == 17 and pmf[0] == 1.0  # x_max 16, cp_pmf's floor
     with mpmath.workdps(30):
         r, succ = mpmath.mpf(1e-300), mpmath.mpf(0.5)  # succ = 1/(1 + scale)
         want = [
@@ -484,6 +485,19 @@ def test_gamma_mixture_near_a_point_mass_matches_mpmath(capsys):
             for x in range(len(pmf))
         ]
     assert_allclose(pmf, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("two_point", ["1e8,1,0", "1,1e8,1"])
+def test_mixed_intensity_of_weight_zero_is_left_out(capsys, two_point):
+    # W ~ Poisson(1): the intensity 1e8 has weight 0, and its table, past
+    # the cap, is never asked for
+    code, out, err = run_cli(capsys, "pmf", "--model", "mixed", "--two-point", two_point)
+    assert code == 0 and err == ""
+    want = core.cp_pmf(core.CompoundPoissonParams([1.0]))
+    assert json.loads(out) == {"pmf": want.pmf.tolist(), "tail_mass": want.tail_mass}
+    code, out, err = run_cli(capsys, "verify", "--model", "mixed", "--two-point", two_point)
+    assert code == 0 and err == ""
+    assert json.loads(out)["pass"] is True
 
 
 def test_usage_error_missing_input(capsys):
@@ -734,7 +748,7 @@ _SCIPY_FREE_COMMANDS = [
 
 
 def test_non_mixed_commands_leave_out_scipy():
-    # scipy.special loads on the first mixed-model call only; the mixed
+    # scipy.special loads on the first gamma-mixing call only; the gamma
     # verify at the end shows that the check sees it when it does load
     out = _fresh_python(
         "import contextlib, io, sys, cpstein, cpstein.cli\n"
@@ -749,6 +763,18 @@ def test_non_mixed_commands_leave_out_scipy():
     *plain, mixed = out.strip().splitlines()
     assert plain == ["0 []"] * len(_SCIPY_FREE_COMMANDS)
     assert mixed == "0 True"
+
+
+def test_two_point_mixed_pmf_leaves_out_scipy():
+    # the two-point law is cp_pmf's recursion: no scipy.special, no pdtr
+    out = _fresh_python(
+        "import contextlib, io, sys, cpstein.cli\n"
+        "argv = ['pmf', '--model', 'mixed', '--two-point', '2.5,3.5,0.5']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cpstein.cli.main(argv)\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert out.strip() == "0 []"
 
 
 # closed-form bounds and sweeps, which never need numpy

@@ -260,6 +260,23 @@ def test_pmf_large_total_rate_mass_and_mean(rates):
     assert_allclose(t.var(), variance(p), rtol=1e-8)
 
 
+@pytest.mark.parametrize("lam", [50.0, 700.0, 5e3, 5e4, 5e5])
+def test_poisson_pmf_matches_mpmath_over_the_accepted_range(lam):
+    # Past lambda = 700 the error is one common factor per rescale window,
+    # from exp(log p + d log R - shift), so it grows like eps * lambda; the
+    # residual tail 1 - sum(pmf) absorbs what the table gains or loses
+    mpmath = pytest.importorskip("mpmath")
+    t = cp_pmf(CompoundPoissonParams([lam]))
+    sd = math.sqrt(lam)
+    xs = np.unique(np.linspace(max(0.0, lam - 6.0 * sd), lam + 6.0 * sd, 200).round())
+    with mpmath.workdps(40):
+        big = mpmath.mpf(lam)
+        want = [mpmath.exp(x * mpmath.log(big) - big - mpmath.loggamma(x + 1)) for x in xs]
+        rel = max(abs((mpmath.mpf(t.pmf[int(x)]) - w) / w) for x, w in zip(xs, want))
+    assert rel <= 2e-16 * max(lam, 50.0)
+    assert t.tail_mass == 1.0 - float(t.pmf.sum())
+
+
 def test_pmf_large_total_rate_matches_poisson_components():
     # U = N_1 + 2 N_2 with independent Poisson counts: an independent route
     from scipy import stats

@@ -29,7 +29,9 @@ from cpstein import (
 )
 from cpstein.cli import main
 from cpstein import exact
+from cpstein.core import DEFAULT_MASS_TARGET
 from cpstein.exact import MC_CHUNK, _count_subgrids
+from test_core import plain_recursion_pmf
 
 
 def runs_brute_force(n, p):
@@ -389,35 +391,40 @@ def test_gamma_mixture_is_negative_binomial():
     assert_allclose(t.pmf, direct, rtol=1e-10, atol=1e-300)
 
 
-def test_two_point_table_bit_identical_to_scipy_stats():
-    # x_max, tail and pmf as first written with scipy.stats.poisson
-    for a, b, w in ((2.5, 3.5, 0.5), (0.01, 7.0, 0.9), (200.0, 210.0, 0.3)):
+def test_two_point_table_is_cp_pmf_of_each_intensity():
+    # each intensity is built by cp_pmf's recursion, all to the largest of
+    # their cp_pmf truncation points, then mixed; up to lambda = 700 that
+    # is the plain recursion from e^{-lambda}
+    for a, b, w in ((2.5, 3.5, 0.5), (0.01, 7.0, 0.9), (200.0, 210.0, 0.3), (700.0, 3.0, 0.2)):
         t = mixed_exact_pmf(MixedPoissonModel(TwoPointMixing(a, b, w)))
-        weights, lams = (w, 1.0 - w), (a, b)
-        x_max = max(int(stats.poisson.ppf(1.0 - 2.5e-13, lam)) for lam in lams) + 10
-        while True:
-            tail = sum(v * stats.poisson.sf(x_max, lam) for v, lam in zip(weights, lams))
-            if tail <= 1e-12:
-                break
-            x_max *= 2
-        x = np.arange(x_max + 1)
-        want = np.zeros(x_max + 1)
-        for v, lam in zip(weights, lams):
-            want += v * stats.poisson.pmf(x, lam)
+        x_max = max(cp_pmf(CompoundPoissonParams([lam])).x_max for lam in (a, b))
         assert t.x_max == x_max
-        assert t.tail_mass == float(tail)
+        want = w * plain_recursion_pmf([a], x_max) + (1.0 - w) * plain_recursion_pmf([b], x_max)
         assert np.array_equal(t.pmf, want)
+        assert t.tail_mass == max(0.0, 1.0 - float(want.sum()))
+
+
+def test_two_point_table_builds_under_the_cap():
+    # 5.3e5 is past 2^19 but its table is under the 10^6-point cap
+    t = exact.poisson_mixture_table([0.5, 0.5], [5.3e5, 1.0])
+    assert t.x_max == cp_pmf(CompoundPoissonParams([5.3e5])).x_max < 10**6
+    assert 0.0 <= t.tail_mass <= 1e-9
+    assert t.tail_mass == max(0.0, 1.0 - float(t.pmf.sum()))
+    assert abs(t.mean() - 0.5 * (5.3e5 + 1.0)) <= 1e-6 * 5.3e5
 
 
 @pytest.mark.parametrize("r", [0.01, 0.3, 2.0, 17.3, 60.0, 300.0])
 @pytest.mark.parametrize("s", [1e-17, 0.01, 0.41, 0.9])
 def test_negative_binomial_table_matches_scipy_stats(r, s):
-    # same truncation rule and tail as scipy.stats.nbinom, pmf to 1e-12
-    # relative; at scale 1e-17 the success probability rounds to 1
+    # cp_pmf's truncation rule (10 sd past the mean plus 10, at least 16,
+    # doubled until the tail is at most 1 - DEFAULT_MASS_TARGET) on the
+    # tail of scipy.stats.nbinom, pmf to 1e-12 relative; at scale 1e-17 the
+    # success probability rounds to 1
     succ = 1.0 / (1.0 + s)
     t = mixed_exact_pmf(MixedPoissonModel(GammaMixing(r, s)))
-    x_max = int(stats.nbinom.ppf(1.0 - 2.5e-13, r, succ)) + 10
-    while stats.nbinom.sf(x_max, r, succ) > 1e-12:
+    mean = r * s
+    x_max = max(16, math.ceil(mean + 10.0 * math.sqrt(mean * (1.0 + s))) + 10)
+    while stats.nbinom.sf(x_max, r, succ) > 1.0 - DEFAULT_MASS_TARGET:
         x_max *= 2
     assert t.x_max == x_max
     assert t.tail_mass == float(stats.nbinom.sf(x_max, r, succ))

@@ -8,11 +8,15 @@ as first written, which are kept here: ``block_solve_reference``,
 ``tail_reference``, ``panjer_reference`` and ``chernoff_tail_reference``.
 
 The truncation of ``cp_pmf`` and of both mixed-Poisson tables is one
-doubling rule, ``core._truncation_point``, and their quantiles one search,
-``exact._quantile``.  The three loops and two quantile functions they
-replace are kept here too: ``cp_pmf_x_max_reference``,
-``poisson_ppf_reference``, ``nbinom_ppf_reference``,
-``poisson_mixture_table_reference`` and ``nbinom_table_reference``.
+doubling rule, ``core._truncation_point``, from one bulk start.  The loop
+that ``cp_pmf`` replaced is kept here, ``cp_pmf_x_max_reference``, and so
+are the mixed-Poisson tables as first written, with a quantile search of
+their own and a log-gamma Poisson pmf: ``poisson_ppf_reference``,
+``nbinom_ppf_reference``, ``poisson_mixture_table_reference`` and
+``nbinom_table_reference``.  The Poisson mixture is now built from
+``cp_pmf``'s recursion, so it is held to mpmath and agrees with its
+reference to the log-gamma form's accuracy; the negative binomial keeps
+its reference's pmf bits on their common support.
 
 The regime is read from the bound catalogue's BX99, COR3 and THM4 rows;
 ``regime_classify_reference``, which judged the three conditions on theta a
@@ -118,6 +122,9 @@ def cp_pmf_x_max_reference(params, mass_target=core.DEFAULT_MASS_TARGET, x_cap=c
     return x_max
 
 
+MIXTURE_TAIL = 1e-12  # the tail target of the mixed-Poisson tables as first written
+
+
 def poisson_ppf_reference(q, lam):
     k = math.ceil(special.pdtrik(q, lam))
     if k > 0 and special.pdtr(k - 1, lam) >= q:
@@ -144,11 +151,11 @@ def nbinom_ppf_reference(q, r, succ):
 
 
 def poisson_mixture_table_reference(weights, intensities):
-    hi = max(poisson_ppf_reference(1.0 - exact.MIXTURE_TAIL / 4.0, lam) for lam in intensities)
+    hi = max(poisson_ppf_reference(1.0 - MIXTURE_TAIL / 4.0, lam) for lam in intensities)
     x_max = hi + 10
     while True:
         tail = sum(w * special.pdtrc(x_max, lam) for w, lam in zip(weights, intensities))
-        if tail <= exact.MIXTURE_TAIL:
+        if tail <= MIXTURE_TAIL:
             break
         x_max *= 2
     x = np.arange(x_max + 1)
@@ -160,8 +167,8 @@ def poisson_mixture_table_reference(weights, intensities):
 
 def nbinom_table_reference(r, scale):
     succ = 1.0 / (1.0 + scale)
-    x_max = nbinom_ppf_reference(1.0 - exact.MIXTURE_TAIL / 4.0, r, succ) + 10
-    while (tail := float(special.betainc(x_max + 1.0, r, 1.0 - succ))) > exact.MIXTURE_TAIL:
+    x_max = nbinom_ppf_reference(1.0 - MIXTURE_TAIL / 4.0, r, succ) + 10
+    while (tail := float(special.betainc(x_max + 1.0, r, 1.0 - succ))) > MIXTURE_TAIL:
         x_max *= 2
     return core.DistributionTable(pmf=exact._nbinom_pmf(x_max, r, succ), tail_mass=tail)
 
@@ -396,29 +403,6 @@ def _log_uniform(rng, lo, hi):
     return math.exp(rng.uniform(math.log(lo), math.log(hi)))
 
 
-def test_quantile_matches_poisson_ppf_reference():
-    # scipy's rule, the ceiling of pdtrik stepped down once, against
-    # doubling and bisection on pdtr, at the quantile the tables use
-    rng = random.Random(41)
-    q = 1.0 - exact.MIXTURE_TAIL / 4.0
-    lams = [_log_uniform(rng, 1e-3, 1e4) for _ in range(1500)] + [1e-300, 0.5, 1.0, 1e5]
-    for lam in lams:
-        want = poisson_ppf_reference(q, lam)
-        assert exact._quantile(lambda k: special.pdtr(k, lam), q) == want, lam
-    for p in (1e-12, 0.3, 0.5, 0.999):
-        assert exact._quantile(lambda k: special.pdtr(k, 7.3), p) == poisson_ppf_reference(p, 7.3)
-
-
-def test_quantile_matches_nbinom_ppf_reference():
-    rng = random.Random(43)
-    q = 1.0 - exact.MIXTURE_TAIL / 4.0
-    for _ in range(300):
-        r, scale = _log_uniform(rng, 1e-2, 1e3), _log_uniform(rng, 1e-3, 10.0)
-        succ = 1.0 / (1.0 + scale)
-        got = exact._quantile(lambda k: special.betainc(r, k + 1.0, succ), q)
-        assert got == nbinom_ppf_reference(q, r, succ), (r, scale)
-
-
 def _two_point_cases():
     rng = random.Random(47)
     cases = [(2.5, 3.5, 0.5), (0.01, 7.0, 0.9), (200.0, 210.0, 0.3), (1e-4, 1e-4, 0.0)]
@@ -428,12 +412,34 @@ def _two_point_cases():
     return cases
 
 
+def poisson_mixture_mpmath(weights, intensities, x_max):
+    """The mixture's pmf on 0..x_max at 40 digits, by p(x) = p(x-1) lam / x."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        total = [mpmath.mpf(0)] * (x_max + 1)
+        for w, lam in zip(weights, intensities):
+            lam = mpmath.mpf(lam)
+            p = mpmath.exp(-lam)
+            for x in range(x_max + 1):
+                if x:
+                    p = p * lam / x
+                total[x] += w * p
+        return total
+
+
 @pytest.mark.parametrize("a, b, w", _two_point_cases())
 def test_poisson_mixture_table_bit_identical_to_reference(a, b, w):
-    got = exact.poisson_mixture_table([w, 1.0 - w], [a, b])
-    want = poisson_mixture_table_reference([w, 1.0 - w], [a, b])
-    assert _bits(got.pmf) == _bits(want.pmf)
-    assert _bits(got.tail_mass) == _bits(want.tail_mass)
+    # the table is cp_pmf's Poisson recursion, held to mpmath; the reference,
+    # the log-gamma form as first written, agrees to its own accuracy
+    weights, lams = [w, 1.0 - w], [a, b]
+    got = exact.poisson_mixture_table(weights, lams)
+    exact_pmf = poisson_mixture_mpmath(weights, lams, got.x_max)
+    rel = [abs((got.pmf[x] - v) / v) for x, v in enumerate(exact_pmf) if v > 1e-290]
+    assert max(rel) <= 1e-12
+    assert abs(math.fsum(got.pmf) + got.tail_mass - 1.0) <= 1e-14
+    ref = poisson_mixture_table_reference(weights, lams)
+    n = min(got.x_max, ref.x_max) + 1
+    np.testing.assert_allclose(got.pmf[:n], ref.pmf[:n], rtol=1e-10, atol=np.finfo(float).tiny)
 
 
 def _gamma_cases():
@@ -446,10 +452,14 @@ def _gamma_cases():
 
 @pytest.mark.parametrize("r, scale", _gamma_cases())
 def test_nbinom_table_bit_identical_to_reference(r, scale):
+    # the Loader kernel is elementwise, so the two truncations share their
+    # common prefix bit for bit; the tail is the exact sf at the new x_max
     got = exact.nbinom_table(r, scale)
     want = nbinom_table_reference(r, scale)
-    assert _bits(got.pmf) == _bits(want.pmf)
-    assert _bits(got.tail_mass) == _bits(want.tail_mass)
+    n = min(got.x_max, want.x_max) + 1
+    assert _bits(got.pmf[:n]) == _bits(want.pmf[:n])
+    succ = 1.0 / (1.0 + scale)
+    assert _bits(got.tail_mass) == _bits(float(special.betainc(got.x_max + 1.0, r, 1.0 - succ)))
 
 
 CAP_CASES = PMF_CASES + [[3e5], [5e5, 1e3], [9e5], [1e6], [1e300], [2.0] * 40]
@@ -494,8 +504,7 @@ def _forbid(*args, **kwargs):
     ],
 )
 def test_table_past_the_cap_is_refused_before_its_pmf_is_built(build, monkeypatch):
-    for module, name in ((core, "_panjer"), (exact, "_nbinom_pmf"), (special, "xlogy"),
-                         (special, "gammaln")):
+    for module, name in ((core, "_panjer"), (exact, "_nbinom_pmf")):
         monkeypatch.setattr(module, name, _forbid)
     with pytest.raises(TruncationCapError, match="truncation cap exceeded"):
         build()
