@@ -29,15 +29,9 @@ from dataclasses import fields
 
 from .bounds import best_of, encode_float, evaluate_all, regime_classify
 from .core import CompoundPoissonParams, TruncationCapError, cp_pmf, theta
-from .exact import BudgetExceededError, distance
+from .exact import BudgetExceededError
 from .models import MIXINGS, MODELS, model_from_json
-from .oracle import (
-    ConvergenceError,
-    default_x_max,
-    empirical_factors,
-    solve_stein,
-    verify_bound,
-)
+from .oracle import ConvergenceError, default_x_max, solve_stein, verify
 
 # rows of one sweep, about 0.1 ms and 0.7 KB of output each: a 100 000-row
 # reliability sweep takes 9.8 s, 399 MB of peak memory and prints 70 MB
@@ -241,10 +235,11 @@ def _build_model(args):
     return model_from_json(obj)
 
 
-def _exact_law(args, model):
-    """The model's exact law, from the law flags given on the command line."""
-    law = {k: getattr(args, k) for k in model.law_keys if getattr(args, k) is not None}
-    return model.exact_law(**law)
+def _law(args, model) -> dict:
+    """The arguments of the model's exact law, from the law flags given on the
+    command line; none without a model."""
+    keys = () if model is None else model.law_keys
+    return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
 
 
 def _build_params(args, model) -> CompoundPoissonParams:
@@ -287,42 +282,9 @@ def cmd_bounds(args) -> tuple[int, str]:
 
 def cmd_verify(args) -> tuple[int, str]:
     model = _build_model(args)
-    params = _build_params(args, model)
-    emp = empirical_factors(params)
-    checks = []
-    all_ok = True
-    _, bounds, bb = _catalogue(params)
-    for b in bounds:
-        if not b.applicable:
-            continue
-        rep = verify_bound(params, b, emp=emp)
-        checks.append(rep.to_json())
-        all_ok = all_ok and rep.passed
-    payload = {
-        "rates": list(params.rates),
-        "empirical": {
-            "m0_hat": emp.m0_hat,
-            "m1_hat": emp.m1_hat,
-            "y_max": emp.y_max,
-            "x_max": emp.x_max,
-        },
-        "checks": checks,
-    }
-    if model is not None:
-        payload["input"] = model.to_json()
-        rep = distance(_exact_law(args, model), cp_pmf(params))
-        payload["distance"] = rep.to_json()
-        dk_bound = model.dk_bound(bb.m1)
-        if dk_bound is not None:
-            upper = rep.d_k + rep.certified_slack - 4.0 * rep.mc_stderr
-            dk_ok = upper <= dk_bound
-            payload["dk_bound"] = dk_bound
-            payload["dk_bound_method"] = bb.method
-            payload["vacuous"] = dk_bound > 1.0
-            payload["dk_pass"] = dk_ok
-            all_ok = all_ok and dk_ok
-    payload["pass"] = all_ok
-    return (EXIT_OK if all_ok else EXIT_VIOLATION), _emit(args, payload, [payload])
+    report = verify(_build_params(args, model), model, **_law(args, model))
+    code = EXIT_OK if report["pass"] else EXIT_VIOLATION
+    return code, _emit(args, report, [report])
 
 
 def _parse_range(text: str, what: str) -> list[float]:
@@ -404,7 +366,7 @@ def cmd_pmf(args) -> tuple[int, str]:
         _refuse_unread(args, (*_INPUTS, "law"), "--law approx")
     model = _build_model(args)
     if model is not None and args.law != "approx":
-        table = _exact_law(args, model)
+        table = model.exact_law(**_law(args, model))
     else:
         table = cp_pmf(_build_params(args, model))
     payload = table.to_json()

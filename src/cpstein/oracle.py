@@ -35,18 +35,19 @@ the solutions truncated at N and at 2N differ only in g.
 
 Sweeping y and taking sups of |f| and |f(x+1)-f(x)| yields empirical
 Kolmogorov Stein factors, the ground truth that every bound in
-:mod:`cpstein.bounds` must dominate.
+:mod:`cpstein.bounds` must dominate.  ``verify`` checks the catalogue
+against them, and a model's d_K bound against its exact law.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from .core import CompoundPoissonParams, TruncationCapError, cp_pmf, theta
-from .bounds import SteinFactorBound, encode_float
-from .exact import BudgetExceededError
+from .bounds import best_of, encode_float, evaluate_all
+from .exact import BudgetExceededError, distance
 
 if TYPE_CHECKING:  # numpy loads in the functions that use it
     import numpy as np
@@ -54,12 +55,11 @@ if TYPE_CHECKING:  # numpy loads in the functions that use it
 __all__ = [
     "SteinSolution",
     "EmpiricalFactors",
-    "VerifyReport",
     "ConvergenceError",
     "solve_stein",
     "interior_residuals",
     "empirical_factors",
-    "verify_bound",
+    "verify",
     "poisson_stein_forward",
     "default_x_max",
 ]
@@ -102,34 +102,6 @@ class EmpiricalFactors:
     m1_hat: float
     y_max: int
     x_max: int
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    """Outcome of checking empirical factors against a claimed bound."""
-
-    method: str
-    m0_bound: float
-    m1_bound: float
-    m0_hat: float
-    m1_hat: float
-    passed: bool
-    m0_slack: float
-    m1_slack: float
-    x_max: int
-    y_max: int
-
-    def to_json(self) -> dict:
-        return {
-            "method": self.method,
-            "m0_bound": encode_float(self.m0_bound),
-            "m0_hat": self.m0_hat,
-            "m1_bound": encode_float(self.m1_bound),
-            "m1_hat": self.m1_hat,
-            "pass": self.passed,
-            "x_max": self.x_max,
-            "y_max": self.y_max,
-        }
 
 
 def default_x_max(params: CompoundPoissonParams, y: int) -> int:
@@ -475,35 +447,54 @@ def empirical_factors(
     raise ConvergenceError("truncation not converged")
 
 
-def verify_bound(
-    params: CompoundPoissonParams,
-    bound: SteinFactorBound,
-    emp: EmpiricalFactors | None = None,
-) -> VerifyReport:
-    """Check m0_hat <= bound.m0 and m1_hat <= bound.m1 for an applicable bound.
+def verify(params: CompoundPoissonParams, model=None, **law) -> dict:
+    """Check every applicable bound of the catalogue against the measured
+    factors and, given a model, its d_K bound against the exact distance;
+    returns the report that ``cpstein verify`` prints.
 
-    ``emp`` takes factors already measured for params, so that checking
-    several bounds runs the oracle once.
+    The oracle runs once for every row: a row passes if m0_hat <= m0 and
+    m1_hat <= m1.  ``model`` is any object with the methods of the
+    :mod:`cpstein.models` classes, and ``law`` holds the arguments of its
+    ``exact_law``.  Its d_K bound is taken at the best m1 of the catalogue
+    and passes if d_k + certified_slack - 4 mc_stderr <= dk_bound: the tail
+    mass the tables leave out counts against the model, and a Monte Carlo
+    law gets four standard errors.  A model without a d_K bound
+    (independent sums) is judged by its rows alone.  ``pass`` holds if
+    every check does.
     """
-    if not bound.applicable:
-        raise ValueError("bound is not applicable; nothing to verify")
-    if emp is None:
-        emp = empirical_factors(params)
-    ok = emp.m0_hat <= bound.m0 and emp.m1_hat <= bound.m1
-    m0_slack = bound.m0 / emp.m0_hat if emp.m0_hat > 0.0 else math.inf
-    m1_slack = bound.m1 / emp.m1_hat if emp.m1_hat > 0.0 else math.inf
-    return VerifyReport(
-        method=bound.method,
-        m0_bound=bound.m0,
-        m1_bound=bound.m1,
-        m0_hat=emp.m0_hat,
-        m1_hat=emp.m1_hat,
-        passed=ok,
-        m0_slack=m0_slack,
-        m1_slack=m1_slack,
-        x_max=emp.x_max,
-        y_max=emp.y_max,
-    )
+    emp = empirical_factors(params)
+    bounds = evaluate_all(params)
+    checks = [
+        {
+            "method": b.method,
+            "m0_bound": encode_float(b.m0),
+            "m0_hat": emp.m0_hat,
+            "m1_bound": encode_float(b.m1),
+            "m1_hat": emp.m1_hat,
+            "pass": emp.m0_hat <= b.m0 and emp.m1_hat <= b.m1,
+            "x_max": emp.x_max,
+            "y_max": emp.y_max,
+        }
+        for b in bounds
+        if b.applicable
+    ]
+    report = {"rates": list(params.rates), "empirical": asdict(emp), "checks": checks}
+    ok = all(c["pass"] for c in checks)
+    if model is not None:
+        report["input"] = model.to_json()
+        dist = distance(model.exact_law(**law), cp_pmf(params))
+        report["distance"] = dist.to_json()
+        best = best_of(bounds)
+        dk_bound = model.dk_bound(best.m1)
+        if dk_bound is not None:
+            upper = dist.d_k + dist.certified_slack - 4.0 * dist.mc_stderr
+            report["dk_bound"] = dk_bound
+            report["dk_bound_method"] = best.method
+            report["vacuous"] = dk_bound > 1.0
+            report["dk_pass"] = upper <= dk_bound
+            ok = ok and report["dk_pass"]
+    report["pass"] = ok
+    return report
 
 
 def poisson_stein_forward(lam: float, y: int, x_max: int) -> np.ndarray:

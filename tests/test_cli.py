@@ -111,26 +111,29 @@ def test_verify_runs_model_distance(capsys):
 
 
 def test_verify_exit_one_on_violation(capsys, monkeypatch):
-    from cpstein.oracle import VerifyReport
+    # measured factors above every applicable bound of --rates 8
+    from cpstein import oracle
 
-    def fake_verify(params, bound, y_max=None, x_max=None, emp=None):
-        return VerifyReport(
-            method=bound.method,
-            m0_bound=bound.m0,
-            m1_bound=bound.m1,
-            m0_hat=bound.m0 + 1.0,
-            m1_hat=bound.m1 + 1.0,
-            passed=False,
-            m0_slack=0.5,
-            m1_slack=0.5,
-            x_max=10,
-            y_max=5,
-        )
-
-    monkeypatch.setattr(cli, "verify_bound", fake_verify)
+    params = cpstein.CompoundPoissonParams([8.0])
+    bounds = [b for b in cpstein.evaluate_all(params) if b.applicable]
+    fake = cpstein.EmpiricalFactors(
+        m0_hat=max(b.m0 for b in bounds) + 1.0,
+        m1_hat=max(b.m1 for b in bounds) + 1.0,
+        y_max=5,
+        x_max=10,
+    )
+    monkeypatch.setattr(oracle, "empirical_factors", lambda params: fake)
     code, out, _ = run_cli(capsys, "verify", "--rates", "8")
     assert code == 1
-    assert json.loads(out)["pass"] is False
+    doc = json.loads(out)
+    assert doc["pass"] is False
+    assert doc["empirical"] == {
+        "m0_hat": fake.m0_hat,
+        "m1_hat": fake.m1_hat,
+        "y_max": 5,
+        "x_max": 10,
+    }
+    assert doc["checks"] and not any(c["pass"] for c in doc["checks"])
 
 
 def test_verify_mixed_gamma(capsys):
@@ -154,7 +157,6 @@ def test_verify_runs_oracle_once(capsys, monkeypatch):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "empirical_factors", counting)
     monkeypatch.setattr(oracle, "empirical_factors", counting)
     code, out, _ = run_cli(capsys, "verify", "--model", "runs", "--n", "200", "--p", "0.1")
     assert code == 0
@@ -171,6 +173,9 @@ def test_verify_runs_oracle_once(capsys, monkeypatch):
     ],
 )
 def test_catalogue_evaluated_once_per_row(capsys, monkeypatch, argv, rows):
+    # bounds and sweep call the catalogue in cli, verify in oracle
+    from cpstein import oracle
+
     calls = []
     real = cli.evaluate_all
 
@@ -178,10 +183,49 @@ def test_catalogue_evaluated_once_per_row(capsys, monkeypatch, argv, rows):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "evaluate_all", counting)
+    for namespace in (cli, oracle):
+        monkeypatch.setattr(namespace, "evaluate_all", counting)
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
     assert len(calls) == rows
+
+
+@pytest.mark.parametrize(
+    "argv,model,law",
+    [
+        ("verify --rates 8", None, {}),
+        ("verify --model runs --n 30 --p 0.15", {"model": "runs", "n": 30, "p": 0.15}, {}),
+        (
+            "verify --model reliability --n 4 --k 2 --q 0.3 --exact",
+            {"model": "reliability", "n": 4, "k": 2, "q": 0.3},
+            {"exact": True},
+        ),
+        (
+            "verify --model reliability --n 6 --k 2 --q 0.3 --samples 20000 --seed 7",
+            {"model": "reliability", "n": 6, "k": 2, "q": 0.3},
+            {"samples": 20000, "seed": 7},
+        ),
+        (
+            "verify --model mixed --two-point 2.5,3.5,0.5",
+            {"model": "mixed", "two_point": [2.5, 3.5, 0.5]},
+            {},
+        ),
+        ("verify --model mixed --gamma 17.3,0.41", {"model": "mixed", "gamma": [17.3, 0.41]}, {}),
+        (
+            "verify --model sums --components 0.7,0.1,0.1,0.1;0.6,0.1,0.3",
+            {"model": "sums", "components": [[0.7, 0.1, 0.1, 0.1], [0.6, 0.1, 0.3]]},
+            {},
+        ),
+    ],
+)
+def test_verify_prints_the_library_report(capsys, argv, model, law):
+    # the command adds nothing to the report of cpstein.verify
+    m = None if model is None else cpstein.model_from_json(model)
+    params = cpstein.CompoundPoissonParams([8.0]) if m is None else m.cp_params()
+    report = cpstein.verify(params, m, **law)
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert out == cli.dumps(report) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from cpstein import (
     BudgetExceededError,
     CompoundPoissonParams,
     ConvergenceError,
-    EmpiricalFactors,
     TruncationCapError,
     bound_general,
     bound_monotone,
@@ -23,7 +22,7 @@ from cpstein import (
     interior_residuals,
     poisson_stein_forward,
     solve_stein,
-    verify_bound,
+    verify,
 )
 from cpstein import oracle
 from cpstein.oracle import default_x_max
@@ -287,50 +286,30 @@ def test_empirical_factors_raises_small_truncation():
 
 
 # ---------------------------------------------------------------------------
-# verify_bound
+# verify
 
 
-def test_verify_bound_passes_for_true_bounds():
+def test_verify_passes_for_true_bounds():
     params = CompoundPoissonParams([8.0])
-    rep = verify_bound(params, bound_monotone(params))
-    assert rep.passed
-    assert rep.m0_slack >= 1.0 and rep.m1_slack >= 1.0
-    js = rep.to_json()
-    assert js["pass"] is True
-    assert set(js) == {
-        "method",
-        "m0_bound",
-        "m0_hat",
-        "m1_bound",
-        "m1_hat",
-        "pass",
-        "x_max",
-        "y_max",
-    }
+    rep = verify(params)
+    assert rep["pass"] is True
+    assert list(rep) == ["rates", "empirical", "checks", "pass"]
+    assert [c["method"] for c in rep["checks"]] == [
+        b.method for b in evaluate_all(params) if b.applicable
+    ]
+    for row in rep["checks"]:
+        assert list(row) == [
+            "method", "m0_bound", "m0_hat", "m1_bound", "m1_hat", "pass", "x_max", "y_max"
+        ]
+        assert row["pass"] is True
+        assert row["m0_bound"] >= row["m0_hat"] and row["m1_bound"] >= row["m1_hat"]
 
 
-def test_verify_bound_rejects_inapplicable():
-    params = CompoundPoissonParams([0.5, 0.3])
-    with pytest.raises(ValueError):
-        verify_bound(params, bound_monotone(params))
-
-
-def test_verify_bound_general_large_slack():
-    params = CompoundPoissonParams([0.5, 0.25])
-    rep = verify_bound(params, bound_general(params))
-    assert rep.passed
-    assert rep.m0_slack > 2.0  # the exponential bound is far from sharp
-
-
-def test_verify_bound_uses_given_factors():
-    params = CompoundPoissonParams([1.0, 0.2])
-    b = bound_general(params)
-    emp = empirical_factors(params)
-    assert verify_bound(params, b, emp=emp) == verify_bound(params, b)
-    fake = EmpiricalFactors(m0_hat=b.m0 * 2.0, m1_hat=0.0, y_max=3, x_max=7)
-    rep = verify_bound(params, b, emp=fake)
-    assert not rep.passed
-    assert (rep.m0_hat, rep.y_max, rep.x_max) == (b.m0 * 2.0, 3, 7)
+def test_verify_general_large_slack():
+    rep = verify(CompoundPoissonParams([0.5, 0.25]))
+    (row,) = [c for c in rep["checks"] if c["method"] == "GENERAL"]
+    assert row["pass"] is True
+    assert row["m0_bound"] > 2.0 * row["m0_hat"]  # the exponential bound is far from sharp
 
 
 def test_empirical_factors_block_budget(monkeypatch):
