@@ -130,16 +130,19 @@ class GkEvaluation:
 @dataclass(frozen=True)
 class DeltaResult:
     """delta_k = inf g_k: a value, where it is attained, whether a closed form
-    gave it (``certified``), and ``lower``, the end that bounds the infimum
-    from below.  On a closed-form route ``lower`` is ``delta``; on the
-    enclosure route ``delta`` is the best attained value and ``lower`` a
-    certified lower bound, at most 1e-8 max(1, |delta|) below it."""
+    gave it (``certified``), ``lower``, the end that bounds the infimum from
+    below, and ``route``, the computation that ran: "closed form",
+    "constant" (theta_1..theta_k all 0) or "Bernstein enclosure".  On the
+    first two ``lower`` is ``delta``; on the enclosure ``delta`` is the best
+    attained value and ``lower`` a certified lower bound, at most
+    1e-8 max(1, |delta|) below it."""
 
     k: int
     delta: float
     argmin: tuple[float, float]
     certified: bool
     lower: float
+    route: str
 
 
 def log_plus(x: float) -> float:
@@ -323,14 +326,15 @@ def delta_k_grid(th: ThetaVector, k: int) -> DeltaResult:
     box), covering the rounding of forming the coefficients and of D
     subdivisions, and the final addition of theta_0 rounds down.
 
-    When theta_1..theta_k are all 0, g_k is the constant theta_0, and the
-    result is the one the subdivision gives, returned without it.
+    When theta_1..theta_k are all 0, g_k is the constant theta_0: the value,
+    argmin and lower end are the ones the subdivision gives, returned without
+    it on the route "constant".
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     th.require(k)
     if not any(th.values[1 : k + 1]):
-        return DeltaResult(k, th[0], (math.pi, 1.0), False, th[0])
+        return DeltaResult(k, th[0], (math.pi, 1.0), False, th[0], "constant")
     import numpy as np
 
     r, q = _bernstein_factors(k)
@@ -376,6 +380,7 @@ def delta_k_grid(th: ThetaVector, k: int) -> DeltaResult:
         argmin=(math.acos(2.0 * t - 1.0), 1.0 - qv),
         certified=False,
         lower=_add_down(th[0], lo - margin),
+        route="Bernstein enclosure",
     )
 
 
@@ -402,7 +407,7 @@ def delta_k(th: ThetaVector, k: int) -> DeltaResult:
     th.require(k)
     if k == 1:
         delta = th[0] - 2.0 * th[1]
-        return DeltaResult(1, delta, (math.pi, 0.0), True, delta)
+        return DeltaResult(1, delta, (math.pi, 0.0), True, delta, "closed form")
     if k == 2:
         corners = [(math.pi, 0.0), (math.pi, 1.0), (0.0, 0.0), (0.0, 1.0)]
         vals = [
@@ -410,9 +415,9 @@ def delta_k(th: ThetaVector, k: int) -> DeltaResult:
             for phi, p in corners
         ]
         idx = min(range(4), key=vals.__getitem__)
-        return DeltaResult(2, vals[idx], corners[idx], True, vals[idx])
+        return DeltaResult(2, vals[idx], corners[idx], True, vals[idx], "closed form")
     if k == 3 and (delta := _cor3_delta(th)) is not None:
-        return DeltaResult(3, delta, (math.pi, 0.0), True, delta)
+        return DeltaResult(3, delta, (math.pi, 0.0), True, delta, "closed form")
     return delta_k_grid(th, k)
 
 
@@ -473,7 +478,8 @@ def bound_thm2(th: ThetaVector, k: int) -> SteinFactorBound:
     """Criterion-function bound at order k, applicable iff delta_k > 0.
 
     Uses the lower end of ``delta_k``: the closed form where there is one,
-    else the certified lower bound of the Bernstein enclosure."""
+    else the certified lower bound of the Bernstein enclosure; the note
+    names the route that ran."""
     method = f"THM2({k})"
     if not th.finite:
         return _inapplicable(method, "theta not finite")
@@ -481,8 +487,7 @@ def bound_thm2(th: ThetaVector, k: int) -> SteinFactorBound:
     if not dr.lower > 0.0:
         return _inapplicable(method, f"delta_{k} = {dr.lower:g} <= 0")
     m0, m1 = _factors_from_delta(dr.lower)
-    route = "closed form" if dr.certified else "Bernstein enclosure"
-    return SteinFactorBound(m0, m1, method, True, f"delta_{k} = {dr.lower:g} ({route})")
+    return SteinFactorBound(m0, m1, method, True, f"delta_{k} = {dr.lower:g} ({dr.route})")
 
 
 def bound_cor3(th: ThetaVector) -> SteinFactorBound:

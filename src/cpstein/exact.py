@@ -8,14 +8,16 @@ approximant via Kolmogorov and total variation distances.
 
 The transfer matrix is the Markov-chain imbedding of Fu & Koutras (JASA
 1994): a state x count array advanced one site at a time, each transition
-keeping the count or raising it by one.  Runs have a kernel of their own
-that advances only the live window of counts and take n <= 2000 (10-25 ms
-at n = 2000, by p); reliability takes grids up to n = 11 for k = 2 and
-n = 8 for k = 3 (0.2-0.25 s there), Monte Carlo beyond (about 7 ms per
-10 000 grids at n = 10, most of it drawing them, up to MC_CELL_BUDGET grid
-cells); 2 vCPUs, numpy 2.4.  The mixed-Poisson tables are ``cp_pmf``'s code:
-the two-point mixture mixes its Poisson tables, and the negative binomial
-starts its exact tail search where ``cp_pmf`` does, under its 10^6-point cap.
+keeping the count or raising it by one.  The runs chain has two states,
+so its law is the trace of the n-th power of a 2 x 2 matrix of
+polynomials, formed by repeated squaring; it takes n <= 2000 (2-6 ms at
+n = 2000, by p, within n u of the exact law).  Reliability takes grids up
+to n = 11 for k = 2 and n = 8 for k = 3 (0.2-0.25 s there), Monte Carlo
+beyond (about 7 ms per 10 000 grids at n = 10, most of it drawing them,
+up to MC_CELL_BUDGET grid cells); 2 vCPUs, numpy 2.4.  The mixed-Poisson
+tables are ``cp_pmf``'s code: the two-point mixture mixes its Poisson
+tables, and the negative binomial starts its exact tail search where
+``cp_pmf`` does, under its 10^6-point cap.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ __all__ = [
 ]
 
 RUNS_N_BUDGET = 2000
-RUNS_TRIM_EVERY = 16
 RELIABILITY_COST_BUDGET = 60_000_000
 SUMS_CELL_BUDGET = 10_000_000
 MC_MIN_SAMPLES = 10_000
@@ -92,29 +93,30 @@ class DistanceReport:
 
 
 def runs_exact_pmf(m: models.RunsModel) -> DistributionTable:
-    """Exact law of the circular 2-runs count by transfer-matrix DP.
+    """Exact law of the circular 2-runs count from the power of its transfer matrix.
 
-    Each value b1 of the first bit carries its own chain of two vectors over
-    the run count so far, a (current bit 0) and b (current bit 1).  Site i
-    adds the pair (i-1, i):
+    The generating function of W is E z^W = trace(M(z)^n), with
 
-        a'[c] = q a[c] + q b[c],    b'[c] = p a[c] + p b[c-1],
+        M(z) = [[q, p], [q, p z]]    (row: previous bit, column: next bit),
 
-    the two products and one sum per cell that the 4 x 4 transfer matrix
-    leaves nonzero, so the law is bit for bit that of the vector-by-vector
-    recursion (checked up to n = 2000).  The cycle closes with the pair
-    (n, 1).
+    z counting a 1 that follows a 1 and the trace closing the cycle.  M(z)^n
+    is formed by left-to-right square-and-multiply over the bits of n.  The
+    2 x 2 matrix of polynomials in z is one (2, 2, L) array of coefficients,
+    from power ``lo`` up: a squaring is eight ``np.convolve`` calls, a
+    multiply by M one site of the site-by-site recursion, a' = q a + q b and
+    b' = p a + p z b in each row, and the last squaring forms only the
+    trace.  Coefficients that underflow to exact zeros at either end are cut
+    away, so the array holds only the counts that carry mass.
 
-    Only the live window of counts is advanced.  Cells outside it are exact
-    zeros and stay so: below it no mass can arrive, above it only the one
-    new top count does.  Mass at high counts underflows to 0 for small p,
-    and at low counts for p near 1, so every RUNS_TRIM_EVERY sites the
-    window is cut to its nonzero cells and copied into fresh contiguous
-    buffers, with one zero cell below it and room for the counts the next
-    sites add on top.  A site is then two ufunc calls on those buffers: one
-    multiply of every vector by (q | p), one add whose second operand is a
-    strided view that reads p b one count lower.  O(n^2) time at worst
-    (about 20 ms at n = 2000, p = 0.5), less while the window is narrow.
+    Every site contributes one factor p or q = fl(1 - p), and p + q need not
+    be exactly 1; dividing the table by its sum gives the law at p/(p + q),
+    within an ulp of p.  Every operation adds nonnegative terms, so the
+    error is O(n u), u = 2^-53: at most 0.85 n u per entry against the
+    block-count law in 50-digit arithmetic, over 162 laws up to n = 2000.
+    Direct convolution costs O(L^2) per squaring, so the last one
+    dominates: about 0.4 ms at n = 200 and 2-6 ms at n = 2000 (p = 0.02 to
+    0.999).  Up to n = 30 the per-call cost of the convolutions dominates
+    instead, 0.06-0.26 ms; 2 vCPUs, numpy 2.4.
     """
     import numpy as np
 
@@ -122,39 +124,34 @@ def runs_exact_pmf(m: models.RunsModel) -> DistributionTable:
         raise BudgetExceededError(f"runs n = {m.n} exceeds budget {RUNS_N_BUDGET}")
     n, p = m.n, m.p
     q = 1.0 - p
-    factor = np.array([[q], [p]])
-    live = np.array([[[q], [0.0]], [[0.0], [p]]])  # current bit, first bit, count
-    lo = 0  # count of live[..., 0]
-    site = 1  # pairs added so far
-    while site < n:
-        steps = min(RUNS_TRIM_EVERY, n - site)
-        width = live.shape[-1] + steps + 1
-        x = np.zeros((2, 2, width))  # count lo - 1 + j at index j
-        x[..., 1 : 1 + live.shape[-1]] = live
-        y = np.empty((2, 2, 2, width))  # factor (q | p), current bit, first bit, count
-        # new current bit c reads y[c, 0, b1, j] + y[c, 1, b1, j - c]; at
-        # c = 1, j = 0 the view reads the top cell of the row before, which
-        # is still zero: the window reaches index width - 1 only at the
-        # block's last site
-        s = y.strides
-        keep = y[:, 0]
-        shifted = np.lib.stride_tricks.as_strided(
-            y[0, 1], shape=x.shape, strides=(s[0] - s[3], s[2], s[3])
-        )
-        x_flat, y_rows = x.reshape(-1), y.reshape(2, -1)
-        for _ in range(steps):
-            np.multiply(factor, x_flat, out=y_rows)
-            np.add(keep, shifted, out=x)
-        site += steps
-        nonzero = np.flatnonzero(x.reshape(4, width).any(axis=0))
-        live = x[..., nonzero[0] : nonzero[-1] + 1]
-        lo += nonzero[0] - 1
-    # the pair (n, 1) raises the count only from first bit 1 and last bit 1
-    hi = lo + live.shape[-1]
+
+    def times_m(x: np.ndarray) -> np.ndarray:
+        y = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+        y[:, 0, :-1] = q * x[:, 0] + q * x[:, 1]
+        y[:, 1, :-1] = p * x[:, 0]
+        y[:, 1, 1:] += p * x[:, 1]
+        return y
+
+    x, lo = np.array([[[q, 0.0], [p, 0.0]], [[q, 0.0], [0.0, p]]]), 0  # M(z)
+    conv = np.convolve
+    bits = bin(n)[3:]  # after the leading 1, which M(z) stands for
+    for bit in bits[:-1]:
+        y = np.empty((2, 2, 2 * x.shape[-1] - 1))
+        for i in (0, 1):
+            for j in (0, 1):
+                np.add(conv(x[i, 0], x[0, j]), conv(x[i, 1], x[1, j]), out=y[i, j])
+        x, lo = (times_m(y) if bit == "1" else y), 2 * lo
+        if not (x[..., 0].any() and x[..., -1].any()):
+            live = np.flatnonzero(x.reshape(4, -1).any(axis=0))
+            x, lo = x[..., live[0] : live[-1] + 1], lo + live[0]
+    y = times_m(x) if bits[-1] == "1" else x
+    trace = (
+        conv(x[0, 0], y[0, 0]) + conv(x[0, 1], y[1, 0])
+        + conv(x[1, 0], y[0, 1]) + conv(x[1, 1], y[1, 1])
+    )
     pmf = np.zeros(n + 1)
-    pmf[lo:hi] = live[0, 0] + live[1, 0] + live[0, 1]
-    pmf[lo + 1 : hi + 1] += live[1, 1]
-    return DistributionTable(pmf=pmf, tail_mass=0.0)
+    pmf[2 * lo : 2 * lo + trace.size] = trace
+    return DistributionTable(pmf=pmf / pmf.sum(), tail_mass=0.0)
 
 
 def _count_subgrids(grids: np.ndarray, k: int) -> np.ndarray:

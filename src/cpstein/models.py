@@ -226,13 +226,17 @@ class TwoPointMixing:
 
     @property
     def sigma2(self) -> float:
-        nu = self.nu
-        return self.w * (self.a - nu) ** 2 + (1.0 - self.w) * (self.b - nu) ** 2
+        """w (1-w) d^2, d = a - b; a product, so a variance past the largest
+        double is inf, not an OverflowError."""
+        d = self.a - self.b
+        return self.w * (1.0 - self.w) * d * d
 
     def abs3(self) -> float:
-        """E|xi - nu|^3, in closed form."""
-        nu = self.nu
-        return self.w * abs(self.a - nu) ** 3 + (1.0 - self.w) * abs(self.b - nu) ** 3
+        """E|xi - nu|^3 = w v (w^2 + v^2) |d|^3 with v = 1-w and d = a - b, in
+        products with the weights first: 0 at w in {0, 1}, inf past the
+        largest double."""
+        w, v, d = self.w, 1.0 - self.w, abs(self.a - self.b)
+        return w * v * (w * w + v * v) * d * d * d
 
     def exact_law(self) -> DistributionTable:
         return poisson_mixture_table([self.w, 1.0 - self.w], [self.a, self.b])
@@ -256,7 +260,7 @@ class GammaMixing:
 
     @property
     def sigma2(self) -> float:
-        return self.shape * self.scale**2
+        return self.shape * (self.scale * self.scale)
 
     def abs3(self) -> float:
         """E|xi - nu|^3 in closed form.

@@ -400,6 +400,28 @@ def test_bound_thm2_formula():
     assert "closed form" in b.condition_note
 
 
+@pytest.mark.parametrize(
+    "rates, k, route",
+    [
+        ([1.0, 0.2], 1, "closed form"),
+        ([1.0, 0.2], 3, "closed form"),
+        ([8.0], 3, "constant"),  # theta_1 = theta_2 = theta_3 = 0: no enclosure runs
+        ([5.0, 0.0, 0.0, 0.0, 0.01], 3, "Bernstein enclosure"),
+    ],
+)
+def test_bound_thm2_note_names_the_route_that_ran(monkeypatch, rates, k, route):
+    from cpstein import bounds
+
+    calls = []
+    factors = bounds._bernstein_factors
+    monkeypatch.setattr(bounds, "_bernstein_factors", lambda k: calls.append(k) or factors(k))
+    th = theta(CompoundPoissonParams(rates), k)
+    dr = delta_k(th, k)
+    assert dr.route == route
+    assert bool(calls) == (route == "Bernstein enclosure")
+    assert bound_thm2(th, k).condition_note == f"delta_{k} = {dr.lower:g} ({route})"
+
+
 def test_bound_thm2_log_plus_kicks_in_at_one_over_pi():
     # delta = 1/pi sits exactly at the log+ threshold: m1 = pi/2
     th = ThetaVector([1.0 / math.pi, 0.0])
@@ -531,9 +553,10 @@ def test_non_finite_theta_is_inapplicable_without_enclosure(monkeypatch, values)
 @pytest.mark.parametrize("rates", [[1e-4], [0.5], [8.0], [37.5], [1e3], [5.0, 0.0, 0.0]])
 def test_delta_k_grid_constant_criterion(k, rates):
     # single-size rates: theta_1..theta_k = 0 and g_k is the constant theta_0;
-    # the result is the one the subdivision returns for it
+    # the result is the one the subdivision returns for it, on its own route
     th = theta(CompoundPoissonParams(rates), k)
-    assert delta_k_grid(th, k) == DeltaResult(k, th[0], (math.pi, 1.0), False, th[0])
+    want = DeltaResult(k, th[0], (math.pi, 1.0), False, th[0], "constant")
+    assert delta_k_grid(th, k) == want
 
 
 def test_bound_lemma_c_validation():

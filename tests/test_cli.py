@@ -511,6 +511,21 @@ def test_refused_with_one_error_line(capsys, command, code, message):
     assert message in err
 
 
+@pytest.mark.parametrize("command", ["bounds", "verify", "pmf"])
+@pytest.mark.parametrize(
+    "mixing",
+    ["--two-point 1e200,1,0.5", "--two-point 1e200,1,0", "--two-point 1e300,1,0", "--gamma 3,1e200"],
+)
+def test_mixing_moments_past_the_largest_double(capsys, command, mixing):
+    # (a - b)^2 or scale^2 passes the largest double here, even where a has
+    # weight 0: each command answers or refuses in one line
+    code = main([command, "--model", "mixed", *mixing.split()])
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_gamma_mixture_near_a_point_mass_matches_mpmath(capsys):
     # at shape r = 1e-300, x/m = r/(n succ) in the deviance bd0(r, n succ) is
     # below rounding, where exact._bd0 takes the limit m; the law is all but a

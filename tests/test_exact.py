@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 from numpy.testing import assert_allclose
 from scipy import stats
 
@@ -32,6 +34,8 @@ from cpstein import exact
 from cpstein.core import DEFAULT_MASS_TARGET
 from cpstein.exact import MC_CHUNK, _count_subgrids
 from test_core import plain_recursion_pmf
+
+U = 2.0**-53  # unit roundoff of a double
 
 
 def runs_brute_force(n, p):
@@ -159,20 +163,97 @@ def test_runs_degenerate_edges():
     assert all_succeed.pmf[5] == 1.0
 
 
-@pytest.mark.parametrize("n", [3, 50, 2000])
-@pytest.mark.parametrize("p", [0.05, 0.5])
-def test_runs_matches_reference_dp(n, p):
+def runs_gate_cases():
+    """(n, p) of the exact-reference gate: seeded n <= 400 over p in (0, 1),
+    p near 1e-6 and p near 1 - 1e-6, then fixed edges up to n = 2000."""
+    rng = np.random.default_rng(2323)
+    ns = rng.integers(3, 401, size=12).tolist()
+    near = 10.0 ** rng.uniform(-6.3, -5.7, size=4)
+    ps = rng.random(4).tolist() + near[:2].tolist() + (1.0 - near[2:]).tolist()
+    ps += rng.random(4).tolist()
+    edges = [(n, p) for n in (3, 4, 5, 1999, 2000) for p in (1e-300, 1e-9, 1.0 - 1e-9)]
+    return list(zip(ns, ps)) + edges + [(4, 0.5), (2000, 0.001), (2000, 0.999)]
+
+
+@functools.cache
+def runs_block_count_law(n, p):
+    """The circular 2-runs law in 50-digit arithmetic, at the exact value of
+    the double p and q = 1 - p exact.
+
+    A circle with m ones in r blocks (0 < m < n) has W = m - r, and
+    (n/r) C(m-1, r-1) C(n-m-1, r-1) arrangements, so
+
+        P(W = w) = sum_r (n/r) C(m-1, r-1) C(n-m-1, r-1) p^m q^(n-m),  m = w + r;
+
+    m = 0 gives W = 0 and m = n gives W = n.  The term of r + 1 is that of r
+    times (m-r)(n-m-r) / (r(r+1)).  An m whose binomial weight C(n, m)
+    p^m q^(n-m) is below e^-785 is skipped: all of them together move no
+    entry by more than 1e-337.
+    """
+    lp = math.log(p) if p > 0.0 else -math.inf
+    lq = math.log1p(-p) if p < 1.0 else -math.inf
+    with mp.workdps(50):
+        pm, qm = mpf(p), 1 - mpf(p)
+        law = [mpf(0)] * (n + 1)
+        law[0] += qm**n
+        law[n] += pm**n
+        for m in range(1, n):
+            log_weight = (
+                math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
+                + m * lp + (n - m) * lq
+            )
+            if log_weight < -785.0:
+                continue
+            term = n * pm**m * qm ** (n - m)
+            for r in range(1, min(m, n - m) + 1):
+                law[m - r] += term
+                term = term * ((m - r) * (n - m - r)) / (r * (r + 1))
+    return law
+
+
+def assert_within_n_u_of_block_count_law(pmf, n, p):
+    """Relative error at most n u where the exact law exceeds 1e-290,
+    absolute error at most 1e-290 elsewhere."""
+    law = runs_block_count_law(n, p)
+    with mp.workdps(50):
+        for w, (x, exact_p) in enumerate(zip(pmf, law)):
+            err = abs(mpf(float(x)) - exact_p)
+            if exact_p > 1e-290:
+                assert err <= n * U * exact_p, (w, float(err / exact_p) / (n * U))
+            else:
+                assert err <= 1e-290, (w, float(err))
+
+
+@pytest.mark.parametrize("n, p", runs_gate_cases())
+def test_runs_within_n_u_of_block_count_law(n, p):
     t = runs_exact_pmf(RunsModel(n, p))
-    assert_allclose(t.pmf, runs_dp_reference(n, p), rtol=1e-14, atol=0)
+    assert_within_n_u_of_block_count_law(t.pmf, n, p)
+    assert abs(math.fsum(t.pmf) - 1.0) <= 4 * U
+
+
+@pytest.mark.parametrize("n, p", runs_gate_cases())
+def test_reference_dp_within_n_u_of_block_count_law(n, p):
+    # the site-by-site recursion meets the same per-entry rule; it does not
+    # divide by its sum, so its mass is (p + fl(1-p))^n, not within 4 u of 1
+    assert_within_n_u_of_block_count_law(runs_dp_reference(n, p), n, p)
 
 
 @pytest.mark.parametrize(
-    "n, p",
-    [(2000, 0.001), (2000, 0.999), (1999, 0.3), (4, 0.5), (50, 0.0), (50, 1.0), (2000, 0.0), (2000, 1.0)],
+    "p, n", [(0.05, 3), (0.05, 50), (0.05, 2000), (0.5, 3), (0.5, 50), (0.5, 2000), (0.3, 1999)]
 )
-def test_runs_live_window_bit_identical_to_reference_dp(n, p):
-    # p near 0 keeps the window a few counts wide, p near 1 trims it from
-    # below, n = 1999 ends on a partial trim block, n = 4 never trims
+def test_runs_matches_reference_dp(n, p):
+    # both are within n u of the exact law, so within 2 n u of each other
+    # where it exceeds 1e-290; below, rounding is absolute.  p = 0.3 at
+    # n = 1999 is past the block-count reference's budget (about 80 s)
+    t = runs_exact_pmf(RunsModel(n, p))
+    ref = runs_dp_reference(n, p)
+    big = ref > 1e-290
+    assert_allclose(t.pmf[big], ref[big], rtol=2 * n * U, atol=0)
+    assert_allclose(t.pmf[~big], ref[~big], rtol=0, atol=1e-290)
+
+
+@pytest.mark.parametrize("n, p", [(50, 0.0), (50, 1.0), (2000, 0.0), (2000, 1.0)])
+def test_runs_exact_at_p_0_and_1(n, p):
     t = runs_exact_pmf(RunsModel(n, p))
     assert np.array_equal(t.pmf, runs_dp_reference(n, p))
 
