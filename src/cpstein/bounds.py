@@ -575,27 +575,22 @@ def regime_classify(bounds: list[SteinFactorBound]) -> str:
 
 
 def evaluate_all(
-    params: CompoundPoissonParams,
-    thm2_orders: tuple[int, ...] = (),
-    th: ThetaVector | None = None,
+    params: CompoundPoissonParams, th: ThetaVector | None = None
 ) -> list[SteinFactorBound]:
-    """Evaluate the five named bounds (plus optional THM2 orders) for params.
+    """Evaluate the five named bounds for params.
 
-    ``th`` may pass theta(params, K) already computed, with K at least
-    max(3, *thm2_orders).
+    ``th`` may pass theta(params, K) already computed, with K at least 3.
+    A THM2(k) row of any order is ``bound_thm2(th, k)``.
     """
     if th is None:
-        th = theta(params, max((3, *thm2_orders)))
-    out = [
+        th = theta(params, 3)
+    return [
         bound_general(params),
         bound_monotone(params),
         bound_bx99(th),
         bound_cor3(th),
         bound_thm4(th),
     ]
-    for k in thm2_orders:
-        out.append(bound_thm2(th, k))
-    return out
 
 
 _M0, _M1 = operator.attrgetter("m0"), operator.attrgetter("m1")
@@ -615,10 +610,6 @@ def best_of(bounds: list[SteinFactorBound]) -> SteinFactorBound:
     )
 
 
-def best_bound(
-    params: CompoundPoissonParams,
-    th: ThetaVector | None = None,
-    thm2_orders: tuple[int, ...] = (),
-) -> SteinFactorBound:
+def best_bound(params: CompoundPoissonParams) -> SteinFactorBound:
     """Componentwise minimum of all applicable bounds for params (see best_of)."""
-    return best_of(evaluate_all(params, thm2_orders, th))
+    return best_of(evaluate_all(params))

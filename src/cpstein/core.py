@@ -38,8 +38,8 @@ __all__ = [
     "chernoff_tail",
 ]
 
-DEFAULT_MASS_TARGET = 1.0 - 1e-12
-DEFAULT_X_CAP = 1_000_000
+TAIL_TARGET = 1.0 - (1.0 - 1e-12)  # the tail every table is cut at, as first written
+X_CAP = 1_000_000  # no table is built past this point
 MASS_TOL = 1e-9  # rounding allowance on the total mass of a table
 LOG_P0_FLOOR = 700.0  # e^-700 is a normal double; e^-746 is 0
 RESCALE_AT = 2.0**600  # cp_pmf scales its table down by this, exactly
@@ -264,15 +264,13 @@ def chernoff_tail(params: CompoundPoissonParams, x: float) -> float:
     return math.exp(exponent) if exponent < 0.0 else 1.0
 
 
-def _truncation_point(
-    x: int, tail: Callable[[int], float], target: float, cap: int = DEFAULT_X_CAP
-) -> tuple[int, float]:
-    """The first of x, 2x, 4x, ... at which tail(x) does not exceed target,
+def _truncation_point(x: int, tail: Callable[[int], float]) -> tuple[int, float]:
+    """The first of x, 2x, 4x, ... at which tail(x) does not exceed TAIL_TARGET,
     and tail there.  The one truncation rule of every tabulated law: a point
-    past ``cap`` raises TruncationCapError before tail is evaluated there."""
-    while x <= cap:
+    past X_CAP raises TruncationCapError before tail is evaluated there."""
+    while x <= X_CAP:
         t = tail(x)
-        if not t > target:
+        if not t > TAIL_TARGET:
             return x, t
         x *= 2
     raise TruncationCapError("truncation cap exceeded")
@@ -339,11 +337,7 @@ def _panjer(jlam: list[float], p0: float, x_max: int) -> tuple[list[float], list
     return p, starts
 
 
-def cp_pmf(
-    params: CompoundPoissonParams,
-    mass_target: float = DEFAULT_MASS_TARGET,
-    x_cap: int = DEFAULT_X_CAP,
-) -> DistributionTable:
+def cp_pmf(params: CompoundPoissonParams) -> DistributionTable:
     """Exact pmf of U ~ CP via the one-step recursion.
 
     P(U=0) = e^{-lambda} and, for n >= 1,
@@ -351,8 +345,9 @@ def cp_pmf(
         P(U=n) = (1/n) sum_{j <= min(n, J)} j lambda_j P(U=n-j).
 
     The support {0..X_max} is grown until the Chernoff tail bound at X_max
-    drops to 1 - mass_target; the recorded tail_mass is the exact residual
-    1 - sum(pmf) (clipped at 0), which the Chernoff bound certifies.
+    drops to TAIL_TARGET, about 1e-12, under the X_CAP = 10^6-point cap; the
+    recorded tail_mass is the exact residual 1 - sum(pmf) (clipped at 0),
+    which the Chernoff bound certifies.
 
     For lambda > 700, where e^{-lambda} is subnormal or 0, the recursion
     (Panjer 1981) starts from e^{-700} and carries the factor
@@ -360,31 +355,27 @@ def cp_pmf(
     entries that the recursion still reads are divided by 2^600, which is
     exact.  Every entry's factor is applied once at the end, and entries
     that land below the normal range are set to 0.  For lambda <= 700 the
-    arithmetic is the plain recursion.  A table whose mass falls short of
-    mass_target by more than 1e-9 raises TruncationCapError.
+    arithmetic is the plain recursion.  A table whose residual exceeds
+    TAIL_TARGET by more than MASS_TOL = 1e-9 raises TruncationCapError.
 
     ``exact.poisson_mixture_table`` builds each component by this truncation
     point, recursion and residual tail; ``exact.nbinom_table`` starts its
     tail search at the same bulk start.
     """
-    if not 0.0 < mass_target < 1.0:
-        raise ValueError("mass_target must lie in (0, 1)")
-    x_max = _cp_x_max(params, mass_target, x_cap)
-    return _residual_table(_cp_table(params, x_max), mass_target)
+    return _residual_table(_cp_table(params, _cp_x_max(params)))
 
 
-def _bulk_start(mean: float, var: float, J: int, x_cap: int = DEFAULT_X_CAP) -> int:
+def _bulk_start(mean: float, var: float, J: int) -> int:
     """First truncation point tried: 10 sd past the mean plus 10 J, at least 16.
     Past the cap it starts at the cap: the bulk may not even be a finite float."""
-    return max(16, math.ceil(min(mean + 10.0 * math.sqrt(var), x_cap)) + 10 * J)
+    return max(16, math.ceil(min(mean + 10.0 * math.sqrt(var), X_CAP)) + 10 * J)
 
 
-def _cp_x_max(params: CompoundPoissonParams, mass_target: float, x_cap: int) -> int:
+def _cp_x_max(params: CompoundPoissonParams) -> int:
     """cp_pmf's truncation point: the doubling rule on its Chernoff bound from ``_bulk_start``."""
     th = theta(params, 1)
-    x = _bulk_start(th[0], th[0] + th[1], params.max_cluster_size, x_cap)
-    tail = functools.partial(chernoff_tail, params)
-    return _truncation_point(x, tail, 1.0 - mass_target, x_cap)[0]
+    x = _bulk_start(th[0], th[0] + th[1], params.max_cluster_size)
+    return _truncation_point(x, functools.partial(chernoff_tail, params))[0]
 
 
 def _cp_table(params: CompoundPoissonParams, x_max: int) -> np.ndarray:
@@ -407,10 +398,10 @@ def _cp_table(params: CompoundPoissonParams, x_max: int) -> np.ndarray:
     return p
 
 
-def _residual_table(pmf: np.ndarray, mass_target: float) -> DistributionTable:
-    """pmf with tail_mass 1 - sum(pmf), clipped at 0 and checked against mass_target."""
+def _residual_table(pmf: np.ndarray) -> DistributionTable:
+    """pmf with tail_mass 1 - sum(pmf), clipped at 0 and checked against TAIL_TARGET."""
     tail = max(0.0, 1.0 - float(pmf.sum()))
-    if tail > 1.0 - mass_target + MASS_TOL:
+    if tail > TAIL_TARGET + MASS_TOL:
         raise TruncationCapError("pmf does not reach its mass target")
     return DistributionTable(pmf=pmf, tail_mass=tail)
 

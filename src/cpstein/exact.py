@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .core import DEFAULT_MASS_TARGET, DEFAULT_X_CAP, CompoundPoissonParams, DistributionTable
+from .core import CompoundPoissonParams, DistributionTable
 from .core import _bulk_start, _cp_table, _cp_x_max, _residual_table, _truncation_point
 
 # for annotations only: numpy loads in the functions that use it, and models
@@ -309,9 +309,9 @@ def poisson_mixture_table(weights: list[float], intensities: list[float]) -> Dis
     of positive weight, up to the largest of their ``cp_pmf`` truncation points,
     and ``cp_pmf``'s residual tail, which their Chernoff bounds certify."""
     parts = [(w, CompoundPoissonParams([lam])) for w, lam in zip(weights, intensities) if w > 0]
-    x_max = max(_cp_x_max(params, DEFAULT_MASS_TARGET, DEFAULT_X_CAP) for _, params in parts)
+    x_max = max(_cp_x_max(params) for _, params in parts)
     pmf = sum(w * _cp_table(params, x_max) for w, params in parts)
-    return _residual_table(pmf, DEFAULT_MASS_TARGET)
+    return _residual_table(pmf)
 
 
 # Stirling series coefficients B_2k / (2k (2k-1)), k = 1..5
@@ -416,7 +416,6 @@ def nbinom_table(r: float, scale: float) -> DistributionTable:
     x_max, tail = _truncation_point(
         _bulk_start(r * scale, r * scale * (1.0 + scale), 1),
         lambda x: float(special.betainc(x + 1.0, r, 1.0 - succ)),
-        1.0 - DEFAULT_MASS_TARGET,
     )
     return DistributionTable(pmf=_nbinom_pmf(x_max, r, succ), tail_mass=tail)
 

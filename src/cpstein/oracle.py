@@ -388,7 +388,6 @@ def empirical_factors(
     params: CompoundPoissonParams,
     y_max: int | None = None,
     x_max: int | None = None,
-    stability_tol: float = STABILITY_TOL,
 ) -> EmpiricalFactors:
     """Empirical Kolmogorov Stein factors by sweeping thresholds y = 0..y_max.
 
@@ -401,7 +400,7 @@ def empirical_factors(
     right-hand side 1.  One elimination of the block x <= M solves every
     c_y and g for truncation at x_max and at 2 x_max; the sups are taken
     on the interior x <= x_max - J, and both pairs of sups must agree
-    within stability_tol.  The factors at 2 x_max are returned.  A block
+    within STABILITY_TOL.  The factors at 2 x_max are returned.  A block
     of more than ORACLE_CELL_BUDGET cells, M x (y_max + 3), raises
     BudgetExceededError before anything is allocated.
     """
@@ -442,7 +441,7 @@ def empirical_factors(
     # the interior of truncation at n ends at x = n - J
     m0_a, m1_a = _sups(C, P, g_n, tails[0][: n - J - M + 1])
     m0_b, m1_b = _sups(C, P, g_2n, tails[1][: 2 * n - J - M + 1])
-    if abs(m0_b - m0_a) <= stability_tol and abs(m1_b - m1_a) <= stability_tol:
+    if abs(m0_b - m0_a) <= STABILITY_TOL and abs(m1_b - m1_a) <= STABILITY_TOL:
         return EmpiricalFactors(m0_hat=m0_b, m1_hat=m1_b, y_max=y_max, x_max=2 * n)
     raise ConvergenceError("truncation not converged")
 

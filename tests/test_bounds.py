@@ -643,8 +643,9 @@ def test_evaluate_all_methods_and_orders():
     p = CompoundPoissonParams([1.0, 0.2])
     out = evaluate_all(p)
     assert [b.method for b in out] == ["GENERAL", "MONOTONE", "BX99", "COR3", "THM4"]
-    ext = evaluate_all(p, thm2_orders=(2, 4))
-    assert [b.method for b in ext[-2:]] == ["THM2(2)", "THM2(4)"]
+    th = theta(p, 4)
+    assert evaluate_all(p, th) == out
+    assert [bound_thm2(th, k).method for k in (2, 4)] == ["THM2(2)", "THM2(4)"]
 
 
 def test_best_bound_componentwise():
@@ -678,6 +679,6 @@ def test_best_of_is_best_bound():
         p = CompoundPoissonParams(rng.uniform(0.0, 2.0, size=3) + [0.1, 0.0, 0.0])
         assert best_of(evaluate_all(p)) == best_bound(p)
         th = theta(p, 4)
-        assert best_bound(p, th=th, thm2_orders=(4,)) == best_of(
-            evaluate_all(p, (4,))
-        )
+        assert evaluate_all(p, th) == evaluate_all(p)
+        best = best_of([*evaluate_all(p, th), bound_thm2(th, 4)])
+        assert best.m0 <= best_bound(p).m0 and best.m1 <= best_bound(p).m1

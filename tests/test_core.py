@@ -206,18 +206,10 @@ def test_pmf_mass_and_moments():
     assert_allclose(t.var(), th[0] + th[1], atol=1e-8)
 
 
-def test_pmf_mass_target_controls_tail():
-    p = CompoundPoissonParams([1.0, 0.5])
-    loose = cp_pmf(p, mass_target=1 - 1e-4)
-    tight = cp_pmf(p, mass_target=1 - 1e-12)
-    assert loose.tail_mass <= 1e-4
-    assert tight.tail_mass <= 1e-12
-    assert loose.x_max <= tight.x_max
-
-
-def test_pmf_truncation_cap():
+def test_pmf_truncation_cap(monkeypatch):
+    monkeypatch.setattr(core, "X_CAP", 100)
     with pytest.raises(TruncationCapError, match="truncation cap exceeded"):
-        cp_pmf(CompoundPoissonParams([200.0]), x_cap=100)
+        cp_pmf(CompoundPoissonParams([200.0]))
 
 
 def test_pmf_json_roundtrip():

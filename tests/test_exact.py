@@ -31,7 +31,7 @@ from cpstein import (
 )
 from cpstein.cli import main
 from cpstein import exact
-from cpstein.core import DEFAULT_MASS_TARGET
+from cpstein.core import TAIL_TARGET
 from cpstein.exact import MC_CHUNK, _count_subgrids
 from test_core import plain_recursion_pmf
 
@@ -498,14 +498,14 @@ def test_two_point_table_builds_under_the_cap():
 @pytest.mark.parametrize("s", [1e-17, 0.01, 0.41, 0.9])
 def test_negative_binomial_table_matches_scipy_stats(r, s):
     # cp_pmf's truncation rule (10 sd past the mean plus 10, at least 16,
-    # doubled until the tail is at most 1 - DEFAULT_MASS_TARGET) on the
+    # doubled until the tail is at most TAIL_TARGET) on the
     # tail of scipy.stats.nbinom, pmf to 1e-12 relative; at scale 1e-17 the
     # success probability rounds to 1
     succ = 1.0 / (1.0 + s)
     t = mixed_exact_pmf(MixedPoissonModel(GammaMixing(r, s)))
     mean = r * s
     x_max = max(16, math.ceil(mean + 10.0 * math.sqrt(mean * (1.0 + s))) + 10)
-    while stats.nbinom.sf(x_max, r, succ) > 1.0 - DEFAULT_MASS_TARGET:
+    while stats.nbinom.sf(x_max, r, succ) > TAIL_TARGET:
         x_max *= 2
     assert t.x_max == x_max
     assert t.tail_mass == float(stats.nbinom.sf(x_max, r, succ))

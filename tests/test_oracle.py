@@ -258,17 +258,19 @@ def test_empirical_factors_rejects_uncovering_ymax():
         empirical_factors(params, y_max=2)
 
 
-def test_empirical_factors_unreachable_tolerance():
+def test_empirical_factors_unreachable_tolerance(monkeypatch):
     params = CompoundPoissonParams([0.3])
+    monkeypatch.setattr(oracle, "STABILITY_TOL", -1.0)
     with pytest.raises(ConvergenceError, match="truncation not converged"):
-        empirical_factors(params, x_max=4, stability_tol=-1.0)
+        empirical_factors(params, x_max=4)
 
 
 @pytest.mark.parametrize("rates", [[50.0], [200.0], [600.0], [200.0, 100.0, 30.0]])
-def test_measured_factors_within_every_applicable_bound_at_large_rates(rates):
+def test_measured_factors_within_every_applicable_bound_at_large_rates(rates, monkeypatch):
     params = CompoundPoissonParams(rates)
     # the truncations at N and 2N give the same factors to the last bit
-    emp = empirical_factors(params, stability_tol=0.0)
+    monkeypatch.setattr(oracle, "STABILITY_TOL", 0.0)
+    emp = empirical_factors(params)
     assert 0.0 < emp.m1_hat <= emp.m0_hat < 1.0
     applicable = [b for b in evaluate_all(params) if b.applicable]
     assert applicable

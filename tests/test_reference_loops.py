@@ -85,12 +85,12 @@ def panjer_reference(jlam, p0, x_max):
     return p, starts
 
 
-def cp_pmf_reference(params, mass_target=core.DEFAULT_MASS_TARGET, x_cap=core.DEFAULT_X_CAP):
+def cp_pmf_reference(params, target=core.TAIL_TARGET, x_cap=core.X_CAP):
     lam = params.total_rate
     th = core.theta(params, 1)
     sd = math.sqrt(th[0] + th[1])
     x_max = max(16, int(math.ceil(th[0] + 10.0 * sd)) + 10 * params.max_cluster_size)
-    while chernoff_tail_reference(params, x_max) > 1.0 - mass_target:
+    while chernoff_tail_reference(params, x_max) > target:
         x_max *= 2
     if x_max > x_cap:
         raise TruncationCapError("truncation cap exceeded")
@@ -105,17 +105,17 @@ def cp_pmf_reference(params, mass_target=core.DEFAULT_MASS_TARGET, x_cap=core.DE
             p = np.exp(np.log(p) + (d * math.log(core.RESCALE_AT) - shift))
         p[p < np.finfo(float).tiny] = 0.0
     tail = max(0.0, 1.0 - float(p.sum()))
-    if tail > 1.0 - mass_target + core.MASS_TOL:
+    if tail > target + core.MASS_TOL:
         raise TruncationCapError("pmf does not reach its mass target")
     return core.DistributionTable(pmf=p, tail_mass=tail)
 
 
-def cp_pmf_x_max_reference(params, mass_target=core.DEFAULT_MASS_TARGET, x_cap=core.DEFAULT_X_CAP):
+def cp_pmf_x_max_reference(params, target=core.TAIL_TARGET, x_cap=core.X_CAP):
     th = core.theta(params, 1)
     sd = math.sqrt(th[0] + th[1])
     J = params.max_cluster_size
     x_max = max(16, math.ceil(min(th[0] + 10.0 * sd, x_cap)) + 10 * J)
-    while x_max <= x_cap and chernoff_tail(params, x_max) > 1.0 - mass_target:
+    while x_max <= x_cap and chernoff_tail(params, x_max) > target:
         x_max *= 2
     if x_max > x_cap:
         raise TruncationCapError("truncation cap exceeded")
@@ -469,7 +469,7 @@ CAP_CASES = PMF_CASES + [[3e5], [5e5, 1e3], [9e5], [1e6], [1e300], [2.0] * 40]
 def test_cp_pmf_truncation_matches_reference_loop(rates, monkeypatch):
     # only the truncation point is compared: the table is never built
     params = CompoundPoissonParams(rates)
-    for x_cap in (core.DEFAULT_X_CAP, 100):
+    for x_cap in (core.X_CAP, 100):
         try:
             want = cp_pmf_x_max_reference(params, x_cap=x_cap)
         except TruncationCapError as exc:
@@ -479,8 +479,9 @@ def test_cp_pmf_truncation_matches_reference_loop(rates, monkeypatch):
             raise LookupError(x_max)
 
         monkeypatch.setattr(core, "_panjer", stop)
+        monkeypatch.setattr(core, "X_CAP", x_cap)
         try:
-            cp_pmf(params, x_cap=x_cap)
+            cp_pmf(params)
         except LookupError as exc:
             got = exc.args[0]
         except TruncationCapError as exc:
@@ -518,15 +519,15 @@ def test_truncation_point_never_evaluates_the_tail_past_the_cap():
         return 1.0
 
     with pytest.raises(TruncationCapError):
-        core._truncation_point(3, tail, 1e-12)
-    assert max(seen) <= core.DEFAULT_X_CAP < 2 * max(seen)
+        core._truncation_point(3, tail)
+    assert max(seen) <= core.X_CAP < 2 * max(seen)
     seen.clear()
     with pytest.raises(TruncationCapError):
-        core._truncation_point(core.DEFAULT_X_CAP + 1, tail, 1e-12)
+        core._truncation_point(core.X_CAP + 1, tail)
     assert seen == []
     # at or below the target, the start itself; a nan tail stops the doubling
-    assert core._truncation_point(16, lambda x: 1e-12, 1e-12) == (16, 1e-12)
-    x, t = core._truncation_point(16, lambda x: math.nan, 1e-12)
+    assert core._truncation_point(16, lambda x: core.TAIL_TARGET) == (16, core.TAIL_TARGET)
+    x, t = core._truncation_point(16, lambda x: math.nan)
     assert x == 16 and math.isnan(t)
 
 
