@@ -359,8 +359,8 @@ def cp_pmf(params: CompoundPoissonParams) -> DistributionTable:
     TAIL_TARGET by more than MASS_TOL = 1e-9 raises TruncationCapError.
 
     ``exact.poisson_mixture_table`` builds each component by this truncation
-    point, recursion and residual tail; ``exact.nbinom_table`` starts its
-    tail search at the same bulk start.
+    point, recursion and residual tail; ``exact.nbinom_table`` takes the same
+    rule from the same bulk start on a tail bound of its own.
     """
     return _residual_table(_cp_table(params, _cp_x_max(params)))
 

@@ -15,9 +15,9 @@ n = 2000, by p, within n u of the exact law).  Reliability takes grids up
 to n = 11 for k = 2 and n = 8 for k = 3 (0.2-0.25 s there), Monte Carlo
 beyond (about 7 ms per 10 000 grids at n = 10, most of it drawing them,
 up to MC_CELL_BUDGET grid cells); 2 vCPUs, numpy 2.4.  The mixed-Poisson
-tables are ``cp_pmf``'s code: the two-point mixture mixes its Poisson
-tables, and the negative binomial starts its exact tail search where
-``cp_pmf`` does, under its 10^6-point cap.
+tables take ``cp_pmf``'s truncation rule and residual tail: the two-point
+mixture mixes its Poisson tables, and the negative binomial, Loader's kernel
+in (shape, scale), is cut on a bound from its pmf ratio.  No scipy here.
 """
 
 from __future__ import annotations
@@ -332,7 +332,8 @@ def _stirlerr(n: np.ndarray) -> np.ndarray:
     n = np.asarray(n, dtype=float)
     steps = np.ceil(np.maximum(_STIRLING_MIN - n, 0.0))
     big = n + steps
-    nn = big * big
+    with np.errstate(over="ignore"):  # past 1.3e154 nn is inf: the series is c0 / big
+        nn = big * big
     c0, c1, c2, c3, c4 = _STIRLING_COEF
     out = (c0 - (c1 - (c2 - (c3 - c4 / nn) / nn) / nn) / nn) / big
     small = steps > 0.0
@@ -372,25 +373,26 @@ def _bd0(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.where(near, s, far)
 
 
-def _nbinom_pmf(x_max: int, r: float, succ: float) -> np.ndarray:
-    """Negative binomial pmf C(x+r-1, x) succ^r (1-succ)^x on x = 0..x_max.
+def _nbinom_pmf(x_max: int, r: float, scale: float) -> np.ndarray:
+    """Negative binomial pmf Gamma(x+r) / (Gamma(r) x!) (1+scale)^-r a^x,
+    a = scale / (1+scale), on x = 0..x_max: the law of Poisson(xi) with
+    xi ~ Gamma(r, scale).
 
     Evaluated in Loader's saddle-point form (C. Loader, "Fast and accurate
     computation of binomial probabilities", 2000), for x >= 1:
 
         sqrt(r / (2 pi x n)) exp(stirlerr(n) - stirlerr(r) - stirlerr(x)
-                                 - bd0(r, n succ) - bd0(x, n (1-succ))),
+                                 - bd0(r, n / (1+scale))
+                                 - bd0(x, n scale / (1+scale))),
 
-    n = x + r.  Every term is O(1) or a cancellation-free deviance, so the
-    relative error stays near 1e-14 where the log-gamma form loses digits
-    proportional to log Gamma(n).
+    n = x + r.  Every term is O(1) or a cancellation-free deviance in the
+    law's own parameters, with no rounded success probability 1/(1+scale),
+    so the relative error stays near 1e-14 at every scale.
     """
     import numpy as np
 
-    pmf = np.zeros(x_max + 1)
-    pmf[0] = succ**r
-    if succ == 1.0:  # scale below rounding: a point mass at 0
-        return pmf
+    pmf = np.empty(x_max + 1)
+    pmf[0] = math.exp(-r * math.log1p(scale))
     xs = np.arange(1.0, x_max + 1)
     n = xs + r
     st = _stirlerr(np.concatenate(([r], xs, n)))
@@ -398,26 +400,34 @@ def _nbinom_pmf(x_max: int, r: float, succ: float) -> np.ndarray:
         st[1 + x_max :]
         - st[0]
         - st[1 : 1 + x_max]
-        - _bd0(r, n * succ)
-        - _bd0(xs, n * (1.0 - succ))
+        - _bd0(r, n / (1.0 + scale))
+        - _bd0(xs, n * scale / (1.0 + scale))
     )
     pmf[1:] = np.sqrt(r / (2.0 * math.pi * xs * n)) * np.exp(lc)
     return pmf
 
 
 def nbinom_table(r: float, scale: float) -> DistributionTable:
-    """Law of Poisson(xi) with xi ~ Gamma(r, scale): the negative binomial with
-    success probability 1/(1 + scale), with an exact sf tail, truncated by
-    ``cp_pmf``'s rule (mean r scale, variance r scale (1 + scale), J = 1)."""
-    from scipy import special
+    """Law of Poisson(xi) with xi ~ Gamma(r, scale), the negative binomial, by
+    ``cp_pmf``'s rule from its bulk start (mean r scale, variance
+    r scale (1 + scale), J = 1) and with its residual tail.  For k >= x,
+    p(k+1)/p(k) = a (k+r)/(k+1) <= rho = a max(1, (x+r)/(x+1)), so
+    P(W > x) <= p(x) rho / (1 - rho), read off the last entry of the table
+    built at each point tried.  1 - rho is formed as
+    (x + 1 - scale max(0, r-1)) / ((1+scale)(x+1)), which keeps its digits
+    where a = scale / (1+scale) rounds to 1."""
+    a = scale / (1.0 + scale)
+    pmf = None
 
-    succ = 1.0 / (1.0 + scale)
-    # P(NB > x) = I_{1-succ}(x+1, r)
-    x_max, tail = _truncation_point(
-        _bulk_start(r * scale, r * scale * (1.0 + scale), 1),
-        lambda x: float(special.betainc(x + 1.0, r, 1.0 - succ)),
-    )
-    return DistributionTable(pmf=_nbinom_pmf(x_max, r, succ), tail_mass=tail)
+    def tail(x: int) -> float:
+        nonlocal pmf
+        pmf = _nbinom_pmf(x, r, scale)
+        rho = a * max(1.0, (x + r) / (x + 1.0))
+        gap = (x + 1.0 - scale * max(0.0, r - 1.0)) / ((1.0 + scale) * (x + 1.0))  # 1 - rho
+        return pmf[-1] * rho / gap if gap > 0.0 else math.inf
+
+    _truncation_point(_bulk_start(r * scale, r * scale * (1.0 + scale), 1), tail)
+    return _residual_table(pmf)
 
 
 def mixed_exact_pmf(m: models.MixedPoissonModel) -> DistributionTable:

@@ -28,6 +28,7 @@ from typing import Sequence
 
 from .core import CompoundPoissonParams, DistributionTable
 from .exact import (
+    _stirlerr,
     mixed_exact_pmf,
     nbinom_table,
     poisson_mixture_table,
@@ -270,14 +271,21 @@ class GammaMixing:
 
             E|xi - nu|^3 = s^3 (2a + 4 (a^2 f_a(a) - a P(a+1, a))),
 
-        where f_a(a) = a^(a-1) e^(-a) / Gamma(a) is taken in logs.
+        where f_a(a) = a^(a-1) e^(-a) / Gamma(a).  As sqrt(a) f_a(a) =
+        e^(-stirlerr(a)) / sqrt(2 pi), this is (s sqrt(a))^3 g(a) with
+
+            g(a) = (2 - 4 P(a+1, a)) / sqrt(a) + 4 e^(-stirlerr(a)) / sqrt(2 pi),
+
+        whose terms are O(1) at every shape; g tends to 2 sqrt(2/pi).
         """
         from scipy import special
 
         a = self.shape
-        f_a = math.exp((a - 1.0) * math.log(a) - a - special.gammaln(a))
-        inner = 2.0 * a + 4.0 * (a * a * f_a - a * special.gammainc(a + 1.0, a))
-        return float(self.scale**3 * inner)
+        p = special.gammainc(a + 1.0, a)
+        f = math.exp(-_stirlerr([a])[0]) / math.sqrt(2.0 * math.pi)  # sqrt(a) f_a(a)
+        g = (2.0 - 4.0 * p) / math.sqrt(a) + 4.0 * f
+        t = self.scale * math.sqrt(a)
+        return float(t * t * t * g)
 
     def exact_law(self) -> DistributionTable:
         return nbinom_table(self.shape, self.scale)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -271,10 +272,45 @@ def test_gamma_abs3_closed_form_matches_quadrature(shape):
     right, _ = integrate.quad(integrand, shape, math.inf, epsabs=1e-10, epsrel=1e-12)
     got = mix.abs3()
     assert type(got) is float
-    # quadrature itself is ~2e-13 off at shape 0.01; at shape 1e4, f_a(a) in
-    # logs carries a ~1e5 exponent, so the closed form is ~1e-11 off
+    # the quadrature itself is ~2e-13 off at shape 0.01 and ~2.4e-12 at 1e4
     assert_allclose(got, left + right, rtol=1e-12 if shape <= 60.0 else 1e-10)
     assert_allclose(GammaMixing(shape, 0.41).abs3(), 0.41**3 * got, rtol=1e-14)
+
+
+def gamma_abs3_mpmath(shape, scale):
+    """E|xi - nu|^3 of Gamma(shape, scale) at 60 digits, from its closed form
+    s^3 (2a + 4 (a^2 f_a(a) - a P(a+1, a))) with f_a(a) in logs."""
+    from mpmath import mp, mpf
+
+    with mp.workdps(60):
+        a, s = mpf(shape), mpf(scale)
+        f_a = mp.exp((a - 1) * mp.log(a) - a - mp.loggamma(a))
+        p = 1 - mp.gammainc(a + 1, a, regularized=True)
+        return float(s**3 * (2 * a + 4 * (a * a * f_a - a * p)))
+
+
+@pytest.mark.parametrize("shape", [0.05, 0.5, 3.0, 17.3, 1e3, 1e5, 1e8])
+def test_gamma_abs3_matches_mpmath(shape):
+    # (s sqrt(a))^3 g(a) has only O(1) terms: a few roundings at any shape
+    assert_allclose(GammaMixing(shape, 0.41).abs3(), gamma_abs3_mpmath(shape, 0.41), rtol=2e-15)
+
+
+@pytest.mark.parametrize(
+    "shape, scale", [(1e14, 1.0), (2.9e14, 0.41), (1e16, 1e-16), (1e100, 1e-50), (1e200, 1e-90)]
+)
+def test_gamma_abs3_at_large_shape_is_its_asymptote(shape, scale):
+    # g(a) = 2 sqrt(2/pi) (1 + O(1/a)), where f_a(a) in logs cancelled terms
+    # of size a log a (4e50 for 1.596 at shape 1e100, scale 1e-50)
+    t = scale * math.sqrt(shape)
+    want = 2.0 * math.sqrt(2.0 / math.pi) * t * t * t
+    assert_allclose(GammaMixing(shape, scale).abs3(), want, rtol=1e-13)
+
+
+def test_gamma_abs3_below_the_smallest_double_is_zero():
+    # (1e-300 sqrt(1e200))^3 = 1e-600 rounds to 0, with no nan and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert GammaMixing(1e200, 1e-300).abs3() == 0.0
 
 
 def test_mixed_cp_params():

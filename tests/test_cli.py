@@ -526,10 +526,49 @@ def test_mixing_moments_past_the_largest_double(capsys, command, mixing):
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+# one grid of extreme inputs, run through main under bounds, verify and pmf
+EXTREMES = ["1e-300", "1e-12", "1e-8", "0.5", "3", "1e3", "1e8", "1e200", "1e300", "1e308"]
+PROBABILITIES = ["0", "1e-300", "1e-9", "0.3", "0.999999", "1"]
+
+
+def _extreme_inputs(command):
+    mixed = [f"--two-point {a},{b},{w}" for a in EXTREMES for b in EXTREMES for w in (0, 0.5, 1)]
+    mixed += [f"--gamma {a},{s}" for a in EXTREMES for s in EXTREMES]
+    runs = [f"--n {n} --p {p}" for n in (1, 2, 3, 60, 5000) for p in PROBABILITIES]
+    grids = [
+        f"--n {n} --k {k} --q {q}" for n in (2, 4, 30) for k in (1, 2, 3) for q in PROBABILITIES
+    ]
+    laws = [""] if command == "bounds" else ["--exact", "--samples 10000"]
+    return (
+        [f"{command} --model mixed {m}" for m in mixed]
+        + [f"{command} --model runs {r}" for r in runs]
+        + [f"{command} --model reliability {g} {law}" for g in grids for law in laws]
+    )
+
+
+@pytest.mark.parametrize("command", ["bounds", "verify", "pmf"])
+def test_extreme_inputs_answer_or_refuse_in_one_line(capsys, command):
+    # exit 1 (a failed verification) is allowed here: a verdict the accuracy
+    # does not support is another matter than a crash or a warning
+    bad = []
+    for line in _extreme_inputs(command):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(line.split())
+            except BaseException as exc:  # noqa: BLE001 - every escape is a finding
+                code = repr(exc)
+        out, err = capsys.readouterr()
+        one_line = out == "" and err.startswith("error: ") and err.count("\n") == 1
+        if code not in (0, 1, 2, 3) or caught or (code in (2, 3) and not one_line):
+            bad.append((line, code, [str(w.message) for w in caught], err[:200]))
+    assert bad == []
+
+
 def test_gamma_mixture_near_a_point_mass_matches_mpmath(capsys):
-    # at shape r = 1e-300, x/m = r/(n succ) in the deviance bd0(r, n succ) is
-    # below rounding, where exact._bd0 takes the limit m; the law is all but a
-    # point mass at 0
+    # at shape r = 1e-300, x/m = r/m in the deviance bd0(r, m), m = n/(1 + scale),
+    # is below rounding, where exact._bd0 takes the limit m; the law is all but
+    # a point mass at 0
     mpmath = pytest.importorskip("mpmath")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -807,7 +846,7 @@ _SCIPY_FREE_COMMANDS = [
 
 
 def test_non_mixed_commands_leave_out_scipy():
-    # scipy.special loads on the first gamma-mixing call only; the gamma
+    # scipy.special loads on the first GammaMixing.abs3 call only; the gamma
     # verify at the end shows that the check sees it when it does load
     out = _fresh_python(
         "import contextlib, io, sys, cpstein, cpstein.cli\n"
@@ -829,6 +868,18 @@ def test_two_point_mixed_pmf_leaves_out_scipy():
     out = _fresh_python(
         "import contextlib, io, sys, cpstein.cli\n"
         "argv = ['pmf', '--model', 'mixed', '--two-point', '2.5,3.5,0.5']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cpstein.cli.main(argv)\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert out.strip() == "0 []"
+
+
+def test_gamma_mixed_pmf_leaves_out_scipy():
+    # the negative binomial is Loader's kernel cut by a ratio bound: no betainc
+    out = _fresh_python(
+        "import contextlib, io, sys, cpstein.cli\n"
+        "argv = ['pmf', '--model', 'mixed', '--gamma', '17.3,0.41']\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cpstein.cli.main(argv)\n"
         "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

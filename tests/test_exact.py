@@ -494,24 +494,54 @@ def test_two_point_table_builds_under_the_cap():
     assert abs(t.mean() - 0.5 * (5.3e5 + 1.0)) <= 1e-6 * 5.3e5
 
 
+def nbinom_mpmath(r, scale, x_max):
+    """P(W = x) for x = 0..x_max and P(W > x_max) of the negative binomial at
+    the true (shape, scale), at 40 digits: p(0) = (1 + scale)^-r and
+    p(x+1) = p(x) a (x + r) / (x + 1), a = scale / (1 + scale)."""
+    with mp.workdps(40):
+        r, s = mpf(r), mpf(scale)
+        a = s / (1 + s)
+        p = [mp.exp(-r * mp.log1p(s))]
+        for x in range(x_max):
+            p.append(p[-1] * a * (x + r) / (x + 1))
+        return p, 1 - mp.fsum(p)
+
+
+def check_nbinom_table(r, scale):
+    """The gamma-mixed table against the 40-digit law: 1e-12 relative wherever
+    the law exceeds 1e-290, the residual tail equal to the missing mass, the
+    cut at the first doubling point from cp_pmf's bulk start where the ratio
+    bound p(x) rho / (1 - rho), rho = a max(1, (x + r) / (x + 1)), meets the
+    target, and the true tail there within the target."""
+    t = mixed_exact_pmf(MixedPoissonModel(GammaMixing(r, scale)))
+    want, tail = nbinom_mpmath(r, scale, t.x_max)
+    rel = [abs((t.pmf[x] - v) / v) for x, v in enumerate(want) if v > 1e-290]
+    assert max(rel) <= 1e-12
+    assert abs(1.0 - float(t.pmf.sum()) - t.tail_mass) <= 1e-15
+    a = scale / (1.0 + scale)
+
+    def ratio_bound(x):
+        rho = a * max(1.0, (x + r) / (x + 1.0))
+        gap = (x + 1.0 - scale * max(0.0, r - 1.0)) / ((1.0 + scale) * (x + 1.0))
+        return float(want[x]) * rho / gap if gap > 0.0 else math.inf
+
+    mean = r * scale
+    x = max(16, math.ceil(mean + 10.0 * math.sqrt(mean * (1.0 + scale))) + 10)
+    while x < t.x_max:
+        assert ratio_bound(x) > TAIL_TARGET
+        x *= 2
+    assert x == t.x_max and ratio_bound(x) <= TAIL_TARGET
+    assert tail <= TAIL_TARGET
+
+
 @pytest.mark.parametrize("r", [0.01, 0.3, 2.0, 17.3, 60.0, 300.0])
 @pytest.mark.parametrize("s", [1e-17, 0.01, 0.41, 0.9])
 def test_negative_binomial_table_matches_scipy_stats(r, s):
-    # cp_pmf's truncation rule (10 sd past the mean plus 10, at least 16,
-    # doubled until the tail is at most TAIL_TARGET) on the
-    # tail of scipy.stats.nbinom, pmf to 1e-12 relative; at scale 1e-17 the
-    # success probability rounds to 1
-    succ = 1.0 / (1.0 + s)
-    t = mixed_exact_pmf(MixedPoissonModel(GammaMixing(r, s)))
-    mean = r * s
-    x_max = max(16, math.ceil(mean + 10.0 * math.sqrt(mean * (1.0 + s))) + 10)
-    while stats.nbinom.sf(x_max, r, succ) > TAIL_TARGET:
-        x_max *= 2
-    assert t.x_max == x_max
-    assert t.tail_mass == float(stats.nbinom.sf(x_max, r, succ))
-    want = stats.nbinom.pmf(np.arange(x_max + 1), r, succ)
-    assert_allclose(t.pmf, want, rtol=1e-12, atol=0)
-    assert abs(1.0 - t.pmf.sum() - t.tail_mass) <= 2e-15
+    # the reference is the law at the true (shape, scale), not scipy.stats:
+    # nbinom takes the success probability 1/(1 + s), whose rounding loses
+    # about log10(1/s) digits; at s = 1e-17 it is 1, a point mass at 0,
+    # while P(W = 1) is r 1e-17
+    check_nbinom_table(r, s)
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,14 @@ as first written, which are kept here: ``block_solve_reference``,
 The truncation of ``cp_pmf`` and of both mixed-Poisson tables is one
 doubling rule, ``core._truncation_point``, from one bulk start.  The loop
 that ``cp_pmf`` replaced is kept here, ``cp_pmf_x_max_reference``, and so
-are the mixed-Poisson tables as first written, with a quantile search of
-their own and a log-gamma Poisson pmf: ``poisson_ppf_reference``,
-``nbinom_ppf_reference``, ``poisson_mixture_table_reference`` and
-``nbinom_table_reference``.  The Poisson mixture is now built from
+is the Poisson mixture as first written, with a quantile search of its own
+and a log-gamma Poisson pmf: ``poisson_ppf_reference`` and
+``poisson_mixture_table_reference``.  The Poisson mixture is now built from
 ``cp_pmf``'s recursion, so it is held to mpmath and agrees with its
-reference to the log-gamma form's accuracy; the negative binomial keeps
-its reference's pmf bits on their common support.
+reference to the log-gamma form's accuracy.  The negative binomial is cut
+by a ratio bound on its last entry; ``nbinom_table_reference`` is that cut
+as a plain doubling loop, and both are held to mpmath at the true (shape,
+scale).
 
 The regime is read from the bound catalogue's BX99, COR3 and THM4 rows;
 ``regime_classify_reference``, which judged the three conditions on theta a
@@ -52,6 +53,7 @@ from cpstein import (
 )
 from cpstein.bounds import _cor3_delta
 from cpstein.oracle import default_x_max
+from test_exact import check_nbinom_table
 
 # ---------------------------------------------------------------------------
 # the loops as first written
@@ -132,24 +134,6 @@ def poisson_ppf_reference(q, lam):
     return k
 
 
-def nbinom_cdf_reference(k, r, succ):
-    return special.betainc(r, k + 1.0, succ)
-
-
-def nbinom_ppf_reference(q, r, succ):
-    hi = 1
-    while nbinom_cdf_reference(hi, r, succ) < q:
-        hi *= 2
-    lo = -1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if nbinom_cdf_reference(mid, r, succ) >= q:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def poisson_mixture_table_reference(weights, intensities):
     hi = max(poisson_ppf_reference(1.0 - MIXTURE_TAIL / 4.0, lam) for lam in intensities)
     x_max = hi + 10
@@ -166,11 +150,18 @@ def poisson_mixture_table_reference(weights, intensities):
 
 
 def nbinom_table_reference(r, scale):
-    succ = 1.0 / (1.0 + scale)
-    x_max = nbinom_ppf_reference(1.0 - MIXTURE_TAIL / 4.0, r, succ) + 10
-    while (tail := float(special.betainc(x_max + 1.0, r, 1.0 - succ))) > MIXTURE_TAIL:
+    a = scale / (1.0 + scale)
+    mean = r * scale
+    x_max = max(16, math.ceil(mean + 10.0 * math.sqrt(mean * (1.0 + scale))) + 10)
+    while True:
+        pmf = exact._nbinom_pmf(x_max, r, scale)
+        rho = a * max(1.0, (x_max + r) / (x_max + 1.0))
+        # 1 - rho = (1 + s)(x + 1) - s (x + r), over (1 + s)(x + 1)
+        gap = (x_max + 1.0 - scale * max(0.0, r - 1.0)) / ((1.0 + scale) * (x_max + 1.0))
+        if gap > 0.0 and pmf[-1] * rho / gap <= core.TAIL_TARGET:
+            break
         x_max *= 2
-    return core.DistributionTable(pmf=exact._nbinom_pmf(x_max, r, succ), tail_mass=tail)
+    return core.DistributionTable(pmf=pmf, tail_mass=max(0.0, 1.0 - float(pmf.sum())))
 
 
 def regime_classify_reference(th):
@@ -447,19 +438,20 @@ def _gamma_cases():
     cases = [(3.0, 0.7), (0.01, 0.9), (300.0, 1e-17), (60.0, 0.41)]
     for _ in range(30):
         cases.append((_log_uniform(rng, 1e-2, 1e3), _log_uniform(rng, 1e-3, 10.0)))
-    return cases
+    # small scales at a fixed mean, where a rounded 1/(1 + scale) lost the law
+    cases += [(1e8, 1e-8), (1e12, 1e-12), (3.0, 1e-12), (1e3, 1e-12), (1e300, 1e-300)]
+    return cases + [(1e6, 1e-3), (5e4, 1.0), (0.05, 100.0), (17.3, 0.41)]
 
 
 @pytest.mark.parametrize("r, scale", _gamma_cases())
 def test_nbinom_table_bit_identical_to_reference(r, scale):
-    # the Loader kernel is elementwise, so the two truncations share their
-    # common prefix bit for bit; the tail is the exact sf at the new x_max
+    # the table and its residual tail are the doubling loop's, bit for bit,
+    # and the 40-digit law at the true (shape, scale) holds them to 1e-12
     got = exact.nbinom_table(r, scale)
     want = nbinom_table_reference(r, scale)
-    n = min(got.x_max, want.x_max) + 1
-    assert _bits(got.pmf[:n]) == _bits(want.pmf[:n])
-    succ = 1.0 / (1.0 + scale)
-    assert _bits(got.tail_mass) == _bits(float(special.betainc(got.x_max + 1.0, r, 1.0 - succ)))
+    assert _bits(got.pmf) == _bits(want.pmf)
+    assert _bits(got.tail_mass) == _bits(want.tail_mass)
+    check_nbinom_table(r, scale)
 
 
 CAP_CASES = PMF_CASES + [[3e5], [5e5, 1e3], [9e5], [1e6], [1e300], [2.0] * 40]
