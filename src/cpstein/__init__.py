@@ -23,8 +23,8 @@ bounds (``theta``, ``evaluate_all`` and the model approximants, which the
 ``bounds`` and ``sweep`` commands run) are plain ``math`` and never load
 numpy, except for the sums model and an order-3 criterion that needs the
 Bernstein enclosure.  The oracle, ``cp_pmf`` and the exact laws load numpy
-on first use, and only gamma mixing (its negative binomial law and its
-third moment) and ``poisson_stein_forward`` load ``scipy.special``.
+on first use, and only the gamma third moment (``GammaMixing.abs3``) and
+``poisson_stein_forward`` load ``scipy.special``.
 """
 
 from __future__ import annotations

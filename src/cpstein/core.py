@@ -38,7 +38,7 @@ __all__ = [
     "chernoff_tail",
 ]
 
-TAIL_TARGET = 1.0 - (1.0 - 1e-12)  # the tail every table is cut at, as first written
+TAIL_TARGET = 1.0 - (1.0 - 1e-12)  # every table's tail bound, about 1.00009e-12
 X_CAP = 1_000_000  # no table is built past this point
 MASS_TOL = 1e-9  # rounding allowance on the total mass of a table
 LOG_P0_FLOOR = 700.0  # e^-700 is a normal double; e^-746 is 0

@@ -17,7 +17,7 @@ beyond (about 7 ms per 10 000 grids at n = 10, most of it drawing them,
 up to MC_CELL_BUDGET grid cells); 2 vCPUs, numpy 2.4.  The mixed-Poisson
 tables take ``cp_pmf``'s truncation rule and residual tail: the two-point
 mixture mixes its Poisson tables, and the negative binomial, Loader's kernel
-in (shape, scale), is cut on a bound from its pmf ratio.  No scipy here.
+in (shape, scale), is cut on a bound from its pmf ratio.
 """
 
 from __future__ import annotations

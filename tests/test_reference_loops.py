@@ -438,9 +438,10 @@ def _gamma_cases():
     cases = [(3.0, 0.7), (0.01, 0.9), (300.0, 1e-17), (60.0, 0.41)]
     for _ in range(30):
         cases.append((_log_uniform(rng, 1e-2, 1e3), _log_uniform(rng, 1e-3, 10.0)))
-    # small scales at a fixed mean, where a rounded 1/(1 + scale) lost the law
+    # small scales at a fixed mean, where a rounded 1/(1 + scale) lost the law,
+    # and a scale where scale/(1 + scale) rounds to 1
     cases += [(1e8, 1e-8), (1e12, 1e-12), (3.0, 1e-12), (1e3, 1e-12), (1e300, 1e-300)]
-    return cases + [(1e6, 1e-3), (5e4, 1.0), (0.05, 100.0), (17.3, 0.41)]
+    return cases + [(1e6, 1e-3), (5e4, 1.0), (0.05, 100.0), (17.3, 0.41), (1e-50, 1e20)]
 
 
 @pytest.mark.parametrize("r, scale", _gamma_cases())
