@@ -22,9 +22,10 @@ half of a cold closed-form command, and scipy more again.  The closed-form
 bounds (``theta``, ``evaluate_all`` and the model approximants, which the
 ``bounds`` and ``sweep`` commands run) are plain ``math`` and never load
 numpy, except for the sums model and an order-3 criterion that needs the
-Bernstein enclosure.  The oracle, ``cp_pmf`` and the exact laws load numpy
-on first use, and only the gamma third moment (``GammaMixing.abs3``) and
-``poisson_stein_forward`` load ``scipy.special``.
+Bernstein enclosure.  The oracle, ``cp_pmf``, the exact laws and the gamma
+third moment (``GammaMixing.abs3``) load numpy on first use.  No command
+loads scipy: only ``poisson_stein_forward``, an independent reference for
+the tests, loads ``scipy.special``.
 """
 
 from __future__ import annotations

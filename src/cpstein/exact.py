@@ -13,11 +13,12 @@ so its law is the trace of the n-th power of a 2 x 2 matrix of
 polynomials, formed by repeated squaring; it takes n <= 2000 (2-6 ms at
 n = 2000, by p, within n u of the exact law).  Reliability takes grids up
 to n = 11 for k = 2 and n = 8 for k = 3 (0.2-0.25 s there), Monte Carlo
-beyond (about 7 ms per 10 000 grids at n = 10, most of it drawing them,
-up to MC_CELL_BUDGET grid cells); 2 vCPUs, numpy 2.4.  The mixed-Poisson
-tables take ``cp_pmf``'s truncation rule and residual tail: the two-point
-mixture mixes its Poisson tables, and the negative binomial, Loader's kernel
-in (shape, scale), is cut on a bound from its pmf ratio.
+beyond (about 5 ms per 10 000 grids at n = 10, most of it drawing them,
+up to MC_CELL_BUDGET grid cells, through one draw buffer of MC_DRAW_CELLS
+cells); 2 vCPUs, numpy 2.4.  The mixed-Poisson tables take ``cp_pmf``'s
+truncation rule and residual tail: the two-point mixture mixes its Poisson
+tables, and the negative binomial, Loader's kernel in (shape, scale), is cut
+on a bound from its pmf ratio and, for shape <= 1, from its 1/k decay.
 """
 
 from __future__ import annotations
@@ -52,12 +53,12 @@ RELIABILITY_COST_BUDGET = 60_000_000
 SUMS_CELL_BUDGET = 10_000_000
 MC_MIN_SAMPLES = 10_000
 MC_CHUNK = 1 << 17
-MC_BLOCK = 1 << 14  # grids drawn and counted at a time within a chunk
-# grid cells of one draw: MC_BLOCK grids up to n = 10, 13 MB of doubles
-MC_DRAW_CELLS = MC_BLOCK * 10 * 10
-# samples x n^2 grid cells of one Monte Carlo law, about 5 ns each in draws
-# of MC_DRAW_CELLS: 2e8 cells (10^6 samples at n = 14, 20 000 at n = 100)
-# take 1.1-1.2 s and 53 MB of peak memory, 10^6 samples at n = 10 0.8 s
+# grid cells of one draw, the size of the one double and one bool buffer a
+# Monte Carlo law reuses for every draw: 256 KB of doubles, 327 grids at n = 10
+MC_DRAW_CELLS = 1 << 15
+# samples x n^2 grid cells of one Monte Carlo law, about 5-6.5 ns each:
+# 2e8 cells (10^6 samples at n = 14, 20 000 at n = 100) take 1.0-1.3 s and
+# 36-37 MB of peak RSS for a cold pmf, 10^6 samples at n = 10 0.45 s
 MC_CELL_BUDGET = 200_000_000
 
 
@@ -157,21 +158,29 @@ def runs_exact_pmf(m: models.RunsModel) -> DistributionTable:
 def _count_subgrids(grids: np.ndarray, k: int) -> np.ndarray:
     """Count all-failed k x k subgrids in each n x n boolean grid.
 
-    ``grids`` has shape (m, n, n); returns shape (m,).  The AND of k
-    row-shifted views marks the cells that start a vertical run of k
-    failures; the AND of k column-shifted views of that marks the top-left
-    corners of all-failed windows, which are then counted per grid.
+    ``grids`` has shape (m, n, n) and is read on the flattened n^2 index
+    i = r n + c; returns shape (m,).  The AND of k views shifted by 0, n,
+    ..., (k-1) n marks the cells that start a vertical run of k failures;
+    the AND of k views of that shifted by 0..k-1 marks the top-left corners
+    of all-failed windows, once the corners in the columns c > n - k, whose
+    shifted views wrap into the next row, are masked off.
     """
     import numpy as np
 
-    w = grids.shape[1] - k + 1
-    runs = grids[:, :w].copy()
+    m, n, _ = grids.shape
+    flat = grids.reshape(m, n * n)
+    tall = n * (n - k + 1)  # the rows r <= n - k
+    runs = flat[:, :tall].copy()
     for i in range(1, k):
-        runs &= grids[:, i : i + w]
-    full = runs[:, :, :w].copy()
+        runs &= flat[:, i * n : i * n + tall]
+    wide = tall - k + 1
+    full = runs[:, :wide].copy()
     for j in range(1, k):
-        full &= runs[:, :, j : j + w]
-    return np.count_nonzero(full, axis=(1, 2))
+        full &= runs[:, j : j + wide]
+    corner = np.zeros((n - k + 1, n), dtype=bool)
+    corner[:, : n - k + 1] = True
+    full &= corner.reshape(-1)[:wide]
+    return np.count_nonzero(full, axis=1)
 
 
 def _reliability_step(k: int, q: float, row_start: bool, window: bool) -> np.ndarray:
@@ -271,7 +280,8 @@ def reliability_mc_pmf(
 
     The seed stream is split into one substream per fixed-size chunk, so the
     result does not depend on how chunks are scheduled.  A chunk is drawn
-    and counted MC_BLOCK grids, and at most MC_DRAW_CELLS cells, at a time:
+    and counted as many whole grids as fit in MC_DRAW_CELLS cells at a time,
+    through one double and one bool buffer allocated once per call:
     consecutive draws continue one stream, so the table is the same as from
     one draw of the whole chunk, and memory stays bounded.  More than
     MC_CELL_BUDGET cells in all raise BudgetExceededError before the first
@@ -287,18 +297,22 @@ def reliability_mc_pmf(
         raise BudgetExceededError(
             f"Monte Carlo cost {samples} x {n}^2 cells exceeds budget {MC_CELL_BUDGET}"
         )
-    block = min(MC_BLOCK, max(1, MC_DRAW_CELLS // (n * n)))
+    block = max(1, MC_DRAW_CELLS // (n * n))
+    uniform = np.empty((block, n, n))
+    failed = np.empty((block, n, n), dtype=bool)
     max_count = (n - k + 1) ** 2
     n_chunks = (samples + MC_CHUNK - 1) // MC_CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
-    freq = np.zeros(max_count + 1)
+    freq = np.zeros(max_count + 1, dtype=np.int64)
     done = 0
     for child in children:
         rng = np.random.default_rng(child)
         take = min(MC_CHUNK, samples - done)
         for start in range(0, take, block):
-            grids = rng.random((min(block, take - start), n, n)) < q
-            counts = _count_subgrids(grids, k)
+            size = min(block, take - start)
+            rng.random(out=uniform[:size])
+            np.less(uniform[:size], q, out=failed[:size])
+            counts = _count_subgrids(failed[:size], k)
             freq += np.bincount(counts, minlength=max_count + 1)
         done += take
     return DistributionTable(pmf=freq / samples, tail_mass=0.0, mc_samples=samples)
@@ -415,7 +429,15 @@ def nbinom_table(r: float, scale: float) -> DistributionTable:
     P(W > x) <= p(x) rho / (1 - rho), read off the last entry of the table
     built at each point tried.  1 - rho is formed as
     (x + 1 - scale max(0, r-1)) / ((1+scale)(x+1)), which keeps its digits
-    where a = scale / (1+scale) rounds to 1."""
+    where a = scale / (1+scale) rounds to 1.
+
+    For r <= 1 the pmf also decays like 1/k, which the ratio bound drops:
+    p(k) <= p(x) a^(k-x) ((x+1)/(k+1))^(1-r), and (x+1+m)^r <= (x+1)^r
+    (1 + r m) with sum_{m>=1} a^m / m = log1p(scale) give
+    P(W > x) <= p(x) (x+1) (log1p(scale) + r scale); the smaller of the two
+    bounds is taken.  It decides the cut near a point mass at 0 with a huge
+    scale, where rho / (1 - rho) = scale is far too loose.
+    """
     a = scale / (1.0 + scale)
     pmf = None
 
@@ -424,7 +446,10 @@ def nbinom_table(r: float, scale: float) -> DistributionTable:
         pmf = _nbinom_pmf(x, r, scale)
         rho = a * max(1.0, (x + r) / (x + 1.0))
         gap = (x + 1.0 - scale * max(0.0, r - 1.0)) / ((1.0 + scale) * (x + 1.0))  # 1 - rho
-        return pmf[-1] * rho / gap if gap > 0.0 else math.inf
+        factor = rho / gap if gap > 0.0 else math.inf
+        if r <= 1.0:
+            factor = min(factor, (x + 1.0) * (math.log1p(scale) + r * scale))
+        return pmf[-1] * factor
 
     _truncation_point(_bulk_start(r * scale, r * scale * (1.0 + scale), 1), tail)
     return _residual_table(pmf)

@@ -243,6 +243,12 @@ class TwoPointMixing:
         return poisson_mixture_table([self.w, 1.0 - self.w], [self.a, self.b])
 
 
+# Q(a, a) = 1/2 + (2 pi a)^(-1/2) sum_k c_k a^-k, Temme's coefficients at
+# x = a, used for a >= _TEMME_MIN_SHAPE (P(a+1, a) is summed as a series below)
+_TEMME_COEF = (-1 / 3, -1 / 540, 25 / 6048, 101 / 155520, -3184811 / 3695155200)
+_TEMME_MIN_SHAPE = 1000.0
+
+
 @dataclass(frozen=True)
 class GammaMixing:
     """Mixing law: xi ~ Gamma(shape, scale)."""
@@ -272,18 +278,38 @@ class GammaMixing:
             E|xi - nu|^3 = s^3 (2a + 4 (a^2 f_a(a) - a P(a+1, a))),
 
         where f_a(a) = a^(a-1) e^(-a) / Gamma(a).  As sqrt(a) f_a(a) =
-        e^(-stirlerr(a)) / sqrt(2 pi), this is (s sqrt(a))^3 g(a) with
+        f = e^(-stirlerr(a)) / sqrt(2 pi), this is (s sqrt(a))^3 g(a) with
 
-            g(a) = (2 - 4 P(a+1, a)) / sqrt(a) + 4 e^(-stirlerr(a)) / sqrt(2 pi),
+            g(a) = (2 - 4 P(a+1, a)) / sqrt(a) + 4 f,
 
         whose terms are O(1) at every shape; g tends to 2 sqrt(2/pi).
-        """
-        from scipy import special
 
+        Below a = 1000, P(a+1, a) is its positive series (f / sqrt(a))
+        (a / (a+1)) sum_n prod_{j=2..n+1} a / (a+j), at most about 280
+        terms.  From there on, Temme's uniform expansion at x = a (DLMF
+        8.12) gives Q(a, a) = 1/2 + S / sqrt(2 pi a), S = sum_k c_k a^-k
+        (five terms, 9e-21 relative at a = 1000), and P(a+1, a) =
+        1 - Q(a, a) - f / sqrt(a) turns g into 4 S / (a sqrt(2 pi)) +
+        4 f / a + 4 f, free of cancellation, by Horner's rule in 1/a.
+        """
         a = self.shape
-        p = special.gammainc(a + 1.0, a)
         f = math.exp(-_stirlerr([a])[0]) / math.sqrt(2.0 * math.pi)  # sqrt(a) f_a(a)
-        g = (2.0 - 4.0 * p) / math.sqrt(a) + 4.0 * f
+        if a < _TEMME_MIN_SHAPE:
+            total, term, j = 1.0, 1.0, 2.0
+            while True:
+                term *= a / (a + j)
+                if total + term == total:
+                    break
+                total += term
+                j += 1.0
+            p = a / (a + 1.0) * (f / math.sqrt(a)) * total
+            g = (2.0 - 4.0 * p) / math.sqrt(a) + 4.0 * f
+        else:
+            inv = 1.0 / a
+            s = 0.0
+            for c in reversed(_TEMME_COEF):
+                s = s * inv + c
+            g = 4.0 * f + inv * (4.0 * f + 4.0 * s / math.sqrt(2.0 * math.pi))
         t = self.scale * math.sqrt(a)
         return float(t * t * t * g)
 

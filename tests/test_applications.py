@@ -289,10 +289,24 @@ def gamma_abs3_mpmath(shape, scale):
         return float(s**3 * (2 * a + 4 * (a * a * f_a - a * p)))
 
 
-@pytest.mark.parametrize("shape", [0.05, 0.5, 3.0, 17.3, 1e3, 1e5, 1e8])
+@pytest.mark.parametrize(
+    "shape", [1e-12, 1e-3, 0.05, 0.5, 3.0, 17.3, 999.9, 1e3, 1000.1, 1e5, 1e8]
+)
 def test_gamma_abs3_matches_mpmath(shape):
-    # (s sqrt(a))^3 g(a) has only O(1) terms: a few roundings at any shape
+    # (s sqrt(a))^3 g(a) has only O(1) terms: a few roundings at any shape,
+    # on either side of the switch from P(a+1, a)'s series to Temme's
+    # expansion at a = 1000
     assert_allclose(GammaMixing(shape, 0.41).abs3(), gamma_abs3_mpmath(shape, 0.41), rtol=2e-15)
+
+
+def test_gamma_abs3_at_the_largest_shapes_needs_no_power_of_the_shape():
+    # Temme's expansion runs in 1/a, so a^k, which overflows, is never formed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = 1e-154 * math.sqrt(1e308)
+        want = 2.0 * math.sqrt(2.0 / math.pi) * t * t * t
+        assert_allclose(GammaMixing(1e308, 1e-154).abs3(), want, rtol=1e-15)
+        assert GammaMixing(1e308, 1.0).abs3() == math.inf
 
 
 @pytest.mark.parametrize(

@@ -832,7 +832,7 @@ def test_import_leaves_out_scipy_stats_and_integrate():
     assert out.strip() == "[]"
 
 
-# every command that does not touch the mixed Poisson model
+# every model, the gamma mixing included: no command loads scipy
 _SCIPY_FREE_COMMANDS = [
     ["bounds", "--rates", "1.0,0.2"],
     ["sweep", "--model", "runs", "--n", "50", "--p-range", "0.05:0.45:5"],
@@ -841,26 +841,31 @@ _SCIPY_FREE_COMMANDS = [
     ["stein-solve", "--rates", "1.0,0.2", "--y", "2"],
     ["pmf", "--rates", "800"],
     ["verify", "--model", "reliability", "--n", "5", "--k", "2", "--q", "0.3", "--exact"],
+    ["pmf", "--model", "reliability", "--n", "10", "--k", "2", "--q", "0.3", "--samples", "10000"],
     ["verify", "--model", "sums", "--components", "0.6,0,0.4;0.6,0,0.4"],
+    ["bounds", "--model", "mixed", "--gamma", "2,0.5"],
+    ["verify", "--model", "mixed", "--gamma", "2,0.5"],
+    ["pmf", "--model", "mixed", "--gamma", "2,0.5"],
+    ["verify", "--model", "mixed", "--gamma", "5e3,0.01"],
 ]
 
 
-def test_non_mixed_commands_leave_out_scipy():
-    # scipy.special loads on the first GammaMixing.abs3 call only; the gamma
-    # verify at the end shows that the check sees it when it does load
+def test_commands_leave_out_scipy():
+    # GammaMixing.abs3 sums P(a+1, a) itself, so gamma bounds and verify
+    # load no scipy either; poisson_stein_forward, a test reference, is
+    # called last to show that the check sees scipy.special when it loads
     out = _fresh_python(
         "import contextlib, io, sys, cpstein, cpstein.cli\n"
         f"for argv in {_SCIPY_FREE_COMMANDS!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = cpstein.cli.main(argv)\n"
         "    print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = cpstein.cli.main(['verify', '--model', 'mixed', '--gamma', '2,0.5'])\n"
-        "print(code, 'scipy.special' in sys.modules)"
+        "cpstein.oracle.poisson_stein_forward(2.0, 3, 10)\n"
+        "print('scipy.special' in sys.modules)"
     )
-    *plain, mixed = out.strip().splitlines()
+    *plain, reference = out.strip().splitlines()
     assert plain == ["0 []"] * len(_SCIPY_FREE_COMMANDS)
-    assert mixed == "0 True"
+    assert reference == "True"
 
 
 def test_two_point_mixed_pmf_leaves_out_scipy():

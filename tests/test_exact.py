@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -385,12 +386,14 @@ def test_reliability_mc_bit_identical_to_prefix_sum_loop(n, k, q, samples):
 
 @pytest.mark.parametrize("block", [1000, 777, 1 << 17])
 def test_reliability_mc_block_size_leaves_table_unchanged(monkeypatch, block):
-    # blocks that divide the chunk, that do not, and one block per chunk:
-    # consecutive draws continue one stream, so every table is the same
+    # MC_DRAW_CELLS set to block grids of 6 x 6 and most of one more, so a
+    # draw is block grids: blocks that divide the chunk, that do not, and
+    # one block per chunk; consecutive draws continue one stream, so every
+    # table is the same
     m = ReliabilityModel(6, 2, 0.4)
     samples = (1 << 17) + 5000  # two chunks, the second partial
     default = reliability_mc_pmf(m, samples=samples, seed=5)
-    monkeypatch.setattr(exact, "MC_BLOCK", block)
+    monkeypatch.setattr(exact, "MC_DRAW_CELLS", block * 36 + 35)
     other = reliability_mc_pmf(m, samples=samples, seed=5)
     assert np.array_equal(default.pmf, other.pmf)
     assert np.array_equal(default.stderr, other.stderr)
@@ -416,18 +419,38 @@ def test_reliability_mc_budget_refused_before_the_first_draw(monkeypatch):
             reliability_mc_pmf(ReliabilityModel(n, 2, 0.3), samples=samples, seed=1)
 
 
-@pytest.mark.parametrize("n, grids", [(4, exact.MC_BLOCK), (10, exact.MC_BLOCK), (40, 1024)])
-def test_reliability_mc_draw_holds_at_most_draw_cells(monkeypatch, n, grids):
-    # up to n = 10 a draw is MC_BLOCK grids, as before the cap; past it,
-    # MC_DRAW_CELLS cells: 1024 grids of 40 x 40.  Stop at the first draw.
+@pytest.mark.parametrize("n", [4, 10, 40, 141])
+def test_reliability_mc_draw_holds_at_most_draw_cells(monkeypatch, n):
+    # a draw is as many whole grids as fit in MC_DRAW_CELLS cells: 2048 of
+    # 4 x 4, 327 of 10 x 10, 20 of 40 x 40, and one of the largest grid the
+    # cell budget admits at the fewest samples.  Stop at the first draw.
     def first(drawn, k):
         raise _Drawn(drawn.shape)
 
     monkeypatch.setattr(exact, "_count_subgrids", first)
     with pytest.raises(_Drawn) as info:
-        reliability_mc_pmf(ReliabilityModel(n, 2, 0.3), samples=50_000, seed=1)
+        reliability_mc_pmf(ReliabilityModel(n, 2, 0.3), samples=10_000, seed=1)
+    grids = info.value.args[0][0]
     assert info.value.args[0] == (grids, n, n)
-    assert grids * n * n <= exact.MC_DRAW_CELLS
+    assert grids * n * n <= exact.MC_DRAW_CELLS < (grids + 1) * n * n
+
+
+def test_reliability_mc_memory_is_one_draw_buffer():
+    # the draws go through one buffer of MC_DRAW_CELLS doubles and one of
+    # bools, so the peak stays far below one MB and does not grow with the
+    # sample count (one more chunk adds a few bytes of seed bookkeeping)
+    m = ReliabilityModel(10, 2, 0.3)
+    reliability_mc_pmf(m, samples=10_000, seed=1)  # numpy's first-call allocations
+    peaks = []
+    for samples in (100_000, 200_000):
+        tracemalloc.start()
+        try:
+            reliability_mc_pmf(m, samples=samples, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 1 << 20
+    assert peaks[1] <= peaks[0] + 4096
 
 
 def test_reliability_mc_seed_sensitivity():
@@ -510,28 +533,35 @@ def nbinom_mpmath(r, scale, x_max):
 def check_nbinom_table(r, scale):
     """The gamma-mixed table against the 40-digit law: 1e-12 relative wherever
     the law exceeds 1e-290, the residual tail equal to the missing mass, the
-    cut at the first doubling point from cp_pmf's bulk start where the ratio
-    bound p(x) rho / (1 - rho), rho = a max(1, (x + r) / (x + 1)), meets the
-    target, and the true tail there within the target."""
+    cut at the first doubling point from cp_pmf's bulk start where
+    ``nbinom_tail_bound`` meets the target, and the true tail there within
+    the target."""
     t = mixed_exact_pmf(MixedPoissonModel(GammaMixing(r, scale)))
     want, tail = nbinom_mpmath(r, scale, t.x_max)
     rel = [abs((t.pmf[x] - v) / v) for x, v in enumerate(want) if v > 1e-290]
     assert max(rel) <= 1e-12
     assert abs(1.0 - float(t.pmf.sum()) - t.tail_mass) <= 1e-15
-    a = scale / (1.0 + scale)
-
-    def ratio_bound(x):
-        rho = a * max(1.0, (x + r) / (x + 1.0))
-        gap = (x + 1.0 - scale * max(0.0, r - 1.0)) / ((1.0 + scale) * (x + 1.0))
-        return float(want[x]) * rho / gap if gap > 0.0 else math.inf
 
     mean = r * scale
     x = max(16, math.ceil(mean + 10.0 * math.sqrt(mean * (1.0 + scale))) + 10)
     while x < t.x_max:
-        assert ratio_bound(x) > TAIL_TARGET
+        assert nbinom_tail_bound(r, scale, x, float(want[x])) > TAIL_TARGET
         x *= 2
-    assert x == t.x_max and ratio_bound(x) <= TAIL_TARGET
+    assert x == t.x_max and nbinom_tail_bound(r, scale, x, float(want[x])) <= TAIL_TARGET
     assert tail <= TAIL_TARGET
+
+
+def nbinom_tail_bound(r, scale, x, p_x):
+    """The bound on P(W > x) that cuts the negative binomial table, from
+    p(x): the ratio bound p(x) rho / (1 - rho), rho = a max(1, (x + r) / (x + 1)),
+    and for r <= 1 also p(x) (x + 1) (log1p(scale) + r scale)."""
+    a = scale / (1.0 + scale)
+    rho = a * max(1.0, (x + r) / (x + 1.0))
+    gap = (x + 1.0 - scale * max(0.0, r - 1.0)) / ((1.0 + scale) * (x + 1.0))
+    factor = rho / gap if gap > 0.0 else math.inf
+    if r <= 1.0:
+        factor = min(factor, (x + 1.0) * (math.log1p(scale) + r * scale))
+    return p_x * factor
 
 
 @pytest.mark.parametrize("r", [0.01, 0.3, 2.0, 17.3, 60.0, 300.0])
@@ -542,6 +572,41 @@ def test_negative_binomial_table_matches_scipy_stats(r, s):
     # about log10(1/s) digits; at s = 1e-17 it is 1, a point mass at 0,
     # while P(W = 1) is r 1e-17
     check_nbinom_table(r, s)
+
+
+@pytest.mark.parametrize(
+    "r, scale", [(1e-16, 1e12), (1e-14, 1e8), (1e-3, 1e6), (0.5, 100.0), (0.9, 1e3), (1.0, 50.0)]
+)
+def test_nbinom_tail_bound_holds_against_mpmath(r, scale):
+    # the bound never falls below the 40-digit tail, at x from the first
+    # entries to past the bulk, but for rounding at r = 1, where the ratio
+    # bound is the geometric tail itself
+    xs = [0, 1, 2, 5, 16, 100, 1000]
+    want, _ = nbinom_mpmath(r, scale, max(xs))
+    with mp.workdps(40):
+        tails = [float(1 - mp.fsum(want[: x + 1])) for x in xs]
+    bounds = [nbinom_tail_bound(r, scale, x, float(want[x])) for x in xs]
+    for bound, tail in zip(bounds, tails):
+        assert bound >= tail * (1.0 - 1e-15) > 0.0
+    if (r, scale) == (1e-16, 1e12):
+        # at x = 1: 5.5e-15 against 2.66e-15, where rho / (1 - rho) alone gives 1e-4
+        assert_allclose(tails[1], 2.66e-15, rtol=5e-3)
+        assert bounds[1] <= 5.6e-15
+
+
+@pytest.mark.parametrize(
+    "gamma",
+    ["1e-14,1e8", "1e-14,1e9", "1e-14,1e10", "1e-14,1e11", "1e-16,1e10",
+     "1e-16,1e11", "1e-16,1e12", "1e-18,1e12", "1e-18,1e13", "1e-20,1e14"],
+)
+def test_gamma_table_near_a_point_mass_with_a_huge_scale_is_cut(gamma):
+    # the ratio bound alone ran these to the 10^6 cap; the 1/k decay of the
+    # pmf for r <= 1 cuts them at the bulk start, within the target
+    r, scale = map(float, gamma.split(","))
+    t = exact.nbinom_table(r, scale)
+    mean = r * scale
+    assert t.x_max == max(16, math.ceil(mean + 10.0 * math.sqrt(mean * (1.0 + scale))) + 10)
+    assert 0.0 <= t.tail_mass <= TAIL_TARGET
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ and a log-gamma Poisson pmf: ``poisson_ppf_reference`` and
 ``poisson_mixture_table_reference``.  The Poisson mixture is now built from
 ``cp_pmf``'s recursion, so it is held to mpmath and agrees with its
 reference to the log-gamma form's accuracy.  The negative binomial is cut
-by a ratio bound on its last entry; ``nbinom_table_reference`` is that cut
-as a plain doubling loop, and both are held to mpmath at the true (shape,
-scale).
+by a bound on the tail past its last entry (the pmf ratio's, and for shape
+<= 1 the smaller of it and one that keeps the 1/k decay);
+``nbinom_table_reference`` is that cut as a plain doubling loop, and both
+are held to mpmath at the true (shape, scale).
 
 The regime is read from the bound catalogue's BX99, COR3 and THM4 rows;
 ``regime_classify_reference``, which judged the three conditions on theta a
@@ -158,7 +159,10 @@ def nbinom_table_reference(r, scale):
         rho = a * max(1.0, (x_max + r) / (x_max + 1.0))
         # 1 - rho = (1 + s)(x + 1) - s (x + r), over (1 + s)(x + 1)
         gap = (x_max + 1.0 - scale * max(0.0, r - 1.0)) / ((1.0 + scale) * (x_max + 1.0))
-        if gap > 0.0 and pmf[-1] * rho / gap <= core.TAIL_TARGET:
+        factor = rho / gap if gap > 0.0 else math.inf
+        if r <= 1.0:  # the 1/k decay of the pmf
+            factor = min(factor, (x_max + 1.0) * (math.log1p(scale) + r * scale))
+        if pmf[-1] * factor <= core.TAIL_TARGET:
             break
         x_max *= 2
     return core.DistributionTable(pmf=pmf, tail_mass=max(0.0, 1.0 - float(pmf.sum())))
@@ -441,7 +445,9 @@ def _gamma_cases():
     # small scales at a fixed mean, where a rounded 1/(1 + scale) lost the law,
     # and a scale where scale/(1 + scale) rounds to 1
     cases += [(1e8, 1e-8), (1e12, 1e-12), (3.0, 1e-12), (1e3, 1e-12), (1e300, 1e-300)]
-    return cases + [(1e6, 1e-3), (5e4, 1.0), (0.05, 100.0), (17.3, 0.41), (1e-50, 1e20)]
+    cases += [(1e6, 1e-3), (5e4, 1.0), (0.05, 100.0), (17.3, 0.41), (1e-50, 1e20)]
+    # tiny shapes at huge scales, cut by the bound that keeps the 1/k decay
+    return cases + [(1e-14, 1e8), (1e-16, 1e10), (1e-13, 1e3)]
 
 
 @pytest.mark.parametrize("r, scale", _gamma_cases())
