@@ -35,8 +35,12 @@ the solutions truncated at N and at 2N differ only in g.
 
 Sweeping y and taking sups of |f| and |f(x+1)-f(x)| yields empirical
 Kolmogorov Stein factors, the ground truth that every bound in
-:mod:`cpstein.bounds` must dominate.  ``verify`` checks the catalogue
-against them, and a model's d_K bound against its exact law.
+:mod:`cpstein.bounds` must dominate.  The elimination is factored once and
+applied to BLOCK_COLUMNS right-hand sides at a time, and each solved block
+is reduced to its sups a few rows at a time before the next is solved, so
+a sweep holds M x BLOCK_COLUMNS floats at most, while its time grows like
+M x (y_max + 3).  ``verify`` checks the catalogue against them, and a
+model's d_K bound against its exact law.
 """
 
 from __future__ import annotations
@@ -66,9 +70,14 @@ __all__ = [
 
 TAIL_FOR_YMAX = 1e-8
 STABILITY_TOL = 1e-7
-# cells of the M x (y_max + 3) block that empirical_factors solves: 128 MB of
-# floats, about 400 MB of peak memory; theta_0 = 3000 takes 1.1e7 cells
-ORACLE_CELL_BUDGET = 16_000_000
+# right-hand sides that empirical_factors solves at a time: M x 512 floats;
+# up to a total rate of about 390 (y_max + 3 <= 512) the sweep is one block
+BLOCK_COLUMNS = 512
+# cells of the M x (y_max + 3) sweep that empirical_factors solves, a bound
+# on its time: about 4e7 cells/s on a 2-vCPU host, so 2e8 cells take about
+# 5 s (4.7 s for one rate, 5.8 s at J = 3) and admit a single rate up to
+# about 13 500; theta_0 = 3000 takes 1.1e7 cells
+ORACLE_CELL_BUDGET = 200_000_000
 # points x = 0..x_max of one solve_stein call, about 1.5 us and 140 B each:
 # x_max = 4e6 takes 6-8 s and 562 MB of peak memory
 STEIN_POINT_BUDGET = 4_000_000
@@ -221,20 +230,24 @@ def _factor(jl: list[float], x0: int, M: int) -> tuple[list, list[list[float]]]:
     return steps, U
 
 
-def _block_solve(jl: list[float], x0: int, M: int, B: np.ndarray | list[float]) -> None:
+def _block_solve(
+    jl: list[float], x0: int, M: int, B: np.ndarray | list[float], lu: tuple
+) -> None:
     """Solve (*) at x = 0..M except x0 for f(1..M), in place on B.
 
     B has one row per equation, in order of x, and one column per
     right-hand side (a list of floats for a single one), with the terms in
-    f(x), x > M, already moved there.  Banded Gaussian elimination with
-    partial pivoting (``_factor``), then back substitution; the equations
-    above x0 are already triangular.  On an array each product and
-    difference is one numpy call across the columns, written into B or
-    into one scratch row, and a pivot swap exchanges the rows themselves.
-    On return row i of B holds f(i + 1).
+    f(x), x > M, already moved there.  ``lu`` is ``_factor(jl, x0, M)``,
+    the banded Gaussian elimination with partial pivoting; it is applied
+    to B, then back substitution; the equations above x0 are already
+    triangular.  On an array each product and difference is one numpy call
+    across the columns, written into B or into one scratch row, and a pivot
+    swap exchanges the rows themselves, so a column's result does not
+    depend on the other columns solved with it.  On return row i of B
+    holds f(i + 1).
     """
     J = len(jl)
-    steps, U = _factor(jl, x0, M)
+    steps, U = lu
     above = [None] + jl + [0.0]  # row k >= x0, equation k + 1, right of its diagonal
     if isinstance(B, list):
         b = B[0]
@@ -325,7 +338,7 @@ def solve_stein(params: CompoundPoissonParams, y: int, x_max: int) -> SteinSolut
     t = _tail(jl, M + 1, x_max, -eh_u)  # f(x) = -E h(U) g(x) above the block
     xs = np.delete(np.arange(M + 1), x0)
     b = ((xs <= y) - eh_u - _tail_terms(jl, x0, M, t)).tolist()
-    _block_solve(jl, x0, M, b)
+    _block_solve(jl, x0, M, b, _factor(jl, x0, M))
     f = [0.0] + b + t  # f(0..x_max), then J zeros
     lhs = math.fsum(c * f[x0 + j] for j, c in enumerate(jl, start=1))
     residual0 = abs(lhs - x0 * f[x0] - ((x0 <= y) - eh_u))
@@ -359,29 +372,33 @@ def interior_residuals(sol: SteinSolution) -> np.ndarray:
     return h - sol.eh_u - (s - x * sol.f[x])
 
 
-def _sups(
-    C: np.ndarray, P: np.ndarray, g: np.ndarray, g_tail: list[float]
-) -> tuple[float, float]:
-    """Sups of |f_y| and |f_y(x+1) - f_y(x)| over y and over x = 1..hi.
+def _sups(C: np.ndarray, P: np.ndarray, g: np.ndarray, g_next: float, acc: np.ndarray) -> None:
+    """Fold into acc = [m0, m1] the sups of |f_y| over x = 1..M and of
+    |f_y(x+1) - f_y(x)| over x = 1..M, for the thresholds y of C's columns.
 
-    On the block x = 1..M, f_y = C[:, y] - P[y] g.  Above it f_y(x) =
-    -P[y] g(x), with ``g_tail`` holding g(M+1..hi+1); P is increasing, so
-    there the sups over y are P[-1] times those of g.
+    On the block f_y = C[:, y] - P[y] g, and f_y(M+1) = -P[y] g_next.
+    F = C - g P^T and its differences D are formed a few rows at a time in
+    two scratch buffers of BLOCK_COLUMNS^2 / 32 cells (2^13 at 512 columns,
+    64 KiB, which the heap reuses; 16 rows of a full block); consecutive
+    chunks share a row, so D spans their edges.  Every entry is the product
+    and difference of the whole-block F, and max is exact, so the sups do
+    not depend on the chunks; np.maximum keeps a nan.
     """
     import numpy as np
 
-    F = np.outer(g, P)
-    np.subtract(C, F, out=F)
-    D = F[1:] - F[:-1]
-    m0, m1 = max(F.max(), -F.min()), max(D.max(), -D.min())
-    g = np.asarray(g_tail)
-    m0 = max(m0, P[-1] * np.max(np.abs(g[:-1]), initial=0.0))
-    m1 = max(
-        m1,
-        np.max(np.abs(g[0] * P + F[-1])),  # across x = M
-        P[-1] * np.max(np.abs(np.diff(g)), initial=0.0),
-    )
-    return float(m0), float(m1)
+    M, width = C.shape
+    rows = max(2, BLOCK_COLUMNS**2 // 32 // width)
+    F, D = np.empty((rows, width)), np.empty((rows - 1, width))
+    for lo in range(0, M - 1, rows - 1):
+        hi = min(lo + rows, M)
+        f, d = F[: hi - lo], D[: hi - lo - 1]
+        np.multiply.outer(g[lo:hi], P, out=f)
+        np.subtract(C[lo:hi], f, out=f)
+        np.subtract(f[1:], f[:-1], out=d)
+        # a nan makes max and min both nan
+        np.maximum(acc, (max(f.max(), -f.min()), max(d.max(), -d.min())), out=acc)
+    across = g_next * P + f[-1]  # f_y(M) - f_y(M+1)
+    acc[1] = np.maximum(acc[1], np.abs(across, out=across).max())
 
 
 def empirical_factors(
@@ -398,11 +415,12 @@ def empirical_factors(
     P(U <= y) g, where c_y solves the equations with right-hand side
     I(. <= y) and vanishes above max(y, x0), and g solves them with
     right-hand side 1.  One elimination of the block x <= M solves every
-    c_y and g for truncation at x_max and at 2 x_max; the sups are taken
-    on the interior x <= x_max - J, and both pairs of sups must agree
-    within STABILITY_TOL.  The factors at 2 x_max are returned.  A block
-    of more than ORACLE_CELL_BUDGET cells, M x (y_max + 3), raises
-    BudgetExceededError before anything is allocated.
+    c_y and g for truncation at x_max and at 2 x_max, BLOCK_COLUMNS
+    right-hand sides at a time (the two g first), with running sups; the
+    sups are taken on the interior x <= x_max - J, and both pairs of sups
+    must agree within STABILITY_TOL.  The factors at 2 x_max are returned.
+    A sweep of more than ORACLE_CELL_BUDGET cells, M x (y_max + 3), raises
+    BudgetExceededError before anything is solved.
     """
     import numpy as np
 
@@ -431,16 +449,38 @@ def empirical_factors(
     J = len(jl)
     n = max(int(x_max), M + J)
     tails = [_tail(jl, M + 1, n, 1.0), _tail(jl, M + 1, 2 * n, 1.0)]
-    xs = np.delete(np.arange(M + 1), x0)
-    B = np.empty((M, y_max + 3))
-    B[:, : y_max + 1] = xs[:, None] <= np.arange(y_max + 1)
-    for col, t in zip((y_max + 1, y_max + 2), tails):
+    lu = _factor(jl, x0, M)
+    xs = np.delete(np.arange(M + 1), x0)[:, None]
+    # g at truncation n and at 2n, then thresholds y = lo..hi - 1, fill the
+    # first block; each later block holds thresholds alone
+    B = np.empty((M, min(BLOCK_COLUMNS, y_max + 3)))
+    for col, t in enumerate(tails):
         B[:, col] = 1.0 - _tail_terms(jl, x0, M, t)
-    _block_solve(jl, x0, M, B)
-    C, g_n, g_2n = B[:, : y_max + 1], B[:, y_max + 1], B[:, y_max + 2]
-    # the interior of truncation at n ends at x = n - J
-    m0_a, m1_a = _sups(C, P, g_n, tails[0][: n - J - M + 1])
-    m0_b, m1_b = _sups(C, P, g_2n, tails[1][: 2 * n - J - M + 1])
+    # where f passes the largest double (off the support of a lattice law
+    # at a large rate) the sups are inf or nan: the sweep stops at the first
+    # such block, and STABILITY_TOL refuses them
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = np.empty((2, 2))  # running [m0, m1] at truncation n and at 2n
+        for a, t, top in zip(acc, tails, (n, 2 * n)):
+            # above the block f_y = -P[y] g, and P is increasing: there the sups
+            # over y are P[y_max] times those of g, on the interior x <= top - J
+            gt = np.array(t[: top - J - M + 1])
+            a[0] = P[-1] * np.abs(gt[:-1]).max(initial=0.0)
+            a[1] = P[-1] * np.abs(gt[1:] - gt[:-1]).max(initial=0.0)
+        lo, col = 0, 2
+        while lo <= y_max:
+            hi = min(lo + B.shape[1] - col, y_max + 1)
+            block = B[:, : col + hi - lo]
+            np.less_equal(xs, np.arange(lo, hi), out=block[:, col:])
+            _block_solve(jl, x0, M, block, lu)
+            if col:  # g at n and at 2n, kept from the block that solved them
+                g = B[:, :2].T.copy()
+            for k, t in enumerate(tails):
+                _sups(block[:, col:], P[lo:hi], g[k], t[0], acc[k])
+            if hi <= y_max and not np.isfinite(acc).all():
+                break
+            lo, col = hi, 0
+    (m0_a, m1_a), (m0_b, m1_b) = acc.tolist()
     if abs(m0_b - m0_a) <= STABILITY_TOL and abs(m1_b - m1_a) <= STABILITY_TOL:
         return EmpiricalFactors(m0_hat=m0_b, m1_hat=m1_b, y_max=y_max, x_max=2 * n)
     raise ConvergenceError("truncation not converged")

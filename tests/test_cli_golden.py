@@ -14,14 +14,16 @@ pmf recursion started from e^{-lambda}: ``verify --rates 50``, a
 
 To regenerate ``data/cli_golden.json`` after an intended output change, run
 ``PYTHONPATH=src python tests/test_cli_golden.py`` from the repository root.
-It rewrites only the entries that fail the comparison above, or are new, so
-the diff shows the intended change and nothing else.
+It rewrites only the fields that fail the comparison above (the exit code,
+stderr, or single leaves of stdout), and writes new entries whole, so the
+diff shows the intended change and nothing else.
 """
 
 from __future__ import annotations
 
 import ast
 import contextlib
+import copy
 import csv
 import io
 import json
@@ -32,7 +34,7 @@ from pathlib import Path
 
 import pytest
 
-from cpstein.cli import main
+from cpstein.cli import _csv_cell, dumps, main
 
 DATA = Path(__file__).parent / "data" / "cli_golden.json"
 RTOL = 1e-12
@@ -110,7 +112,7 @@ COMMANDS = [
     "verify --model reliability --n 6 --k 2 --q 0.3 --exact",
     "verify --model reliability --n 12 --k 2 --q 0.3 --exact",
     "pmf --model runs --n 5000 --p 0.1",
-    # past cp_pmf's truncation cap, past the oracle's block budget, and
+    # past cp_pmf's truncation cap, past the oracle's cell budget, and
     # rates whose bound formulas overflow: exit 3, 3, 3 and 0
     "pmf --rates 1e308",
     "verify --rates 1e300",
@@ -144,6 +146,19 @@ def _parse(command: str, stdout: str):
     if "--format csv" in command:
         return [[_cell(c) for c in row] for row in csv.reader(io.StringIO(stdout))]
     return json.loads(stdout)
+
+
+def _unparse(command: str, value) -> str:
+    """Inverse of ``_parse``: stdout as the command line prints ``value``."""
+    if value is None:
+        return ""
+    if "--format csv" not in command:
+        return dumps(value) + "\n"
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [_csv_cell(c) for c in row] for row in value
+    )
+    return buf.getvalue()
 
 
 def _assert_same(got, want, where: str) -> None:
@@ -184,14 +199,71 @@ def test_golden_covers_exactly_the_command_set(golden):
     assert sorted(golden) == sorted(COMMANDS)
 
 
+def test_golden_stdout_is_what_its_parse_prints(golden):
+    # so that regeneration can rewrite single leaves of a stored stdout
+    for command, entry in golden.items():
+        assert _unparse(command, _parse(command, entry["stdout"])) == entry["stdout"], command
+
+
+@pytest.mark.parametrize(
+    "command", ["verify --rates 8", "verify --model runs --n 30 --p 0.15 --format csv"]
+)
+def test_regeneration_rewrites_only_failing_fields(command, golden):
+    want = golden[command]
+    doc = _parse(command, want["stdout"])
+    moved, kept = copy.deepcopy(doc), copy.deepcopy(doc)
+    leaves = (lambda d: d["empirical"]) if isinstance(doc, dict) else (lambda d: d[1][1])
+    leaves(moved)["m0_hat"] *= 1.0 + 1e-9  # fails RTOL: this run's value is stored
+    leaves(moved)["m1_hat"] *= 1.0 + 1e-14  # within RTOL: the stored digits stay
+    leaves(kept)["m0_hat"] = leaves(moved)["m0_hat"]
+    got = {"code": want["code"], "stdout": _unparse(command, moved), "stderr": "moved\n"}
+    entry = _rewrite(command, got, want)
+    assert entry == {"code": want["code"], "stdout": _unparse(command, kept), "stderr": "moved\n"}
+    assert entry["stdout"] != want["stdout"]
+
+
+def _merge(got, want):
+    """``got``, with every part that passes ``_assert_same`` against ``want``
+    taken from ``want``: a changed leaf moves, its neighbours keep their
+    stored digits."""
+    if isinstance(want, dict) and isinstance(got, dict) and list(got) == list(want):
+        return {key: _merge(got[key], want[key]) for key in want}
+    if isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
+        return [_merge(g, w) for g, w in zip(got, want)]
+    try:
+        _assert_same(got, want, "")
+    except AssertionError:
+        return got
+    return want
+
+
+def _rewrite(command: str, got: dict, want: dict) -> dict:
+    """The entry to store for a run ``got`` that fails ``_check`` against the
+    stored ``want``.  Code and stderr compare exactly, so they are this
+    run's.  Stdout is merged leaf by leaf (``_merge``) when the stored text
+    is what the command line prints for its own parse, and taken whole
+    otherwise."""
+    out = want["stdout"]
+    try:
+        got_out, want_out = _parse(command, got["stdout"]), _parse(command, want["stdout"])
+        _assert_same(got_out, want_out, "stdout")
+    except ValueError:  # a stdout that does not parse
+        out = got["stdout"]
+    except AssertionError:
+        out = got["stdout"]
+        if _unparse(command, want_out) == want["stdout"]:
+            out = _unparse(command, _merge(got_out, want_out))
+    return {"code": got["code"], "stdout": out, "stderr": got["stderr"]}
+
+
 def regenerate() -> list[str]:
     """Rewrite the golden file; return the commands whose entry changed.
 
     A stored entry that still passes ``_check`` is kept byte for byte, so
     output that moves only within RTOL (last digits on another host or
-    numpy build) leaves no diff; entries that fail it, and new commands, are
-    written from this run.  Entries of commands no longer in COMMANDS are
-    dropped.
+    numpy build) leaves no diff; in an entry that fails it only the failing
+    fields are rewritten (``_rewrite``), and new commands are written from
+    this run.  Entries of commands no longer in COMMANDS are dropped.
     """
     if not __debug__:
         raise SystemExit("_check compares by assert: run without -O")
@@ -199,11 +271,15 @@ def regenerate() -> list[str]:
     table, changed = {}, []
     for command in COMMANDS:
         got = run(command)
+        if command not in stored:
+            table[command] = got
+            changed.append(command)
+            continue
         try:
             _check(command, got, stored[command])
             table[command] = stored[command]
-        except (KeyError, AssertionError, ValueError):  # new, or fails _check
-            table[command] = got
+        except (AssertionError, ValueError):
+            table[command] = _rewrite(command, got, stored[command])
             changed.append(command)
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps(table, indent=1) + "\n")

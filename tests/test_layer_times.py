@@ -1,4 +1,5 @@
-"""Smoke test of ``tools/layer_times.py``: its quick run times every layer."""
+"""Smoke test of ``tools/layer_times.py``: its quick run times every layer
+and reports the memory of its untimed call."""
 
 from __future__ import annotations
 
@@ -40,4 +41,5 @@ def test_layer_times_quick():
         case = sizes["small"]
         assert case["n"] == doc["repeat"] == 3
         assert 0.0 < case["min_s"] <= case["median_s"], layer
+        assert 0.0 < case["peak_mb"] < 64.0, layer
         assert case["params"], layer

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -327,10 +328,68 @@ def test_empirical_factors_block_budget(monkeypatch):
 
 
 def test_empirical_factors_refuses_before_allocating():
-    # the block at total rate 1e5 would take 77 GiB
-    with pytest.raises(BudgetExceededError, match="exceeds budget"):
+    # the budget bounds the sweep's time: at total rate 1e5 its 1.0e10 cells
+    # would take about four minutes
+    with pytest.raises(BudgetExceededError, match=r"M = 101782 equations by y_max \+ 3 = 101783"):
         empirical_factors(CompoundPoissonParams([1e5]))
-    assert oracle.ORACLE_CELL_BUDGET >= 3314 * 3315  # verify --rates 3000
+    assert oracle.ORACLE_CELL_BUDGET >= 5404 * 5405  # verify --rates 5000
+
+
+@pytest.mark.parametrize(
+    "rates",
+    [[8.0], [5.0, 1.0], [2.0, 0.0, 10.0], [0.0, 0.0, 10.0], [30.0, 10.0, 5.0],
+     [1.0, 0.5, 0.2, 0.1], [75.479, 43.4247, 27.9043]],
+)
+def test_empirical_factors_same_bits_in_narrow_blocks(rates, monkeypatch):
+    # eight columns a block (two g and six thresholds, then eight
+    # thresholds) and two rows a chunk: every block and chunk edge is crossed
+    params = CompoundPoissonParams(rates)
+    emp = empirical_factors(params)
+    monkeypatch.setattr(oracle, "BLOCK_COLUMNS", 8)
+    assert empirical_factors(params) == emp
+
+
+@pytest.mark.parametrize("columns, rows", [(8, 2), (60, 16)])  # rows a chunk of 7 columns
+def test_sups_in_row_chunks_match_the_whole_block(columns, rows, monkeypatch):
+    # the largest difference, f(rows + 1) - f(rows), lies across the edge of
+    # the first two chunks; only their shared row lets it be seen
+    monkeypatch.setattr(oracle, "BLOCK_COLUMNS", columns)
+    rng = np.random.default_rng(rows)
+    M = 40
+    C, g = rng.standard_normal((M, 7)), rng.standard_normal(M)
+    C[rows:, 3] += np.linspace(50.0, 0.0, M - rows)
+    P, g_next = np.sort(rng.random(7)), float(rng.standard_normal())
+    F = C - np.outer(g, P)
+    across = np.abs(g_next * P + F[-1]).max()
+    want = [np.abs(F).max(), max(np.abs(np.diff(F, axis=0)).max(), across)]
+    acc = np.zeros(2)
+    oracle._sups(C, P, g, g_next, acc)
+    assert acc.tolist() == want
+    assert want[1] == abs(F[rows, 3] - F[rows - 1, 3])
+    acc = np.zeros(2)
+    oracle._sups(C, P, g, 1e3, acc)  # now f(M + 1) - f(M) is the largest
+    assert acc.tolist() == [want[0], np.abs(1e3 * P + F[-1]).max()]
+    C[M // 2, 3] = np.nan  # a nan anywhere reaches both sups
+    oracle._sups(C, P, g, g_next, acc)
+    assert np.isnan(acc).all()
+
+
+@pytest.mark.parametrize(
+    "rates, bound_mib",
+    [([75.479, 43.4247, 27.9043], 2.0), ([1000.0, 400.0, 100.0], 16.0)],
+    ids=["386-columns", "2445-columns"],
+)
+def test_empirical_factors_memory_is_linear_in_the_block(rates, bound_mib):
+    # one M x BLOCK_COLUMNS block and chunk buffers of a few rows: 1.6 and
+    # 11.5 MiB traced, against 3.7 and 138 MiB for the whole sweep at once
+    empirical_factors(CompoundPoissonParams([1.0, 0.5, 0.2]))  # lazy imports and caches
+    tracemalloc.start()
+    try:
+        empirical_factors(CompoundPoissonParams(rates))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20
 
 
 def test_default_x_max_past_the_float_range():

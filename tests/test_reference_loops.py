@@ -195,7 +195,8 @@ def tail_reference(jl, lo, n, r):
     return t
 
 
-def block_solve_reference(jl, x0, M, B):
+def block_solve_reference(jl, x0, M, B, lu):
+    # eliminates on its own; the factor ``lu`` that the oracle passes is ignored
     J = len(jl)
 
     def eq(x):

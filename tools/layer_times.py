@@ -6,10 +6,12 @@ Run from the root of a source checkout.  Each case calls one public function
 on fixed parameters: one untimed call first (it loads numpy or scipy and
 fills caches), then N timed calls.  The JSON on stdout gives, per layer and
 size, the parameters, the median and the minimum of the timed calls in
-seconds, and N; ``total_s`` is the wall time of the whole run, import
-included.  ``--quick`` times the small case of every layer with N = 3, in
-well under two seconds, as a smoke test; the default times every case with
-N = 15.
+seconds, N, and ``peak_mb``, the peak of memory that tracemalloc saw
+allocated during the untimed call, in MiB (numpy reports its buffers to
+tracemalloc; the timed calls run untraced); ``total_s`` is the wall time
+of the whole run, import included.  ``--quick`` times the small case of
+every layer with N = 3, in well under two seconds, as a smoke test; the
+default times every case with N = 15.
 
 The layers are those the benchmark's tracer names: ``theta`` and ``delta_k``
 (the closed forms and the order-3 Bernstein enclosure), ``cp_pmf``,
@@ -24,6 +26,7 @@ import argparse
 import json
 import statistics
 import sys
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
@@ -122,13 +125,23 @@ def _call(layer: str, given: dict):
 
 
 def _time(call, repeat: int) -> dict:
-    call()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     times = []
     for _ in range(repeat):
         t0 = perf_counter()
         call()
         times.append(perf_counter() - t0)
-    return {"median_s": statistics.median(times), "min_s": min(times), "n": repeat}
+    return {
+        "median_s": statistics.median(times),
+        "min_s": min(times),
+        "n": repeat,
+        "peak_mb": peak / 2**20,
+    }
 
 
 def main(argv=None) -> int:
