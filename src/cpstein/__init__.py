@@ -3,7 +3,7 @@
 The package has four layers:
 
 * :mod:`cpstein.core` - compound Poisson parameters, factorial-moment
-  functionals, probability tables, sampling.
+  functionals, probability tables.
 * :mod:`cpstein.bounds` - closed-form Stein-factor ("magic factor") bounds
   and the trigonometric functionals behind them.
 * :mod:`cpstein.oracle` - direct numerical solution of the Stein equation,
@@ -16,16 +16,17 @@ Each module's ``__all__`` is its public surface and the only list of it:
 the package re-exports the ``__all__`` of ``bounds``, ``core``, ``exact``,
 ``models`` and ``oracle``, and its own ``__all__`` is theirs concatenated.
 
-Importing the package loads neither numpy nor scipy: each function that
-needs one imports it when called, because loading numpy costs more than
-half of a cold closed-form command, and scipy more again.  The closed-form
-bounds (``theta``, ``evaluate_all`` and the model approximants, which the
-``bounds`` and ``sweep`` commands run) are plain ``math`` and never load
-numpy, except for the sums model and an order-3 criterion that needs the
-Bernstein enclosure.  The oracle, ``cp_pmf``, the exact laws and the gamma
-third moment (``GammaMixing.abs3``) load numpy on first use.  No command
-loads scipy: only ``poisson_stein_forward``, an independent reference for
-the tests, loads ``scipy.special``.
+numpy is the only runtime dependency, and importing the package does not
+load it: each function that needs it imports it when called, because
+loading numpy costs more than half of a cold closed-form command.  The
+closed-form bounds (``theta``, ``evaluate_all`` and the model approximants,
+which the ``bounds`` and ``sweep`` commands run) are plain ``math`` and
+never load numpy, except for the sums model and an order-3 criterion that
+needs the Bernstein enclosure.  The oracle, ``cp_pmf``, the exact laws and
+the gamma third moment (``GammaMixing.abs3``) load numpy on first use.  No
+command loads scipy: only ``poisson_stein_forward``, an independent
+reference for the tests, loads ``scipy.special``, which the ``test`` extra
+installs.
 """
 
 from __future__ import annotations

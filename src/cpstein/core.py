@@ -10,9 +10,8 @@ interest is stated directly in the rates or in their factorial-moment sums
 
 so the (lambda, mu) view is provided only as derived accessors.
 
-The module computes theta vectors, the exact pmf of U via the standard
-one-step recursion with a Chernoff-certified truncation, and reproducible
-samples.
+The module computes theta vectors and the exact pmf of U via the standard
+one-step recursion with a Chernoff-certified truncation.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ __all__ = [
     "TruncationCapError",
     "theta",
     "cp_pmf",
-    "cp_sample",
     "monotone_condition",
     "variance",
     "chernoff_tail",
@@ -404,28 +402,6 @@ def _residual_table(pmf: np.ndarray) -> DistributionTable:
     if tail > TAIL_TARGET + MASS_TOL:
         raise TruncationCapError("pmf does not reach its mass target")
     return DistributionTable(pmf=pmf, tail_mass=tail)
-
-
-def cp_sample(
-    params: CompoundPoissonParams, seed: int, size: int | None = None
-) -> int | np.ndarray:
-    """Draw from CP(lambda, mu), reproducibly for a given seed.
-
-    Uses the superposition form U = sum_j j * N_j with independent
-    N_j ~ Poisson(lambda_j), which has the same law as drawing N ~
-    Poisson(lambda) cluster counts and then N sizes from mu.
-    """
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    n = 1 if size is None else int(size)
-    out = np.zeros(n, dtype=np.int64)
-    for j, lam_j in enumerate(params.rates, start=1):
-        if lam_j > 0.0:
-            out += j * rng.poisson(lam_j, size=n)
-    if size is None:
-        return int(out[0])
-    return out
 
 
 def monotone_condition(params: CompoundPoissonParams) -> bool:

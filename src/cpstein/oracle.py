@@ -84,7 +84,8 @@ STEIN_POINT_BUDGET = 4_000_000
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when the factors at truncation N and 2N differ by more than the tolerance."""
+    """Raised when the factors at truncation N and 2N differ by more than the
+    tolerance, or when the solution passes the largest double."""
 
 
 @dataclass(frozen=True)
@@ -418,7 +419,8 @@ def empirical_factors(
     c_y and g for truncation at x_max and at 2 x_max, BLOCK_COLUMNS
     right-hand sides at a time (the two g first), with running sups; the
     sups are taken on the interior x <= x_max - J, and both pairs of sups
-    must agree within STABILITY_TOL.  The factors at 2 x_max are returned.
+    must agree within STABILITY_TOL and be finite, or ConvergenceError is
+    raised.  The factors at 2 x_max are returned.
     A sweep of more than ORACLE_CELL_BUDGET cells, M x (y_max + 3), raises
     BudgetExceededError before anything is solved.
     """
@@ -458,7 +460,7 @@ def empirical_factors(
         B[:, col] = 1.0 - _tail_terms(jl, x0, M, t)
     # where f passes the largest double (off the support of a lattice law
     # at a large rate) the sups are inf or nan: the sweep stops at the first
-    # such block, and STABILITY_TOL refuses them
+    # such block, and the law is refused
     with np.errstate(over="ignore", invalid="ignore"):
         acc = np.empty((2, 2))  # running [m0, m1] at truncation n and at 2n
         for a, t, top in zip(acc, tails, (n, 2 * n)):
@@ -480,6 +482,8 @@ def empirical_factors(
             if hi <= y_max and not np.isfinite(acc).all():
                 break
             lo, col = hi, 0
+    if not np.isfinite(acc).all():
+        raise ConvergenceError("Stein solution passes the largest double")
     (m0_a, m1_a), (m0_b, m1_b) = acc.tolist()
     if abs(m0_b - m0_a) <= STABILITY_TOL and abs(m1_b - m1_a) <= STABILITY_TOL:
         return EmpiricalFactors(m0_hat=m0_b, m1_hat=m1_b, y_max=y_max, x_max=2 * n)
@@ -556,12 +560,20 @@ def poisson_stein_forward(lam: float, y: int, x_max: int) -> np.ndarray:
     Returns f on indices 0..x_max with f[0] = 0.
 
     This is an independent route used to cross-check the Stein solver on
-    single-size-cluster (pure Poisson) inputs.
+    single-size-cluster (pure Poisson) inputs.  It is the one function that
+    loads scipy, which only the ``test`` extra installs.
     """
     if lam <= 0.0:
         raise ValueError("lam must be positive")
     import numpy as np
-    from scipy import special
+
+    try:
+        from scipy import special
+    except ImportError as exc:
+        raise ImportError(
+            "poisson_stein_forward needs scipy, from the test extra:"
+            " pip install 'cpstein[test]'"
+        ) from exc
 
     p_le = float(special.pdtr(y, lam))
     p_gt = float(special.pdtrc(y, lam))

@@ -485,7 +485,9 @@ def test_dropped_input_is_refused(capsys, command, message):
 
 
 # (argv, exit code, message): tables past the truncation cap, a Monte Carlo
-# law past its cell budget and non-finite model input
+# law past its cell budget, a Stein solution past the largest double (off
+# 3Z or 2Z it has no x = 0 anchor and grows like e^lambda) and non-finite
+# model input
 REFUSED = [
     ("pmf --model mixed --gamma 1e8,10", 3, "truncation cap exceeded"),
     ("pmf --model mixed --gamma 1e5,10", 3, "truncation cap exceeded"),
@@ -494,6 +496,8 @@ REFUSED = [
     ("pmf --model mixed --two-point 1e300,1e300,0.5", 3, "truncation cap exceeded"),
     ("pmf --model reliability --n 100 --k 2 --q 0.3", 3, "exceeds budget 200000000"),
     ("verify --model reliability --n 300 --k 2 --q 0.3", 3, "exceeds budget 200000000"),
+    ("verify --rates 0,0,1000", 3, "Stein solution passes the largest double"),
+    ("verify --rates 0,1000", 3, "Stein solution passes the largest double"),
     ("pmf --model sums --components 0.5,0.5;nan", 2, "must be nonempty, finite and nonnegative"),
     ("pmf --model mixed --gamma inf,1", 2, "shape and scale must be finite and positive"),
     ("pmf --model mixed --two-point inf,1,0.5", 2, "mixing values must be finite and positive"),
@@ -823,21 +827,16 @@ def _fresh_python(code: str) -> str:
     return res.stdout
 
 
-def test_import_leaves_out_scipy_stats_and_integrate():
-    out = _fresh_python(
-        "import sys, cpstein, cpstein.cli\n"
-        "print(sorted(m for m in sys.modules\n"
-        "             if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'integrate'])))"
-    )
-    assert out.strip() == "[]"
-
-
-# every model, the gamma mixing included: no command loads scipy
+# every model, the gamma mixing included: no command loads scipy.  The
+# two-point law is cp_pmf's recursion (no pdtr), the negative binomial is
+# Loader's kernel cut by a ratio bound (no betainc), and the oracle's banded
+# elimination is plain numpy (no scipy.linalg)
 _SCIPY_FREE_COMMANDS = [
     ["bounds", "--rates", "1.0,0.2"],
     ["sweep", "--model", "runs", "--n", "50", "--p-range", "0.05:0.45:5"],
     ["verify", "--model", "runs", "--n", "30", "--p", "0.15"],
     ["verify", "--rates", "5.3"],
+    ["verify", "--rates", "80"],
     ["stein-solve", "--rates", "1.0,0.2", "--y", "2"],
     ["pmf", "--rates", "800"],
     ["verify", "--model", "reliability", "--n", "5", "--k", "2", "--q", "0.3", "--exact"],
@@ -846,16 +845,19 @@ _SCIPY_FREE_COMMANDS = [
     ["bounds", "--model", "mixed", "--gamma", "2,0.5"],
     ["verify", "--model", "mixed", "--gamma", "2,0.5"],
     ["pmf", "--model", "mixed", "--gamma", "2,0.5"],
+    ["pmf", "--model", "mixed", "--gamma", "17.3,0.41"],
     ["verify", "--model", "mixed", "--gamma", "5e3,0.01"],
+    ["pmf", "--model", "mixed", "--two-point", "2.5,3.5,0.5"],
 ]
 
 
 def test_commands_leave_out_scipy():
-    # GammaMixing.abs3 sums P(a+1, a) itself, so gamma bounds and verify
-    # load no scipy either; poisson_stein_forward, a test reference, is
-    # called last to show that the check sees scipy.special when it loads
+    # one interpreter: the import loads no scipy, nor does any command after
+    # it; poisson_stein_forward, a test reference, is called last to show
+    # that the check sees scipy.special when it loads
     out = _fresh_python(
         "import contextlib, io, sys, cpstein, cpstein.cli\n"
+        "print('import', sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         f"for argv in {_SCIPY_FREE_COMMANDS!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = cpstein.cli.main(argv)\n"
@@ -863,33 +865,10 @@ def test_commands_leave_out_scipy():
         "cpstein.oracle.poisson_stein_forward(2.0, 3, 10)\n"
         "print('scipy.special' in sys.modules)"
     )
-    *plain, reference = out.strip().splitlines()
+    imported, *plain, reference = out.strip().splitlines()
+    assert imported == "import []"
     assert plain == ["0 []"] * len(_SCIPY_FREE_COMMANDS)
     assert reference == "True"
-
-
-def test_two_point_mixed_pmf_leaves_out_scipy():
-    # the two-point law is cp_pmf's recursion: no scipy.special, no pdtr
-    out = _fresh_python(
-        "import contextlib, io, sys, cpstein.cli\n"
-        "argv = ['pmf', '--model', 'mixed', '--two-point', '2.5,3.5,0.5']\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = cpstein.cli.main(argv)\n"
-        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
-    assert out.strip() == "0 []"
-
-
-def test_gamma_mixed_pmf_leaves_out_scipy():
-    # the negative binomial is Loader's kernel cut by a ratio bound: no betainc
-    out = _fresh_python(
-        "import contextlib, io, sys, cpstein.cli\n"
-        "argv = ['pmf', '--model', 'mixed', '--gamma', '17.3,0.41']\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = cpstein.cli.main(argv)\n"
-        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
-    assert out.strip() == "0 []"
 
 
 # closed-form bounds and sweeps, which never need numpy
@@ -990,13 +969,3 @@ def test_commands_over_the_full_rate_range(capsys, total):
             assert code in (0, 1, 3), (command, arg, err)
             assert (out == "") == (code == 3), (command, arg)
             assert code != 3 or err.startswith("error: "), (command, arg, err)
-
-
-def test_oracle_leaves_out_scipy_linalg():
-    # the banded elimination is plain numpy: no LAPACK import, no BLAS threads
-    out = _fresh_python(
-        "import sys, cpstein\n"
-        "cpstein.empirical_factors(cpstein.CompoundPoissonParams([80.0]))\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'linalg']))"
-    )
-    assert out.strip() == "[]"

@@ -35,6 +35,7 @@ from pathlib import Path
 import pytest
 
 from cpstein.cli import _csv_cell, dumps, main
+from cpstein.oracle import poisson_stein_forward
 
 DATA = Path(__file__).parent / "data" / "cli_golden.json"
 RTOL = 1e-12
@@ -193,6 +194,17 @@ def _check(command: str, got: dict, want: dict) -> None:
 @pytest.mark.parametrize("command", COMMANDS)
 def test_cli_matches_golden(command, golden):
     _check(command, run(command), golden[command])
+
+
+def test_cli_matches_golden_without_scipy(golden, monkeypatch):
+    # numpy is the only runtime dependency: with scipy unimportable every
+    # command prints its stored output, and the one function that needs it,
+    # the test reference poisson_stein_forward, names the extra to install
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    for command in COMMANDS:
+        _check(command, run(command), golden[command])
+    with pytest.raises(ImportError, match=r"pip install 'cpstein\[test\]'"):
+        poisson_stein_forward(2.0, 3, 10)
 
 
 def test_golden_covers_exactly_the_command_set(golden):

@@ -1,4 +1,4 @@
-"""Tests for compound Poisson parameters, theta functionals, pmf and sampling."""
+"""Tests for compound Poisson parameters, theta functionals, the pmf and its tail bound."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from cpstein import (
     TruncationCapError,
     chernoff_tail,
     cp_pmf,
-    cp_sample,
     monotone_condition,
     theta,
     variance,
@@ -326,43 +325,6 @@ def test_chernoff_tail_decreasing():
     p = CompoundPoissonParams([2.0, 0.3])
     vals = [chernoff_tail(p, x) for x in (5, 10, 20, 40)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
-
-
-# ---------------------------------------------------------------------------
-# sampling
-
-
-def test_sample_reproducible():
-    p = CompoundPoissonParams([1.0, 0.5])
-    a = cp_sample(p, seed=42, size=1000)
-    b = cp_sample(p, seed=42, size=1000)
-    assert np.array_equal(a, b)
-    c = cp_sample(p, seed=43, size=1000)
-    assert not np.array_equal(a, c)
-
-
-def test_sample_scalar_and_vector():
-    p = CompoundPoissonParams([1.0])
-    one = cp_sample(p, seed=0)
-    assert np.isscalar(one) or np.ndim(one) == 0
-    many = cp_sample(p, seed=0, size=17)
-    assert many.shape == (17,)
-    assert many.dtype.kind in "iu"
-
-
-def test_sample_matches_pmf():
-    p = CompoundPoissonParams([1.0, 0.5])
-    n = 1_000_000
-    draws = cp_sample(p, seed=2024, size=n)
-    t = cp_pmf(p)
-    counts = np.bincount(draws, minlength=t.x_max + 1)[: t.x_max + 1]
-    freq = counts / n
-    stderr = np.sqrt(np.maximum(t.pmf * (1 - t.pmf), 1e-12) / n)
-    heavy = t.pmf > 1e-5
-    assert np.all(np.abs(freq[heavy] - t.pmf[heavy]) <= 5 * stderr[heavy])
-    th = theta(p, 1)
-    mean_se = math.sqrt((th[0] + th[1]) / n)
-    assert abs(draws.mean() - th[0]) <= 5 * mean_se
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
     python tools/layer_times.py [--quick]
 
 Run from the root of a source checkout.  Each case calls one public function
-on fixed parameters: one untimed call first (it loads numpy or scipy and
-fills caches), then N timed calls.  The JSON on stdout gives, per layer and
+on fixed parameters: one untimed call first (it loads numpy and fills
+caches), then N timed calls.  The JSON on stdout gives, per layer and
 size, the parameters, the median and the minimum of the timed calls in
 seconds, N, and ``peak_mb``, the peak of memory that tracemalloc saw
 allocated during the untimed call, in MiB (numpy reports its buffers to
