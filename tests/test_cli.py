@@ -827,16 +827,21 @@ def _fresh_python(code: str) -> str:
     return res.stdout
 
 
-# every model, the gamma mixing included: no command loads scipy.  The
-# two-point law is cp_pmf's recursion (no pdtr), the negative binomial is
-# Loader's kernel cut by a ratio bound (no betainc), and the oracle's banded
-# elimination is plain numpy (no scipy.linalg)
+def test_import_leaves_out_scipy_stats_and_integrate():
+    # scipy is a test extra: importing the package loads no scipy module at all
+    out = _fresh_python(
+        "import sys, cpstein, cpstein.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert out.strip() == "[]"
+
+
+# every model, the gamma mixing included: no command loads scipy
 _SCIPY_FREE_COMMANDS = [
     ["bounds", "--rates", "1.0,0.2"],
     ["sweep", "--model", "runs", "--n", "50", "--p-range", "0.05:0.45:5"],
     ["verify", "--model", "runs", "--n", "30", "--p", "0.15"],
     ["verify", "--rates", "5.3"],
-    ["verify", "--rates", "80"],
     ["stein-solve", "--rates", "1.0,0.2", "--y", "2"],
     ["pmf", "--rates", "800"],
     ["verify", "--model", "reliability", "--n", "5", "--k", "2", "--q", "0.3", "--exact"],
@@ -845,19 +850,16 @@ _SCIPY_FREE_COMMANDS = [
     ["bounds", "--model", "mixed", "--gamma", "2,0.5"],
     ["verify", "--model", "mixed", "--gamma", "2,0.5"],
     ["pmf", "--model", "mixed", "--gamma", "2,0.5"],
-    ["pmf", "--model", "mixed", "--gamma", "17.3,0.41"],
     ["verify", "--model", "mixed", "--gamma", "5e3,0.01"],
-    ["pmf", "--model", "mixed", "--two-point", "2.5,3.5,0.5"],
 ]
 
 
 def test_commands_leave_out_scipy():
-    # one interpreter: the import loads no scipy, nor does any command after
-    # it; poisson_stein_forward, a test reference, is called last to show
-    # that the check sees scipy.special when it loads
+    # GammaMixing.abs3 sums P(a+1, a) itself, so gamma bounds and verify
+    # load no scipy either; poisson_stein_forward, a test reference, is
+    # called last to show that the check sees scipy.special when it loads
     out = _fresh_python(
         "import contextlib, io, sys, cpstein, cpstein.cli\n"
-        "print('import', sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         f"for argv in {_SCIPY_FREE_COMMANDS!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = cpstein.cli.main(argv)\n"
@@ -865,10 +867,33 @@ def test_commands_leave_out_scipy():
         "cpstein.oracle.poisson_stein_forward(2.0, 3, 10)\n"
         "print('scipy.special' in sys.modules)"
     )
-    imported, *plain, reference = out.strip().splitlines()
-    assert imported == "import []"
+    *plain, reference = out.strip().splitlines()
     assert plain == ["0 []"] * len(_SCIPY_FREE_COMMANDS)
     assert reference == "True"
+
+
+def test_two_point_mixed_pmf_leaves_out_scipy():
+    # the two-point law is cp_pmf's recursion: no scipy.special, no pdtr
+    out = _fresh_python(
+        "import contextlib, io, sys, cpstein.cli\n"
+        "argv = ['pmf', '--model', 'mixed', '--two-point', '2.5,3.5,0.5']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cpstein.cli.main(argv)\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert out.strip() == "0 []"
+
+
+def test_gamma_mixed_pmf_leaves_out_scipy():
+    # the negative binomial is Loader's kernel cut by a ratio bound: no betainc
+    out = _fresh_python(
+        "import contextlib, io, sys, cpstein.cli\n"
+        "argv = ['pmf', '--model', 'mixed', '--gamma', '17.3,0.41']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cpstein.cli.main(argv)\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert out.strip() == "0 []"
 
 
 # closed-form bounds and sweeps, which never need numpy
@@ -969,3 +994,13 @@ def test_commands_over_the_full_rate_range(capsys, total):
             assert code in (0, 1, 3), (command, arg, err)
             assert (out == "") == (code == 3), (command, arg)
             assert code != 3 or err.startswith("error: "), (command, arg, err)
+
+
+def test_oracle_leaves_out_scipy_linalg():
+    # the banded elimination is plain numpy: no LAPACK import, no BLAS threads
+    out = _fresh_python(
+        "import sys, cpstein\n"
+        "cpstein.empirical_factors(cpstein.CompoundPoissonParams([80.0]))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'linalg']))"
+    )
+    assert out.strip() == "[]"
