@@ -65,7 +65,9 @@ __all__ = [
     "bound_thm4",
     "regime_classify",
     "evaluate_all",
+    "catalogue_rows",
     "best_of",
+    "best_row",
     "best_bound",
 ]
 
@@ -116,6 +118,26 @@ class SteinFactorBound:
             "applicable": self.applicable,
             "note": self.condition_note,
         }
+
+
+# A bound as a plain row (m0, m1, method, applicable, note, note_args), the
+# condition note a %-template and its arguments, formatted only when
+# ``_bound`` makes the row a SteinFactorBound.  Each bound_* function is its
+# row function (_general, _bx99, ...) made into one.
+
+def _applicable(m0: float, m1: float, method: str, note: str, *args) -> tuple:
+    if not (m0 > 0.0 and m1 > 0.0):  # as SteinFactorBound refuses it
+        raise ValueError("applicable bounds must be positive")
+    return (m0, m1, method, True, note, args)
+
+
+def _inapplicable(method: str, note: str, *args) -> tuple:
+    return (INF, INF, method, False, note, args)
+
+
+def _bound(row: tuple) -> SteinFactorBound:
+    m0, m1, method, applicable, note, args = row
+    return SteinFactorBound(m0, m1, method, applicable, note % args)
 
 
 @dataclass(frozen=True)
@@ -421,10 +443,6 @@ def delta_k(th: ThetaVector, k: int) -> DeltaResult:
     return delta_k_grid(th, k)
 
 
-def _inapplicable(method: str, note: str) -> SteinFactorBound:
-    return SteinFactorBound(INF, INF, method, False, note)
-
-
 def _factors_from_delta(delta: float) -> tuple[float, float]:
     """M0/M1 from a positive delta: 2 sqrt(2/delta), (1/(2 delta))(1+log+(pi delta)).
 
@@ -440,38 +458,50 @@ def _factors_from_delta(delta: float) -> tuple[float, float]:
 
 def bound_general(params: CompoundPoissonParams) -> SteinFactorBound:
     """The always-applicable exponential bound m0 = m1 = min{1, 1/lambda_1} e^lambda."""
+    return _bound(_general(params))
+
+
+def _general(params: CompoundPoissonParams) -> tuple:
     lam1 = params.rates[0]
     factor = 1.0 if lam1 == 0.0 else min(1.0, 1.0 / lam1)
     try:
         value = factor * math.exp(params.total_rate)
     except OverflowError:
         value = INF
-    return SteinFactorBound(value, value, "GENERAL", True, "always applicable")
+    return _applicable(value, value, "GENERAL", "always applicable")
 
 
 def bound_monotone(params: CompoundPoissonParams) -> SteinFactorBound:
     """Bound under the monotone-rates condition j lambda_j >= (j+1) lambda_{j+1}."""
+    return _bound(_monotone(params))
+
+
+def _monotone(params: CompoundPoissonParams) -> tuple:
     if not monotone_condition(params):
         return _inapplicable("MONOTONE", "rate sequence j*lambda_j not nonincreasing")
     lam1 = params.rates[0]
     e_lam1 = math.e * lam1
     m0 = min(1.0, math.sqrt(2.0 / e_lam1 if e_lam1 < INF else 2.0 / math.e / lam1))
     m1 = min(0.5, 1.0 / (lam1 + 1.0))
-    return SteinFactorBound(m0, m1, "MONOTONE", True, "j*lambda_j nonincreasing")
+    return _applicable(m0, m1, "MONOTONE", "j*lambda_j nonincreasing")
 
 
 def bound_bx99(th: ThetaVector) -> SteinFactorBound:
     """Bound under theta_0 - 2 theta_1 > 0: m0 = sqrt(theta_0)/(theta_0-2 theta_1)."""
+    return _bound(_bx99(th))
+
+
+def _bx99(th: ThetaVector) -> tuple:
     th.require(1)
     if not th.finite:
         return _inapplicable("BX99", "theta not finite")
     t0, t1 = th.values[:2]
     gap = t0 - 2.0 * t1
     if not gap > 0.0:
-        return _inapplicable("BX99", f"theta_0 - 2*theta_1 = {gap:g} <= 0")
+        return _inapplicable("BX99", "theta_0 - 2*theta_1 = %g <= 0", gap)
     m0 = math.sqrt(t0) / gap
     m1 = 1.0 / gap
-    return SteinFactorBound(m0, m1, "BX99", True, f"theta_0 - 2*theta_1 = {gap:g} > 0")
+    return _applicable(m0, m1, "BX99", "theta_0 - 2*theta_1 = %g > 0", gap)
 
 
 def bound_thm2(th: ThetaVector, k: int) -> SteinFactorBound:
@@ -480,14 +510,18 @@ def bound_thm2(th: ThetaVector, k: int) -> SteinFactorBound:
     Uses the lower end of ``delta_k``: the closed form where there is one,
     else the certified lower bound of the Bernstein enclosure; the note
     names the route that ran."""
+    return _bound(_thm2(th, k))
+
+
+def _thm2(th: ThetaVector, k: int) -> tuple:
     method = f"THM2({k})"
     if not th.finite:
         return _inapplicable(method, "theta not finite")
     dr = delta_k(th, k)
     if not dr.lower > 0.0:
-        return _inapplicable(method, f"delta_{k} = {dr.lower:g} <= 0")
+        return _inapplicable(method, "delta_%s = %g <= 0", k, dr.lower)
     m0, m1 = _factors_from_delta(dr.lower)
-    return SteinFactorBound(m0, m1, method, True, f"delta_{k} = {dr.lower:g} ({dr.route})")
+    return _applicable(m0, m1, method, "delta_%s = %g (%s)", k, dr.lower, dr.route)
 
 
 def bound_cor3(th: ThetaVector) -> SteinFactorBound:
@@ -496,16 +530,20 @@ def bound_cor3(th: ThetaVector) -> SteinFactorBound:
     Falls back to THM2(3), the certified lower end of the order-3 Bernstein
     enclosure, when theta_2 >= 2 theta_1, where no closed form is available.
     """
+    return _bound(_cor3(th))
+
+
+def _cor3(th: ThetaVector) -> tuple:
     th.require(3)
     if not th.finite:
         return _inapplicable("COR3", "theta not finite")
     delta = _cor3_delta(th)
     if delta is None:
-        return bound_thm2(th, 3)
+        return _thm2(th, 3)
     if not delta > 0.0:
-        return _inapplicable("COR3", f"delta = {delta:g} <= 0")
+        return _inapplicable("COR3", "delta = %g <= 0", delta)
     m0, m1 = _factors_from_delta(delta)
-    return SteinFactorBound(m0, m1, "COR3", True, f"delta = {delta:g} (closed form)")
+    return _applicable(m0, m1, "COR3", "delta = %g (closed form)", delta)
 
 
 def _exp_three_halves(gamma: float) -> float:
@@ -529,6 +567,10 @@ def bound_lemma_c(th: ThetaVector, c: float) -> SteinFactorBound:
     exp(1.5 (2 theta_1 - theta_0)) <= c, which is exact when c is supplied
     as exp(1.5 gamma) and equivalent over the reals by monotonicity.
     """
+    return _bound(_lemma_c(th, c))
+
+
+def _lemma_c(th: ThetaVector, c: float) -> tuple:
     th.require(1)
     if not c > 1.0:
         raise ValueError("c must exceed 1")
@@ -537,33 +579,37 @@ def bound_lemma_c(th: ThetaVector, c: float) -> SteinFactorBound:
     method = f"LEMMA_C({c:.6g})"
     gamma = 2.0 * th[1] - th[0]
     if not gamma > 0.0:
-        return _inapplicable(method, f"theta_1/theta_0 = {th[1] / th[0]:g} <= 1/2")
+        return _inapplicable(method, "theta_1/theta_0 = %g <= 1/2", th[1] / th[0])
     if not _exp_three_halves(gamma) <= c:
         return _inapplicable(
-            method, f"theta_1/theta_0 = {th[1] / th[0]:g} above interval endpoint"
+            method, "theta_1/theta_0 = %g above interval endpoint", th[1] / th[0]
         )
     delta = _scaled_margin_delta(gamma, c)
     if not delta > 0.0:
         return _inapplicable(method, "delta underflowed to 0")
     m0, m1 = _factors_from_delta(delta)
-    return SteinFactorBound(m0, m1, method, True, f"delta = {delta:g}")
+    return _applicable(m0, m1, method, "delta = %g", delta)
 
 
 def bound_thm4(th: ThetaVector) -> SteinFactorBound:
     """Overdispersed-regime bound: for 2 theta_1 > theta_0,
     delta = gamma/(2 sqrt(pi) e^{1.5 gamma}) with gamma = 2 theta_1 - theta_0."""
+    return _bound(_thm4(th))
+
+
+def _thm4(th: ThetaVector) -> tuple:
     th.require(1)
     if not th.finite:
         return _inapplicable("THM4", "theta not finite")
     t0, t1 = th.values[:2]
     gamma = 2.0 * t1 - t0
     if not gamma > 0.0:
-        return _inapplicable("THM4", f"2*theta_1 - theta_0 = {gamma:g} <= 0")
+        return _inapplicable("THM4", "2*theta_1 - theta_0 = %g <= 0", gamma)
     delta = _scaled_margin_delta(gamma, _exp_three_halves(gamma))
     if not delta > 0.0:
         return _inapplicable("THM4", "delta underflowed to 0")
     m0, m1 = _factors_from_delta(delta)
-    return SteinFactorBound(m0, m1, "THM4", True, f"delta = {delta:g}")
+    return _applicable(m0, m1, "THM4", "delta = %g", delta)
 
 
 def regime_classify(bounds: list[SteinFactorBound]) -> str:
@@ -584,16 +630,19 @@ def evaluate_all(
     """
     if th is None:
         th = theta(params, 3)
-    return [
-        bound_general(params),
-        bound_monotone(params),
-        bound_bx99(th),
-        bound_cor3(th),
-        bound_thm4(th),
-    ]
+    return list(map(_bound, catalogue_rows(params, th)))
 
 
-_M0, _M1 = operator.attrgetter("m0"), operator.attrgetter("m1")
+def catalogue_rows(params: CompoundPoissonParams, th: ThetaVector) -> list[tuple]:
+    """The five rows of ``evaluate_all(params, th)`` as plain tuples
+    (m0, m1, method, applicable, note, note_args), the condition note a
+    %-template and its arguments: the catalogue without its objects and
+    notes, as a sweep prints it."""
+    return [_general(params), _monotone(params), _bx99(th), _cor3(th), _thm4(th)]
+
+
+_M0, _M1 = operator.itemgetter(0), operator.itemgetter(1)
+_M0_M1_METHOD = operator.attrgetter("m0", "m1", "method")
 
 
 def best_of(bounds: list[SteinFactorBound]) -> SteinFactorBound:
@@ -602,12 +651,15 @@ def best_of(bounds: list[SteinFactorBound]) -> SteinFactorBound:
     The winning method for each component is recorded in the condition note;
     the method tag is the m1 winner's.
     """
-    best_m0 = min(bounds, key=_M0)
-    best_m1 = min(bounds, key=_M1)
-    note = f"m0: {best_m0.method}, m1: {best_m1.method}"
-    return SteinFactorBound(
-        best_m0.m0, best_m1.m1, best_m1.method, True, note
-    )
+    return _bound(best_row(list(map(_M0_M1_METHOD, bounds))))
+
+
+def best_row(rows: list[tuple]) -> tuple:
+    """``best_of`` on rows (m0, m1, method, ...) such as ``catalogue_rows``
+    gives, as a plain row: the first row of least m0 and of least m1 win."""
+    r0 = min(rows, key=_M0)
+    r1 = min(rows, key=_M1)
+    return _applicable(r0[0], r1[1], r1[2], "m0: %s, m1: %s", r0[2], r1[2])
 
 
 def best_bound(params: CompoundPoissonParams) -> SteinFactorBound:

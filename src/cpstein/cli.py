@@ -23,18 +23,27 @@ import csv
 import functools
 import io
 import math
+import operator
 import os
 import sys
 from dataclasses import fields
+from itertools import chain, compress
 
-from .bounds import best_of, encode_float, evaluate_all, regime_classify
+from .bounds import (
+    best_of,
+    best_row,
+    catalogue_rows,
+    encode_float,
+    evaluate_all,
+    regime_classify,
+)
 from .core import CompoundPoissonParams, TruncationCapError, cp_pmf, theta
 from .exact import BudgetExceededError
 from .models import MIXINGS, MODELS, model_from_json
 from .oracle import ConvergenceError, default_x_max, solve_stein, verify
 
-# rows of one sweep, about 0.1 ms and 0.7 KB of output each: a 100 000-row
-# reliability sweep takes 9.8 s, 399 MB of peak memory and prints 70 MB
+# rows of one sweep, about 0.06 ms and 0.7 KB of output each: a 100 000-row
+# reliability sweep takes 6.1 s, 391 MB of peak memory and prints 70 MB
 SWEEP_ROW_BUDGET = 100_000
 
 EXIT_OK = 0
@@ -70,6 +79,56 @@ _SCALARS = {
 }
 
 
+class _Table:
+    """Records held in columns, ``dumps`` printing them as the list of dicts
+    ``dicts()`` gives: row r maps ``keys[r]`` to the r-th entry of each
+    column.  Rows of one shape share one key tuple."""
+
+    def __init__(self, keys: list[tuple[str, ...]], columns: list[list]):
+        self.keys, self.columns = keys, columns
+
+    def dicts(self) -> list[dict]:
+        return list(map(dict, map(zip, self.keys, zip(*self.columns))))
+
+
+# '%.17g' % x prints _fmt_float(x) for finite x; _fmt_float quotes the others
+_NON_FINITE = {s: f'"{s}"' for s in ("inf", "-inf", "nan")}
+
+
+def _dumps_table(table: _Table, indent: int) -> str:
+    """``dumps(table.dicts(), indent)`` through one %-template per row shape:
+    a column of finite floats is printed by the template's %.17g, every other
+    column cell by cell as ``dumps`` prints it, each distinct bool, string or
+    int once.  The rows' templates, joined, take every cell at once."""
+    if not table.keys:
+        return "[]"
+    pad, inner, field = "  " * indent, "  " * (indent + 1), "  " * (indent + 2)
+    columns, marks = [], []
+    for col in table.columns:
+        kinds = {*map(type, col)}
+        if kinds == {float} and math.isfinite(sum(col)):
+            marks.append("%.17g")
+            columns.append(col)
+            continue
+        marks.append("%s")
+        if kinds == {float}:
+            text = list(map("%.17g".__mod__, col))
+            columns.append(list(map(_NON_FINITE.get, text, text)))
+        elif len(kinds) == 1 and (fmt := _SCALARS.get(kinds.pop())):
+            known = {v: fmt(v) for v in set(col)}
+            columns.append(list(map(known.__getitem__, col)))
+        else:
+            columns.append([dumps(v, indent + 2) for v in col])
+    templates = {
+        keys: "{\n" + ",\n".join(
+            f'{field}"{k.replace("%", "%%")}": {mark}' for k, mark in zip(keys, marks)
+        ) + f"\n{inner}}}"
+        for keys in set(table.keys)
+    }
+    body = f",\n{inner}".join([templates[keys] for keys in table.keys])
+    return f"[\n{inner}" + body % (*chain.from_iterable(zip(*columns)),) + f"\n{pad}]"
+
+
 def dumps(obj, indent: int = 0) -> str:
     """Minimal deterministic JSON emitter with 17-significant-digit floats."""
     fmt = _SCALARS.get(type(obj))
@@ -96,6 +155,8 @@ def dumps(obj, indent: int = 0) -> str:
         else:
             body = sep.join(dumps(v, indent + 1) for v in obj)
         return "[\n" + inner + body + "\n" + pad + "]"
+    if isinstance(obj, _Table):
+        return _dumps_table(obj, indent)
     for base in (int, float, str):  # bool admits no subclass
         if isinstance(obj, base):
             return _SCALARS[base](obj)
@@ -309,36 +370,63 @@ def cmd_sweep(args) -> tuple[int, str]:
     keys, swept = MODELS[args.model].keys, _SWEPT[args.model]
     base = _model_json(args, keys[:-1] + (swept,), "sweep")
     values = _parse_range(base.pop(swept), _flag(swept))
-    rows = [_sweep_row({**base, keys[-1]: v}) for v in values]
-    payload = {"model": args.model, "rows": rows}
-    return EXIT_OK, _emit(args, payload, rows)
+    table = _sweep_table(base, keys[-1], values)
+    payload = {"model": args.model, "rows": table}
+    return EXIT_OK, _emit(args, payload, table.dicts() if args.format == "csv" else None)
 
 
 _THETA_COLUMNS = tuple(f"theta{i}" for i in range(4))
+# fields of a plain catalogue row (m0, m1, method, applicable, ...)
+_M1, _METHOD, _APPLICABLE = map(operator.itemgetter, (1, 2, 3))
 
 
-@functools.cache
 def _bound_columns(method: str) -> tuple[str, str]:
     """The sweep columns of a bound: "THM2(3)" gives thm2_applicable, thm2_m1."""
     key = method.split("(")[0].lower()
     return f"{key}_applicable", f"{key}_m1"
 
 
-def _sweep_row(obj: dict) -> dict:
-    model = model_from_json(obj)
-    row = dict(obj)
-    th, bounds, bb = _catalogue(model.cp_params())
-    row.update(zip(_THETA_COLUMNS, th.values))
-    for b in bounds:
-        applicable, m1 = _bound_columns(b.method)
-        row[applicable] = b.applicable
-        row[m1] = b.m1
-    row["best_method"] = bb.method
-    row["best_m1"] = bb.m1
-    dk = model.dk_bound(bb.m1)
-    row["dk_bound"] = dk
-    row["vacuous"] = None if dk is None else dk > 1.0
-    return row
+def _sweep_table(base: dict, key: str, values: list[float]) -> _Table:
+    """The sweep's rows: the model of ``base`` at each value of its last key
+    ``key``, theta to order 3, each catalogue row's applicability and m1, the
+    best m1 and the d_K bound on it, "inf" where the best m1 is not finite.
+
+    Should a row fail, the rows are built again one at a time, so that the
+    error is the first failing row's, as a sweep row by row would raise it.
+    """
+    try:
+        return _sweep_columns(base, key, values)
+    except (ValueError, ArithmeticError):
+        for v in values:
+            _sweep_columns(base, key, [v])
+        raise
+
+
+def _sweep_columns(base: dict, key: str, values: list[float]) -> _Table:
+    # the model at the first value, whose column methods take every value
+    model = model_from_json({**base, key: values[0]})
+    laws = list(map(CompoundPoissonParams, zip(*model.rate_columns(values))))
+    thetas = [theta(params, 3) for params in laws]
+    catalogues = list(map(catalogue_rows, laws, thetas))
+    best = list(map(best_row, catalogues))
+    m1s = list(map(_M1, best))
+    finite = list(map(math.isfinite, m1s))
+    found = iter(model.dk_columns(list(compress(values, finite)), compress(m1s, finite)))
+    dks = [next(found) if ok else math.inf for ok in finite]
+
+    columns = [[v] * len(values) for v in base.values()] + [values]
+    columns += map(list, zip(*[th.values for th in thetas]))
+    for entries in zip(*catalogues):  # one catalogue row across the sweep
+        columns += [list(map(_APPLICABLE, entries)), list(map(_M1, entries))]
+    columns += [list(map(_METHOD, best)), m1s, dks, [dk > 1.0 for dk in dks]]
+    # a row's keys follow the methods of its catalogue (COR3 or THM2(3))
+    methods = [(*map(_METHOD, rows),) for rows in catalogues]
+    shapes = {
+        m: (*base, key, *_THETA_COLUMNS, *chain.from_iterable(map(_bound_columns, m)),
+            "best_method", "best_m1", "dk_bound", "vacuous")
+        for m in set(methods)
+    }
+    return _Table(list(map(shapes.__getitem__, methods)), columns)
 
 
 def cmd_stein_solve(args) -> tuple[int, str]:

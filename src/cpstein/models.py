@@ -16,15 +16,19 @@ tuple entry lists alternatives), ``law_keys`` (the arguments its
 ``exact_law`` reads: exact, samples and seed for reliability, none for the
 others), ``cp_params()``, ``exact_law(**law)``, ``dk_bound(m1)`` (None
 without a bound), ``to_json()`` and ``from_json(obj)``; ``MODELS`` maps tags
-to classes.  ``runs_cp_params`` and the other per-model functions are these
-methods under their older names.
+to classes.  The models the CLI sweeps, runs and reliability, also have
+``rate_columns(values)`` and ``dk_columns(values, m1s)``: the approximant's
+rates and the d_K bound at many values of the model's last key at once, the
+other keys as in the model, held in columns; ``cp_params`` and ``dk_bound``
+are their one-value case.  ``runs_cp_params`` and the other per-model
+functions are these methods under their older names.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, field, fields
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import CompoundPoissonParams, DistributionTable
 from .exact import (
@@ -63,6 +67,11 @@ DEFAULT_SEED = 12345
 DEFAULT_MC_SAMPLES = 1_000_000
 
 
+def _check_probabilities(name: str, values: Iterable[float]) -> None:
+    if not all(0.0 <= v <= 1.0 for v in values):
+        raise ValueError(f"{name} must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class RunsModel:
     """Circular 2-runs statistic: n Bernoulli(p) bits, indices modulo n."""
@@ -76,21 +85,24 @@ class RunsModel:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("n must be >= 3")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
+        _check_probabilities("p", (self.p,))
 
     def cp_params(self) -> CompoundPoissonParams:
         """Approximant rates lambda_1 = n p^2 (1-p)^2, lambda_2 = n p^3 (1-p),
         lambda_3 = n p^4 / 3; the resulting theta vector is
         (n p^2, 2 n p^3, 2 n p^4, 0)."""
-        n, p = self.n, self.p
-        return CompoundPoissonParams(
-            (
-                n * p**2 * (1.0 - p) ** 2,
-                n * p**3 * (1.0 - p),
-                n * p**4 / 3.0,
-            )
-        )
+        return CompoundPoissonParams([col[0] for col in self.rate_columns((self.p,))])
+
+    def rate_columns(self, ps: Sequence[float]) -> list[list[float]]:
+        """The rates of ``cp_params`` at each p of ``ps``, each p checked as the
+        model checks its own: column j - 1 holds lambda_j."""
+        _check_probabilities("p", ps)
+        n = self.n
+        return [
+            [n * p**2 * (1.0 - p) ** 2 for p in ps],
+            [n * p**3 * (1.0 - p) for p in ps],
+            [n * p**4 / 3.0 for p in ps],
+        ]
 
     def exact_law(self) -> DistributionTable:
         return runs_exact_pmf(self)
@@ -99,7 +111,12 @@ class RunsModel:
         """Kolmogorov bound d_K(W, U) <= 3 * M1 * n * p^4."""
         if not math.isfinite(m1):
             raise ValueError("m1 must be finite")
-        return 3.0 * m1 * self.n * self.p**4
+        return self.dk_columns((self.p,), (m1,))[0]
+
+    def dk_columns(self, ps: Sequence[float], m1s: Iterable[float]) -> list[float]:
+        """``dk_bound`` at each pair of p and a finite m1."""
+        n = self.n
+        return [3.0 * m1 * n * p**4 for p, m1 in zip(ps, m1s)]
 
     def to_json(self) -> dict:
         return {"model": self.tag, "n": self.n, "p": self.p}
@@ -111,6 +128,11 @@ class RunsModel:
 
 # C(m, e) for m = 2, 3, 4, one row per e = j - 1 of the rates j = 1..5
 _RELIABILITY_BINOMIALS = tuple(tuple(math.comb(m, e) for m in (2, 3, 4)) for e in range(5))
+
+
+def _all_failed(q: float, k: int) -> float:
+    """psi = q^(k^2), the chance that a fixed k x k subgrid is all-failed."""
+    return q ** (k * k)
 
 
 @dataclass(frozen=True)
@@ -129,13 +151,12 @@ class ReliabilityModel:
             raise ValueError("k must be >= 2")
         if self.n < self.k:
             raise ValueError("n must be >= k")
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError("q must lie in [0, 1]")
+        _check_probabilities("q", (self.q,))
 
     @property
     def psi(self) -> float:
         """Probability q^(k^2) that a fixed k x k subgrid is all-failed."""
-        return self.q ** (self.k * self.k)
+        return _all_failed(self.q, self.k)
 
     def cp_params(self) -> CompoundPoissonParams:
         """Approximant rates for the subgrid count, j = 1..5:
@@ -145,22 +166,34 @@ class ReliabilityModel:
         with u = n-k-1 and pi_i(j) = P(Bin(i+1, q^k) = j-1).  Requires n > k+1
         so the u factors are positive.
         """
+        return CompoundPoissonParams([col[0] for col in self.rate_columns((self.q,))])
+
+    def rate_columns(self, qs: Sequence[float]) -> list[list[float]]:
+        """The rates of ``cp_params`` at each q of ``qs``, each q checked as the
+        model checks its own: column j - 1 holds lambda_j."""
+        _check_probabilities("q", qs)
         if self.n <= self.k + 1:
             raise ValueError("n must exceed k+1")
-        u = self.n - self.k - 1
-        y = self.q**self.k
-        psi = self.psi
-        ys = list(map(y.__pow__, range(5)))  # y**e, e = 0..4
-        zs = list(map((1.0 - y).__pow__, range(5)))
+        k = self.k
+        u = self.n - k - 1
         four_u, u_sq = 4.0 * u, u * u
-        rates = []
+        ys = [q**k for q in qs]
+        psis = [_all_failed(q, k) for q in qs]
+        # y**e and (1-y)**e, e = 0..4
+        y_pow = [[y**e for y in ys] for e in range(5)]
+        z_pow = [[(1.0 - y) ** e for y in ys] for e in range(5)]
+        zeros = [0.0] * len(ys)
+        columns = []
         # P(Bin(m, y) = e) = C(m, e) * y**e * (1-y)**(m-e); C(m, e) = 0 for e > m
         for e, (c2, c3, c4) in enumerate(_RELIABILITY_BINOMIALS):
-            pi1 = c2 * ys[e] * zs[2 - e] if c2 else 0.0
-            pi2 = c3 * ys[e] * zs[3 - e] if c3 else 0.0
-            pi3 = c4 * ys[e] * zs[4 - e]
-            rates.append(psi / (e + 1) * (4.0 * pi1 + four_u * pi2 + u_sq * pi3))
-        return CompoundPoissonParams(rates)
+            pi1 = [c2 * a * b for a, b in zip(y_pow[e], z_pow[2 - e])] if c2 else zeros
+            pi2 = [c3 * a * b for a, b in zip(y_pow[e], z_pow[3 - e])] if c3 else zeros
+            pi3 = [c4 * a * b for a, b in zip(y_pow[e], z_pow[4 - e])]
+            columns.append([
+                psi / (e + 1) * (4.0 * a + four_u * b + u_sq * c)
+                for psi, a, b, c in zip(psis, pi1, pi2, pi3)
+            ])
+        return columns
 
     def exact_law(
         self, exact: bool = False, samples: int = DEFAULT_MC_SAMPLES, seed: int = DEFAULT_SEED
@@ -177,15 +210,19 @@ class ReliabilityModel:
               + 4 sum_{r,s=1}^{k-1} q^{k^2-rs} + 4 sum_{s=1}^{k-2} q^{k^2-ks}]."""
         if not math.isfinite(m1):
             raise ValueError("m1 must be finite")
-        n, k, q = self.n, self.k, self.q
-        psi = self.psi
-        bracket = (4.0 * k * k + 12.0 * k - 3.0) * psi
-        for r in range(1, k):
-            for s in range(1, k):
-                bracket += 4.0 * q ** (k * k - r * s)
-        for s in range(1, k - 1):
-            bracket += 4.0 * q ** (k * k - k * s)
-        return m1 * (n - k + 1) ** 2 * psi * bracket
+        return self.dk_columns((self.q,), (m1,))[0]
+
+    def dk_columns(self, qs: Sequence[float], m1s: Iterable[float]) -> list[float]:
+        """``dk_bound`` at each pair of q and a finite m1."""
+        n, k = self.n, self.k
+        psis = [_all_failed(q, k) for q in qs]
+        brackets = [(4.0 * k * k + 12.0 * k - 3.0) * psi for psi in psis]
+        powers = [k * k - r * s for r in range(1, k) for s in range(1, k)]
+        powers += [k * k - k * s for s in range(1, k - 1)]
+        for e in powers:
+            brackets = [b + 4.0 * q**e for b, q in zip(brackets, qs)]
+        side_sq = (n - k + 1) ** 2
+        return [m1 * side_sq * psi * b for m1, psi, b in zip(m1s, psis, brackets)]
 
     def to_json(self) -> dict:
         return {"model": self.tag, "n": self.n, "k": self.k, "q": self.q}

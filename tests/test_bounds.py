@@ -504,7 +504,7 @@ def test_regime_classify_reads_only_its_rows(monkeypatch):
     # theta_2 < 2 theta_1, and a runs sweep row
     monkeypatch.setattr(bounds, "delta_k_grid", forbidden)
     assert bound_cor3(ThetaVector([1.0, 0.6, 0.3, 0.0])).method == "COR3"
-    row = cli._sweep_row({"model": "runs", "n": 50, "p": 0.2})
+    (row,) = cli._sweep_table({"model": "runs", "n": 50}, "p", [0.2]).dicts()
     assert row["cor3_applicable"]
     for name in ("bound_bx99", "bound_cor3", "bound_thm4", "theta"):
         monkeypatch.setattr(bounds, name, forbidden)

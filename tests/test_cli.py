@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -173,18 +174,19 @@ def test_verify_runs_oracle_once(capsys, monkeypatch):
     ],
 )
 def test_catalogue_evaluated_once_per_row(capsys, monkeypatch, argv, rows):
-    # bounds and sweep call the catalogue in cli, verify in oracle
-    from cpstein import oracle
+    # bounds and verify evaluate the catalogue through evaluate_all, sweep
+    # calls catalogue_rows itself
+    from cpstein import bounds
 
     calls = []
-    real = cli.evaluate_all
+    real = bounds.catalogue_rows
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    for namespace in (cli, oracle):
-        monkeypatch.setattr(namespace, "evaluate_all", counting)
+    for namespace in (bounds, cli):
+        monkeypatch.setattr(namespace, "catalogue_rows", counting)
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
     assert len(calls) == rows
@@ -254,17 +256,75 @@ def test_sweep_runs_csv(capsys):
     assert rows[2]["bx99_m1"] == "inf"
 
 
-def test_sweep_single_point_matches_bounds(capsys):
-    _, sweep_out, _ = run_cli(
-        capsys, "sweep", "--model", "runs", "--n", "50", "--p-range", "0.2:0.2:1"
-    )
-    _, bounds_out, _ = run_cli(
-        capsys, "bounds", "--model", "runs", "--n", "50", "--p", "0.2"
-    )
-    row = json.loads(sweep_out)["rows"][0]
-    doc = json.loads(bounds_out)
-    assert row["best_m1"] == doc["best"]["m1"]
-    assert row["theta0"] == doc["theta"][0]
+def _seeded_sweeps(seed: int) -> list:
+    """A runs and a reliability sweep of six rows at parameters drawn from ``seed``."""
+    rng = random.Random(seed)
+    p0, p1 = rng.uniform(0.01, 0.3), rng.uniform(0.3, 1.0)
+    k = rng.choice([2, 3])
+    q0, q1 = rng.uniform(0.05, 0.4), rng.uniform(0.4, 0.95)
+    runs = ["--model", "runs", "--n", str(rng.randint(3, 500)), "--p-range", f"{p0}:{p1}:6"]
+    reliability = ["--model", "reliability", "--n", str(rng.randint(k + 2, 40)), "--k", str(k),
+                   "--q-range", f"{q0}:{q1}:6"]
+    return [pytest.param(runs, id=f"runs-seed{seed}"),
+            pytest.param(reliability, id=f"reliability-seed{seed}")]
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        pytest.param(["--model", "runs", "--n", "50", "--p-range", "0.2:0.2:1"], id="runs-point"),
+        *_seeded_sweeps(1),
+        *_seeded_sweeps(2),
+        *_seeded_sweeps(3),
+        # the last row takes the THM2(3) route (theta_2 >= 2 theta_1)
+        pytest.param(["--model", "reliability", "--n", "30", "--k", "2", "--q-range", "0.1:0.9:8"],
+                     id="thm2-route"),
+        # no bound is finite (theta_0 = 3.2e4); the model's dk_bound refuses
+        # an infinite m1, and the row prints "inf" without calling it
+        pytest.param(["--model", "reliability", "--n", "200", "--k", "2",
+                      "--q-range", "0.95:0.95:1"], id="no-finite-bound"),
+    ],
+)
+def test_sweep_rows_match_bounds(capsys, sweep):
+    # every row carries what bounds prints at its point: theta, each catalogue
+    # row's applicability and m1 under its method's keys, and the best m1;
+    # dk_bound is the model's d_K bound on that m1, "inf" where it is not finite
+    code, out, err = run_cli(capsys, "sweep", *sweep)
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["rows"]
+    assert len(rows) == int(sweep[-1].split(":")[-1])
+    tag, keys = sweep[1], cpstein.MODELS[sweep[1]].keys
+    for row in rows:
+        point = ["--model", tag, *(a for k in keys for a in (cli._flag(k), repr(row[k])))]
+        code, out, err = run_cli(capsys, "bounds", *point)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        want = {k: row[k] for k in ("model", *keys)}
+        want.update(zip(cli._THETA_COLUMNS, doc["theta"]))
+        for b in doc["bounds"]:
+            want.update(zip(cli._bound_columns(b["method"]), (b["applicable"], b["m1"])))
+        want["best_method"], want["best_m1"] = doc["best"]["method"], doc["best"]["m1"]
+        m1 = doc["best"]["m1"]
+        dk = "inf" if m1 == "inf" else cpstein.model_from_json(want).dk_bound(m1)
+        want["dk_bound"], want["vacuous"] = dk, dk == "inf" or dk > 1.0
+        assert list(row.items()) == list(want.items())
+    if sweep[-1] == "0.1:0.9:8":
+        assert "thm2_m1" in rows[-1] and "cor3_m1" not in rows[-1]
+    if sweep[-1] == "0.95:0.95:1":
+        assert doc["regime"] == "GENERAL_ONLY"
+        assert (row["best_m1"], row["dk_bound"], row["vacuous"]) == ("inf", "inf", True)
+
+
+def test_sweep_error_is_the_first_failing_rows(capsys):
+    # row 1 fails the approximant's n > k + 1 before row 3 fails its q check,
+    # and row 1 of the second sweep has no positive rate
+    argv = ["sweep", "--model", "reliability", "--k", "2"]
+    code, out, err = run_cli(capsys, *argv, "--n", "3", "--q-range", "0.5:1.5:3")
+    assert (code, out, err) == (2, "", "error: n must exceed k+1\n")
+    code, out, err = run_cli(capsys, *argv, "--n", "10", "--q-range", "0:1.5:3")
+    assert (code, out, err) == (2, "", "error: at least one rate must be positive\n")
+    code, out, err = run_cli(capsys, *argv, "--n", "10", "--q-range", "0.5:1.5:3")
+    assert (code, out, err) == (2, "", "error: q must lie in [0, 1]\n")
 
 
 def test_sweep_reliability(capsys):
@@ -311,7 +371,7 @@ def test_sweep_registers_seven_flags():
 
 def test_sweep_row_budget_exit_three(capsys, monkeypatch):
     # refused before any row is built
-    monkeypatch.setattr(cli, "_sweep_row", lambda obj: pytest.fail("row built"))
+    monkeypatch.setattr(cli, "_sweep_table", lambda *args: pytest.fail("row built"))
     over = cli.SWEEP_ROW_BUDGET + 1
     code, out, err = run_cli(capsys, "sweep", "--model", "reliability", "--n", "10", "--k", "2",
                              "--q-range", f"0.05:0.8:{over}")

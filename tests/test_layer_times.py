@@ -23,6 +23,7 @@ LAYERS = {
     "mixed_exact_pmf",
     "sums_exact_pmf",
     "distance",
+    "sweep",
 }
 
 

@@ -17,12 +17,15 @@ The layers are those the benchmark's tracer names: ``theta`` and ``delta_k``
 (the closed forms and the order-3 Bernstein enclosure), ``cp_pmf``,
 ``empirical_factors`` and ``solve_stein`` (the Stein oracle at total rates
 whose mean theta_0 is small, medium and large), each exact law, and
-``distance``.
+``distance``; ``sweep`` is a whole ``cpstein sweep`` command, reliability
+sweeps of 16, 256 and 4096 rows through ``cli.main`` with stdout captured.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import statistics
 import sys
@@ -46,6 +49,7 @@ from cpstein import (  # noqa: E402
     solve_stein,
     theta,
 )
+from cpstein import cli  # noqa: E402
 from cpstein.oracle import default_x_max  # noqa: E402
 
 SUMS = [[0.7, 0.1, 0.1, 0.1], [0.6, 0.1, 0.3]]
@@ -94,11 +98,22 @@ CASES = {
         "large": {"model": "sums", "components": SUMS * 200},
     },
     "distance": RUNS,  # the runs law against its approximant
+    "sweep": {
+        size: {"argv": ["sweep", "--model", "reliability", "--n", "10", "--k", "2",
+                        "--q-range", f"0.05:0.8:{rows}"]}
+        for size, rows in (("small", 16), ("medium", 256), ("large", 4096))
+    },
 }
 
 
 def _call(layer: str, given: dict):
     """A zero-argument call of ``layer`` on the parameters ``given``."""
+    if "argv" in given:
+        def command():
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(given["argv"])
+
+        return command
     if "rates" in given:
         params = CompoundPoissonParams(given["rates"])
         th = theta(params, 3)
