@@ -33,6 +33,7 @@ always encloses the infimum.
 
 from __future__ import annotations
 
+import collections
 import functools
 import heapq
 import math
@@ -65,9 +66,7 @@ __all__ = [
     "bound_thm4",
     "regime_classify",
     "evaluate_all",
-    "catalogue_rows",
     "best_of",
-    "best_row",
     "best_bound",
 ]
 
@@ -87,28 +86,40 @@ def encode_float(x: float) -> float | str:
     return x if math.isfinite(x) else str(x)
 
 
-@dataclass(frozen=True)
-class SteinFactorBound:
-    """An (M0, M1) Stein-factor pair with method tag and applicability."""
+class SteinFactorBound(
+    collections.namedtuple("_Bound", "m0 m1 method applicable note note_args")
+):
+    """An (M0, M1) Stein-factor pair with method tag and applicability.
 
-    m0: float
-    m1: float
-    method: str
-    applicable: bool
-    condition_note: str = ""
+    The condition note is held as a %-template ``note`` and its arguments
+    ``note_args``; ``condition_note`` formats it when read, so a catalogue
+    that prints no notes, as a sweep does, never formats them.  Bounds
+    compare as these six fields.
 
-    def __init__(
-        self, m0: float, m1: float, method: str, applicable: bool, condition_note: str = ""
+    The constructor takes the formatted note and refuses finite factors on
+    an inapplicable bound and non-positive ones on an applicable bound.
+    The bound functions build their results through ``_applicable`` and
+    ``_inapplicable``, which keep the same two rules.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, m0: float, m1: float, method: str, applicable: bool, condition_note: str = ""
     ):
         if not applicable and not (m0 == INF and m1 == INF):
             raise ValueError("inapplicable bounds must carry infinite factors")
         if applicable and not (m0 > 0.0 and m1 > 0.0):
             raise ValueError("applicable bounds must be positive")
-        # one update of the instance dict, cheaper than the frozen dataclass's
-        # object.__setattr__ per field; the fields stay read-only after it
-        vars(self).update(
-            m0=m0, m1=m1, method=method, applicable=applicable, condition_note=condition_note
-        )
+        note = condition_note.replace("%", "%%")
+        return tuple.__new__(cls, (m0, m1, method, applicable, note, ()))
+
+    def __reduce__(self):  # copy and pickle the six fields, past __new__
+        return self._make, (tuple(self),)
+
+    @property
+    def condition_note(self) -> str:
+        return self.note % self.note_args
 
     def to_json(self) -> dict:
         return {
@@ -120,24 +131,14 @@ class SteinFactorBound:
         }
 
 
-# A bound as a plain row (m0, m1, method, applicable, note, note_args), the
-# condition note a %-template and its arguments, formatted only when
-# ``_bound`` makes the row a SteinFactorBound.  Each bound_* function is its
-# row function (_general, _bx99, ...) made into one.
-
-def _applicable(m0: float, m1: float, method: str, note: str, *args) -> tuple:
+def _applicable(m0: float, m1: float, method: str, note: str, *args) -> SteinFactorBound:
     if not (m0 > 0.0 and m1 > 0.0):  # as SteinFactorBound refuses it
         raise ValueError("applicable bounds must be positive")
-    return (m0, m1, method, True, note, args)
+    return tuple.__new__(SteinFactorBound, (m0, m1, method, True, note, args))
 
 
-def _inapplicable(method: str, note: str, *args) -> tuple:
-    return (INF, INF, method, False, note, args)
-
-
-def _bound(row: tuple) -> SteinFactorBound:
-    m0, m1, method, applicable, note, args = row
-    return SteinFactorBound(m0, m1, method, applicable, note % args)
+def _inapplicable(method: str, note: str, *args) -> SteinFactorBound:
+    return tuple.__new__(SteinFactorBound, (INF, INF, method, False, note, args))
 
 
 @dataclass(frozen=True)
@@ -458,10 +459,6 @@ def _factors_from_delta(delta: float) -> tuple[float, float]:
 
 def bound_general(params: CompoundPoissonParams) -> SteinFactorBound:
     """The always-applicable exponential bound m0 = m1 = min{1, 1/lambda_1} e^lambda."""
-    return _bound(_general(params))
-
-
-def _general(params: CompoundPoissonParams) -> tuple:
     lam1 = params.rates[0]
     factor = 1.0 if lam1 == 0.0 else min(1.0, 1.0 / lam1)
     try:
@@ -473,10 +470,6 @@ def _general(params: CompoundPoissonParams) -> tuple:
 
 def bound_monotone(params: CompoundPoissonParams) -> SteinFactorBound:
     """Bound under the monotone-rates condition j lambda_j >= (j+1) lambda_{j+1}."""
-    return _bound(_monotone(params))
-
-
-def _monotone(params: CompoundPoissonParams) -> tuple:
     if not monotone_condition(params):
         return _inapplicable("MONOTONE", "rate sequence j*lambda_j not nonincreasing")
     lam1 = params.rates[0]
@@ -488,10 +481,6 @@ def _monotone(params: CompoundPoissonParams) -> tuple:
 
 def bound_bx99(th: ThetaVector) -> SteinFactorBound:
     """Bound under theta_0 - 2 theta_1 > 0: m0 = sqrt(theta_0)/(theta_0-2 theta_1)."""
-    return _bound(_bx99(th))
-
-
-def _bx99(th: ThetaVector) -> tuple:
     th.require(1)
     if not th.finite:
         return _inapplicable("BX99", "theta not finite")
@@ -510,10 +499,6 @@ def bound_thm2(th: ThetaVector, k: int) -> SteinFactorBound:
     Uses the lower end of ``delta_k``: the closed form where there is one,
     else the certified lower bound of the Bernstein enclosure; the note
     names the route that ran."""
-    return _bound(_thm2(th, k))
-
-
-def _thm2(th: ThetaVector, k: int) -> tuple:
     method = f"THM2({k})"
     if not th.finite:
         return _inapplicable(method, "theta not finite")
@@ -530,16 +515,12 @@ def bound_cor3(th: ThetaVector) -> SteinFactorBound:
     Falls back to THM2(3), the certified lower end of the order-3 Bernstein
     enclosure, when theta_2 >= 2 theta_1, where no closed form is available.
     """
-    return _bound(_cor3(th))
-
-
-def _cor3(th: ThetaVector) -> tuple:
     th.require(3)
     if not th.finite:
         return _inapplicable("COR3", "theta not finite")
     delta = _cor3_delta(th)
     if delta is None:
-        return _thm2(th, 3)
+        return bound_thm2(th, 3)
     if not delta > 0.0:
         return _inapplicable("COR3", "delta = %g <= 0", delta)
     m0, m1 = _factors_from_delta(delta)
@@ -567,10 +548,6 @@ def bound_lemma_c(th: ThetaVector, c: float) -> SteinFactorBound:
     exp(1.5 (2 theta_1 - theta_0)) <= c, which is exact when c is supplied
     as exp(1.5 gamma) and equivalent over the reals by monotonicity.
     """
-    return _bound(_lemma_c(th, c))
-
-
-def _lemma_c(th: ThetaVector, c: float) -> tuple:
     th.require(1)
     if not c > 1.0:
         raise ValueError("c must exceed 1")
@@ -594,10 +571,6 @@ def _lemma_c(th: ThetaVector, c: float) -> tuple:
 def bound_thm4(th: ThetaVector) -> SteinFactorBound:
     """Overdispersed-regime bound: for 2 theta_1 > theta_0,
     delta = gamma/(2 sqrt(pi) e^{1.5 gamma}) with gamma = 2 theta_1 - theta_0."""
-    return _bound(_thm4(th))
-
-
-def _thm4(th: ThetaVector) -> tuple:
     th.require(1)
     if not th.finite:
         return _inapplicable("THM4", "theta not finite")
@@ -630,36 +603,22 @@ def evaluate_all(
     """
     if th is None:
         th = theta(params, 3)
-    return list(map(_bound, catalogue_rows(params, th)))
-
-
-def catalogue_rows(params: CompoundPoissonParams, th: ThetaVector) -> list[tuple]:
-    """The five rows of ``evaluate_all(params, th)`` as plain tuples
-    (m0, m1, method, applicable, note, note_args), the condition note a
-    %-template and its arguments: the catalogue without its objects and
-    notes, as a sweep prints it."""
-    return [_general(params), _monotone(params), _bx99(th), _cor3(th), _thm4(th)]
+    return [bound_general(params), bound_monotone(params), bound_bx99(th), bound_cor3(th),
+            bound_thm4(th)]
 
 
 _M0, _M1 = operator.itemgetter(0), operator.itemgetter(1)
-_M0_M1_METHOD = operator.attrgetter("m0", "m1", "method")
 
 
 def best_of(bounds: list[SteinFactorBound]) -> SteinFactorBound:
-    """Componentwise minimum of a bound list, for m0 and m1 separately.
+    """Componentwise minimum of a bound list, for m0 and m1 separately: the
+    first bound of least m0 and the first of least m1 win.
 
     The winning method for each component is recorded in the condition note;
     the method tag is the m1 winner's.
     """
-    return _bound(best_row(list(map(_M0_M1_METHOD, bounds))))
-
-
-def best_row(rows: list[tuple]) -> tuple:
-    """``best_of`` on rows (m0, m1, method, ...) such as ``catalogue_rows``
-    gives, as a plain row: the first row of least m0 and of least m1 win."""
-    r0 = min(rows, key=_M0)
-    r1 = min(rows, key=_M1)
-    return _applicable(r0[0], r1[1], r1[2], "m0: %s, m1: %s", r0[2], r1[2])
+    b0, b1 = min(bounds, key=_M0), min(bounds, key=_M1)
+    return _applicable(b0.m0, b1.m1, b1.method, "m0: %s, m1: %s", b0.method, b1.method)
 
 
 def best_bound(params: CompoundPoissonParams) -> SteinFactorBound:

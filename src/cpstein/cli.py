@@ -27,16 +27,9 @@ import operator
 import os
 import sys
 from dataclasses import fields
-from itertools import chain, compress
+from itertools import chain
 
-from .bounds import (
-    best_of,
-    best_row,
-    catalogue_rows,
-    encode_float,
-    evaluate_all,
-    regime_classify,
-)
+from .bounds import best_of, encode_float, evaluate_all, regime_classify
 from .core import CompoundPoissonParams, TruncationCapError, cp_pmf, theta
 from .exact import BudgetExceededError
 from .models import MIXINGS, MODELS, model_from_json
@@ -376,7 +369,7 @@ def cmd_sweep(args) -> tuple[int, str]:
 
 
 _THETA_COLUMNS = tuple(f"theta{i}" for i in range(4))
-# fields of a plain catalogue row (m0, m1, method, applicable, ...)
+# fields of a SteinFactorBound (m0, m1, method, applicable, ...)
 _M1, _METHOD, _APPLICABLE = map(operator.itemgetter, (1, 2, 3))
 
 
@@ -389,7 +382,7 @@ def _bound_columns(method: str) -> tuple[str, str]:
 def _sweep_table(base: dict, key: str, values: list[float]) -> _Table:
     """The sweep's rows: the model of ``base`` at each value of its last key
     ``key``, theta to order 3, each catalogue row's applicability and m1, the
-    best m1 and the d_K bound on it, "inf" where the best m1 is not finite.
+    best m1 and the d_K bound on it, "inf" where the best m1 is infinite.
 
     Should a row fail, the rows are built again one at a time, so that the
     error is the first failing row's, as a sweep row by row would raise it.
@@ -407,12 +400,11 @@ def _sweep_columns(base: dict, key: str, values: list[float]) -> _Table:
     model = model_from_json({**base, key: values[0]})
     laws = list(map(CompoundPoissonParams, zip(*model.rate_columns(values))))
     thetas = [theta(params, 3) for params in laws]
-    catalogues = list(map(catalogue_rows, laws, thetas))
-    best = list(map(best_row, catalogues))
+    catalogues = list(map(evaluate_all, laws, thetas))
+    # the bound that gives best_of its m1 and method
+    best = [min(rows, key=_M1) for rows in catalogues]
     m1s = list(map(_M1, best))
-    finite = list(map(math.isfinite, m1s))
-    found = iter(model.dk_columns(list(compress(values, finite)), compress(m1s, finite)))
-    dks = [next(found) if ok else math.inf for ok in finite]
+    dks = model.dk_columns(values, m1s)
 
     columns = [[v] * len(values) for v in base.values()] + [values]
     columns += map(list, zip(*[th.values for th in thetas]))

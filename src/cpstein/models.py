@@ -108,15 +108,13 @@ class RunsModel:
         return runs_exact_pmf(self)
 
     def dk_bound(self, m1: float) -> float:
-        """Kolmogorov bound d_K(W, U) <= 3 * M1 * n * p^4."""
-        if not math.isfinite(m1):
-            raise ValueError("m1 must be finite")
+        """Kolmogorov bound d_K(W, U) <= 3 * M1 * n * p^4; inf at an infinite M1."""
         return self.dk_columns((self.p,), (m1,))[0]
 
     def dk_columns(self, ps: Sequence[float], m1s: Iterable[float]) -> list[float]:
-        """``dk_bound`` at each pair of p and a finite m1."""
+        """``dk_bound`` at each pair of p and m1."""
         n = self.n
-        return [3.0 * m1 * n * p**4 for p, m1 in zip(ps, m1s)]
+        return [math.inf if m1 == math.inf else 3.0 * m1 * n * p**4 for p, m1 in zip(ps, m1s)]
 
     def to_json(self) -> dict:
         return {"model": self.tag, "n": self.n, "p": self.p}
@@ -207,13 +205,12 @@ class ReliabilityModel:
     def dk_bound(self, m1: float) -> float:
         """Kolmogorov bound
         d_K <= M1 (n-k+1)^2 psi [(4k^2+12k-3) psi
-              + 4 sum_{r,s=1}^{k-1} q^{k^2-rs} + 4 sum_{s=1}^{k-2} q^{k^2-ks}]."""
-        if not math.isfinite(m1):
-            raise ValueError("m1 must be finite")
+              + 4 sum_{r,s=1}^{k-1} q^{k^2-rs} + 4 sum_{s=1}^{k-2} q^{k^2-ks}];
+        inf at an infinite M1."""
         return self.dk_columns((self.q,), (m1,))[0]
 
     def dk_columns(self, qs: Sequence[float], m1s: Iterable[float]) -> list[float]:
-        """``dk_bound`` at each pair of q and a finite m1."""
+        """``dk_bound`` at each pair of q and m1."""
         n, k = self.n, self.k
         psis = [_all_failed(q, k) for q in qs]
         brackets = [(4.0 * k * k + 12.0 * k - 3.0) * psi for psi in psis]
@@ -222,7 +219,10 @@ class ReliabilityModel:
         for e in powers:
             brackets = [b + 4.0 * q**e for b, q in zip(brackets, qs)]
         side_sq = (n - k + 1) ** 2
-        return [m1 * side_sq * psi * b for m1, psi, b in zip(m1s, psis, brackets)]
+        return [
+            math.inf if m1 == math.inf else m1 * side_sq * psi * b
+            for m1, psi, b in zip(m1s, psis, brackets)
+        ]
 
     def to_json(self) -> dict:
         return {"model": self.tag, "n": self.n, "k": self.k, "q": self.q}
@@ -388,10 +388,9 @@ class MixedPoissonModel:
         return mixed_exact_pmf(self)
 
     def dk_bound(self, m1: float) -> float:
-        """Kolmogorov bound d_K(W, U) <= 1.2 * M1 * E|xi - nu|^3."""
-        if not math.isfinite(m1):
-            raise ValueError("m1 must be finite")
-        return 1.2 * m1 * self.abs3()
+        """Kolmogorov bound d_K(W, U) <= 1.2 * M1 * E|xi - nu|^3; inf at an
+        infinite M1."""
+        return math.inf if m1 == math.inf else 1.2 * m1 * self.abs3()
 
     def to_json(self) -> dict:
         return {"model": self.tag, self.mixing.tag: list(astuple(self.mixing))}

@@ -501,9 +501,11 @@ def verify(params: CompoundPoissonParams, model=None, **law) -> dict:
     ``exact_law``.  Its d_K bound is taken at the best m1 of the catalogue
     and passes if d_k + certified_slack - 4 mc_stderr <= dk_bound: the tail
     mass the tables leave out counts against the model, and a Monte Carlo
-    law gets four standard errors.  A model without a d_K bound
-    (independent sums) is judged by its rows alone.  ``pass`` holds if
-    every check does.
+    law gets four standard errors.  An infinite best m1 (only GENERAL
+    applies and its e^lambda overflows) gives an infinite d_K bound, which
+    passes and is vacuous, as a sweep row prints it.  A model without a d_K
+    bound (independent sums) is judged by its rows alone.  ``pass`` holds
+    if every check does.
     """
     emp = empirical_factors(params)
     bounds = evaluate_all(params)

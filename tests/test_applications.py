@@ -93,8 +93,7 @@ def test_runs_bx_boundary_at_one_quarter():
 def test_runs_dk_bound_formula():
     m = RunsModel(n=30, p=0.15)
     assert_allclose(runs_dk_bound(m, 0.5), 3 * 0.5 * 30 * 0.15**4, rtol=1e-15)
-    with pytest.raises(ValueError):
-        runs_dk_bound(m, math.inf)
+    assert runs_dk_bound(m, math.inf) == math.inf
 
 
 # ---------------------------------------------------------------------------

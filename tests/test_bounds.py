@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -639,6 +641,15 @@ def test_stein_factor_bound_invariants():
     assert js["m0"] == "inf" and js["applicable"] is False
 
 
+def test_stein_factor_bound_copies_and_pickles():
+    # the bound functions' results, whose notes are templates, and a bound
+    # built through the constructor both come back equal
+    th = theta(CompoundPoissonParams([1.0, 0.2]), 3)
+    for b in (bound_bx99(th), SteinFactorBound(1.0, 2.0, "X", True, "50% of it")):
+        for back in (copy.copy(b), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
+            assert back == b and back.condition_note == b.condition_note
+
+
 def test_evaluate_all_methods_and_orders():
     p = CompoundPoissonParams([1.0, 0.2])
     out = evaluate_all(p)
@@ -646,6 +657,28 @@ def test_evaluate_all_methods_and_orders():
     th = theta(p, 4)
     assert evaluate_all(p, th) == out
     assert [bound_thm2(th, k).method for k in (2, 4)] == ["THM2(2)", "THM2(4)"]
+
+
+@pytest.mark.parametrize(
+    "rates,shows",
+    [
+        *((r, None) for r in np.random.default_rng(29).uniform(0.0, 3.0, size=(12, 4)).tolist()),
+        # theta_2 >= 2 theta_1: COR3 falls back to THM2(3)
+        ([5.0, 0.0, 0.0, 0.0, 0.01], ("THM2(3)", "(Bernstein enclosure)")),
+        ([5e307, 0.0, 5e307], ("BX99", "theta not finite")),
+        ([151.36, 71.0009, 54.0361], ("THM4", "delta underflowed to 0")),
+    ],
+)
+def test_catalogue_is_the_public_bound_functions(rates, shows):
+    p = CompoundPoissonParams(rates)
+    th = theta(p, 3)
+    want = [bound_general(p), bound_monotone(p), bound_bx99(th), bound_cor3(th), bound_thm4(th)]
+    got = evaluate_all(p, th)
+    assert got == want and evaluate_all(p) == want
+    assert [b.condition_note for b in got] == [b.condition_note for b in want]
+    if shows is not None:
+        method, note = shows
+        assert any(b.method == method and b.condition_note.endswith(note) for b in got)
 
 
 def test_best_bound_componentwise():

@@ -148,6 +148,17 @@ def test_verify_mixed_gamma(capsys):
     assert doc["vacuous"] is (doc["dk_bound"] > 1.0)
 
 
+def test_verify_infinite_best_m1_is_a_vacuous_dk_bound(capsys):
+    # rates (700, 650): only GENERAL applies and its e^1350 overflows; the d_K
+    # bound on that m1 is inf and vacuous, as a sweep row prints it
+    code, out, err = run_cli(capsys, "verify", "--model", "mixed", "--gamma", "3076.923,0.65")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert [c["method"] for c in doc["checks"]] == ["GENERAL"]
+    assert (doc["dk_bound"], doc["dk_bound_method"]) == ("inf", "GENERAL")
+    assert doc["vacuous"] is True and doc["dk_pass"] is True and doc["pass"] is True
+
+
 def test_verify_runs_oracle_once(capsys, monkeypatch):
     from cpstein import oracle
 
@@ -174,19 +185,19 @@ def test_verify_runs_oracle_once(capsys, monkeypatch):
     ],
 )
 def test_catalogue_evaluated_once_per_row(capsys, monkeypatch, argv, rows):
-    # bounds and verify evaluate the catalogue through evaluate_all, sweep
-    # calls catalogue_rows itself
-    from cpstein import bounds
+    # bounds and sweep call evaluate_all from the cli namespace, verify from
+    # the oracle's
+    from cpstein import bounds, oracle
 
     calls = []
-    real = bounds.catalogue_rows
+    real = bounds.evaluate_all
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    for namespace in (bounds, cli):
-        monkeypatch.setattr(namespace, "catalogue_rows", counting)
+    for namespace in (bounds, cli, oracle):
+        monkeypatch.setattr(namespace, "evaluate_all", counting)
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
     assert len(calls) == rows
@@ -279,8 +290,8 @@ def _seeded_sweeps(seed: int) -> list:
         # the last row takes the THM2(3) route (theta_2 >= 2 theta_1)
         pytest.param(["--model", "reliability", "--n", "30", "--k", "2", "--q-range", "0.1:0.9:8"],
                      id="thm2-route"),
-        # no bound is finite (theta_0 = 3.2e4); the model's dk_bound refuses
-        # an infinite m1, and the row prints "inf" without calling it
+        # no bound is finite (theta_0 = 3.2e4); the model's dk_bound is inf
+        # at that infinite m1, and the row prints it as "inf"
         pytest.param(["--model", "reliability", "--n", "200", "--k", "2",
                       "--q-range", "0.95:0.95:1"], id="no-finite-bound"),
     ],
