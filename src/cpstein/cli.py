@@ -61,8 +61,8 @@ def _fmt_str(s: str) -> str:
     return f'"{escaped}"'
 
 
-# scalar formatters by exact type; ``dumps`` serialises subclasses, such as
-# numpy's float64, through the isinstance fallback at its end
+# scalar formatters by exact type: ``dumps`` refuses subclasses, such as
+# numpy's float64, which no payload carries
 _SCALARS = {
     type(None): lambda v: "null",
     bool: lambda v: "true" if v else "false",
@@ -150,9 +150,6 @@ def dumps(obj, indent: int = 0) -> str:
         return "[\n" + inner + body + "\n" + pad + "]"
     if isinstance(obj, _Table):
         return _dumps_table(obj, indent)
-    for base in (int, float, str):  # bool admits no subclass
-        if isinstance(obj, base):
-            return _SCALARS[base](obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -533,7 +530,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

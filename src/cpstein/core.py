@@ -8,7 +8,8 @@ interest is stated directly in the rates or in their factorial-moment sums
 
     theta_k = sum_j j*(j-1)*...*(j-k) * lambda_j      (k+1 factors),
 
-so the (lambda, mu) view is provided only as derived accessors.
+so the (lambda, mu) view is not carried: lambda is ``total_rate`` and
+mu_j = lambda_j / lambda.
 
 The module computes theta vectors and the exact pmf of U via the standard
 one-step recursion with a Chernoff-certified truncation.
@@ -32,7 +33,6 @@ __all__ = [
     "theta",
     "cp_pmf",
     "monotone_condition",
-    "variance",
     "chernoff_tail",
 ]
 
@@ -76,25 +76,6 @@ class CompoundPoissonParams:
     def total_rate(self) -> float:
         """lambda = sum_j lambda_j, the cluster-arrival intensity."""
         return math.fsum(self.rates)
-
-    @property
-    def severity(self) -> tuple[float, ...]:
-        """mu_j = lambda_j / lambda, the cluster-size distribution."""
-        lam = self.total_rate
-        return tuple(r / lam for r in self.rates)
-
-    def rate(self, j: int) -> float:
-        """lambda_j, zero for j outside 1..J."""
-        if 1 <= j <= len(self.rates):
-            return self.rates[j - 1]
-        return 0.0
-
-    def to_json(self) -> dict:
-        return {"rates": list(self.rates)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CompoundPoissonParams":
-        return cls(obj["rates"])
 
 
 @dataclass(frozen=True)
@@ -159,11 +140,6 @@ def theta(params: CompoundPoissonParams, K: int) -> ThetaVector:
     return ThetaVector(values)
 
 
-def variance(params: CompoundPoissonParams) -> float:
-    """Var(U) = sum_j j^2 lambda_j = theta_0 + theta_1."""
-    return math.fsum(j * j * r for j, r in enumerate(params.rates, start=1))
-
-
 @dataclass(frozen=True)
 class DistributionTable:
     """pmf of an integer random variable on {0..X_max} plus certified tail mass.
@@ -226,12 +202,6 @@ class DistributionTable:
 
     def to_json(self) -> dict:
         return {"pmf": self.pmf.tolist(), "tail_mass": self.tail_mass}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DistributionTable":
-        import numpy as np
-
-        return cls(np.asarray(obj["pmf"], dtype=float), float(obj["tail_mass"]))
 
 
 @functools.lru_cache(maxsize=16)

@@ -223,17 +223,19 @@ def reliability_exact_pmf(m: models.ReliabilityModel) -> DistributionTable:
     (n-k+1)^2 cells that close a window.  The cost, states x counts x cells
     = k^(n+1) ((n-k+1)^2 + 1) n^2, is refused above RELIABILITY_COST_BUDGET:
     the largest grids it admits are n = 11 for k = 2, 8 for k = 3, 7 for
-    k = 4 and 6 for k = 5, 6.
+    k = 4 and 6 for k = 5, 6.  Once n + 1 reaches the budget's bit length,
+    k^(n+1) >= 2^(n+1) alone passes it, and the cost, an integer of about
+    n digits, is not formed.
     """
-    import numpy as np
-
     n, k, q = m.n, m.k, m.q
-    cost = k ** (n + 1) * ((n - k + 1) ** 2 + 1) * n * n
-    if cost > RELIABILITY_COST_BUDGET:
+    past = n + 1 >= RELIABILITY_COST_BUDGET.bit_length()
+    cost = f"at least {k}^{n + 1}" if past else k ** (n + 1) * ((n - k + 1) ** 2 + 1) * n * n
+    if past or cost > RELIABILITY_COST_BUDGET:
         raise BudgetExceededError(
             f"reliability transfer-matrix cost {cost} exceeds budget "
             f"{RELIABILITY_COST_BUDGET}; use reliability_mc_pmf"
         )
+    import numpy as np
 
     def advance(step: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
         """Advance a state x count array by one site of the transfer matrix.
@@ -501,15 +503,18 @@ def distance(a: DistributionTable, b: DistributionTable) -> DistanceReport:
     pb = np.zeros(hi + 1)
     pa[: a.x_max + 1] = a.pmf
     pb[: b.x_max + 1] = b.pmf
-    diff = np.abs(np.cumsum(pa) - np.cumsum(pb))
+    ca, cb = np.cumsum(pa), np.cumsum(pb)
+    diff = np.abs(ca - cb)
     argmax_y = int(np.argmax(diff))
     d_k = float(diff[argmax_y])
     slack = a.tail_mass + b.tail_mass
     d_tv = min(1.0, 0.5 * float(np.abs(pa - pb).sum()) + slack)
     stderr2 = 0.0
-    for t in (a, b):
+    for t, cdf in ((a, ca), (b, cb)):
         if t.mc_samples is not None:
-            F = float(np.cumsum(t.pmf)[min(argmax_y, t.x_max)])
+            # cumsum adds in order and the padding is zeros, so this equals
+            # t's own cumulative sum at min(argmax_y, t.x_max)
+            F = float(cdf[argmax_y])
             stderr2 += F * (1.0 - F) / t.mc_samples
     return DistanceReport(
         d_k=d_k,

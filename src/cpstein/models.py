@@ -27,6 +27,7 @@ functions are these methods under their older names.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import astuple, dataclass, field, fields
 from typing import Iterable, Sequence
 
@@ -58,7 +59,6 @@ __all__ = [
     "mixed_cp_params",
     "mixed_dk_bound",
     "sums_cp_params",
-    "cp_params_for",
     "model_from_json",
 ]
 
@@ -70,6 +70,12 @@ DEFAULT_MC_SAMPLES = 1_000_000
 def _check_probabilities(name: str, values: Iterable[float]) -> None:
     if not all(0.0 <= v <= 1.0 for v in values):
         raise ValueError(f"{name} must lie in [0, 1]")
+
+
+def _check_float_range(name: str, value: int) -> None:
+    """Refuse an integer that float arithmetic cannot take (OverflowError)."""
+    if value > sys.float_info.max:
+        raise ValueError(f"{name} must not exceed the largest double")
 
 
 @dataclass(frozen=True)
@@ -85,6 +91,7 @@ class RunsModel:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError("n must be >= 3")
+        _check_float_range("n", self.n)
         _check_probabilities("p", (self.p,))
 
     def cp_params(self) -> CompoundPoissonParams:
@@ -129,8 +136,9 @@ _RELIABILITY_BINOMIALS = tuple(tuple(math.comb(m, e) for m in (2, 3, 4)) for e i
 
 
 def _all_failed(q: float, k: int) -> float:
-    """psi = q^(k^2), the chance that a fixed k x k subgrid is all-failed."""
-    return q ** (k * k)
+    """psi = q^(k^2), the chance that a fixed k x k subgrid is all-failed;
+    k^2 is formed as a float, inf past the float range."""
+    return q ** (float(k) * k)
 
 
 @dataclass(frozen=True)
@@ -149,6 +157,7 @@ class ReliabilityModel:
             raise ValueError("k must be >= 2")
         if self.n < self.k:
             raise ValueError("n must be >= k")
+        _check_float_range("n", self.n)
         _check_probabilities("q", (self.q,))
 
     @property
@@ -173,7 +182,7 @@ class ReliabilityModel:
         if self.n <= self.k + 1:
             raise ValueError("n must exceed k+1")
         k = self.k
-        u = self.n - k - 1
+        u = float(self.n - k - 1)  # u * u as a float is inf past 1.3e154
         four_u, u_sq = 4.0 * u, u * u
         ys = [q**k for q in qs]
         psis = [_all_failed(q, k) for q in qs]
@@ -218,7 +227,8 @@ class ReliabilityModel:
         powers += [k * k - k * s for s in range(1, k - 1)]
         for e in powers:
             brackets = [b + 4.0 * q**e for b, q in zip(brackets, qs)]
-        side_sq = (n - k + 1) ** 2
+        side = float(n - k + 1)
+        side_sq = side * side
         return [
             math.inf if m1 == math.inf else m1 * side_sq * psi * b
             for m1, psi, b in zip(m1s, psis, brackets)
@@ -492,13 +502,6 @@ reliability_dk_bound = ReliabilityModel.dk_bound
 mixed_cp_params = MixedPoissonModel.cp_params
 mixed_dk_bound = MixedPoissonModel.dk_bound
 sums_cp_params = IndependentSumModel.cp_params
-
-
-def cp_params_for(model) -> CompoundPoissonParams:
-    """The compound Poisson approximant of any model in ``MODELS``."""
-    if MODELS.get(getattr(model, "tag", None)) is not type(model):
-        raise TypeError(f"unknown model type {type(model).__name__}")
-    return model.cp_params()
 
 
 def model_from_json(obj: dict):

@@ -116,12 +116,14 @@ class EmpiricalFactors:
 
 def default_x_max(params: CompoundPoissonParams, y: int) -> int:
     """Default truncation point for thresholds up to y:
-    max(4 (theta_0 + 10 sqrt(theta_0 + theta_1)), y + 20 J), rounded up."""
+    max(4 (theta_0 + 10 sqrt(theta_0 + theta_1)), y + 20 J), rounded up.
+    y + 20 J is formed in integers, so a y past the float range gives an
+    x_max that ``solve_stein`` refuses, not an OverflowError."""
     th = theta(params, 1)
     bulk = 4.0 * (th[0] + 10.0 * math.sqrt(th[0] + th[1]))
     if bulk == math.inf:  # far past any table cp_pmf builds
         raise TruncationCapError("truncation cap exceeded")
-    return int(math.ceil(max(bulk, y + 20.0 * params.max_cluster_size)))
+    return max(math.ceil(bulk), int(y) + 20 * params.max_cluster_size)
 
 
 def _jlam(params: CompoundPoissonParams) -> np.ndarray:

@@ -18,7 +18,6 @@ from cpstein import (
     RunsModel,
     TwoPointMixing,
     bound_bx99,
-    cp_params_for,
     evaluate_all,
     mixed_cp_params,
     mixed_dk_bound,
@@ -411,7 +410,7 @@ def test_cp_params_for_dispatch():
         IndependentSumModel([[0.7, 0.12, 0.0, 0.18]] * 4),
     ]
     for m in models:
-        params = cp_params_for(m)
+        params = m.cp_params()
         assert params.total_rate > 0
 
 
@@ -445,12 +444,9 @@ def test_model_interface_and_registry():
         assert model_from_json(m.to_json()) == m
         table = m.exact_law(**{k: law[k] for k in m.law_keys})
         assert abs(table.total_mass() - 1.0) <= 1e-12
-        assert m.cp_params() == cp_params_for(m)
         dk = m.dk_bound(0.5)
         assert (dk is None) == isinstance(m, IndependentSumModel)
     assert runs_cp_params is RunsModel.cp_params
-    with pytest.raises(TypeError, match="unknown model type"):
-        cp_params_for(TwoPointMixing(2.0, 3.0, 0.5))
     with pytest.raises(ValueError, match="unknown model tag"):
         model_from_json({"model": "lattice"})
     with pytest.raises(ValueError, match="two_point takes 3 values"):

@@ -556,9 +556,11 @@ def test_dropped_input_is_refused(capsys, command, message):
 
 
 # (argv, exit code, message): tables past the truncation cap, a Monte Carlo
-# law past its cell budget, a Stein solution past the largest double (off
-# 3Z or 2Z it has no x = 0 anchor and grows like e^lambda) and non-finite
-# model input
+# law past its cell budget, an exact law past its cost budget, a Stein
+# solution past the largest double (off 3Z or 2Z it has no x = 0 anchor and
+# grows like e^lambda), non-finite model input and integers past the float
+# range
+BIG = 10**400  # an integer past the float range, which --n and --y accept
 REFUSED = [
     ("pmf --model mixed --gamma 1e8,10", 3, "truncation cap exceeded"),
     ("pmf --model mixed --gamma 1e5,10", 3, "truncation cap exceeded"),
@@ -567,6 +569,14 @@ REFUSED = [
     ("pmf --model mixed --two-point 1e300,1e300,0.5", 3, "truncation cap exceeded"),
     ("pmf --model reliability --n 100 --k 2 --q 0.3", 3, "exceeds budget 200000000"),
     ("verify --model reliability --n 300 --k 2 --q 0.3", 3, "exceeds budget 200000000"),
+    ("pmf --model reliability --n 20000 --k 2 --q 0.3 --exact", 3, "exceeds budget 60000000"),
+    (f"bounds --model reliability --n {BIG} --k 2 --q 0.5", 2, "n must not exceed"),
+    # u^2 and k^2 of the approximant pass the float range: its rates are inf or nan
+    (f"bounds --model reliability --n {10**160} --k 2 --q 0.5", 2, "every rate must be finite"),
+    (f"sweep --model reliability --n {10**300} --k {10**160} --q-range 0.1:0.5:2", 2,
+     "every rate must be finite"),
+    (f"stein-solve --rates 1 --y {BIG}", 3, "exceeds budget 4000000 points"),
+    (f"stein-solve --rates 1 --y -{BIG}", 2, "y must be >= 0"),
     ("verify --rates 0,0,1000", 3, "Stein solution passes the largest double"),
     ("verify --rates 0,1000", 3, "Stein solution passes the largest double"),
     ("pmf --model sums --components 0.5,0.5;nan", 2, "must be nonempty, finite and nonnegative"),
@@ -609,7 +619,7 @@ PROBABILITIES = ["0", "1e-300", "1e-9", "0.3", "0.999999", "1"]
 def _extreme_inputs(command):
     mixed = [f"--two-point {a},{b},{w}" for a in EXTREMES for b in EXTREMES for w in (0, 0.5, 1)]
     mixed += [f"--gamma {a},{s}" for a in EXTREMES for s in EXTREMES]
-    runs = [f"--n {n} --p {p}" for n in (1, 2, 3, 60, 5000) for p in PROBABILITIES]
+    runs = [f"--n {n} --p {p}" for n in (1, 2, 3, 60, 5000, BIG) for p in PROBABILITIES]
     grids = [
         f"--n {n} --k {k} --q {q}" for n in (2, 4, 30) for k in (1, 2, 3) for q in PROBABILITIES
     ]
@@ -807,13 +817,13 @@ EMITTER_PAYLOADS = [
     {"inf": math.inf, "ninf": -math.inf, "nan": math.nan, "list": [0.1, math.inf]},
     {"t": True, "f": False, "one": 1, "zero": 0, "none": None, "l": [True, 1, False, 0, None]},
     {"s": 'quote " and back\\slash', "l": ['\\"', "", "plain"], 'k"ey': "v"},
-    {"x": np.float64(0.1), "y": np.float64(math.inf), "z": [np.float64(2.5), 0.3, np.float64(-1e-300)]},
-    [np.float64(1.0), 2.0],
+    {"x": 0.1, "y": math.inf, "z": [2.5, 0.3, -1e-300]},
+    [1.0, 2],
     [0.1, -0.0, 5e-324, 1.7976931348623157e308, -2.5e-310, 1e16, 123456789.125] * 40,
     [1e308, 1e308, 0.5],  # finite, but their sum overflows
     {"f": [1.0, 2.0, 3.0], "g": [[0.25, -1e-300], [True, 1.5], [1, 2.0], ["a", 0.5]]},
     (1, "two", 3.0),
-    np.float64(math.nan),
+    math.nan,
     "top-level string",
     7,
     None,
@@ -826,7 +836,11 @@ def test_dumps_bytes_equal_recursive_emitter(payload):
     assert cli.dumps(payload, 3) == dumps_recursive(payload, 3)
 
 
-@pytest.mark.parametrize("value", [np.int64(3), {1, 2}, np.bool_(True), object(), b"bytes"])
+@pytest.mark.parametrize(
+    "value",
+    [np.int64(3), {1, 2}, np.bool_(True), object(), b"bytes",
+     np.float64(0.1), np.float64(math.inf), np.float64(math.nan)],
+)
 def test_dumps_rejects_unsupported_types(value):
     with pytest.raises(TypeError, match="cannot serialize"):
         cli.dumps(value)

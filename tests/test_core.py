@@ -18,7 +18,6 @@ from cpstein import (
     cp_pmf,
     monotone_condition,
     theta,
-    variance,
 )
 
 
@@ -58,17 +57,7 @@ def test_params_accessors():
     p = CompoundPoissonParams([0.5, 0.0, 0.25])
     assert p.max_cluster_size == 3
     assert p.total_rate == 0.75
-    assert p.rate(1) == 0.5
-    assert p.rate(2) == 0.0
-    assert p.rate(3) == 0.25
-    assert p.rate(4) == 0.0
-    assert p.rate(0) == 0.0
-    assert_allclose(p.severity, (2 / 3, 0.0, 1 / 3))
-
-
-def test_params_json_roundtrip():
-    p = CompoundPoissonParams([0.5, 0.25])
-    assert CompoundPoissonParams.from_json(p.to_json()) == p
+    assert p.rates == (0.5, 0.0, 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +133,9 @@ def test_monotone_condition_matches_definition():
             rates = rng.choice([0.0, 0.5, 1.0, 2.0], J)
             rates[0] = 1.0
             params = CompoundPoissonParams(rates)
+            padded = (*params.rates, 0.0)  # lambda_{J+1} = 0
             expect = all(
-                j * params.rate(j) >= (j + 1) * params.rate(j + 1) for j in range(1, J + 1)
+                j * padded[j - 1] >= (j + 1) * padded[j] for j in range(1, J + 1)
             )
             assert monotone_condition(params) == expect
 
@@ -158,12 +148,6 @@ def test_theta_vector_access_errors():
     with pytest.raises(ValueError, match="theta order insufficient"):
         th.require(2)
     th.require(1)
-
-
-def test_variance_is_theta0_plus_theta1():
-    p = CompoundPoissonParams([0.4, 0.3, 0.2])
-    th = theta(p, 1)
-    assert_allclose(variance(p), th[0] + th[1], rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +195,6 @@ def test_pmf_truncation_cap(monkeypatch):
         cp_pmf(CompoundPoissonParams([200.0]))
 
 
-def test_pmf_json_roundtrip():
-    t = cp_pmf(CompoundPoissonParams([0.5, 0.25]))
-    back = DistributionTable.from_json(t.to_json())
-    assert_allclose(back.pmf, t.pmf, rtol=0, atol=0)
-    assert back.tail_mass == t.tail_mass
-
-
 def plain_recursion_pmf(rates, x_max):
     """The one-step recursion from P(U=0) = e^{-lambda}, as first written."""
     J = len(rates)
@@ -247,8 +224,9 @@ def test_pmf_large_total_rate_mass_and_mean(rates):
     t = cp_pmf(p)
     assert abs(float(t.pmf.sum()) - 1.0) <= 1e-12
     assert t.tail_mass <= 1e-12
-    assert_allclose(t.mean(), theta(p, 0)[0], rtol=1e-9)
-    assert_allclose(t.var(), variance(p), rtol=1e-8)
+    th = theta(p, 1)
+    assert_allclose(t.mean(), th[0], rtol=1e-9)
+    assert_allclose(t.var(), th[0] + th[1], rtol=1e-8)  # Var(U) = theta_0 + theta_1
 
 
 @pytest.mark.parametrize("lam", [50.0, 700.0, 5e3, 5e4, 5e5])

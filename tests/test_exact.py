@@ -348,6 +348,27 @@ def test_reliability_budget():
         reliability_exact_pmf(ReliabilityModel(12, 2, 0.3))
 
 
+@pytest.mark.parametrize("n", [24, 25, 20_000])
+def test_reliability_budget_at_large_n_names_the_budget(n):
+    # from n = 25 on, 2^(n+1) alone passes the budget and the cost is not
+    # formed; at n = 20 000 it would have more digits than str() prints
+    budget = exact.RELIABILITY_COST_BUDGET
+    with pytest.raises(BudgetExceededError, match=f"exceeds budget {budget}; "):
+        reliability_exact_pmf(ReliabilityModel(n, 2, 0.3))
+
+
+def test_reliability_budget_refusal_memory_does_not_grow_with_n():
+    m = ReliabilityModel(10**7, 2, 0.3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            reliability_exact_pmf(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_reliability_mc_reproducible_and_consistent():
     m = ReliabilityModel(4, 2, 0.3)
     a = reliability_mc_pmf(m, samples=50_000, seed=7)

@@ -32,8 +32,8 @@ from cpstein.oracle import default_x_max
 def stein_lhs(params, sol, x):
     """x f(x) side of the equation rebuilt from the solution."""
     total = 0.0
-    for j in range(1, params.max_cluster_size + 1):
-        total += j * params.rate(j) * sol.f[x + j]
+    for j, rate in enumerate(params.rates, start=1):
+        total += j * rate * sol.f[x + j]
     return total - x * sol.f[x]
 
 
