@@ -96,10 +96,10 @@ class SteinFactorBound(
     that prints no notes, as a sweep does, never formats them.  Bounds
     compare as these six fields.
 
-    The constructor takes the formatted note and refuses finite factors on
-    an inapplicable bound and non-positive ones on an applicable bound.
-    The bound functions build their results through ``_applicable`` and
-    ``_inapplicable``, which keep the same two rules.
+    The constructor takes the formatted note and builds the bound as the
+    bound functions do: through ``_applicable``, which refuses non-positive
+    factors, or through ``_inapplicable``, which takes none and sets both
+    infinite, so the constructor refuses finite ones itself.
     """
 
     __slots__ = ()
@@ -107,12 +107,12 @@ class SteinFactorBound(
     def __new__(
         cls, m0: float, m1: float, method: str, applicable: bool, condition_note: str = ""
     ):
-        if not applicable and not (m0 == INF and m1 == INF):
-            raise ValueError("inapplicable bounds must carry infinite factors")
-        if applicable and not (m0 > 0.0 and m1 > 0.0):
-            raise ValueError("applicable bounds must be positive")
         note = condition_note.replace("%", "%%")
-        return tuple.__new__(cls, (m0, m1, method, applicable, note, ()))
+        if applicable:
+            return _applicable(m0, m1, method, note)
+        if not (m0 == INF and m1 == INF):
+            raise ValueError("inapplicable bounds must carry infinite factors")
+        return _inapplicable(method, note)
 
     def __reduce__(self):  # copy and pickle the six fields, past __new__
         return self._make, (tuple(self),)
@@ -132,7 +132,7 @@ class SteinFactorBound(
 
 
 def _applicable(m0: float, m1: float, method: str, note: str, *args) -> SteinFactorBound:
-    if not (m0 > 0.0 and m1 > 0.0):  # as SteinFactorBound refuses it
+    if not (m0 > 0.0 and m1 > 0.0):
         raise ValueError("applicable bounds must be positive")
     return tuple.__new__(SteinFactorBound, (m0, m1, method, True, note, args))
 

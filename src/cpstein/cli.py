@@ -92,9 +92,9 @@ def _dumps_table(table: _Table, indent: int) -> str:
     """``dumps(table.dicts(), indent)`` through one %-template per row shape:
     a column of finite floats is printed by the template's %.17g, every other
     column cell by cell as ``dumps`` prints it, each distinct bool, string or
-    int once.  The rows' templates, joined, take every cell at once."""
-    if not table.keys:
-        return "[]"
+    int once.  The rows' templates, joined, take every cell at once.  Each
+    column holds values of one type, and the table has at least one row, as
+    every sweep has."""
     pad, inner, field = "  " * indent, "  " * (indent + 1), "  " * (indent + 2)
     columns, marks = [], []
     for col in table.columns:
@@ -104,14 +104,13 @@ def _dumps_table(table: _Table, indent: int) -> str:
             columns.append(col)
             continue
         marks.append("%s")
-        if kinds == {float}:
+        (kind,) = kinds
+        if kind is float:
             text = list(map("%.17g".__mod__, col))
             columns.append(list(map(_NON_FINITE.get, text, text)))
-        elif len(kinds) == 1 and (fmt := _SCALARS.get(kinds.pop())):
-            known = {v: fmt(v) for v in set(col)}
-            columns.append(list(map(known.__getitem__, col)))
         else:
-            columns.append([dumps(v, indent + 2) for v in col])
+            known = {v: _SCALARS[kind](v) for v in set(col)}
+            columns.append(list(map(known.__getitem__, col)))
     templates = {
         keys: "{\n" + ",\n".join(
             f'{field}"{k.replace("%", "%%")}": {mark}' for k, mark in zip(keys, marks)
@@ -164,9 +163,8 @@ def _csv_cell(v) -> str:
 
 
 def to_csv(rows: list[dict]) -> str:
-    """Flatten records to CSV; the header is every key, in first-seen order."""
-    if not rows:
-        return ""
+    """Flatten records, at least one, to CSV; the header is every key, in
+    first-seen order."""
     header = list(dict.fromkeys(k for row in rows for k in row))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -305,19 +303,13 @@ def _build_params(args, model) -> CompoundPoissonParams:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _catalogue(params: CompoundPoissonParams):
-    """theta to order 3, the bound catalogue on it and its componentwise best."""
-    th = theta(params, 3)
-    bounds = evaluate_all(params, th=th)
-    return th, bounds, best_of(bounds)
-
-
 def cmd_bounds(args) -> tuple[int, str]:
     model = _build_model(args)
     params = _build_params(args, model)
-    th, bounds, bb = _catalogue(params)
+    th = theta(params, 3)
+    bounds = evaluate_all(params, th=th)
     rows = [b.to_json() for b in bounds]
-    best = bb.to_json()
+    best = best_of(bounds).to_json()
     payload = {
         "rates": list(params.rates),
         "theta": [th[i] for i in range(4)],

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -346,17 +347,23 @@ def _cp_x_max(params: CompoundPoissonParams) -> int:
     return _truncation_point(x, functools.partial(chernoff_tail, params))[0]
 
 
+def _jlam(params: CompoundPoissonParams) -> list[float]:
+    """j lambda_j for j = 1..J.  The same coefficients drive both recursions
+    of the package: Panjer's n P(U=n) = sum_j j lambda_j P(U=n-j) in
+    ``cp_pmf``, and the Stein operator sum_j j lambda_j f(x+j) - x f(x)
+    that ``oracle`` solves."""
+    return [j * lam for j, lam in enumerate(params.rates, start=1)]
+
+
 def _cp_table(params: CompoundPoissonParams, x_max: int) -> np.ndarray:
     """P(U=n) for n = 0..x_max by cp_pmf's recursion and its shift in logs."""
     import numpy as np
 
-    J = params.max_cluster_size
-    jlam = [j * params.rates[j - 1] for j in range(1, J + 1)]
     # Start from log P(U=0) = -lambda: p[n] holds P(U=n) e^{shift} / RESCALE_AT^d,
     # where d counts the rescalings whose window began at or before n.
     lam = params.total_rate
     shift = max(0.0, lam - LOG_P0_FLOOR)
-    p, starts = _panjer(jlam, math.exp(shift - lam), x_max)
+    p, starts = _panjer(_jlam(params), math.exp(shift - lam), x_max)
     p = np.array(p)
     if shift > 0.0:
         d = np.searchsorted(starts, np.arange(p.size), side="right")
@@ -376,8 +383,5 @@ def _residual_table(pmf: np.ndarray) -> DistributionTable:
 
 def monotone_condition(params: CompoundPoissonParams) -> bool:
     """True iff j lambda_j >= (j+1) lambda_{j+1} for all j (lambda_{J+1} = 0)."""
-    rates = params.rates
-    for j, (lam_j, lam_next) in enumerate(zip(rates, rates[1:] + (0.0,)), start=1):
-        if j * lam_j < (j + 1) * lam_next:
-            return False
-    return True
+    jl = _jlam(params)
+    return all(map(operator.ge, jl, jl[1:] + [0.0]))

@@ -24,7 +24,7 @@ on a bound from its pmf ratio and, for shape <= 1, from its 1/k decay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from .core import CompoundPoissonParams, DistributionTable
@@ -84,13 +84,7 @@ class DistanceReport:
     certified_slack: float
 
     def to_json(self) -> dict:
-        return {
-            "d_k": self.d_k,
-            "d_tv": self.d_tv,
-            "argmax_y": self.argmax_y,
-            "mc_stderr": self.mc_stderr,
-            "certified_slack": self.certified_slack,
-        }
+        return asdict(self)
 
 
 def runs_exact_pmf(m: models.RunsModel) -> DistributionTable:
@@ -294,6 +288,8 @@ def reliability_mc_pmf(
 
     if samples < MC_MIN_SAMPLES:
         raise ValueError(f"samples must be >= {MC_MIN_SAMPLES}")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     n, k, q = m.n, m.k, m.q
     if samples * n * n > MC_CELL_BUDGET:
         raise BudgetExceededError(

@@ -49,7 +49,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
-from .core import CompoundPoissonParams, TruncationCapError, cp_pmf, theta
+from .core import CompoundPoissonParams, TruncationCapError, _jlam, cp_pmf, theta
 from .bounds import best_of, encode_float, evaluate_all
 from .exact import BudgetExceededError, distance
 
@@ -124,13 +124,6 @@ def default_x_max(params: CompoundPoissonParams, y: int) -> int:
     if bulk == math.inf:  # far past any table cp_pmf builds
         raise TruncationCapError("truncation cap exceeded")
     return max(math.ceil(bulk), int(y) + 20 * params.max_cluster_size)
-
-
-def _jlam(params: CompoundPoissonParams) -> np.ndarray:
-    """Coefficients j lambda_j, j = 1..J, of f(x+j) in the Stein equation."""
-    import numpy as np
-
-    return np.arange(1, params.max_cluster_size + 1) * np.asarray(params.rates)
 
 
 def _tail(jl: list[float], lo: int, n: int, r: float) -> list[float]:
@@ -306,7 +299,7 @@ def _split(
     """
     import numpy as np
 
-    jl = _jlam(params).tolist()
+    jl = _jlam(params)
     p = pmf[: int(math.floor(math.fsum(jl))) + 1]
     x0 = int(np.flatnonzero(p >= 0.5 * p.max())[-1])
     return jl, x0, max(y, x0) + len(jl) + 1
@@ -332,7 +325,13 @@ def solve_stein(params: CompoundPoissonParams, y: int, x_max: int) -> SteinSolut
     if x_max < 1:
         raise ValueError("x_max must be >= 1")
     if x_max > STEIN_POINT_BUDGET:
-        raise BudgetExceededError(f"x_max = {x_max} exceeds budget {STEIN_POINT_BUDGET} points")
+        # its digit count, not x_max: str() refuses an int past 4300 digits;
+        # log10 takes any int, and is within one of the count
+        d = math.floor(math.log10(x_max)) + 1
+        d += (x_max >= 10**d) - (x_max < 10 ** (d - 1))
+        raise BudgetExceededError(
+            f"x_max of {d} digits exceeds budget {STEIN_POINT_BUDGET} points"
+        )
     table = cp_pmf(params)
     cdf = table.cdf()
     eh_u = float(cdf[min(y, table.x_max)])
@@ -363,7 +362,7 @@ def interior_residuals(sol: SteinSolution) -> np.ndarray:
     import numpy as np
 
     jlam = _jlam(sol.params)
-    J = jlam.size
+    J = len(jlam)
     hi = sol.x_max - J
     if hi < 1:
         return np.zeros(0)

@@ -558,9 +558,11 @@ def test_dropped_input_is_refused(capsys, command, message):
 # (argv, exit code, message): tables past the truncation cap, a Monte Carlo
 # law past its cell budget, an exact law past its cost budget, a Stein
 # solution past the largest double (off 3Z or 2Z it has no x = 0 anchor and
-# grows like e^lambda), non-finite model input and integers past the float
-# range
+# grows like e^lambda), non-finite model input, integers past the float
+# range, and sweep ranges and Monte Carlo laws the parser passes but the
+# command refuses
 BIG = 10**400  # an integer past the float range, which --n and --y accept
+NINES = "9" * 4300  # the most digits int() parses: y + 20 has more than str() prints
 REFUSED = [
     ("pmf --model mixed --gamma 1e8,10", 3, "truncation cap exceeded"),
     ("pmf --model mixed --gamma 1e5,10", 3, "truncation cap exceeded"),
@@ -577,6 +579,12 @@ REFUSED = [
      "every rate must be finite"),
     (f"stein-solve --rates 1 --y {BIG}", 3, "exceeds budget 4000000 points"),
     (f"stein-solve --rates 1 --y -{BIG}", 2, "y must be >= 0"),
+    (f"stein-solve --rates 1 --y {NINES}", 3, "of 4301 digits exceeds budget 4000000 points"),
+    ("pmf --model reliability --n 6 --k 2 --q 0.3 --samples 10000 --seed -1", 2,
+     "seed must be >= 0"),
+    ("pmf --model reliability --n 6 --k 2 --q 0.3 --samples 100", 2, "samples must be >= 10000"),
+    ("sweep --model runs --n 50 --p-range 0.1:0.2:0", 2, "count must be >= 1"),
+    ("sweep --model runs --n 50 --p-range x:0.2:3", 2, "malformed --p-range"),
     ("verify --rates 0,0,1000", 3, "Stein solution passes the largest double"),
     ("verify --rates 0,1000", 3, "Stein solution passes the largest double"),
     ("pmf --model sums --components 0.5,0.5;nan", 2, "must be nonempty, finite and nonnegative"),

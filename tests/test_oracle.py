@@ -336,6 +336,18 @@ def test_empirical_factors_refuses_before_allocating():
 
 
 @pytest.mark.parametrize(
+    "x_max,digits",
+    [(4_000_001, 7), (10**16 - 1, 16), (10**16, 17), (10**22 - 1, 22), (10**4300 + 19, 4301),
+     (10**5000 - 1, 5000), (10**5000, 5001)],
+    ids=lambda v: f"{v}" if v < 10**30 else f"{v.bit_length()}bits",
+)
+def test_stein_point_budget_names_the_digits_of_x_max(x_max, digits):
+    # log10 rounds 10^16 - 1 up to 16, and str() refuses past 4300 digits
+    with pytest.raises(BudgetExceededError, match=f"x_max of {digits} digits exceeds budget"):
+        solve_stein(CompoundPoissonParams([1.0]), 0, x_max)
+
+
+@pytest.mark.parametrize(
     "rates",
     [[8.0], [5.0, 1.0], [2.0, 0.0, 10.0], [0.0, 0.0, 10.0], [30.0, 10.0, 5.0],
      [1.0, 0.5, 0.2, 0.1], [75.479, 43.4247, 27.9043]],
