@@ -22,6 +22,15 @@ Casteljau subdivision brackets its infimum between an attained value and a
 lower bound that is certified, in floating point too; the two are at most
 1e-8 max(1, |delta|) apart.  The criterion bounds use that lower end.
 
+Each row of the catalogue that ``evaluate_all`` returns has its formula
+written once, as a private function of plain floats: ``_general`` of the
+rates, ``_monotone`` of lambda_1 and whether j lambda_j is nonincreasing,
+and ``_bx99``, ``_cor3`` and ``_thm4`` of theta's entries and whether theta
+is finite.  ``bound_general`` ... ``bound_thm4`` call it once for one law;
+``_evaluate_columns`` maps it over the columns of many laws, with theta
+summed over the same columns (``core._theta_columns``), which is how the
+sweep evaluates its rows.
+
 Note that the order-3 closed form is the value of g_3 at (pi, 0); it equals
 the true infimum only when theta_2 <= (2/5) theta_1 (for larger theta_2 the
 phi-slice at p = 0 has an interior minimum at
@@ -43,7 +52,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .core import CompoundPoissonParams, ThetaVector, monotone_condition, theta
+from .core import (
+    CompoundPoissonParams,
+    ThetaVector,
+    _all_finite,
+    _check_laws,
+    _monotone_rates,
+    _theta_columns,
+    monotone_condition,
+    theta,
+)
 
 if TYPE_CHECKING:  # numpy loads in the functions that use it
     import numpy as np
@@ -407,10 +425,9 @@ def delta_k_grid(th: ThetaVector, k: int) -> DeltaResult:
     )
 
 
-def _cor3_delta(th: ThetaVector) -> float | None:
+def _cor3_delta(t0: float, t1: float, t2: float, t3: float) -> float | None:
     """The order-3 closed form theta_0 - 2 theta_1 + 2 theta_2 - (4/3) theta_3,
     defined under theta_2 < 2 theta_1; None otherwise."""
-    t0, t1, t2, t3 = th.values[:4]
     if not t2 < 2.0 * t1:
         return None
     return t0 - 2.0 * t1 + 2.0 * t2 - (4.0 / 3.0) * t3
@@ -439,7 +456,7 @@ def delta_k(th: ThetaVector, k: int) -> DeltaResult:
         ]
         idx = min(range(4), key=vals.__getitem__)
         return DeltaResult(2, vals[idx], corners[idx], True, vals[idx], "closed form")
-    if k == 3 and (delta := _cor3_delta(th)) is not None:
+    if k == 3 and (delta := _cor3_delta(*th.values[:4])) is not None:
         return DeltaResult(3, delta, (math.pi, 0.0), True, delta, "closed form")
     return delta_k_grid(th, k)
 
@@ -459,10 +476,14 @@ def _factors_from_delta(delta: float) -> tuple[float, float]:
 
 def bound_general(params: CompoundPoissonParams) -> SteinFactorBound:
     """The always-applicable exponential bound m0 = m1 = min{1, 1/lambda_1} e^lambda."""
-    lam1 = params.rates[0]
+    return _general(params.rates)
+
+
+def _general(rates: tuple[float, ...]) -> SteinFactorBound:
+    lam1 = rates[0]
     factor = 1.0 if lam1 == 0.0 else min(1.0, 1.0 / lam1)
     try:
-        value = factor * math.exp(params.total_rate)
+        value = factor * math.exp(math.fsum(rates))
     except OverflowError:
         value = INF
     return _applicable(value, value, "GENERAL", "always applicable")
@@ -470,9 +491,12 @@ def bound_general(params: CompoundPoissonParams) -> SteinFactorBound:
 
 def bound_monotone(params: CompoundPoissonParams) -> SteinFactorBound:
     """Bound under the monotone-rates condition j lambda_j >= (j+1) lambda_{j+1}."""
-    if not monotone_condition(params):
+    return _monotone(params.rates[0], monotone_condition(params))
+
+
+def _monotone(lam1: float, monotone: bool) -> SteinFactorBound:
+    if not monotone:
         return _inapplicable("MONOTONE", "rate sequence j*lambda_j not nonincreasing")
-    lam1 = params.rates[0]
     e_lam1 = math.e * lam1
     m0 = min(1.0, math.sqrt(2.0 / e_lam1 if e_lam1 < INF else 2.0 / math.e / lam1))
     m1 = min(0.5, 1.0 / (lam1 + 1.0))
@@ -482,9 +506,12 @@ def bound_monotone(params: CompoundPoissonParams) -> SteinFactorBound:
 def bound_bx99(th: ThetaVector) -> SteinFactorBound:
     """Bound under theta_0 - 2 theta_1 > 0: m0 = sqrt(theta_0)/(theta_0-2 theta_1)."""
     th.require(1)
-    if not th.finite:
+    return _bx99(*th.values[:2], th.finite)
+
+
+def _bx99(t0: float, t1: float, finite: bool) -> SteinFactorBound:
+    if not finite:
         return _inapplicable("BX99", "theta not finite")
-    t0, t1 = th.values[:2]
     gap = t0 - 2.0 * t1
     if not gap > 0.0:
         return _inapplicable("BX99", "theta_0 - 2*theta_1 = %g <= 0", gap)
@@ -516,11 +543,16 @@ def bound_cor3(th: ThetaVector) -> SteinFactorBound:
     enclosure, when theta_2 >= 2 theta_1, where no closed form is available.
     """
     th.require(3)
-    if not th.finite:
+    return _cor3(*th.values[:4], th.finite) or bound_thm2(th, 3)
+
+
+def _cor3(t0: float, t1: float, t2: float, t3: float, finite: bool) -> SteinFactorBound | None:
+    """COR3, or None where theta_2 >= 2 theta_1 leaves the row to THM2(3)."""
+    if not finite:
         return _inapplicable("COR3", "theta not finite")
-    delta = _cor3_delta(th)
+    delta = _cor3_delta(t0, t1, t2, t3)
     if delta is None:
-        return bound_thm2(th, 3)
+        return None
     if not delta > 0.0:
         return _inapplicable("COR3", "delta = %g <= 0", delta)
     m0, m1 = _factors_from_delta(delta)
@@ -572,9 +604,12 @@ def bound_thm4(th: ThetaVector) -> SteinFactorBound:
     """Overdispersed-regime bound: for 2 theta_1 > theta_0,
     delta = gamma/(2 sqrt(pi) e^{1.5 gamma}) with gamma = 2 theta_1 - theta_0."""
     th.require(1)
-    if not th.finite:
+    return _thm4(*th.values[:2], th.finite)
+
+
+def _thm4(t0: float, t1: float, finite: bool) -> SteinFactorBound:
+    if not finite:
         return _inapplicable("THM4", "theta not finite")
-    t0, t1 = th.values[:2]
     gamma = 2.0 * t1 - t0
     if not gamma > 0.0:
         return _inapplicable("THM4", "2*theta_1 - theta_0 = %g <= 0", gamma)
@@ -605,6 +640,30 @@ def evaluate_all(
         th = theta(params, 3)
     return [bound_general(params), bound_monotone(params), bound_bx99(th), bound_cor3(th),
             bound_thm4(th)]
+
+
+def _evaluate_columns(rates: list[list[float]]) -> tuple[list[list[float]], list[list]]:
+    """theta(params, 3) and evaluate_all(params) of many laws at once, in
+    columns: ``rates[j - 1]`` holds lambda_j of every law, each law checked
+    as CompoundPoissonParams checks it.  Each catalogue row's formula is
+    mapped over the columns; a COR3 row that falls back to THM2(3) is
+    computed one law at a time."""
+    laws = list(zip(*rates))
+    _check_laws(laws)
+    thetas = _theta_columns(rates, 3)
+    t0, t1, t2, t3 = thetas
+    finite = list(map(_all_finite, zip(*thetas)))
+    cor3 = [
+        row or bound_thm2(ThetaVector(th), 3)
+        for row, th in zip(map(_cor3, t0, t1, t2, t3, finite), zip(*thetas))
+    ]
+    return thetas, [
+        list(map(_general, laws)),
+        list(map(_monotone, rates[0], map(_monotone_rates, laws))),
+        list(map(_bx99, t0, t1, finite)),
+        cor3,
+        list(map(_thm4, t0, t1, finite)),
+    ]
 
 
 _M0, _M1 = operator.itemgetter(0), operator.itemgetter(1)

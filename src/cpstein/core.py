@@ -21,7 +21,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 if TYPE_CHECKING:  # numpy loads in the functions that use it
     import numpy as np
@@ -60,12 +60,7 @@ class CompoundPoissonParams:
 
     def __init__(self, rates: Sequence[float]):
         rates = tuple(map(float, rates))
-        if len(rates) == 0:
-            raise ValueError("rates must be nonempty")
-        if not all(map(math.isfinite, rates)) or min(rates) < 0.0:
-            raise ValueError("every rate must be finite and nonnegative")
-        if not max(rates) > 0.0:
-            raise ValueError("at least one rate must be positive")
+        _check_laws([rates])
         object.__setattr__(self, "rates", rates)
 
     @property
@@ -77,6 +72,23 @@ class CompoundPoissonParams:
     def total_rate(self) -> float:
         """lambda = sum_j lambda_j, the cluster-arrival intensity."""
         return math.fsum(self.rates)
+
+
+def _all_finite(values: Sequence[float]) -> bool:
+    return all(map(math.isfinite, values))
+
+
+def _check_laws(laws: Iterable[tuple[float, ...]]) -> None:
+    """Refuse the first law whose rates are empty, not finite, negative or
+    all 0: the rule of every law, which the sweep applies to its laws
+    without building a CompoundPoissonParams for each."""
+    for rates in laws:
+        if len(rates) == 0:
+            raise ValueError("rates must be nonempty")
+        if not _all_finite(rates) or min(rates) < 0.0:
+            raise ValueError("every rate must be finite and nonnegative")
+        if not max(rates) > 0.0:
+            raise ValueError("at least one rate must be positive")
 
 
 @dataclass(frozen=True)
@@ -91,7 +103,7 @@ class ThetaVector:
         if len(values) == 0:
             raise ValueError("theta vector must contain at least theta_0")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "finite", all(map(math.isfinite, values)))
+        object.__setattr__(self, "finite", _all_finite(values))
 
     @property
     def order(self) -> int:
@@ -123,22 +135,32 @@ def theta(params: CompoundPoissonParams, K: int) -> ThetaVector:
     """Compute theta_k = sum_j j(j-1)...(j-k) lambda_j for k = 0..K.
 
     The falling factorial has k+1 factors, so theta_k = 0 whenever k >= J
-    (every product term contains a zero factor).  The sum runs over j in
-    increasing order with one rounding per term; zero rates add nothing, so
-    they are skipped.  ``sum`` is not used: since Python 3.12 it compensates,
-    which would change the last bits.
+    (every product term contains a zero factor).
     """
     if K < 0:
         raise ValueError("K must be >= 0")
-    rates = params.rates
-    values = []
-    for k, ffs in enumerate(_falling_factorials(len(rates), K)):
-        total = 0.0
-        for ff, lam_j in zip(ffs, rates[k:]):
-            if lam_j:
-                total += ff * lam_j
-        values.append(total)
+    # params as the one law of a set of columns, each one entry long
+    (values,) = zip(*_theta_columns(list(zip(params.rates)), K))
     return ThetaVector(values)
+
+
+def _theta_columns(rates: Sequence[Sequence[float]], K: int) -> list[list[float]]:
+    """theta_0..theta_K of many laws at once: ``rates[j - 1]`` holds lambda_j
+    of every law, and column k of the result its theta_k.
+
+    Each sum runs over j in increasing order with one rounding per term; zero
+    rates add nothing, so they are skipped.  ``sum`` is not used: since
+    Python 3.12 it compensates, which would change the last bits.
+    """
+    totals = []
+    for k, ffs in enumerate(_falling_factorials(len(rates), K)):
+        total = [0.0] * len(rates[0])
+        for ff, lam_j in zip(ffs, rates[k:]):
+            for i, lam in enumerate(lam_j):
+                if lam:
+                    total[i] += ff * lam
+        totals.append(total)
+    return totals
 
 
 @dataclass(frozen=True)
@@ -347,12 +369,12 @@ def _cp_x_max(params: CompoundPoissonParams) -> int:
     return _truncation_point(x, functools.partial(chernoff_tail, params))[0]
 
 
-def _jlam(params: CompoundPoissonParams) -> list[float]:
+def _jlam(rates: Sequence[float]) -> list[float]:
     """j lambda_j for j = 1..J.  The same coefficients drive both recursions
     of the package: Panjer's n P(U=n) = sum_j j lambda_j P(U=n-j) in
     ``cp_pmf``, and the Stein operator sum_j j lambda_j f(x+j) - x f(x)
     that ``oracle`` solves."""
-    return [j * lam for j, lam in enumerate(params.rates, start=1)]
+    return [j * lam for j, lam in enumerate(rates, start=1)]
 
 
 def _cp_table(params: CompoundPoissonParams, x_max: int) -> np.ndarray:
@@ -363,7 +385,7 @@ def _cp_table(params: CompoundPoissonParams, x_max: int) -> np.ndarray:
     # where d counts the rescalings whose window began at or before n.
     lam = params.total_rate
     shift = max(0.0, lam - LOG_P0_FLOOR)
-    p, starts = _panjer(_jlam(params), math.exp(shift - lam), x_max)
+    p, starts = _panjer(_jlam(params.rates), math.exp(shift - lam), x_max)
     p = np.array(p)
     if shift > 0.0:
         d = np.searchsorted(starts, np.arange(p.size), side="right")
@@ -383,5 +405,9 @@ def _residual_table(pmf: np.ndarray) -> DistributionTable:
 
 def monotone_condition(params: CompoundPoissonParams) -> bool:
     """True iff j lambda_j >= (j+1) lambda_{j+1} for all j (lambda_{J+1} = 0)."""
-    jl = _jlam(params)
+    return _monotone_rates(params.rates)
+
+
+def _monotone_rates(rates: Sequence[float]) -> bool:
+    jl = _jlam(rates)
     return all(map(operator.ge, jl, jl[1:] + [0.0]))

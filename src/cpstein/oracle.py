@@ -299,7 +299,7 @@ def _split(
     """
     import numpy as np
 
-    jl = _jlam(params)
+    jl = _jlam(params.rates)
     p = pmf[: int(math.floor(math.fsum(jl))) + 1]
     x0 = int(np.flatnonzero(p >= 0.5 * p.max())[-1])
     return jl, x0, max(y, x0) + len(jl) + 1
@@ -361,7 +361,7 @@ def interior_residuals(sol: SteinSolution) -> np.ndarray:
     """
     import numpy as np
 
-    jlam = _jlam(sol.params)
+    jlam = _jlam(sol.params.rates)
     J = len(jlam)
     hi = sol.x_max - J
     if hi < 1:

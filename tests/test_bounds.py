@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import math
 import pickle
+import random
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from cpstein import (
     regime_classify,
     theta,
 )
-from cpstein.bounds import _cor3_delta, _factors_from_delta, log_plus
+from cpstein.bounds import _cor3_delta, _evaluate_columns, _factors_from_delta, log_plus
 from cpstein.models import RunsModel
 
 
@@ -518,12 +519,73 @@ def test_regime_classify_reads_only_its_rows(monkeypatch):
     assert bounds.regime_classify([]) == "GENERAL_ONLY"
 
 
+def _catalogue_laws(J: int, count: int, rng: random.Random) -> list[tuple[float, ...]]:
+    """``count`` laws of J rates, drawn in turn from kinds that reach every
+    branch of the catalogue rows."""
+    def draw(kind: int) -> list[float]:
+        rates = [rng.uniform(0.0, 3.0) for _ in range(J)]
+        if kind == 0:  # zero rates among positive ones
+            rates = [r if rng.random() < 0.5 else 0.0 for r in rates]
+        elif kind == 1:  # lambda_1 = 0
+            rates[0] = 0.0
+        elif kind == 2:  # increasing: not monotone
+            rates.sort()
+        elif kind == 3:  # mass on j = 3..J: theta_2 >= 2 theta_1 for J >= 3
+            rates = [r * 0.01 if j < 2 else r * 10.0 for j, r in enumerate(rates)]
+        elif kind == 4:  # e^lambda past the double range
+            rates = [r * 400.0 + 800.0 / J for r in rates]
+        elif kind == 5:  # 2 theta_1 - theta_0 past 473: THM4's delta underflows
+            rates = [r + (300.0 if j == 1 else 0.0) for j, r in enumerate(rates)]
+        elif kind == 6:  # theta_0 overflows for J >= 2
+            rates[-1] = 1e308
+        elif kind == 7:  # spread over many scales
+            rates = [r * 10.0 ** rng.uniform(-6.0, 4.0) for r in rates]
+        if not max(rates) > 0.0:
+            rates[-1] = 1.0
+        return rates
+
+    return [tuple(draw(i % 8)) for i in range(count)]
+
+
+def test_catalogue_columns_match_one_law_at_a_time():
+    # the column path of the sweep gives theta(params, 3) and
+    # evaluate_all(params) of every law bit for bit, notes and inapplicable rows included
+    rng = random.Random(32)
+    seen = set()
+    for J in range(1, 6):
+        laws = _catalogue_laws(J, 60, rng)
+        thetas, catalogue = _evaluate_columns([list(col) for col in zip(*laws)])
+        for i, rates in enumerate(laws):
+            params = CompoundPoissonParams(rates)
+            th = theta(params, 3)
+            assert repr(tuple(col[i] for col in thetas)) == repr(th.values)
+            rows = [tuple(col[i]) for col in catalogue]
+            assert repr(rows) == repr([tuple(b) for b in evaluate_all(params)])
+            seen.update((method, ok, note) for _, _, method, ok, note, _ in rows)
+            if rates[0] == 0.0:
+                seen.add("lambda_1 = 0")
+            if rows[0][1] == math.inf:
+                seen.add("GENERAL inf")
+    assert {
+        "lambda_1 = 0",
+        "GENERAL inf",
+        ("MONOTONE", False, "rate sequence j*lambda_j not nonincreasing"),
+        ("MONOTONE", True, "j*lambda_j nonincreasing"),
+        ("THM2(3)", True, "delta_%s = %g (%s)"),
+        ("THM4", False, "delta underflowed to 0"),
+        ("THM4", True, "delta = %g"),
+        ("COR3", True, "delta = %g (closed form)"),
+        ("BX99", False, "theta not finite"),
+        ("BX99", True, "theta_0 - 2*theta_1 = %g > 0"),
+    } <= seen
+
+
 @pytest.mark.parametrize("rates", [[10.0, 300.0], [0.0, 250.0], [1.0, 200.0], [0.4, 1.0]])
 def test_regime_is_thm4_only_where_bound_thm4_applies(rates):
     # past 2 theta_1 - theta_0 of about 473, THM4's delta underflows to 0:
     # (10, 300) has 590, and its THM4 row reads "delta underflowed to 0"
     th = theta(CompoundPoissonParams(rates), 3)
-    assert not bound_bx99(th).applicable and _cor3_delta(th) < 0.0
+    assert not bound_bx99(th).applicable and _cor3_delta(*th.values[:4]) < 0.0
     thm4 = bound_thm4(th)
     rows = evaluate_all(CompoundPoissonParams(rates))
     assert rows[4] == thm4

@@ -176,31 +176,36 @@ def test_verify_runs_oracle_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+# the float formula of each catalogue row, in catalogue order
+FORMULAS = ("_general", "_monotone", "_bx99", "_cor3", "_thm4")
+
+
 @pytest.mark.parametrize(
     "argv,rows",
     [
         (["bounds", "--rates", "1.0,0.2"], 1),
         (["verify", "--model", "runs", "--n", "30", "--p", "0.15"], 1),
         (["sweep", "--model", "runs", "--n", "50", "--p-range", "0.05:0.45:5"], 5),
+        # the last row's COR3 falls back to THM2(3)
+        (["sweep", "--model", "reliability", "--n", "30", "--k", "2", "--q-range", "0.1:0.9:8"],
+         8),
     ],
 )
 def test_catalogue_evaluated_once_per_row(capsys, monkeypatch, argv, rows):
-    # bounds and sweep call evaluate_all from the cli namespace, verify from
-    # the oracle's
-    from cpstein import bounds, oracle
+    # each row's formula runs once per law: bounds and verify reach it through
+    # evaluate_all, sweep maps it over the columns of all its laws
+    from cpstein import bounds
 
-    calls = []
-    real = bounds.evaluate_all
+    calls = dict.fromkeys(FORMULAS, 0)
+    for name in FORMULAS:
+        def counting(*args, _name=name, _real=getattr(bounds, name)):
+            calls[_name] += 1
+            return _real(*args)
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    for namespace in (bounds, cli, oracle):
-        monkeypatch.setattr(namespace, "evaluate_all", counting)
+        monkeypatch.setattr(bounds, name, counting)
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert len(calls) == rows
+    assert calls == dict.fromkeys(FORMULAS, rows)
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ LAYERS = {
     "sums_exact_pmf",
     "distance",
     "sweep",
+    "catalogue",
 }
 
 

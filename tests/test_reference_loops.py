@@ -174,7 +174,7 @@ def regime_classify_reference(th):
         return "GENERAL_ONLY"
     if bound_bx99(th).applicable:
         return "BX99_OK"
-    cor3 = _cor3_delta(th)
+    cor3 = _cor3_delta(*th.values[:4])
     if cor3 is not None and cor3 > 0.0:
         return "COR3_OK"
     if bound_thm4(th).applicable:

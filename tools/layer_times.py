@@ -18,7 +18,10 @@ The layers are those the benchmark's tracer names: ``theta`` and ``delta_k``
 ``empirical_factors`` and ``solve_stein`` (the Stein oracle at total rates
 whose mean theta_0 is small, medium and large), each exact law, and
 ``distance``; ``sweep`` is a whole ``cpstein sweep`` command, reliability
-sweeps of 16, 256 and 4096 rows through ``cli.main`` with stdout captured.
+sweeps of 16, 256 and 4096 rows through ``cli.main`` with stdout captured,
+and ``catalogue`` is theta and the five catalogue rows over the laws of
+those sweeps, in columns as the sweep computes them, without the model's
+rates or the printer.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from cpstein import (  # noqa: E402
     solve_stein,
     theta,
 )
-from cpstein import cli  # noqa: E402
+from cpstein import bounds, cli  # noqa: E402
 from cpstein.oracle import default_x_max  # noqa: E402
 
 SUMS = [[0.7, 0.1, 0.1, 0.1], [0.6, 0.1, 0.3]]
@@ -63,6 +66,7 @@ RUNS = {
     "medium": {"model": "runs", "n": 300, "p": 0.2},
     "large": {"model": "runs", "n": 2000, "p": 0.2},
 }
+SWEEP_RANGES = {"small": "0.05:0.8:16", "medium": "0.05:0.8:256", "large": "0.05:0.8:4096"}
 # layer -> size -> parameters, as JSON
 CASES = {
     "theta": RATES,
@@ -100,8 +104,12 @@ CASES = {
     "distance": RUNS,  # the runs law against its approximant
     "sweep": {
         size: {"argv": ["sweep", "--model", "reliability", "--n", "10", "--k", "2",
-                        "--q-range", f"0.05:0.8:{rows}"]}
-        for size, rows in (("small", 16), ("medium", 256), ("large", 4096))
+                        "--q-range", q_range]}
+        for size, q_range in SWEEP_RANGES.items()
+    },
+    "catalogue": {
+        size: {"model": "reliability", "n": 10, "k": 2, "q_range": q_range}
+        for size, q_range in SWEEP_RANGES.items()
     },
 }
 
@@ -114,6 +122,11 @@ def _call(layer: str, given: dict):
                 cli.main(given["argv"])
 
         return command
+    if "q_range" in given:
+        qs = cli._parse_range(given["q_range"], "--q-range")
+        model = model_from_json({k: v for k, v in given.items() if k != "q_range"} | {"q": qs[0]})
+        rates = model.rate_columns(qs)
+        return lambda: bounds._evaluate_columns(rates)
     if "rates" in given:
         params = CompoundPoissonParams(given["rates"])
         th = theta(params, 3)
