@@ -26,10 +26,12 @@ Each row of the catalogue that ``evaluate_all`` returns has its formula
 written once, as a private function of plain floats: ``_general`` of the
 rates, ``_monotone`` of lambda_1 and whether j lambda_j is nonincreasing,
 and ``_bx99``, ``_cor3`` and ``_thm4`` of theta's entries and whether theta
-is finite.  ``bound_general`` ... ``bound_thm4`` call it once for one law;
-``_evaluate_columns`` maps it over the columns of many laws, with theta
-summed over the same columns (``core._theta_columns``), which is how the
-sweep evaluates its rows.
+is finite.  ``_cor3`` also chooses the row's route: the closed form under
+theta_2 < 2 theta_1, else THM2(3).  ``bound_general`` ... ``bound_thm4``
+call it once for one law; ``_evaluate_columns`` maps it over the columns of
+many laws, with theta summed over the same columns (``core._theta_columns``),
+which is how the sweep evaluates its rows.  The best m1 row, of ``best_of``
+and of each sweep row, is ``_best_m1``'s: the first row of least m1.
 
 Note that the order-3 closed form is the value of g_3 at (pi, 0); it equals
 the true infimum only when theta_2 <= (2/5) theta_1 (for larger theta_2 the
@@ -427,10 +429,17 @@ def delta_k_grid(th: ThetaVector, k: int) -> DeltaResult:
 
 def _cor3_delta(t0: float, t1: float, t2: float, t3: float) -> float | None:
     """The order-3 closed form theta_0 - 2 theta_1 + 2 theta_2 - (4/3) theta_3,
-    defined under theta_2 < 2 theta_1; None otherwise."""
+    defined under theta_2 < 2 theta_1; None otherwise.
+
+    Where the sum of finite entries overflows, it is formed at half scale,
+    each term and partial sum exactly half, and doubled; past the double
+    range that gives the largest double, a lower end of delta."""
     if not t2 < 2.0 * t1:
         return None
-    return t0 - 2.0 * t1 + 2.0 * t2 - (4.0 / 3.0) * t3
+    delta = t0 - 2.0 * t1 + 2.0 * t2 - (4.0 / 3.0) * t3
+    if math.isfinite(delta) or not _all_finite((t0, t1, t2, t3)):
+        return delta
+    return min(2.0 * (0.5 * t0 - t1 + t2 - (2.0 / 3.0) * t3), sys.float_info.max)
 
 
 def delta_k(th: ThetaVector, k: int) -> DeltaResult:
@@ -543,16 +552,16 @@ def bound_cor3(th: ThetaVector) -> SteinFactorBound:
     enclosure, when theta_2 >= 2 theta_1, where no closed form is available.
     """
     th.require(3)
-    return _cor3(*th.values[:4], th.finite) or bound_thm2(th, 3)
+    return _cor3(*th.values[:4], th.finite)
 
 
-def _cor3(t0: float, t1: float, t2: float, t3: float, finite: bool) -> SteinFactorBound | None:
-    """COR3, or None where theta_2 >= 2 theta_1 leaves the row to THM2(3)."""
+def _cor3(t0: float, t1: float, t2: float, t3: float, finite: bool) -> SteinFactorBound:
+    """COR3, or THM2(3) where theta_2 >= 2 theta_1 leaves no closed form."""
     if not finite:
         return _inapplicable("COR3", "theta not finite")
     delta = _cor3_delta(t0, t1, t2, t3)
     if delta is None:
-        return None
+        return bound_thm2(ThetaVector((t0, t1, t2, t3)), 3)
     if not delta > 0.0:
         return _inapplicable("COR3", "delta = %g <= 0", delta)
     m0, m1 = _factors_from_delta(delta)
@@ -646,37 +655,34 @@ def _evaluate_columns(rates: list[list[float]]) -> tuple[list[list[float]], list
     """theta(params, 3) and evaluate_all(params) of many laws at once, in
     columns: ``rates[j - 1]`` holds lambda_j of every law, each law checked
     as CompoundPoissonParams checks it.  Each catalogue row's formula is
-    mapped over the columns; a COR3 row that falls back to THM2(3) is
-    computed one law at a time."""
+    mapped over the columns, ``_cor3`` with its THM2(3) fallback."""
     laws = list(zip(*rates))
     _check_laws(laws)
     thetas = _theta_columns(rates, 3)
     t0, t1, t2, t3 = thetas
     finite = list(map(_all_finite, zip(*thetas)))
-    cor3 = [
-        row or bound_thm2(ThetaVector(th), 3)
-        for row, th in zip(map(_cor3, t0, t1, t2, t3, finite), zip(*thetas))
-    ]
     return thetas, [
         list(map(_general, laws)),
         list(map(_monotone, rates[0], map(_monotone_rates, laws))),
         list(map(_bx99, t0, t1, finite)),
-        cor3,
+        list(map(_cor3, t0, t1, t2, t3, finite)),
         list(map(_thm4, t0, t1, finite)),
     ]
 
 
 _M0, _M1 = operator.itemgetter(0), operator.itemgetter(1)
+# the first bound of least m1: the m1 row of best_of and of each sweep row
+_best_m1 = functools.partial(min, key=_M1)
 
 
 def best_of(bounds: list[SteinFactorBound]) -> SteinFactorBound:
     """Componentwise minimum of a bound list, for m0 and m1 separately: the
-    first bound of least m0 and the first of least m1 win.
+    first bound of least m0 and the first of least m1 (``_best_m1``) win.
 
     The winning method for each component is recorded in the condition note;
     the method tag is the m1 winner's.
     """
-    b0, b1 = min(bounds, key=_M0), min(bounds, key=_M1)
+    b0, b1 = min(bounds, key=_M0), _best_m1(bounds)
     return _applicable(b0.m0, b1.m1, b1.method, "m0: %s, m1: %s", b0.method, b1.method)
 
 

@@ -28,7 +28,8 @@ import sys
 from dataclasses import fields
 from itertools import chain
 
-from .bounds import _evaluate_columns, best_of, encode_float, evaluate_all, regime_classify
+from .bounds import (_best_m1, _evaluate_columns, best_of, encode_float, evaluate_all,
+                     regime_classify)
 from .core import CompoundPoissonParams, TruncationCapError, cp_pmf, theta
 from .exact import BudgetExceededError
 from .models import MIXINGS, MODELS, model_from_json
@@ -387,18 +388,15 @@ def _sweep_columns(base: dict, key: str, values: list[float]) -> _Table:
     thetas, catalogue = _evaluate_columns(model.rate_columns(values))
     # per catalogue row: its m0, m1, method, applicable, ... columns
     by_field = [list(zip(*rows)) for rows in catalogue]
-    m1s = [f[1] for f in by_field]
     methods = list(zip(*[f[2] for f in by_field]))  # one tuple per sweep row
-    # best_of's m1 and method: the first catalogue row of least m1
-    best_m1s = list(map(min, *m1s))
-    best_at = map(tuple.index, zip(*m1s), best_m1s)
+    best = list(map(_best_m1, zip(*catalogue)))  # best_of's m1 row of each law
+    best_m1s = [b.m1 for b in best]
     dks = model.dk_columns(values, best_m1s)
 
     columns = [[v] * len(values) for v in base.values()] + [values] + thetas
     for f in by_field:
         columns += [f[3], f[1]]
-    columns += [list(map(tuple.__getitem__, methods, best_at)), best_m1s, dks,
-                [dk > 1.0 for dk in dks]]
+    columns += [[b.method for b in best], best_m1s, dks, [dk > 1.0 for dk in dks]]
     # a row's keys follow the methods of its catalogue (COR3 or THM2(3))
     shapes = {
         m: (*base, key, *_THETA_COLUMNS, *chain.from_iterable(map(_bound_columns, m)),

@@ -6,6 +6,8 @@ import copy
 import math
 import pickle
 import random
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -547,13 +549,20 @@ def _catalogue_laws(J: int, count: int, rng: random.Random) -> list[tuple[float,
     return [tuple(draw(i % 8)) for i in range(count)]
 
 
+# finite theta with theta_2 < 2 theta_1, whose order-3 closed form overflows
+# in the term 2 theta_2 but not in its value, about 1.48e307
+COR3_OVERFLOW_LAW = (
+    1.798803455810564e307, 2.1388503440218942e306, 5.370697911693372e306, 3.747972106988163e306
+)
+
+
 def test_catalogue_columns_match_one_law_at_a_time():
     # the column path of the sweep gives theta(params, 3) and
     # evaluate_all(params) of every law bit for bit, notes and inapplicable rows included
     rng = random.Random(32)
     seen = set()
     for J in range(1, 6):
-        laws = _catalogue_laws(J, 60, rng)
+        laws = _catalogue_laws(J, 60, rng) + [COR3_OVERFLOW_LAW] * (J == 4)
         thetas, catalogue = _evaluate_columns([list(col) for col in zip(*laws)])
         for i, rates in enumerate(laws):
             params = CompoundPoissonParams(rates)
@@ -566,9 +575,12 @@ def test_catalogue_columns_match_one_law_at_a_time():
                 seen.add("lambda_1 = 0")
             if rows[0][1] == math.inf:
                 seen.add("GENERAL inf")
+            if rates == COR3_OVERFLOW_LAW and rows[3][3]:
+                seen.add("COR3 past the double range")
     assert {
         "lambda_1 = 0",
         "GENERAL inf",
+        "COR3 past the double range",
         ("MONOTONE", False, "rate sequence j*lambda_j not nonincreasing"),
         ("MONOTONE", True, "j*lambda_j nonincreasing"),
         ("THM2(3)", True, "delta_%s = %g (%s)"),
@@ -591,6 +603,29 @@ def test_regime_is_thm4_only_where_bound_thm4_applies(rates):
     assert rows[4] == thm4
     assert (regime_classify(rows) == "THM4_OK") == thm4.applicable
     assert thm4.applicable == (2.0 * rates[1] - rates[0] < 473.0)
+
+
+def test_cor3_delta_formed_at_half_scale_where_its_terms_overflow():
+    # 2 theta_2 overflows; the value is within a few ulps of the exact one
+    th = theta(CompoundPoissonParams(COR3_OVERFLOW_LAW), 3)
+    assert th.finite and th[2] < 2.0 * th[1]
+    t0, t1, t2, t3 = map(Fraction, th.values)
+    exact = float(t0 - 2 * t1 + 2 * t2 - Fraction(4, 3) * t3)
+    dr = delta_k(th, 3)
+    assert dr.route == "closed form" and dr.certified
+    assert abs(dr.delta - exact) <= 4.0 * math.ulp(exact)
+    b = bound_cor3(th)
+    assert b.applicable and b.method == "COR3" and 0.0 < b.m1 < b.m0 < 1.0
+
+
+def test_cor3_delta_past_the_largest_double_is_the_largest_double():
+    # delta = 1.58 max: the largest double is a lower end, and the factors hold
+    big = sys.float_info.max
+    th = ThetaVector([big, 0.3 * big, 0.59 * big, 0.0])
+    assert _cor3_delta(*th.values) == big
+    b = bound_cor3(th)
+    assert b.applicable and b.method == "COR3"
+    assert (b.m0, b.m1) == _factors_from_delta(big)
 
 
 @pytest.mark.parametrize(

@@ -905,6 +905,21 @@ def test_bounds_non_finite_theta(capsys, monkeypatch, rates, applicable):
     assert notes["BX99"] == notes["COR3"] == notes["THM4"] == "theta not finite"
 
 
+def test_bounds_cor3_delta_past_the_double_range_in_its_terms(capsys):
+    # theta is finite and theta_2 < 2 theta_1, but 2 theta_2 overflows in the
+    # order-3 closed form, whose value is about 1.48e307
+    rates = ("1.798803455810564e+307,2.1388503440218942e+306,"
+             "5.370697911693372e+306,3.747972106988163e+306")
+    code, out, err = run_cli(capsys, "bounds", "--rates", rates)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["regime"] == "COR3_OK"
+    cor3 = doc["bounds"][3]
+    assert cor3["method"] == "COR3" and cor3["applicable"] is True
+    assert cor3["note"] == "delta = 1.48305e+307 (closed form)"
+    assert doc["best"]["method"] == "COR3"
+
+
 def test_sweep_reliability_thm4_delta_underflow(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--model", "reliability", "--n", "30", "--k", "2",
