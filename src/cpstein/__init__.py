@@ -23,8 +23,9 @@ closed-form bounds (``theta``, ``evaluate_all`` and the model approximants,
 which the ``bounds`` and ``sweep`` commands run) are plain ``math`` and
 never load numpy, except for the sums model and an order-3 criterion that
 needs the Bernstein enclosure.  Each catalogue row's formula lives once
-in ``bounds``, as a function of floats: ``evaluate_all`` calls it for one
-law, and ``sweep`` maps it over the columns of all its laws at once.  The
+in ``bounds``, as a function of columns: ``evaluate_all`` calls it on
+columns one entry long for one law, and ``sweep`` once over the columns of
+all its laws.  The
 oracle, ``cp_pmf``, the exact laws and the gamma third moment
 (``GammaMixing.abs3``) load numpy on first use.  No command loads scipy:
 only ``poisson_stein_forward``, an independent reference for the tests,

@@ -23,15 +23,21 @@ lower bound that is certified, in floating point too; the two are at most
 1e-8 max(1, |delta|) apart.  The criterion bounds use that lower end.
 
 Each row of the catalogue that ``evaluate_all`` returns has its formula
-written once, as a private function of plain floats: ``_general`` of the
-rates, ``_monotone`` of lambda_1 and whether j lambda_j is nonincreasing,
-and ``_bx99``, ``_cor3`` and ``_thm4`` of theta's entries and whether theta
-is finite.  ``_cor3`` also chooses the row's route: the closed form under
-theta_2 < 2 theta_1, else THM2(3).  ``bound_general`` ... ``bound_thm4``
-call it once for one law; ``_evaluate_columns`` maps it over the columns of
-many laws, with theta summed over the same columns (``core._theta_columns``),
-which is how the sweep evaluates its rows.  The best m1 row, of ``best_of``
-and of each sweep row, is ``_best_m1``'s: the first row of least m1.
+written once, as a private function of columns, one list per quantity with
+an entry for each of many laws: ``_general`` of the rates (``rates[j - 1]``
+holds lambda_j of every law), ``_monotone`` of lambda_1 and whether
+j lambda_j is nonincreasing, and ``_bx99``, ``_cor3`` and ``_thm4`` of
+theta's entries and whether theta is finite.  Each returns the
+row of every law as columns (``_Rows``): m0, m1, method and applicable, and
+a function that forms law i's note only when its bound is built.
+``_cor3`` also chooses the route of each law: the closed form under
+theta_2 < 2 theta_1, else ``bound_thm2`` for that law.  One law is the
+one-entry case: ``bound_general`` ... ``bound_thm4`` and ``evaluate_all``
+call the functions on columns one entry long.  ``_evaluate_columns`` calls
+each once over the columns of many laws, with theta summed over the same
+columns (``core._theta_columns``), which is how the sweep evaluates its
+rows.  The best m1 row, of ``best_of`` and of each sweep row, is
+``_first_least``'s: the first row of least m1.
 
 Note that the order-3 closed form is the value of g_3 at (pi, 0); it equals
 the true infimum only when theta_2 <= (2/5) theta_1 (for larger theta_2 the
@@ -48,18 +54,17 @@ import collections
 import functools
 import heapq
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .core import (
     CompoundPoissonParams,
     ThetaVector,
     _all_finite,
     _check_laws,
-    _monotone_rates,
+    _monotone_columns,
     _theta_columns,
     monotone_condition,
     theta,
@@ -116,10 +121,11 @@ class SteinFactorBound(
     that prints no notes, as a sweep does, never formats them.  Bounds
     compare as these six fields.
 
-    The constructor takes the formatted note and builds the bound as the
-    bound functions do: through ``_applicable``, which refuses non-positive
+    The constructor takes the formatted note and builds the bound as
+    ``bound_thm2`` does: through ``_applicable``, which refuses non-positive
     factors, or through ``_inapplicable``, which takes none and sets both
-    infinite, so the constructor refuses finite ones itself.
+    infinite, so the constructor refuses finite ones itself.  The catalogue
+    rows refuse non-positive factors over their columns (``_rows``).
     """
 
     __slots__ = ()
@@ -427,19 +433,28 @@ def delta_k_grid(th: ThetaVector, k: int) -> DeltaResult:
     )
 
 
-def _cor3_delta(t0: float, t1: float, t2: float, t3: float) -> float | None:
-    """The order-3 closed form theta_0 - 2 theta_1 + 2 theta_2 - (4/3) theta_3,
-    defined under theta_2 < 2 theta_1; None otherwise.
+def _cor3_deltas(t0: Sequence[float], t1: Sequence[float], t2: Sequence[float],
+                 t3: Sequence[float]) -> list[float | None]:
+    """Per law, the order-3 closed form
+    theta_0 - 2 theta_1 + 2 theta_2 - (4/3) theta_3, defined under
+    theta_2 < 2 theta_1; None otherwise.
 
     Where the sum of finite entries overflows, it is formed at half scale,
     each term and partial sum exactly half, and doubled; past the double
     range that gives the largest double, a lower end of delta."""
-    if not t2 < 2.0 * t1:
-        return None
-    delta = t0 - 2.0 * t1 + 2.0 * t2 - (4.0 / 3.0) * t3
-    if math.isfinite(delta) or not _all_finite((t0, t1, t2, t3)):
-        return delta
-    return min(2.0 * (0.5 * t0 - t1 + t2 - (2.0 / 3.0) * t3), sys.float_info.max)
+    return [
+        None if not c < 2.0 * b
+        # the sum as formed, unless it overflowed from finite entries
+        else delta if (-INF < (delta := a - 2.0 * b + 2.0 * c - (4.0 / 3.0) * d) < INF
+                       or not _all_finite((a, b, c, d)))
+        else min(2.0 * (0.5 * a - b + c - (2.0 / 3.0) * d), sys.float_info.max)
+        for a, b, c, d in zip(t0, t1, t2, t3)
+    ]
+
+
+def _cor3_delta(t0: float, t1: float, t2: float, t3: float) -> float | None:
+    """``_cor3_deltas`` of one law."""
+    return _cor3_deltas([t0], [t1], [t2], [t3])[0]
 
 
 def delta_k(th: ThetaVector, k: int) -> DeltaResult:
@@ -483,50 +498,85 @@ def _factors_from_delta(delta: float) -> tuple[float, float]:
     return m0, m1
 
 
+class _Rows(collections.namedtuple("_Rows", "m0 m1 method applicable bound")):
+    """One catalogue row of many laws, in columns: entry i of ``m0``, ``m1``,
+    ``method`` and ``applicable`` is law i's, and ``bound(i)`` builds law i's
+    SteinFactorBound through ``_applicable`` or ``_inapplicable``.  Notes are
+    formatted only for the bounds that are built, and a sweep builds none."""
+
+    __slots__ = ()
+
+
+_POSITIVE = (0.0).__lt__
+
+
+def _exp_fsum(values: Sequence[float]) -> float:
+    """e^lambda of the exactly rounded sum lambda of values; inf where the sum
+    or its exponential passes the double range."""
+    try:
+        return math.exp(math.fsum(values))
+    except OverflowError:
+        return INF
+
+
 def bound_general(params: CompoundPoissonParams) -> SteinFactorBound:
     """The always-applicable exponential bound m0 = m1 = min{1, 1/lambda_1} e^lambda."""
-    return _general(params.rates)
+    return _general(list(zip(params.rates))).bound(0)
 
 
-def _general(rates: tuple[float, ...]) -> SteinFactorBound:
-    lam1 = rates[0]
-    factor = 1.0 if lam1 == 0.0 else min(1.0, 1.0 / lam1)
-    try:
-        value = factor * math.exp(math.fsum(rates))
-    except OverflowError:
-        value = INF
-    return _applicable(value, value, "GENERAL", "always applicable")
+def _general(rates: Sequence[Sequence[float]]) -> _Rows:
+    values = [
+        (1.0 if lam1 == 0.0 else min(1.0, 1.0 / lam1)) * e_lam
+        for lam1, e_lam in zip(rates[0], map(_exp_fsum, zip(*rates)))
+    ]
+    n = len(values)
+    return _Rows(values, values, ["GENERAL"] * n, [True] * n,
+                 lambda i: _applicable(values[i], values[i], "GENERAL", "always applicable"))
 
 
 def bound_monotone(params: CompoundPoissonParams) -> SteinFactorBound:
     """Bound under the monotone-rates condition j lambda_j >= (j+1) lambda_{j+1}."""
-    return _monotone(params.rates[0], monotone_condition(params))
+    return _monotone([params.rates[0]], [monotone_condition(params)]).bound(0)
 
 
-def _monotone(lam1: float, monotone: bool) -> SteinFactorBound:
-    if not monotone:
+def _monotone(lam1s: Sequence[float], monotone: Sequence[bool]) -> _Rows:
+    m0, m1, ok = zip(*[
+        (min(1.0, math.sqrt(2.0 / el if (el := math.e * lam1) < INF else 2.0 / math.e / lam1)),
+         min(0.5, 1.0 / (lam1 + 1.0)), True)
+        if mono else (INF, INF, False)
+        for mono, lam1 in zip(monotone, lam1s)
+    ])
+
+    def bound(i: int) -> SteinFactorBound:
+        if ok[i]:
+            return _applicable(m0[i], m1[i], "MONOTONE", "j*lambda_j nonincreasing")
         return _inapplicable("MONOTONE", "rate sequence j*lambda_j not nonincreasing")
-    e_lam1 = math.e * lam1
-    m0 = min(1.0, math.sqrt(2.0 / e_lam1 if e_lam1 < INF else 2.0 / math.e / lam1))
-    m1 = min(0.5, 1.0 / (lam1 + 1.0))
-    return _applicable(m0, m1, "MONOTONE", "j*lambda_j nonincreasing")
+
+    return _Rows(m0, m1, ["MONOTONE"] * len(ok), ok, bound)
 
 
 def bound_bx99(th: ThetaVector) -> SteinFactorBound:
     """Bound under theta_0 - 2 theta_1 > 0: m0 = sqrt(theta_0)/(theta_0-2 theta_1)."""
     th.require(1)
-    return _bx99(*th.values[:2], th.finite)
+    t0, t1 = th.values[:2]
+    return _bx99([t0], [t1], [th.finite]).bound(0)
 
 
-def _bx99(t0: float, t1: float, finite: bool) -> SteinFactorBound:
-    if not finite:
-        return _inapplicable("BX99", "theta not finite")
-    gap = t0 - 2.0 * t1
-    if not gap > 0.0:
-        return _inapplicable("BX99", "theta_0 - 2*theta_1 = %g <= 0", gap)
-    m0 = math.sqrt(t0) / gap
-    m1 = 1.0 / gap
-    return _applicable(m0, m1, "BX99", "theta_0 - 2*theta_1 = %g > 0", gap)
+def _bx99(t0: Sequence[float], t1: Sequence[float], finite: Sequence[bool]) -> _Rows:
+    m0, m1, ok, gaps = zip(*[
+        (math.sqrt(a) / gap, 1.0 / gap, True, gap) if f and gap > 0.0 else (INF, INF, False, gap)
+        for a, b, f in zip(t0, t1, finite)
+        for gap in [a - 2.0 * b]
+    ])
+
+    def bound(i: int) -> SteinFactorBound:
+        if not finite[i]:
+            return _inapplicable("BX99", "theta not finite")
+        if ok[i]:
+            return _applicable(m0[i], m1[i], "BX99", "theta_0 - 2*theta_1 = %g > 0", gaps[i])
+        return _inapplicable("BX99", "theta_0 - 2*theta_1 = %g <= 0", gaps[i])
+
+    return _Rows(m0, m1, ["BX99"] * len(ok), ok, bound)
 
 
 def bound_thm2(th: ThetaVector, k: int) -> SteinFactorBound:
@@ -552,20 +602,33 @@ def bound_cor3(th: ThetaVector) -> SteinFactorBound:
     enclosure, when theta_2 >= 2 theta_1, where no closed form is available.
     """
     th.require(3)
-    return _cor3(*th.values[:4], th.finite)
+    t0, t1, t2, t3 = th.values[:4]
+    return _cor3([t0], [t1], [t2], [t3], [th.finite]).bound(0)
 
 
-def _cor3(t0: float, t1: float, t2: float, t3: float, finite: bool) -> SteinFactorBound:
-    """COR3, or THM2(3) where theta_2 >= 2 theta_1 leaves no closed form."""
-    if not finite:
-        return _inapplicable("COR3", "theta not finite")
-    delta = _cor3_delta(t0, t1, t2, t3)
-    if delta is None:
-        return bound_thm2(ThetaVector((t0, t1, t2, t3)), 3)
-    if not delta > 0.0:
-        return _inapplicable("COR3", "delta = %g <= 0", delta)
-    m0, m1 = _factors_from_delta(delta)
-    return _applicable(m0, m1, "COR3", "delta = %g (closed form)", delta)
+def _cor3(t0: Sequence[float], t1: Sequence[float], t2: Sequence[float],
+          t3: Sequence[float], finite: Sequence[bool]) -> _Rows:
+    """COR3, or THM2(3) for each law where theta_2 >= 2 theta_1 leaves no
+    closed form."""
+    deltas = _cor3_deltas(t0, t1, t2, t3)
+    m0, m1, method, ok, thm2 = zip(*[
+        (*fallback[:4], fallback) if fallback is not None
+        else (*_factors_from_delta(delta), "COR3", True, None) if f and delta > 0.0
+        else (INF, INF, "COR3", False, None)
+        for a, b, c, d, f, delta in zip(t0, t1, t2, t3, finite, deltas)
+        for fallback in [bound_thm2(ThetaVector((a, b, c, d)), 3) if f and delta is None else None]
+    ])
+
+    def bound(i: int) -> SteinFactorBound:
+        if thm2[i] is not None:
+            return thm2[i]
+        if not finite[i]:
+            return _inapplicable("COR3", "theta not finite")
+        if ok[i]:
+            return _applicable(m0[i], m1[i], "COR3", "delta = %g (closed form)", deltas[i])
+        return _inapplicable("COR3", "delta = %g <= 0", deltas[i])
+
+    return _Rows(m0, m1, method, ok, bound)
 
 
 def _exp_three_halves(gamma: float) -> float:
@@ -613,20 +676,31 @@ def bound_thm4(th: ThetaVector) -> SteinFactorBound:
     """Overdispersed-regime bound: for 2 theta_1 > theta_0,
     delta = gamma/(2 sqrt(pi) e^{1.5 gamma}) with gamma = 2 theta_1 - theta_0."""
     th.require(1)
-    return _thm4(*th.values[:2], th.finite)
+    t0, t1 = th.values[:2]
+    return _thm4([t0], [t1], [th.finite]).bound(0)
 
 
-def _thm4(t0: float, t1: float, finite: bool) -> SteinFactorBound:
-    if not finite:
-        return _inapplicable("THM4", "theta not finite")
-    gamma = 2.0 * t1 - t0
-    if not gamma > 0.0:
-        return _inapplicable("THM4", "2*theta_1 - theta_0 = %g <= 0", gamma)
-    delta = _scaled_margin_delta(gamma, _exp_three_halves(gamma))
-    if not delta > 0.0:
+def _thm4(t0: Sequence[float], t1: Sequence[float], finite: Sequence[bool]) -> _Rows:
+    # delta is None where theta is not finite or gamma <= 0, 0 where it underflowed
+    m0, m1, ok, gammas, deltas = zip(*[
+        (*_factors_from_delta(delta), True, gamma, delta) if delta is not None and delta > 0.0
+        else (INF, INF, False, gamma, delta)
+        for a, b, f in zip(t0, t1, finite)
+        for gamma in [2.0 * b - a]
+        for delta in [_scaled_margin_delta(gamma, _exp_three_halves(gamma))
+                      if f and gamma > 0.0 else None]
+    ])
+
+    def bound(i: int) -> SteinFactorBound:
+        if ok[i]:
+            return _applicable(m0[i], m1[i], "THM4", "delta = %g", deltas[i])
+        if not finite[i]:
+            return _inapplicable("THM4", "theta not finite")
+        if deltas[i] is None:
+            return _inapplicable("THM4", "2*theta_1 - theta_0 = %g <= 0", gammas[i])
         return _inapplicable("THM4", "delta underflowed to 0")
-    m0, m1 = _factors_from_delta(delta)
-    return _applicable(m0, m1, "THM4", "delta = %g", delta)
+
+    return _Rows(m0, m1, ["THM4"] * len(ok), ok, bound)
 
 
 def regime_classify(bounds: list[SteinFactorBound]) -> str:
@@ -651,38 +725,46 @@ def evaluate_all(
             bound_thm4(th)]
 
 
-def _evaluate_columns(rates: list[list[float]]) -> tuple[list[list[float]], list[list]]:
-    """theta(params, 3) and evaluate_all(params) of many laws at once, in
+def _evaluate_columns(rates: list[list[float]]) -> tuple[list[list[float]], list[_Rows]]:
+    """theta(params, 3) and the five catalogue rows of many laws at once, in
     columns: ``rates[j - 1]`` holds lambda_j of every law, each law checked
-    as CompoundPoissonParams checks it.  Each catalogue row's formula is
-    mapped over the columns, ``_cor3`` with its THM2(3) fallback."""
-    laws = list(zip(*rates))
-    _check_laws(laws)
+    as CompoundPoissonParams checks it.  Each row is one call of its
+    function over the columns of every law."""
+    _check_laws(rates)
     thetas = _theta_columns(rates, 3)
     t0, t1, t2, t3 = thetas
-    finite = list(map(_all_finite, zip(*thetas)))
-    return thetas, [
-        list(map(_general, laws)),
-        list(map(_monotone, rates[0], map(_monotone_rates, laws))),
-        list(map(_bx99, t0, t1, finite)),
-        list(map(_cor3, t0, t1, t2, t3, finite)),
-        list(map(_thm4, t0, t1, finite)),
+    # every law's theta is finite where every column's is
+    finite = ([True] * len(t0) if all(map(_all_finite, thetas))
+              else list(map(_all_finite, zip(*thetas))))
+    rows = [
+        _general(rates),
+        _monotone(rates[0], _monotone_columns(rates)),
+        _bx99(t0, t1, finite),
+        _cor3(t0, t1, t2, t3, finite),
+        _thm4(t0, t1, finite),
     ]
+    # the check of _applicable, over every law; an inapplicable entry is inf
+    if not all(all(map(_POSITIVE, row.m0)) and all(map(_POSITIVE, row.m1)) for row in rows):
+        raise ValueError("applicable bounds must be positive")
+    return thetas, rows
 
 
-_M0, _M1 = operator.itemgetter(0), operator.itemgetter(1)
-# the first bound of least m1: the m1 row of best_of and of each sweep row
-_best_m1 = functools.partial(min, key=_M1)
+def _first_least(laws: Iterable[Sequence[float]]) -> list[int]:
+    """For each law's values, none of them nan, the index of the first least
+    one: the rule by which ``best_of`` picks its m0 and its m1 row, and each
+    sweep row its best m1 row."""
+    return [values.index(min(values)) for values in laws]
 
 
 def best_of(bounds: list[SteinFactorBound]) -> SteinFactorBound:
     """Componentwise minimum of a bound list, for m0 and m1 separately: the
-    first bound of least m0 and the first of least m1 (``_best_m1``) win.
+    first bound of least m0 and the first of least m1 (``_first_least``) win.
 
     The winning method for each component is recorded in the condition note;
     the method tag is the m1 winner's.
     """
-    b0, b1 = min(bounds, key=_M0), _best_m1(bounds)
+    i0, i1 = _first_least(list(zip(*bounds))[:2])  # over the m0s, over the m1s
+    b0, b1 = bounds[i0], bounds[i1]
     return _applicable(b0.m0, b1.m1, b1.method, "m0: %s, m1: %s", b0.method, b1.method)
 
 

@@ -28,15 +28,16 @@ import sys
 from dataclasses import fields
 from itertools import chain
 
-from .bounds import (_best_m1, _evaluate_columns, best_of, encode_float, evaluate_all,
+from .bounds import (_evaluate_columns, _first_least, best_of, encode_float, evaluate_all,
                      regime_classify)
 from .core import CompoundPoissonParams, TruncationCapError, cp_pmf, theta
 from .exact import BudgetExceededError
 from .models import MIXINGS, MODELS, model_from_json
 from .oracle import ConvergenceError, default_x_max, solve_stein, verify
 
-# rows of one sweep, about 0.05 ms and 0.7 KB of output each: a 100 000-row
-# reliability sweep takes 5.0 s, 343 MB of peak memory and prints 70 MB
+# rows of one sweep, about 0.025 ms and 0.7 KB of output each: a 100 000-row
+# reliability sweep takes 2.5 s, 304 MB of peak memory and prints 70 MB
+# (2-vCPU host)
 SWEEP_ROW_BUDGET = 100_000
 
 EXIT_OK = 0
@@ -386,24 +387,27 @@ def _sweep_columns(base: dict, key: str, values: list[float]) -> _Table:
     # the model at the first value, whose column methods take every value
     model = model_from_json({**base, key: values[0]})
     thetas, catalogue = _evaluate_columns(model.rate_columns(values))
-    # per catalogue row: its m0, m1, method, applicable, ... columns
-    by_field = [list(zip(*rows)) for rows in catalogue]
-    methods = list(zip(*[f[2] for f in by_field]))  # one tuple per sweep row
-    best = list(map(_best_m1, zip(*catalogue)))  # best_of's m1 row of each law
-    best_m1s = [b.m1 for b in best]
+    # each law's best_of m1 row, from the m1 of its rows
+    picks = _first_least(zip(*[row.m1 for row in catalogue]))
+    best_m1s = [catalogue[p].m1[i] for i, p in enumerate(picks)]
     dks = model.dk_columns(values, best_m1s)
 
     columns = [[v] * len(values) for v in base.values()] + [values] + thetas
-    for f in by_field:
-        columns += [f[3], f[1]]
-    columns += [[b.method for b in best], best_m1s, dks, [dk > 1.0 for dk in dks]]
-    # a row's keys follow the methods of its catalogue (COR3 or THM2(3))
+    for row in catalogue:
+        columns += [row.applicable, row.m1]
+    best_methods = [catalogue[p].method[i] for i, p in enumerate(picks)]
+    columns += [best_methods, best_m1s, dks, [dk > 1.0 for dk in dks]]
+    # a row's keys follow the methods of its catalogue, of which only the
+    # order-3 row's varies (COR3 or THM2(3)): one key tuple for each, from a
+    # law that has it
+    order3 = catalogue[3].method
     shapes = {
-        m: (*base, key, *_THETA_COLUMNS, *chain.from_iterable(map(_bound_columns, m)),
+        m: (*base, key, *_THETA_COLUMNS,
+            *chain.from_iterable(_bound_columns(row.method[i]) for row in catalogue),
             "best_method", "best_m1", "dk_bound", "vacuous")
-        for m in set(methods)
+        for m, i in dict(zip(order3, range(len(values)))).items()
     }
-    return _Table(list(map(shapes.__getitem__, methods)), columns)
+    return _Table(list(map(shapes.__getitem__, order3)), columns)
 
 
 def cmd_stein_solve(args) -> tuple[int, str]:

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:  # numpy loads in the functions that use it
     import numpy as np
@@ -60,7 +60,7 @@ class CompoundPoissonParams:
 
     def __init__(self, rates: Sequence[float]):
         rates = tuple(map(float, rates))
-        _check_laws([rates])
+        _check_laws(list(zip(rates)))  # one law: columns one entry long
         object.__setattr__(self, "rates", rates)
 
     @property
@@ -78,17 +78,26 @@ def _all_finite(values: Sequence[float]) -> bool:
     return all(map(math.isfinite, values))
 
 
-def _check_laws(laws: Iterable[tuple[float, ...]]) -> None:
+def _check_laws(rates: Sequence[Sequence[float]]) -> None:
     """Refuse the first law whose rates are empty, not finite, negative or
-    all 0: the rule of every law, which the sweep applies to its laws
-    without building a CompoundPoissonParams for each."""
-    for rates in laws:
-        if len(rates) == 0:
-            raise ValueError("rates must be nonempty")
-        if not _all_finite(rates) or min(rates) < 0.0:
-            raise ValueError("every rate must be finite and nonnegative")
-        if not max(rates) > 0.0:
-            raise ValueError("at least one rate must be positive")
+    all 0: the rule of every law, over the columns of many (``rates[j - 1]``
+    holds lambda_j of every law), which the sweep applies to its laws without
+    building a CompoundPoissonParams for each."""
+    if len(rates) == 0:
+        raise ValueError("rates must be nonempty")
+    # the common case: every rate finite and nonnegative, every law with one positive
+    if (_all_finite(chain.from_iterable(rates)) and min(map(min, rates)) >= 0.0
+            and min(map(max, zip(*rates))) > 0.0):
+        return
+    # the first law with a rate outside [0, inf), and the first with none positive
+    n = len(rates[0])
+    invalid = min((i for lams in rates for i, lam in enumerate(lams)
+                   if not 0.0 <= lam < math.inf), default=n)
+    empty = next((i for i, top in enumerate(map(max, zip(*rates))) if not top > 0.0), n)
+    if invalid < n and invalid <= empty:
+        raise ValueError("every rate must be finite and nonnegative")
+    if empty < n:
+        raise ValueError("at least one rate must be positive")
 
 
 @dataclass(frozen=True)
@@ -156,9 +165,7 @@ def _theta_columns(rates: Sequence[Sequence[float]], K: int) -> list[list[float]
     for k, ffs in enumerate(_falling_factorials(len(rates), K)):
         total = [0.0] * len(rates[0])
         for ff, lam_j in zip(ffs, rates[k:]):
-            for i, lam in enumerate(lam_j):
-                if lam:
-                    total[i] += ff * lam
+            total = [t + ff * lam if lam else t for t, lam in zip(total, lam_j)]
         totals.append(total)
     return totals
 
@@ -405,9 +412,17 @@ def _residual_table(pmf: np.ndarray) -> DistributionTable:
 
 def monotone_condition(params: CompoundPoissonParams) -> bool:
     """True iff j lambda_j >= (j+1) lambda_{j+1} for all j (lambda_{J+1} = 0)."""
-    return _monotone_rates(params.rates)
+    (monotone,) = _monotone_columns(list(zip(params.rates)))
+    return monotone
 
 
-def _monotone_rates(rates: Sequence[float]) -> bool:
-    jl = _jlam(rates)
-    return all(map(operator.ge, jl, jl[1:] + [0.0]))
+def _monotone_columns(rates: Sequence[Sequence[float]]) -> list[bool]:
+    """``monotone_condition`` of many laws at once: ``rates[j - 1]`` holds
+    lambda_j of every law.  Each pass compares ``_jlam``'s entries j - 1 and
+    j of every law, from j = J (against lambda_{J+1} = 0) down."""
+    J = len(rates)
+    monotone = [J * lam >= 0.0 for lam in rates[-1]]
+    for j in range(J - 1, 0, -1):
+        monotone = [m and j * a >= (j + 1) * b
+                    for m, a, b in zip(monotone, rates[j - 1], rates[j])]
+    return monotone

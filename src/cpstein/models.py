@@ -33,6 +33,7 @@ from typing import Iterable, Sequence
 
 from .core import CompoundPoissonParams, DistributionTable
 from .exact import (
+    BudgetExceededError,
     _stirlerr,
     mixed_exact_pmf,
     nbinom_table,
@@ -131,14 +132,20 @@ class RunsModel:
         return cls(n=int(obj["n"]), p=float(obj["p"]))
 
 
+# terms of the reliability d_K bracket, values x exponents: about 1.2 us a
+# term at one value (1.2 s at the budget) and 0.16 us at 10^4 values, on a
+# 2-vCPU host
+DK_BRACKET_BUDGET = 1_000_000
+
 # C(m, e) for m = 2, 3, 4, one row per e = j - 1 of the rates j = 1..5
 _RELIABILITY_BINOMIALS = tuple(tuple(math.comb(m, e) for m in (2, 3, 4)) for e in range(5))
 
 
-def _all_failed(q: float, k: int) -> float:
-    """psi = q^(k^2), the chance that a fixed k x k subgrid is all-failed;
-    k^2 is formed as a float, inf past the float range."""
-    return q ** (float(k) * k)
+def _all_failed(qs: Sequence[float], k: int) -> list[float]:
+    """psi = q^(k^2) at each q, the chance that a fixed k x k subgrid is
+    all-failed; k^2 is formed as a float, inf past the float range."""
+    k_sq = float(k) * k
+    return [q**k_sq for q in qs]
 
 
 @dataclass(frozen=True)
@@ -163,7 +170,8 @@ class ReliabilityModel:
     @property
     def psi(self) -> float:
         """Probability q^(k^2) that a fixed k x k subgrid is all-failed."""
-        return _all_failed(self.q, self.k)
+        (psi,) = _all_failed((self.q,), self.k)
+        return psi
 
     def cp_params(self) -> CompoundPoissonParams:
         """Approximant rates for the subgrid count, j = 1..5:
@@ -185,20 +193,21 @@ class ReliabilityModel:
         u = float(self.n - k - 1)  # u * u as a float is inf past 1.3e154
         four_u, u_sq = 4.0 * u, u * u
         ys = [q**k for q in qs]
-        psis = [_all_failed(q, k) for q in qs]
+        psis = _all_failed(qs, k)
         # y**e and (1-y)**e, e = 0..4
         y_pow = [[y**e for y in ys] for e in range(5)]
         z_pow = [[(1.0 - y) ** e for y in ys] for e in range(5)]
         zeros = [0.0] * len(ys)
         columns = []
-        # P(Bin(m, y) = e) = C(m, e) * y**e * (1-y)**(m-e); C(m, e) = 0 for e > m
+        # pi_i(e + 1) = P(Bin(m, y) = e) = C(m, e) * y**e * (1-y)**(m-e) for
+        # m = i + 1, and 0 where C(m, e) = 0 (e > m)
         for e, (c2, c3, c4) in enumerate(_RELIABILITY_BINOMIALS):
-            pi1 = [c2 * a * b for a, b in zip(y_pow[e], z_pow[2 - e])] if c2 else zeros
-            pi2 = [c3 * a * b for a, b in zip(y_pow[e], z_pow[3 - e])] if c3 else zeros
-            pi3 = [c4 * a * b for a, b in zip(y_pow[e], z_pow[4 - e])]
+            z2 = z_pow[2 - e] if c2 else zeros
+            z3 = z_pow[3 - e] if c3 else zeros
             columns.append([
-                psi / (e + 1) * (4.0 * a + four_u * b + u_sq * c)
-                for psi, a, b, c in zip(psis, pi1, pi2, pi3)
+                psi / (e + 1) * (4.0 * (c2 * a * b2 if c2 else 0.0)
+                                 + four_u * (c3 * a * b3 if c3 else 0.0) + u_sq * (c4 * a * b4))
+                for psi, a, b2, b3, b4 in zip(psis, y_pow[e], z2, z3, z_pow[4 - e])
             ])
         return columns
 
@@ -219,9 +228,16 @@ class ReliabilityModel:
         return self.dk_columns((self.q,), (m1,))[0]
 
     def dk_columns(self, qs: Sequence[float], m1s: Iterable[float]) -> list[float]:
-        """``dk_bound`` at each pair of q and m1."""
+        """``dk_bound`` at each pair of q and m1.  The bracket has
+        (k-1)^2 + (k-2) exponents, each summed at every q in turn; more than
+        DK_BRACKET_BUDGET terms in all raise BudgetExceededError before any
+        is formed."""
         n, k = self.n, self.k
-        psis = [_all_failed(q, k) for q in qs]
+        terms = len(qs) * ((k - 1) ** 2 + (k - 2))
+        if terms > DK_BRACKET_BUDGET:
+            raise BudgetExceededError(f"reliability d_K bracket of {terms} terms exceeds"
+                                      f" budget {DK_BRACKET_BUDGET} terms")
+        psis = _all_failed(qs, k)
         brackets = [(4.0 * k * k + 12.0 * k - 3.0) * psi for psi in psis]
         powers = [k * k - r * s for r in range(1, k) for s in range(1, k)]
         powers += [k * k - k * s for s in range(1, k - 1)]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cpstein import cli, models
 from cpstein import (
     GammaMixing,
     IndependentSumModel,
@@ -226,6 +227,53 @@ def test_reliability_dk_bound_k2_closed_form():
     psi = 0.3**4
     want = 0.5 * 9 * psi * (37 * psi + 4 * 0.3**3)
     assert_allclose(reliability_dk_bound(m, 0.5), want, rtol=1e-14)
+
+
+class _CountedQs(list):
+    """A list of q values that counts how often its values are read."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize(
+    "k,count", [(100_000, 1), (1001, 1), (2, models.DK_BRACKET_BUDGET + 1), (4, 100_000)]
+)
+def test_reliability_dk_bracket_past_its_budget_is_refused_unread(k, count):
+    # (k-1)^2 + (k-2) exponents at each q: past the budget the bracket is
+    # refused before one q is read or one exponent formed
+    qs = _CountedQs([0.5] * count)
+    m = ReliabilityModel(n=10**6, k=k, q=0.5)
+    with pytest.raises(models.BudgetExceededError, match="exceeds budget 1000000"):
+        m.dk_columns(qs, [1.0] * count)
+    assert qs.reads == 0
+
+
+def test_reliability_dk_bracket_at_its_budget_is_summed(monkeypatch):
+    # k = 3 has 5 exponents: 4 values make 20 terms, 5 values 25
+    monkeypatch.setattr(models, "DK_BRACKET_BUDGET", 20)
+    m = ReliabilityModel(n=30, k=3, q=0.5)
+    assert m.dk_columns([0.5] * 4, [1.0] * 4) == [m.dk_bound(1.0)] * 4
+    with pytest.raises(models.BudgetExceededError, match="25 terms exceeds budget 20 terms"):
+        m.dk_columns([0.5] * 5, [1.0] * 5)
+
+
+def test_reliability_sweep_past_the_bracket_budget_exits_3(capsys):
+    argv = ["sweep", "--model", "reliability", "--n", "1000000", "--k", "100000",
+            "--q-range", "1:1:1"]
+    assert cli.main(argv) == cli.EXIT_BUDGET
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: reliability d_K bracket of 9999899999 terms exceeds budget 1000000 terms\n"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -568,7 +568,7 @@ def test_catalogue_columns_match_one_law_at_a_time():
             params = CompoundPoissonParams(rates)
             th = theta(params, 3)
             assert repr(tuple(col[i] for col in thetas)) == repr(th.values)
-            rows = [tuple(col[i]) for col in catalogue]
+            rows = [tuple(row.bound(i)) for row in catalogue]
             assert repr(rows) == repr([tuple(b) for b in evaluate_all(params)])
             seen.update((method, ok, note) for _, _, method, ok, note, _ in rows)
             if rates[0] == 0.0:

@@ -176,7 +176,7 @@ def test_verify_runs_oracle_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
-# the float formula of each catalogue row, in catalogue order
+# the column function of each catalogue row, in catalogue order
 FORMULAS = ("_general", "_monotone", "_bx99", "_cor3", "_thm4")
 
 
@@ -192,20 +192,34 @@ FORMULAS = ("_general", "_monotone", "_bx99", "_cor3", "_thm4")
     ],
 )
 def test_catalogue_evaluated_once_per_row(capsys, monkeypatch, argv, rows):
-    # each row's formula runs once per law: bounds and verify reach it through
-    # evaluate_all, sweep maps it over the columns of all its laws
+    # each row's column function runs once per command, over the columns of
+    # all its laws: one for bounds and verify, through evaluate_all, and every
+    # row of a sweep; THM2(3) runs once for each law whose order-3 row falls
+    # back to it
     from cpstein import bounds
 
-    calls = dict.fromkeys(FORMULAS, 0)
+    laws = dict.fromkeys(FORMULAS, [])
+    order3 = []
     for name in FORMULAS:
-        def counting(*args, _name=name, _real=getattr(bounds, name)):
-            calls[_name] += 1
-            return _real(*args)
+        def counting(*columns, _name=name, _real=getattr(bounds, name)):
+            out = _real(*columns)
+            laws[_name] = laws[_name] + [len(out.method)]
+            if _name == "_cor3":
+                order3.extend(out.method)
+            return out
 
         monkeypatch.setattr(bounds, name, counting)
+    thm2 = []
+
+    def counting_thm2(*args, _real=bounds.bound_thm2):
+        thm2.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(bounds, "bound_thm2", counting_thm2)
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert calls == dict.fromkeys(FORMULAS, rows)
+    assert laws == dict.fromkeys(FORMULAS, [rows])
+    assert len(thm2) == order3.count("THM2(3)") == ("reliability" in argv)
 
 
 @pytest.mark.parametrize(

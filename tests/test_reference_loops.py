@@ -23,22 +23,38 @@ are held to mpmath at the true (shape, scale).
 The regime is read from the bound catalogue's BX99, COR3 and THM4 rows;
 ``regime_classify_reference``, which judged the three conditions on theta a
 second time, is kept here and must agree with the reading.
+
+The reliability rates of a sweep form each column in one pass;
+``reliability_rate_columns_reference`` is the loop as first written, with
+its binomial probabilities in columns of their own.
+
+Each catalogue row is one function of columns, run over all the laws of a
+sweep at once, with one law the one-entry case.  The rows as first written,
+one law at a time in floats, are kept here: ``general_reference``,
+``monotone_reference``, ``bx99_reference``, ``cor3_reference`` and
+``thm4_reference``, with the law checks and the monotone condition they
+relied on (``check_law_reference``, ``monotone_rates_reference``).  Every
+field of every row, note arguments included, must agree with them in repr,
+law by law and over one column set of all the laws.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
+import sys
 
 import numpy as np
 import pytest
 
 from scipy import special
 
-from cpstein import core, exact, oracle
+from cpstein import cli, core, exact, oracle
 from cpstein import (
     CompoundPoissonParams,
     ConvergenceError,
+    ReliabilityModel,
     ThetaVector,
     TruncationCapError,
     bound_bx99,
@@ -52,8 +68,9 @@ from cpstein import (
     solve_stein,
     theta,
 )
-from cpstein.bounds import _cor3_delta
+from cpstein.bounds import _cor3_delta, _evaluate_columns, bound_thm2
 from cpstein.oracle import default_x_max
+from test_bounds import COR3_OVERFLOW_LAW, _catalogue_laws
 from test_exact import check_nbinom_table
 
 # ---------------------------------------------------------------------------
@@ -180,6 +197,144 @@ def regime_classify_reference(th):
     if bound_thm4(th).applicable:
         return "THM4_OK"
     return "GENERAL_ONLY"
+
+
+def check_law_reference(rates):
+    if len(rates) == 0:
+        raise ValueError("rates must be nonempty")
+    if not all(map(math.isfinite, rates)) or min(rates) < 0.0:
+        raise ValueError("every rate must be finite and nonnegative")
+    if not max(rates) > 0.0:
+        raise ValueError("at least one rate must be positive")
+
+
+def monotone_rates_reference(rates):
+    jl = [j * lam for j, lam in enumerate(rates, start=1)]
+    return all(map(operator.ge, jl, jl[1:] + [0.0]))
+
+
+# a catalogue row as first written: (m0, m1, method, applicable, note, note_args)
+def applicable_reference(m0, m1, method, note, *args):
+    if not (m0 > 0.0 and m1 > 0.0):
+        raise ValueError("applicable bounds must be positive")
+    return (m0, m1, method, True, note, args)
+
+
+def inapplicable_reference(method, note, *args):
+    return (math.inf, math.inf, method, False, note, args)
+
+
+def factors_from_delta_reference(delta):
+    m0 = 2.0 * math.sqrt(2.0 / delta)
+    pi_delta = math.pi * delta
+    if pi_delta < math.inf:
+        log_pi_delta = max(math.log(pi_delta), 0.0) if pi_delta > 0.0 else 0.0
+    else:
+        log_pi_delta = math.log(math.pi) + math.log(delta)
+    return m0, (0.5 / delta) * (1.0 + log_pi_delta)
+
+
+def general_reference(rates):
+    lam1 = rates[0]
+    factor = 1.0 if lam1 == 0.0 else min(1.0, 1.0 / lam1)
+    try:
+        value = factor * math.exp(math.fsum(rates))
+    except OverflowError:
+        value = math.inf
+    return applicable_reference(value, value, "GENERAL", "always applicable")
+
+
+def monotone_reference(lam1, monotone):
+    if not monotone:
+        return inapplicable_reference("MONOTONE", "rate sequence j*lambda_j not nonincreasing")
+    e_lam1 = math.e * lam1
+    m0 = min(1.0, math.sqrt(2.0 / e_lam1 if e_lam1 < math.inf else 2.0 / math.e / lam1))
+    m1 = min(0.5, 1.0 / (lam1 + 1.0))
+    return applicable_reference(m0, m1, "MONOTONE", "j*lambda_j nonincreasing")
+
+
+def bx99_reference(t0, t1, finite):
+    if not finite:
+        return inapplicable_reference("BX99", "theta not finite")
+    gap = t0 - 2.0 * t1
+    if not gap > 0.0:
+        return inapplicable_reference("BX99", "theta_0 - 2*theta_1 = %g <= 0", gap)
+    return applicable_reference(math.sqrt(t0) / gap, 1.0 / gap, "BX99",
+                                "theta_0 - 2*theta_1 = %g > 0", gap)
+
+
+def cor3_delta_reference(t0, t1, t2, t3):
+    if not t2 < 2.0 * t1:
+        return None
+    delta = t0 - 2.0 * t1 + 2.0 * t2 - (4.0 / 3.0) * t3
+    if math.isfinite(delta) or not all(map(math.isfinite, (t0, t1, t2, t3))):
+        return delta
+    return min(2.0 * (0.5 * t0 - t1 + t2 - (2.0 / 3.0) * t3), sys.float_info.max)
+
+
+def cor3_reference(t0, t1, t2, t3, finite):
+    if not finite:
+        return inapplicable_reference("COR3", "theta not finite")
+    delta = cor3_delta_reference(t0, t1, t2, t3)
+    if delta is None:
+        return tuple(bound_thm2(ThetaVector((t0, t1, t2, t3)), 3))
+    if not delta > 0.0:
+        return inapplicable_reference("COR3", "delta = %g <= 0", delta)
+    m0, m1 = factors_from_delta_reference(delta)
+    return applicable_reference(m0, m1, "COR3", "delta = %g (closed form)", delta)
+
+
+def thm4_reference(t0, t1, finite):
+    if not finite:
+        return inapplicable_reference("THM4", "theta not finite")
+    gamma = 2.0 * t1 - t0
+    if not gamma > 0.0:
+        return inapplicable_reference("THM4", "2*theta_1 - theta_0 = %g <= 0", gamma)
+    try:
+        c = math.exp(1.5 * gamma)
+    except OverflowError:
+        c = math.inf
+    delta = gamma / (2.0 * c * math.sqrt(math.pi))
+    if not delta > 0.0:
+        return inapplicable_reference("THM4", "delta underflowed to 0")
+    m0, m1 = factors_from_delta_reference(delta)
+    return applicable_reference(m0, m1, "THM4", "delta = %g", delta)
+
+
+def reliability_rate_columns_reference(model, qs):
+    k = model.k
+    u = float(model.n - k - 1)
+    four_u, u_sq = 4.0 * u, u * u
+    ys = [q**k for q in qs]
+    psis = [q ** (float(k) * k) for q in qs]
+    y_pow = [[y**e for y in ys] for e in range(5)]
+    z_pow = [[(1.0 - y) ** e for y in ys] for e in range(5)]
+    zeros = [0.0] * len(ys)
+    columns = []
+    for e in range(5):
+        c2, c3, c4 = (math.comb(m, e) for m in (2, 3, 4))
+        pi1 = [c2 * a * b for a, b in zip(y_pow[e], z_pow[2 - e])] if c2 else zeros
+        pi2 = [c3 * a * b for a, b in zip(y_pow[e], z_pow[3 - e])] if c3 else zeros
+        pi3 = [c4 * a * b for a, b in zip(y_pow[e], z_pow[4 - e])]
+        columns.append([
+            psi / (e + 1) * (4.0 * a + four_u * b + u_sq * c)
+            for psi, a, b, c in zip(psis, pi1, pi2, pi3)
+        ])
+    return columns
+
+
+def catalogue_reference(rates):
+    """The five rows of one law as first written, each a plain tuple."""
+    check_law_reference(rates)
+    th = theta(CompoundPoissonParams(rates), 3)
+    t0, t1, t2, t3 = th.values
+    return [
+        general_reference(rates),
+        monotone_reference(rates[0], monotone_rates_reference(rates)),
+        bx99_reference(t0, t1, th.finite),
+        cor3_reference(t0, t1, t2, t3, th.finite),
+        thm4_reference(t0, t1, th.finite),
+    ]
 
 
 def tail_reference(jl, lo, n, r):
@@ -572,3 +727,92 @@ def test_regime_read_from_rows_matches_reference_on_theta(values):
     th = ThetaVector(values)
     rows = [bound_bx99(th), bound_cor3(th), bound_thm4(th)]
     assert regime_classify(rows) == regime_classify_reference(th) == "GENERAL_ONLY"
+
+
+# ---------------------------------------------------------------------------
+# the catalogue rows over columns
+
+
+def _reference_laws() -> list[tuple[float, ...]]:
+    rng = random.Random(34)
+    laws = [law for J in range(1, 6) for law in _catalogue_laws(J, 60, rng)]
+    return laws + [COR3_OVERFLOW_LAW]
+
+
+def test_catalogue_rows_match_references_law_by_law():
+    for rates in _reference_laws():
+        rows = [tuple(b) for b in evaluate_all(CompoundPoissonParams(rates))]
+        assert repr(rows) == repr(catalogue_reference(rates)), rates
+
+
+def test_catalogue_rows_match_references_over_one_column_set():
+    # all the laws at once, padded to J = 5 with zero rates, which change
+    # neither theta nor any row
+    laws = [rates + (0.0,) * (5 - len(rates)) for rates in _reference_laws()]
+    thetas, catalogue = _evaluate_columns([list(col) for col in zip(*laws)])
+    methods = set()
+    for i, rates in enumerate(laws):
+        want = catalogue_reference(rates)
+        assert repr([tuple(row.bound(i)) for row in catalogue]) == repr(want), rates
+        read = [(row.m1[i], row.applicable[i], row.method[i]) for row in catalogue]
+        assert repr(read) == repr([(w[1], w[3], w[2]) for w in want])
+        methods.update(w[2] for w in want)
+    assert methods == {"GENERAL", "MONOTONE", "BX99", "COR3", "THM2(3)", "THM4"}
+
+
+def test_monotone_columns_match_reference():
+    laws = [rates + (0.0,) * (5 - len(rates)) for rates in _reference_laws()]
+    got = core._monotone_columns([list(col) for col in zip(*laws)])
+    want = list(map(monotone_rates_reference, laws))
+    assert got == want and True in want and False in want
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_check_laws_refuses_the_first_failing_law_as_the_reference(seed):
+    # bad laws at random places, of each kind, among good ones: the columns
+    # are refused with the message law by law checking gives first
+    rng = random.Random(seed)
+    bad = [(-1.0, 2.0), (math.nan, 1.0), (math.inf, 0.0), (0.0, 0.0), (0.0, -0.0), (1.0, math.nan)]
+    good = [(rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0) + 0.1) for _ in range(20)]
+    core._check_laws([list(col) for col in zip(*good)])
+    laws = list(good)
+    for law in rng.sample(bad, 3):
+        laws.insert(rng.randrange(len(laws) + 1), law)
+    want = None
+    for law in laws:
+        try:
+            check_law_reference(law)
+        except ValueError as exc:
+            want = str(exc)
+            break
+    with pytest.raises(ValueError) as info:
+        core._check_laws([list(col) for col in zip(*laws)])
+    assert str(info.value) == want
+
+
+@pytest.mark.parametrize(
+    "model,argv",
+    [
+        ({"model": "reliability", "n": 10, "k": 2, "q": 0.0},
+         ["--model", "reliability", "--n", "10", "--k", "2", "--q-range", "0:0.8:16"]),
+        ({"model": "runs", "n": 50, "p": 0.0},
+         ["--model", "runs", "--n", "50", "--p-range", "0:0.45:8"]),
+    ],
+)
+def test_sweep_from_zero_refuses_with_the_first_rows_message(capsys, model, argv):
+    # at q = 0 (p = 0) every rate is 0: the sweep is refused as its first
+    # row's law is, and nothing is printed
+    with pytest.raises(ValueError) as info:
+        cli.model_from_json(model).cp_params()
+    assert str(info.value) == "at least one rate must be positive"
+    assert cli.main(["sweep", *argv]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {info.value}\n"
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("n_past_k", [2, 30, 10**6])
+def test_reliability_rate_columns_bit_identical_to_reference(k, n_past_k):
+    qs = [i / 63 for i in range(64)] + [1e-300, 0.5 - 1e-17, 1.0 - 2**-52]
+    model = ReliabilityModel(n=k + n_past_k, k=k, q=0.5)
+    assert repr(model.rate_columns(qs)) == repr(reliability_rate_columns_reference(model, qs))

@@ -19,9 +19,10 @@ The layers are those the benchmark's tracer names: ``theta`` and ``delta_k``
 whose mean theta_0 is small, medium and large), each exact law, and
 ``distance``; ``sweep`` is a whole ``cpstein sweep`` command, reliability
 sweeps of 16, 256 and 4096 rows through ``cli.main`` with stdout captured,
-and ``catalogue`` is theta and the five catalogue rows over the laws of
-those sweeps, in columns as the sweep computes them, without the model's
-rates or the printer.
+and ``catalogue`` is ``bounds._evaluate_columns`` on the laws of those
+sweeps: the law checks, theta, and each of the five catalogue rows as one
+call of its function over the columns of every law, as the sweep computes
+them, without the model's rates or the printer.
 """
 
 from __future__ import annotations
