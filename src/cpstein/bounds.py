@@ -31,7 +31,8 @@ theta's entries and whether theta is finite.  Each returns the
 row of every law as columns (``_Rows``): m0, m1, method and applicable, and
 a function that forms law i's note only when its bound is built.
 ``_cor3`` also chooses the route of each law: the closed form under
-theta_2 < 2 theta_1, else ``bound_thm2`` for that law.  One law is the
+theta_2 < 2 theta_1, else THM2(3) on that law's Bernstein enclosure,
+without the closed form a second time.  One law is the
 one-entry case: ``bound_general`` ... ``bound_thm4`` and ``evaluate_all``
 call the functions on columns one entry long.  ``_evaluate_columns`` calls
 each once over the columns of many laws, with theta summed over the same
@@ -585,14 +586,18 @@ def bound_thm2(th: ThetaVector, k: int) -> SteinFactorBound:
     Uses the lower end of ``delta_k``: the closed form where there is one,
     else the certified lower bound of the Bernstein enclosure; the note
     names the route that ran."""
-    method = f"THM2({k})"
     if not th.finite:
-        return _inapplicable(method, "theta not finite")
-    dr = delta_k(th, k)
+        return _inapplicable(f"THM2({k})", "theta not finite")
+    return _thm2(delta_k(th, k))
+
+
+def _thm2(dr: DeltaResult) -> SteinFactorBound:
+    """THM2(k) of finite theta from its delta_k, ``dr``."""
+    method = f"THM2({dr.k})"
     if not dr.lower > 0.0:
-        return _inapplicable(method, "delta_%s = %g <= 0", k, dr.lower)
+        return _inapplicable(method, "delta_%s = %g <= 0", dr.k, dr.lower)
     m0, m1 = _factors_from_delta(dr.lower)
-    return _applicable(m0, m1, method, "delta_%s = %g (%s)", k, dr.lower, dr.route)
+    return _applicable(m0, m1, method, "delta_%s = %g (%s)", dr.k, dr.lower, dr.route)
 
 
 def bound_cor3(th: ThetaVector) -> SteinFactorBound:
@@ -609,14 +614,16 @@ def bound_cor3(th: ThetaVector) -> SteinFactorBound:
 def _cor3(t0: Sequence[float], t1: Sequence[float], t2: Sequence[float],
           t3: Sequence[float], finite: Sequence[bool]) -> _Rows:
     """COR3, or THM2(3) for each law where theta_2 >= 2 theta_1 leaves no
-    closed form."""
+    closed form: the row of its Bernstein enclosure, the closed form not
+    tried a second time."""
     deltas = _cor3_deltas(t0, t1, t2, t3)
     m0, m1, method, ok, thm2 = zip(*[
         (*fallback[:4], fallback) if fallback is not None
         else (*_factors_from_delta(delta), "COR3", True, None) if f and delta > 0.0
         else (INF, INF, "COR3", False, None)
         for a, b, c, d, f, delta in zip(t0, t1, t2, t3, finite, deltas)
-        for fallback in [bound_thm2(ThetaVector((a, b, c, d)), 3) if f and delta is None else None]
+        for fallback in [_thm2(delta_k_grid(ThetaVector((a, b, c, d)), 3)) if f and delta is None
+                         else None]
     ])
 
     def bound(i: int) -> SteinFactorBound:

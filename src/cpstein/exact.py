@@ -10,7 +10,8 @@ The transfer matrix is the Markov-chain imbedding of Fu & Koutras (JASA
 1994): a state x count array advanced one site at a time, each transition
 keeping the count or raising it by one.  The runs chain has two states,
 so its law is the trace of the n-th power of a 2 x 2 matrix of
-polynomials, formed by repeated squaring; it takes n <= 2000 (2-6 ms at
+polynomials, formed by repeated squaring on the degrees up to its
+truncation point D only, O(D^2 log n); it takes n <= 2000 (0.5-3.5 ms at
 n = 2000, by p, within n u of the exact law).  Reliability takes grids up
 to n = 11 for k = 2 and n = 8 for k = 3 (0.2-0.25 s there), Monte Carlo
 beyond (about 5 ms per 10 000 grids at n = 10, most of it drawing them,
@@ -18,17 +19,22 @@ up to MC_CELL_BUDGET grid cells, through one draw buffer of MC_DRAW_CELLS
 cells); 2 vCPUs, numpy 2.4.  The mixed-Poisson tables take ``cp_pmf``'s
 truncation rule and residual tail: the two-point mixture mixes its Poisson
 tables, and the negative binomial, Loader's kernel in (shape, scale), is cut
-on a bound from its pmf ratio and, for shape <= 1, from its 1/k decay.
+on a bound from its pmf ratio and, for shape <= 1, from its 1/k decay.  The
+runs law takes the same rule on the Chernoff bound of its pgf, which is
+also its ``tail_mass``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from .core import CompoundPoissonParams, DistributionTable
-from .core import _bulk_start, _cp_table, _cp_x_max, _residual_table, _truncation_point
+from .core import (
+    _bulk_start, _chernoff_grid, _cp_table, _cp_x_max, _residual_table, _truncation_point,
+)
 
 # for annotations only: numpy loads in the functions that use it, and models
 # imports this module (the laws read model attributes only)
@@ -94,30 +100,93 @@ def runs_exact_pmf(m: models.RunsModel) -> DistributionTable:
 
         M(z) = [[q, p], [q, p z]]    (row: previous bit, column: next bit),
 
-    z counting a 1 that follows a 1 and the trace closing the cycle.  M(z)^n
-    is formed by left-to-right square-and-multiply over the bits of n.  The
-    2 x 2 matrix of polynomials in z is one (2, 2, L) array of coefficients,
-    from power ``lo`` up: a squaring is eight ``np.convolve`` calls, a
-    multiply by M one site of the site-by-site recursion, a' = q a + q b and
-    b' = p a + p z b in each row, and the last squaring forms only the
-    trace.  Coefficients that underflow to exact zeros at either end are cut
-    away, so the array holds only the counts that carry mass.
+    z counting a 1 that follows a 1 and the trace closing the cycle.  The
+    table takes every tabulated law's truncation rule: from the bulk start
+    of mean n p^2 and variance n p^2 (1 + 2p - 3p^2), D is the first point
+    tried at which ``_runs_tail``, the Chernoff bound of the closed-form
+    pgf, is at most TAIL_TARGET, capped at n, where P(W > n) = 0.  The
+    coefficients c_0..c_D of ``_runs_coefficients`` are divided by their
+    sum, so with F the cdf of W, for every x <= D
+
+        0 <= sum_{d<=x} c_d / sum_{d<=D} c_d - F(x)
+           = F(x) P(W > D) / P(W <= D) <= P(W > D) <= tail_mass:
+
+    ``tail_mass`` bounds both the mass past D and the shift this division
+    makes in each cdf value.  Where D = n, every n <= 16 and p = 1 among
+    them, tail_mass is 0 and the whole law is tabulated.
 
     Every site contributes one factor p or q = fl(1 - p), and p + q need not
     be exactly 1; dividing the table by its sum gives the law at p/(p + q),
     within an ulp of p.  Every operation adds nonnegative terms, so the
     error is O(n u), u = 2^-53: at most 0.85 n u per entry against the
     block-count law in 50-digit arithmetic, over 162 laws up to n = 2000.
-    Direct convolution costs O(L^2) per squaring, so the last one
-    dominates: about 0.4 ms at n = 200 and 2-6 ms at n = 2000 (p = 0.02 to
-    0.999).  Up to n = 30 the per-call cost of the convolutions dominates
-    instead, 0.06-0.26 ms; 2 vCPUs, numpy 2.4.
-    """
-    import numpy as np
 
+    Direct convolution costs O(L^2) per squaring, L <= D + 1, so the whole
+    is O(D^2 log n).  At n = 2000 a call takes about 0.5-0.6 ms at
+    p = 0.02-0.05 (D = 20-39), 0.8-0.9 ms at p = 0.2 (D = 192), 1.1 ms at
+    p = 0.5 (D = 760) and 3.5 ms at p = 0.9 (D = 1875), where all n + 1
+    degrees took 1.7-4.8 ms.  Up to n = 30 the per-call cost of the
+    convolutions dominates instead, about 0.2 ms, of which the tail bound
+    takes 15-35 us; 2 vCPUs, numpy 2.4.
+    """
     if m.n > RUNS_N_BUDGET:
         raise BudgetExceededError(f"runs n = {m.n} exceeds budget {RUNS_N_BUDGET}")
     n, p = m.n, m.p
+    mean = n * p * p
+    start = _bulk_start(mean, mean * (1.0 + 2.0 * p - 3.0 * p * p), 1)
+    d_max, tail = _truncation_point(start, functools.partial(_runs_tail, n, p))
+    pmf = _runs_coefficients(n, p, min(d_max, n))
+    return DistributionTable(pmf=pmf / pmf.sum(), tail_mass=tail)
+
+
+def _runs_log_pgf(n: int, p: float, zm1: np.ndarray) -> np.ndarray:
+    """log trace(M(z)^n) = log(lambda_+^n + lambda_-^n) at each z = 1 + zm1 >= 1,
+    for the p and q = fl(1 - p) of ``_runs_coefficients``, so at z = 1 the
+    mass (p + q)^n of its uncut table.
+
+    lambda_+- = (T +- disc) / 2 are the eigenvalues of M(z): T = q + p z, and
+    disc^2 = T^2 - 4 p q (z - 1) is formed as (q - p z)^2 + 4 p q, a sum of
+    nonnegative terms; lambda_- = 2 p q (z - 1) / (T + disc), which does not
+    cancel.  For z >= 1 both are nonnegative, so the log is
+    n log lambda_+ + log1p((lambda_- / lambda_+)^n).
+    """
+    import numpy as np
+
+    q = 1.0 - p
+    pz = p * (1.0 + zm1)
+    plus = q + pz + np.sqrt((q - pz) ** 2 + 4.0 * p * q)  # T + disc = 2 lambda_+
+    ratio = 4.0 * p * q * zm1 / (plus * plus)  # lambda_- / lambda_+, in [0, 1]
+    return n * np.log(0.5 * plus) + np.log1p(ratio**n)
+
+
+def _runs_tail(n: int, p: float, x: int) -> float:
+    """Chernoff bound on P(W > x): the least exp(-s x) E e^{sW} over
+    ``chernoff_tail``'s grid of s, E e^{sW} from ``_runs_log_pgf`` at z = e^s,
+    formed in logs; 0 for x >= n, past the support."""
+    if x >= n:
+        return 0.0
+    s, e = _chernoff_grid(1)
+    exponent = float((_runs_log_pgf(n, p, e[:, 0]) - x * s).min())
+    return math.exp(exponent) if exponent < 0.0 else 1.0
+
+
+def _runs_coefficients(n: int, p: float, d_max: int) -> np.ndarray:
+    """c_0..c_{d_max} of trace(M(z)^n), not normalised, for d_max <= n.
+
+    M(z)^n is formed by left-to-right square-and-multiply over the bits of
+    n.  The 2 x 2 matrix of polynomials in z is one (2, 2, L) array of
+    coefficients, from power ``lo`` up: a squaring is eight
+    ``np.convolve`` calls, a multiply by M one site of the site-by-site
+    recursion, a' = q a + q b and b' = p a + p z b in each row, and the last
+    squaring forms only the trace.  After each step only the degrees up to
+    d_max are kept: a product's coefficient of degree d reads only its
+    factors' degrees up to d, through the same dot products, so each kept
+    coefficient has the bits of the uncut power.  Coefficients that
+    underflow to exact zeros at either end are cut away as well, so the
+    array holds only the counts that carry mass.
+    """
+    import numpy as np
+
     q = 1.0 - p
 
     def times_m(x: np.ndarray) -> np.ndarray:
@@ -136,6 +205,7 @@ def runs_exact_pmf(m: models.RunsModel) -> DistributionTable:
             for j in (0, 1):
                 np.add(conv(x[i, 0], x[0, j]), conv(x[i, 1], x[1, j]), out=y[i, j])
         x, lo = (times_m(y) if bit == "1" else y), 2 * lo
+        x = x[..., : d_max - lo + 1]
         if not (x[..., 0].any() and x[..., -1].any()):
             live = np.flatnonzero(x.reshape(4, -1).any(axis=0))
             x, lo = x[..., live[0] : live[-1] + 1], lo + live[0]
@@ -144,9 +214,9 @@ def runs_exact_pmf(m: models.RunsModel) -> DistributionTable:
         conv(x[0, 0], y[0, 0]) + conv(x[0, 1], y[1, 0])
         + conv(x[1, 0], y[0, 1]) + conv(x[1, 1], y[1, 1])
     )
-    pmf = np.zeros(n + 1)
-    pmf[2 * lo : 2 * lo + trace.size] = trace
-    return DistributionTable(pmf=pmf / pmf.sum(), tail_mass=0.0)
+    pmf = np.zeros(d_max + 1)
+    pmf[2 * lo : 2 * lo + trace.size] = trace[: d_max + 1 - 2 * lo]
+    return pmf
 
 
 def _count_subgrids(grids: np.ndarray, k: int) -> np.ndarray:

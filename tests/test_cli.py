@@ -194,8 +194,9 @@ FORMULAS = ("_general", "_monotone", "_bx99", "_cor3", "_thm4")
 def test_catalogue_evaluated_once_per_row(capsys, monkeypatch, argv, rows):
     # each row's column function runs once per command, over the columns of
     # all its laws: one for bounds and verify, through evaluate_all, and every
-    # row of a sweep; THM2(3) runs once for each law whose order-3 row falls
-    # back to it
+    # row of a sweep; the order-3 closed form runs once, over the same
+    # columns, and the order-3 enclosure once for each law whose order-3 row
+    # falls back to THM2(3)
     from cpstein import bounds
 
     laws = dict.fromkeys(FORMULAS, [])
@@ -209,17 +210,18 @@ def test_catalogue_evaluated_once_per_row(capsys, monkeypatch, argv, rows):
             return out
 
         monkeypatch.setattr(bounds, name, counting)
-    thm2 = []
+    calls = {"_cor3_deltas": [], "delta_k_grid": []}
+    for name, seen in calls.items():
+        def counting_calls(*args, _seen=seen, _real=getattr(bounds, name)):
+            _seen.append(args)
+            return _real(*args)
 
-    def counting_thm2(*args, _real=bounds.bound_thm2):
-        thm2.append(args)
-        return _real(*args)
-
-    monkeypatch.setattr(bounds, "bound_thm2", counting_thm2)
+        monkeypatch.setattr(bounds, name, counting_calls)
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
     assert laws == dict.fromkeys(FORMULAS, [rows])
-    assert len(thm2) == order3.count("THM2(3)") == ("reliability" in argv)
+    assert [len(args[0]) for args in calls["_cor3_deltas"]] == [rows]
+    assert len(calls["delta_k_grid"]) == order3.count("THM2(3)") == ("reliability" in argv)
 
 
 @pytest.mark.parametrize(

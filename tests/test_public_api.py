@@ -41,6 +41,8 @@ UNCALLED = {
     "sums_cp_params": ACCEPTANCE,
     "reliability_delta": ACCEPTANCE,
     "bound_lemma_c": ACCEPTANCE,
+    # the catalogue's order-3 fallback reads the enclosure through bounds._thm2
+    "bound_thm2": "THM2(k) at any order k, where the catalogue evaluates k = 3 only",
     "g_k_eval": REFERENCE,
     "poisson_stein_forward": REFERENCE,
     "interior_residuals": REFERENCE,

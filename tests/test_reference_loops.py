@@ -55,6 +55,7 @@ from cpstein import (
     CompoundPoissonParams,
     ConvergenceError,
     ReliabilityModel,
+    RunsModel,
     ThetaVector,
     TruncationCapError,
     bound_bx99,
@@ -65,6 +66,7 @@ from cpstein import (
     empirical_factors,
     evaluate_all,
     regime_classify,
+    runs_exact_pmf,
     solve_stein,
     theta,
 )
@@ -184,6 +186,40 @@ def nbinom_table_reference(r, scale):
         x_max *= 2
     return core.DistributionTable(pmf=pmf, tail_mass=max(0.0, 1.0 - float(pmf.sum())))
 
+
+
+def runs_squaring_reference(n, p):
+    """c_0..c_n of trace(M(z)^n), not normalised: the squaring of
+    ``runs_exact_pmf`` as first written, every degree of every power kept."""
+    q = 1.0 - p
+
+    def times_m(x):
+        y = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+        y[:, 0, :-1] = q * x[:, 0] + q * x[:, 1]
+        y[:, 1, :-1] = p * x[:, 0]
+        y[:, 1, 1:] += p * x[:, 1]
+        return y
+
+    x, lo = np.array([[[q, 0.0], [p, 0.0]], [[q, 0.0], [0.0, p]]]), 0
+    conv = np.convolve
+    bits = bin(n)[3:]
+    for bit in bits[:-1]:
+        y = np.empty((2, 2, 2 * x.shape[-1] - 1))
+        for i in (0, 1):
+            for j in (0, 1):
+                np.add(conv(x[i, 0], x[0, j]), conv(x[i, 1], x[1, j]), out=y[i, j])
+        x, lo = (times_m(y) if bit == "1" else y), 2 * lo
+        if not (x[..., 0].any() and x[..., -1].any()):
+            live = np.flatnonzero(x.reshape(4, -1).any(axis=0))
+            x, lo = x[..., live[0] : live[-1] + 1], lo + live[0]
+    y = times_m(x) if bits[-1] == "1" else x
+    trace = (
+        conv(x[0, 0], y[0, 0]) + conv(x[0, 1], y[1, 0])
+        + conv(x[1, 0], y[0, 1]) + conv(x[1, 1], y[1, 1])
+    )
+    coef = np.zeros(n + 1)
+    coef[2 * lo : 2 * lo + trace.size] = trace
+    return coef
 
 def regime_classify_reference(th):
     th.require(3)
@@ -685,6 +721,43 @@ def test_truncation_point_never_evaluates_the_tail_past_the_cap():
     x, t = core._truncation_point(16, lambda x: math.nan)
     assert x == 16 and math.isnan(t)
 
+
+RUNS_NS = [3, 15, 16, 17, 30, 129, 1999, 2000]
+RUNS_PS = [0.0, 1e-9, 0.05, 0.3, 0.5, 0.999999, 1.0]
+
+
+@pytest.mark.parametrize("p", RUNS_PS)
+@pytest.mark.parametrize("n", RUNS_NS)
+def test_runs_cut_squaring_bit_identical_to_reference(n, p):
+    # every kept coefficient has the uncut squaring's bits, the table is
+    # their quotient by their sum, and the uncut law's mass past the cut is
+    # within tail_mass; where nothing is cut, tail_mass is 0
+    t = runs_exact_pmf(RunsModel(n, p))
+    ref = runs_squaring_reference(n, p)
+    kept = exact._runs_coefficients(n, p, t.x_max)
+    assert _bits(kept) == _bits(ref[: t.x_max + 1])
+    assert _bits(t.pmf) == _bits(kept / kept.sum())
+    assert math.fsum(ref[t.x_max + 1 :]) / math.fsum(ref) <= t.tail_mass
+    if n <= 16 or p == 1.0:
+        assert (t.x_max, t.tail_mass) == (n, 0.0)
+
+
+@pytest.mark.parametrize("p", [1e-9, 0.05, 0.3, 0.5, 0.999999])
+@pytest.mark.parametrize("n", [3, 17, 129, 2000])
+def test_runs_pgf_matches_uncut_coefficients(n, p):
+    # log(lambda_+^n + lambda_-^n) against log sum_d c_d z^d of the uncut
+    # law, both within O(n u) of the true value; z = 1 gives the mass.  A
+    # large z is taken only at small n: at n = 2000 the degrees it weighs
+    # most have coefficients below the double range
+    ref = runs_squaring_reference(n, p)
+    d = np.flatnonzero(ref)
+    zm1 = np.array([0.0, 1e-12, 1e-6, 1e-3, 0.1, 1.0] + [147.0] * (n <= 129))
+    got = exact._runs_log_pgf(n, p, zm1)
+    for z, g in zip(zm1, got):
+        logs = np.log(ref[d]) + d * math.log1p(z)
+        top = logs.max()
+        want = top + math.log(math.fsum(np.exp(logs - top)))
+        assert abs(g - want) <= 8 * n * 2.0**-53 * max(1.0, abs(want)), (z, g, want)
 
 # ---------------------------------------------------------------------------
 # the one regime judge
