@@ -27,12 +27,14 @@ written once, as a private function of columns, one list per quantity with
 an entry for each of many laws: ``_general`` of the rates (``rates[j - 1]``
 holds lambda_j of every law), ``_monotone`` of lambda_1 and whether
 j lambda_j is nonincreasing, and ``_bx99``, ``_cor3`` and ``_thm4`` of
-theta's entries and whether theta is finite.  Each returns the
-row of every law as columns (``_Rows``): m0, m1, method and applicable, and
-a function that forms law i's note only when its bound is built.
-``_cor3`` also chooses the route of each law: the closed form under
-theta_2 < 2 theta_1, else THM2(3) on that law's Bernstein enclosure,
-without the closed form a second time.  One law is the
+theta's entries and whether theta is finite.  Each decides every law's
+entry once, in one comprehension: m0, m1, method, applicable, a note
+template and its arguments, which ``_Rows`` holds as six columns.  A note
+is formatted only when ``_Rows.bound`` builds a law's SteinFactorBound;
+a sweep builds none.  ``_cor3`` also chooses the route of each law: the
+closed form under theta_2 < 2 theta_1, else the THM2(3) entry (``_thm2``)
+of that law's Bernstein enclosure, without the closed form a second
+time.  One law is the
 one-entry case: ``bound_general`` ... ``bound_thm4`` and ``evaluate_all``
 call the functions on columns one entry long.  ``_evaluate_columns`` calls
 each once over the columns of many laws, with theta summed over the same
@@ -113,20 +115,17 @@ def encode_float(x: float) -> float | str:
 
 
 class SteinFactorBound(
-    collections.namedtuple("_Bound", "m0 m1 method applicable note note_args")
+    collections.namedtuple("_Bound", "m0 m1 method applicable condition_note")
 ):
-    """An (M0, M1) Stein-factor pair with method tag and applicability.
+    """An (M0, M1) Stein-factor pair with method tag, applicability and the
+    note of the condition that decided it.
 
-    The condition note is held as a %-template ``note`` and its arguments
-    ``note_args``; ``condition_note`` formats it when read, so a catalogue
-    that prints no notes, as a sweep does, never formats them.  Bounds
-    compare as these six fields.
-
-    The constructor takes the formatted note and builds the bound as
-    ``bound_thm2`` does: through ``_applicable``, which refuses non-positive
-    factors, or through ``_inapplicable``, which takes none and sets both
-    infinite, so the constructor refuses finite ones itself.  The catalogue
-    rows refuse non-positive factors over their columns (``_rows``).
+    The constructor refuses an applicable bound with a non-positive factor
+    and an inapplicable one with a finite factor; an inapplicable bound
+    carries m0 = m1 = inf.  The catalogue rows hold their notes as
+    %-templates and arguments, formatted only when a bound is built
+    (``_Rows.bound``); over a sweep's columns they refuse non-positive
+    factors at once (``_evaluate_columns``).
     """
 
     __slots__ = ()
@@ -134,19 +133,11 @@ class SteinFactorBound(
     def __new__(
         cls, m0: float, m1: float, method: str, applicable: bool, condition_note: str = ""
     ):
-        note = condition_note.replace("%", "%%")
-        if applicable:
-            return _applicable(m0, m1, method, note)
-        if not (m0 == INF and m1 == INF):
+        if applicable and not (m0 > 0.0 and m1 > 0.0):
+            raise ValueError("applicable bounds must be positive")
+        if not applicable and not (m0 == INF and m1 == INF):
             raise ValueError("inapplicable bounds must carry infinite factors")
-        return _inapplicable(method, note)
-
-    def __reduce__(self):  # copy and pickle the six fields, past __new__
-        return self._make, (tuple(self),)
-
-    @property
-    def condition_note(self) -> str:
-        return self.note % self.note_args
+        return tuple.__new__(cls, (m0, m1, method, applicable, condition_note))
 
     def to_json(self) -> dict:
         return {
@@ -156,16 +147,6 @@ class SteinFactorBound(
             "applicable": self.applicable,
             "note": self.condition_note,
         }
-
-
-def _applicable(m0: float, m1: float, method: str, note: str, *args) -> SteinFactorBound:
-    if not (m0 > 0.0 and m1 > 0.0):
-        raise ValueError("applicable bounds must be positive")
-    return tuple.__new__(SteinFactorBound, (m0, m1, method, True, note, args))
-
-
-def _inapplicable(method: str, note: str, *args) -> SteinFactorBound:
-    return tuple.__new__(SteinFactorBound, (INF, INF, method, False, note, args))
 
 
 @dataclass(frozen=True)
@@ -499,16 +480,32 @@ def _factors_from_delta(delta: float) -> tuple[float, float]:
     return m0, m1
 
 
-class _Rows(collections.namedtuple("_Rows", "m0 m1 method applicable bound")):
-    """One catalogue row of many laws, in columns: entry i of ``m0``, ``m1``,
-    ``method`` and ``applicable`` is law i's, and ``bound(i)`` builds law i's
-    SteinFactorBound through ``_applicable`` or ``_inapplicable``.  Notes are
-    formatted only for the bounds that are built, and a sweep builds none."""
+class _Rows(collections.namedtuple("_Rows", "m0 m1 method applicable note args")):
+    """One catalogue row of many laws, in columns: entry i of each column is
+    law i's.  ``note`` holds %-templates and ``args`` their arguments, a lone
+    argument bare; ``bound(i)`` builds law i's SteinFactorBound, the one
+    place a note is formatted, and a sweep builds none."""
 
     __slots__ = ()
 
+    def bound(self, i: int) -> SteinFactorBound:
+        m0, m1, method, applicable, note, args = self
+        return SteinFactorBound(m0[i], m1[i], method[i], applicable[i], note[i] % args[i])
+
+
+def _rows(entries: Sequence[tuple]) -> _Rows:
+    """The columns of one entry (m0, m1, method, applicable, note, args) per law."""
+    return _Rows(*zip(*entries))
+
 
 _POSITIVE = (0.0).__lt__
+
+# the entries of an inapplicable row that carry no argument, one object each
+_NOT_MONOTONE = (INF, INF, "MONOTONE", False, "rate sequence j*lambda_j not nonincreasing", ())
+_BX99_NOT_FINITE = (INF, INF, "BX99", False, "theta not finite", ())
+_COR3_NOT_FINITE = (INF, INF, "COR3", False, "theta not finite", ())
+_THM4_NOT_FINITE = (INF, INF, "THM4", False, "theta not finite", ())
+_THM4_UNDERFLOW = (INF, INF, "THM4", False, "delta underflowed to 0", ())
 
 
 def _exp_fsum(values: Sequence[float]) -> float:
@@ -531,8 +528,7 @@ def _general(rates: Sequence[Sequence[float]]) -> _Rows:
         for lam1, e_lam in zip(rates[0], map(_exp_fsum, zip(*rates)))
     ]
     n = len(values)
-    return _Rows(values, values, ["GENERAL"] * n, [True] * n,
-                 lambda i: _applicable(values[i], values[i], "GENERAL", "always applicable"))
+    return _Rows(values, values, ["GENERAL"] * n, [True] * n, ["always applicable"] * n, [()] * n)
 
 
 def bound_monotone(params: CompoundPoissonParams) -> SteinFactorBound:
@@ -541,19 +537,12 @@ def bound_monotone(params: CompoundPoissonParams) -> SteinFactorBound:
 
 
 def _monotone(lam1s: Sequence[float], monotone: Sequence[bool]) -> _Rows:
-    m0, m1, ok = zip(*[
+    return _rows([
         (min(1.0, math.sqrt(2.0 / el if (el := math.e * lam1) < INF else 2.0 / math.e / lam1)),
-         min(0.5, 1.0 / (lam1 + 1.0)), True)
-        if mono else (INF, INF, False)
+         min(0.5, 1.0 / (lam1 + 1.0)), "MONOTONE", True, "j*lambda_j nonincreasing", ())
+        if mono else _NOT_MONOTONE
         for mono, lam1 in zip(monotone, lam1s)
     ])
-
-    def bound(i: int) -> SteinFactorBound:
-        if ok[i]:
-            return _applicable(m0[i], m1[i], "MONOTONE", "j*lambda_j nonincreasing")
-        return _inapplicable("MONOTONE", "rate sequence j*lambda_j not nonincreasing")
-
-    return _Rows(m0, m1, ["MONOTONE"] * len(ok), ok, bound)
 
 
 def bound_bx99(th: ThetaVector) -> SteinFactorBound:
@@ -564,20 +553,13 @@ def bound_bx99(th: ThetaVector) -> SteinFactorBound:
 
 
 def _bx99(t0: Sequence[float], t1: Sequence[float], finite: Sequence[bool]) -> _Rows:
-    m0, m1, ok, gaps = zip(*[
-        (math.sqrt(a) / gap, 1.0 / gap, True, gap) if f and gap > 0.0 else (INF, INF, False, gap)
+    return _rows([
+        _BX99_NOT_FINITE if not f
+        else (math.sqrt(a) / gap, 1.0 / gap, "BX99", True, "theta_0 - 2*theta_1 = %g > 0", gap)
+        if (gap := a - 2.0 * b) > 0.0
+        else (INF, INF, "BX99", False, "theta_0 - 2*theta_1 = %g <= 0", gap)
         for a, b, f in zip(t0, t1, finite)
-        for gap in [a - 2.0 * b]
     ])
-
-    def bound(i: int) -> SteinFactorBound:
-        if not finite[i]:
-            return _inapplicable("BX99", "theta not finite")
-        if ok[i]:
-            return _applicable(m0[i], m1[i], "BX99", "theta_0 - 2*theta_1 = %g > 0", gaps[i])
-        return _inapplicable("BX99", "theta_0 - 2*theta_1 = %g <= 0", gaps[i])
-
-    return _Rows(m0, m1, ["BX99"] * len(ok), ok, bound)
 
 
 def bound_thm2(th: ThetaVector, k: int) -> SteinFactorBound:
@@ -587,17 +569,17 @@ def bound_thm2(th: ThetaVector, k: int) -> SteinFactorBound:
     else the certified lower bound of the Bernstein enclosure; the note
     names the route that ran."""
     if not th.finite:
-        return _inapplicable(f"THM2({k})", "theta not finite")
-    return _thm2(delta_k(th, k))
+        return SteinFactorBound(INF, INF, f"THM2({k})", False, "theta not finite")
+    return _rows([_thm2(delta_k(th, k))]).bound(0)
 
 
-def _thm2(dr: DeltaResult) -> SteinFactorBound:
-    """THM2(k) of finite theta from its delta_k, ``dr``."""
+def _thm2(dr: DeltaResult) -> tuple:
+    """The THM2(k) entry of finite theta from its delta_k, ``dr``."""
     method = f"THM2({dr.k})"
     if not dr.lower > 0.0:
-        return _inapplicable(method, "delta_%s = %g <= 0", dr.k, dr.lower)
-    m0, m1 = _factors_from_delta(dr.lower)
-    return _applicable(m0, m1, method, "delta_%s = %g (%s)", dr.k, dr.lower, dr.route)
+        return INF, INF, method, False, "delta_%s = %g <= 0", (dr.k, dr.lower)
+    return (*_factors_from_delta(dr.lower), method, True, "delta_%s = %g (%s)",
+            (dr.k, dr.lower, dr.route))
 
 
 def bound_cor3(th: ThetaVector) -> SteinFactorBound:
@@ -614,28 +596,16 @@ def bound_cor3(th: ThetaVector) -> SteinFactorBound:
 def _cor3(t0: Sequence[float], t1: Sequence[float], t2: Sequence[float],
           t3: Sequence[float], finite: Sequence[bool]) -> _Rows:
     """COR3, or THM2(3) for each law where theta_2 >= 2 theta_1 leaves no
-    closed form: the row of its Bernstein enclosure, the closed form not
+    closed form: the entry of its Bernstein enclosure, the closed form not
     tried a second time."""
-    deltas = _cor3_deltas(t0, t1, t2, t3)
-    m0, m1, method, ok, thm2 = zip(*[
-        (*fallback[:4], fallback) if fallback is not None
-        else (*_factors_from_delta(delta), "COR3", True, None) if f and delta > 0.0
-        else (INF, INF, "COR3", False, None)
-        for a, b, c, d, f, delta in zip(t0, t1, t2, t3, finite, deltas)
-        for fallback in [_thm2(delta_k_grid(ThetaVector((a, b, c, d)), 3)) if f and delta is None
-                         else None]
+    return _rows([
+        _COR3_NOT_FINITE if not f
+        else _thm2(delta_k_grid(ThetaVector((a, b, c, d)), 3)) if delta is None
+        else (*_factors_from_delta(delta), "COR3", True, "delta = %g (closed form)", delta)
+        if delta > 0.0
+        else (INF, INF, "COR3", False, "delta = %g <= 0", delta)
+        for a, b, c, d, f, delta in zip(t0, t1, t2, t3, finite, _cor3_deltas(t0, t1, t2, t3))
     ])
-
-    def bound(i: int) -> SteinFactorBound:
-        if thm2[i] is not None:
-            return thm2[i]
-        if not finite[i]:
-            return _inapplicable("COR3", "theta not finite")
-        if ok[i]:
-            return _applicable(m0[i], m1[i], "COR3", "delta = %g (closed form)", deltas[i])
-        return _inapplicable("COR3", "delta = %g <= 0", deltas[i])
-
-    return _Rows(m0, m1, method, ok, bound)
 
 
 def _exp_three_halves(gamma: float) -> float:
@@ -667,16 +637,16 @@ def bound_lemma_c(th: ThetaVector, c: float) -> SteinFactorBound:
     method = f"LEMMA_C({c:.6g})"
     gamma = 2.0 * th[1] - th[0]
     if not gamma > 0.0:
-        return _inapplicable(method, "theta_1/theta_0 = %g <= 1/2", th[1] / th[0])
+        return SteinFactorBound(INF, INF, method, False,
+                                "theta_1/theta_0 = %g <= 1/2" % (th[1] / th[0]))
     if not _exp_three_halves(gamma) <= c:
-        return _inapplicable(
-            method, "theta_1/theta_0 = %g above interval endpoint", th[1] / th[0]
-        )
+        return SteinFactorBound(INF, INF, method, False,
+                                "theta_1/theta_0 = %g above interval endpoint" % (th[1] / th[0]))
     delta = _scaled_margin_delta(gamma, c)
     if not delta > 0.0:
-        return _inapplicable(method, "delta underflowed to 0")
+        return SteinFactorBound(INF, INF, method, False, "delta underflowed to 0")
     m0, m1 = _factors_from_delta(delta)
-    return _applicable(m0, m1, method, "delta = %g", delta)
+    return SteinFactorBound(m0, m1, method, True, "delta = %g" % delta)
 
 
 def bound_thm4(th: ThetaVector) -> SteinFactorBound:
@@ -688,26 +658,15 @@ def bound_thm4(th: ThetaVector) -> SteinFactorBound:
 
 
 def _thm4(t0: Sequence[float], t1: Sequence[float], finite: Sequence[bool]) -> _Rows:
-    # delta is None where theta is not finite or gamma <= 0, 0 where it underflowed
-    m0, m1, ok, gammas, deltas = zip(*[
-        (*_factors_from_delta(delta), True, gamma, delta) if delta is not None and delta > 0.0
-        else (INF, INF, False, gamma, delta)
+    return _rows([
+        _THM4_NOT_FINITE if not f
+        else (INF, INF, "THM4", False, "2*theta_1 - theta_0 = %g <= 0", gamma)
+        if not (gamma := 2.0 * b - a) > 0.0
+        else (*_factors_from_delta(delta), "THM4", True, "delta = %g", delta)
+        if (delta := _scaled_margin_delta(gamma, _exp_three_halves(gamma))) > 0.0
+        else _THM4_UNDERFLOW
         for a, b, f in zip(t0, t1, finite)
-        for gamma in [2.0 * b - a]
-        for delta in [_scaled_margin_delta(gamma, _exp_three_halves(gamma))
-                      if f and gamma > 0.0 else None]
     ])
-
-    def bound(i: int) -> SteinFactorBound:
-        if ok[i]:
-            return _applicable(m0[i], m1[i], "THM4", "delta = %g", deltas[i])
-        if not finite[i]:
-            return _inapplicable("THM4", "theta not finite")
-        if deltas[i] is None:
-            return _inapplicable("THM4", "2*theta_1 - theta_0 = %g <= 0", gammas[i])
-        return _inapplicable("THM4", "delta underflowed to 0")
-
-    return _Rows(m0, m1, ["THM4"] * len(ok), ok, bound)
 
 
 def regime_classify(bounds: list[SteinFactorBound]) -> str:
@@ -750,7 +709,7 @@ def _evaluate_columns(rates: list[list[float]]) -> tuple[list[list[float]], list
         _cor3(t0, t1, t2, t3, finite),
         _thm4(t0, t1, finite),
     ]
-    # the check of _applicable, over every law; an inapplicable entry is inf
+    # the constructor's check, over every law; an inapplicable entry is inf
     if not all(all(map(_POSITIVE, row.m0)) and all(map(_POSITIVE, row.m1)) for row in rows):
         raise ValueError("applicable bounds must be positive")
     return thetas, rows
@@ -772,7 +731,7 @@ def best_of(bounds: list[SteinFactorBound]) -> SteinFactorBound:
     """
     i0, i1 = _first_least(list(zip(*bounds))[:2])  # over the m0s, over the m1s
     b0, b1 = bounds[i0], bounds[i1]
-    return _applicable(b0.m0, b1.m1, b1.method, "m0: %s, m1: %s", b0.method, b1.method)
+    return SteinFactorBound(b0.m0, b1.m1, b1.method, True, f"m0: {b0.method}, m1: {b1.method}")
 
 
 def best_bound(params: CompoundPoissonParams) -> SteinFactorBound:

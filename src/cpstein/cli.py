@@ -35,9 +35,9 @@ from .exact import BudgetExceededError
 from .models import MIXINGS, MODELS, model_from_json
 from .oracle import ConvergenceError, default_x_max, solve_stein, verify
 
-# rows of one sweep, about 0.025 ms and 0.7 KB of output each: a 100 000-row
-# reliability sweep takes 2.5 s, 304 MB of peak memory and prints 70 MB
-# (2-vCPU host)
+# rows of one sweep, about 0.022 ms and 0.7 KB of output each: a 100 000-row
+# reliability sweep takes 2.2 s, 306 MB of peak memory (the process's
+# ru_maxrss) and prints 70 MB (2-vCPU host)
 SWEEP_ROW_BUDGET = 100_000
 
 EXIT_OK = 0
@@ -153,13 +153,30 @@ def dumps(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _dumps_line(obj) -> str:
+    """``dumps`` on one line: the same scalars, with ", " and ": " between
+    the items of a list or dict."""
+    fmt = _SCALARS.get(type(obj))
+    if fmt is not None:
+        return fmt(obj)
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{_fmt_str(k)}: {_dumps_line(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(_dumps_line, obj)) + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
 def _csv_cell(v) -> str:
+    """A CSV cell: empty for None, a scalar as ``dumps`` prints it without
+    quotes, a list or dict as one line of JSON (``_dumps_line``)."""
     if v is None:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
         return _fmt_float(v).strip('"')
+    if isinstance(v, (dict, list, tuple)):
+        return _dumps_line(v)
     return str(v)
 
 

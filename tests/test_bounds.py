@@ -276,6 +276,23 @@ def test_enclosure_runs_p045_infimum(n, want):
     assert gr.lower <= want <= gr.delta
 
 
+def test_enclosure_brackets_runs_order3_infimum():
+    # for runs, theta = (n p^2, 2 n p^3, 2 n p^4, 0) and inf g_3 has a closed
+    # form: the corner value n p^2 (1 - 2p)^2 up to p = 2/5, and past it
+    # n p^3 (4 - 9p)/4 at the vertex cos phi* = (p - 2)/(4p) of the p = 0
+    # edge, which changes sign at p = 4/9; the tolerance covers the
+    # formula's own rounding, relative to theta_0
+    ps = [i / 100 for i in range(1, 100)]
+    ps += [math.nextafter(0.4, 0.0), math.nextafter(0.4, 1.0), 4 / 9 - 1e-6, 4 / 9, 4 / 9 + 1e-6]
+    for n in (3, 50, 200, 1000):
+        for p in ps:
+            th = theta(RunsModel(n, p).cp_params(), 3)
+            gr = delta_k_grid(th, 3)
+            inf = n * p**2 * (1.0 - 2.0 * p) ** 2 if p <= 0.4 else n * p**3 * (4.0 - 9.0 * p) / 4.0
+            tol = 1e-12 * th[0]
+            assert gr.lower - tol <= inf <= gr.delta + tol, (n, p)
+
+
 def test_enclosure_huge_theta_terminates():
     # theta of a sweep-reliability-large row (n = 30, q near 0.9)
     th = ThetaVector([385.66, 1163.29, 2630.21, 3962.31])
@@ -570,7 +587,7 @@ def test_catalogue_columns_match_one_law_at_a_time():
             assert repr(tuple(col[i] for col in thetas)) == repr(th.values)
             rows = [tuple(row.bound(i)) for row in catalogue]
             assert repr(rows) == repr([tuple(b) for b in evaluate_all(params)])
-            seen.update((method, ok, note) for _, _, method, ok, note, _ in rows)
+            seen.update((row.method[i], row.applicable[i], row.note[i]) for row in catalogue)
             if rates[0] == 0.0:
                 seen.add("lambda_1 = 0")
             if rows[0][1] == math.inf:

@@ -196,8 +196,18 @@ def test_catalogue_evaluated_once_per_row(capsys, monkeypatch, argv, rows):
     # all its laws: one for bounds and verify, through evaluate_all, and every
     # row of a sweep; the order-3 closed form runs once, over the same
     # columns, and the order-3 enclosure once for each law whose order-3 row
-    # falls back to THM2(3)
+    # falls back to THM2(3).  Bounds, and so their notes, are built only for
+    # the five rows of one law and its best_of: a sweep, its THM2(3)
+    # fallback included, builds none
     from cpstein import bounds
+
+    made = []
+
+    def counting_new(cls, *args, _real=bounds.SteinFactorBound.__new__):
+        made.append(args)
+        return _real(cls, *args)
+
+    monkeypatch.setattr(bounds.SteinFactorBound, "__new__", counting_new)
 
     laws = dict.fromkeys(FORMULAS, [])
     order3 = []
@@ -222,6 +232,7 @@ def test_catalogue_evaluated_once_per_row(capsys, monkeypatch, argv, rows):
     assert laws == dict.fromkeys(FORMULAS, [rows])
     assert [len(args[0]) for args in calls["_cor3_deltas"]] == [rows]
     assert len(calls["delta_k_grid"]) == order3.count("THM2(3)") == ("reliability" in argv)
+    assert len(made) == (0 if argv[0] == "sweep" else 6)
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@
 
 Each command runs in-process through ``cpstein.cli.main``.  Exit codes and
 stderr must match exactly; stdout is parsed (JSON, or CSV for
-``--format csv``, whose dict and list cells are Python literals) and compared
+``--format csv``, whose dict and list cells are JSON) and compared
 with strings, ints and bools exact and floats at rtol 1e-12, so a refactor
 that keeps the numbers passes and one that changes them fails.
 
@@ -21,7 +21,6 @@ diff shows the intended change and nothing else.
 
 from __future__ import annotations
 
-import ast
 import contextlib
 import copy
 import csv
@@ -137,7 +136,7 @@ def _cell(text: str):
         except ValueError:
             pass
     if text[:1] in ("{", "["):
-        return ast.literal_eval(text)
+        return json.loads(text)
     return text
 
 
@@ -215,6 +214,16 @@ def test_golden_stdout_is_what_its_parse_prints(golden):
     # so that regeneration can rewrite single leaves of a stored stdout
     for command, entry in golden.items():
         assert _unparse(command, _parse(command, entry["stdout"])) == entry["stdout"], command
+
+
+def test_csv_cells_are_scalars_or_json():
+    # a list or dict cell is one line of JSON, which any JSON reader parses
+    for command in COMMANDS:
+        if "--format csv" in command:
+            for row in csv.reader(io.StringIO(run(command)["stdout"])):
+                for cell in row:
+                    if cell[:1] in ("{", "["):
+                        assert isinstance(json.loads(cell), (dict, list)), (command, cell)
 
 
 @pytest.mark.parametrize(

@@ -249,15 +249,15 @@ def monotone_rates_reference(rates):
     return all(map(operator.ge, jl, jl[1:] + [0.0]))
 
 
-# a catalogue row as first written: (m0, m1, method, applicable, note, note_args)
+# a catalogue row as first written: (m0, m1, method, applicable, note)
 def applicable_reference(m0, m1, method, note, *args):
     if not (m0 > 0.0 and m1 > 0.0):
         raise ValueError("applicable bounds must be positive")
-    return (m0, m1, method, True, note, args)
+    return (m0, m1, method, True, note % args)
 
 
 def inapplicable_reference(method, note, *args):
-    return (math.inf, math.inf, method, False, note, args)
+    return (math.inf, math.inf, method, False, note % args)
 
 
 def factors_from_delta_reference(delta):
