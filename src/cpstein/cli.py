@@ -9,10 +9,10 @@ Subcommands:
 * ``stein-solve`` - dump one Stein-equation solution
 * ``pmf``         - dump a distribution table
 
-Output is JSON (default) or CSV, written atomically, with floats printed to
-17 significant digits so regression files are exact.  Exit codes: 0 ok,
-1 verification inequality violated, 2 usage error, 3 resource budget
-exceeded.
+Output is JSON (default) or CSV, with floats printed to 17 significant
+digits so regression files are exact.  It is written as it is formed, to
+stdout or, atomically, to ``--output``.  Exit codes: 0 ok, 1 verification
+inequality violated, 2 usage error, 3 resource budget exceeded.
 """
 
 from __future__ import annotations
@@ -21,12 +21,13 @@ import argparse
 import contextlib
 import csv
 import functools
-import io
 import math
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import fields
-from itertools import chain
+from itertools import chain, repeat, tee
+from operator import itemgetter
 
 from .bounds import (_evaluate_columns, _first_least, best_of, encode_float, evaluate_all,
                      regime_classify)
@@ -35,9 +36,9 @@ from .exact import BudgetExceededError
 from .models import MIXINGS, MODELS, model_from_json
 from .oracle import ConvergenceError, default_x_max, solve_stein, verify
 
-# rows of one sweep, about 0.022 ms and 0.7 KB of output each: a 100 000-row
-# reliability sweep takes 2.2 s, 306 MB of peak memory (the process's
-# ru_maxrss) and prints 70 MB (2-vCPU host)
+# rows of one sweep, about 0.022 ms and 0.7 KB of JSON each: a 100 000-row
+# reliability sweep takes 2.0-2.6 s and 118 MB of peak memory (the process's
+# ru_maxrss), and prints 70 MB of JSON or 25 MB of CSV (2-vCPU host)
 SWEEP_ROW_BUDGET = 100_000
 
 EXIT_OK = 0
@@ -72,54 +73,46 @@ _SCALARS = {
     str: _fmt_str,
 }
 
-
-class _Table:
-    """Records held in columns, ``dumps`` printing them as the list of dicts
-    ``dicts()`` gives: row r maps ``keys[r]`` to the r-th entry of each
-    column.  Rows of one shape share one key tuple."""
-
-    def __init__(self, keys: list[tuple[str, ...]], columns: list[list]):
-        self.keys, self.columns = keys, columns
-
-    def dicts(self) -> list[dict]:
-        return list(map(dict, map(zip, self.keys, zip(*self.columns))))
-
-
 # '%.17g' % x prints _fmt_float(x) for finite x; _fmt_float quotes the others
 _NON_FINITE = {s: f'"{s}"' for s in ("inf", "-inf", "nan")}
 
 
-def _dumps_table(table: _Table, indent: int) -> str:
-    """``dumps(table.dicts(), indent)`` through one %-template per row shape:
-    a column of finite floats is printed by the template's %.17g, every other
-    column cell by cell as ``dumps`` prints it, each distinct bool, string or
-    int once.  The rows' templates, joined, take every cell at once.  Each
-    column holds values of one type, and the table has at least one row, as
-    every sweep has."""
+class _Table:
+    """Records in columns: row r maps ``keys[r]`` to the r-th entry of each
+    column.  Rows of one shape share a key tuple; a column holds one type."""
+
+    def __init__(self, keys: list[tuple[str, ...]], columns: list[list]):
+        self.keys, self.columns = keys, columns
+
+
+def _cells(col: list, fmt) -> Iterator[str]:
+    """A column's cells as text, each formed as it is read: floats by %.17g,
+    which prints inf, -inf and nan bare, others by ``fmt``, once per value."""
+    if type(col[0]) is float:
+        return map("%.17g".__mod__, col)
+    known = {v: fmt(v) for v in set(col)}
+    return map(known.__getitem__, col)
+
+
+def _dumps_table(table: _Table, indent: int) -> Iterator[str]:
+    """``dumps`` of the table's rows, as dicts, in pieces, one per row, through
+    one %-template per row shape: a column of finite floats is printed by the
+    template's %.17g, any other by ``_cells``.  Templates and columns are
+    prepared by the call, and each row is formatted as it is read."""
     pad, inner, field = "  " * indent, "  " * (indent + 1), "  " * (indent + 2)
-    columns, marks = [], []
-    for col in table.columns:
-        kinds = {*map(type, col)}
-        if kinds == {float} and math.isfinite(sum(col)):
-            marks.append("%.17g")
-            columns.append(col)
-            continue
-        marks.append("%s")
-        (kind,) = kinds
-        if kind is float:
-            text = list(map("%.17g".__mod__, col))
-            columns.append(list(map(_NON_FINITE.get, text, text)))
-        else:
-            known = {v: _SCALARS[kind](v) for v in set(col)}
-            columns.append(list(map(known.__getitem__, col)))
+    finite = [type(col[0]) is float and math.isfinite(sum(col)) for col in table.columns]
+    marks = ["%.17g" if f else "%s" for f in finite]
+    columns = [col if f else map(_NON_FINITE.get, *tee(_cells(col, dumps)))
+               for col, f in zip(table.columns, finite)]
+    # each template starts with the comma that ends the row before
     templates = {
-        keys: "{\n" + ",\n".join(
+        keys: f",\n{inner}{{\n" + ",\n".join(
             f'{field}"{k.replace("%", "%%")}": {mark}' for k, mark in zip(keys, marks)
         ) + f"\n{inner}}}"
         for keys in set(table.keys)
     }
-    body = f",\n{inner}".join([templates[keys] for keys in table.keys])
-    return f"[\n{inner}" + body % (*chain.from_iterable(zip(*columns)),) + f"\n{pad}]"
+    rows = map(str.__mod__, map(templates.__getitem__, table.keys), zip(*columns))
+    return chain(["[" + next(rows)[1:]], rows, [f"\n{pad}]"])
 
 
 def dumps(obj, indent: int = 0) -> str:
@@ -148,9 +141,21 @@ def dumps(obj, indent: int = 0) -> str:
         else:
             body = sep.join(dumps(v, indent + 1) for v in obj)
         return "[\n" + inner + body + "\n" + pad + "]"
-    if isinstance(obj, _Table):
-        return _dumps_table(obj, indent)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _write_json(fh, payload: dict) -> None:
+    """Write ``dumps(payload)`` and a newline to ``fh``, a table among the
+    payload's values row by row (``_dumps_table``), prepared before the
+    first byte is written."""
+    tables = {k: _dumps_table(v, 1) for k, v in payload.items() if isinstance(v, _Table)}
+    if not tables:
+        fh.writelines([dumps(payload), "\n"])
+        return
+    for sep, (k, v) in zip(chain("{", repeat(",")), payload.items()):
+        fh.write(f'{sep}\n  "{k}": ')
+        fh.writelines(tables.get(k) or [dumps(v, 1)])
+    fh.write("\n}\n")
 
 
 def _dumps_line(obj) -> str:
@@ -167,50 +172,46 @@ def _dumps_line(obj) -> str:
 
 
 def _csv_cell(v) -> str:
-    """A CSV cell: empty for None, a scalar as ``dumps`` prints it without
-    quotes, a list or dict as one line of JSON (``_dumps_line``)."""
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return _fmt_float(v).strip('"')
-    if isinstance(v, (dict, list, tuple)):
-        return _dumps_line(v)
-    return str(v)
+    """A CSV cell: a string as it is, empty for None, any other value as
+    ``_dumps_line`` prints it, inf, -inf and nan without their quotes."""
+    if type(v) is str:
+        return v
+    return "" if v is None else _dumps_line(v).strip('"')
 
 
-def to_csv(rows: list[dict]) -> str:
-    """Flatten records, at least one, to CSV; the header is every key, in
-    first-seen order."""
-    header = list(dict.fromkeys(k for row in rows for k in row))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_csv_cell(row.get(k)) for k in header])
-    return buf.getvalue()
+def _csv_dicts(rows: list[dict]) -> Iterator[list]:
+    """The CSV records of dicts of one key tuple: the keys, then the values."""
+    return chain([list(rows[0])], ([*map(_csv_cell, row.values())] for row in rows))
 
 
-def _emit(args, payload, csv_rows: list[dict] | None) -> str:
-    return to_csv(csv_rows) if args.format == "csv" else dumps(payload) + "\n"
+def _csv_table(table: _Table) -> Iterator[list]:
+    """The CSV records of a table: the header, the first-seen union of its
+    key tuples, then each row, its cell empty where it lacks a key.  The
+    table has more than one column, as every sweep has."""
+    shapes = dict.fromkeys(table.keys)
+    header = list(dict.fromkeys(chain.from_iterable(shapes)))
+    # a shape's cells in header order; the entry past the last column is empty
+    picks = {s: itemgetter(*[s.index(k) if k in s else len(s) for k in header]) for s in shapes}
+    rows = zip(*[_cells(col, _csv_cell) for col in table.columns], repeat(""))
+    yield header
+    for keys, row in zip(table.keys, rows):
+        yield picks[keys](row)
 
 
-def _write_output(text: str, path: str | None) -> None:
-    """Write text to stdout, or to path through a temporary file and a rename;
-    a path that cannot be written is a usage error, and leaves no temporary."""
-    if path is None:
-        sys.stdout.write(text)
-        return
+@contextlib.contextmanager
+def _atomic(path: str):
+    """A temporary file, renamed to path once written; a path that cannot be
+    written is a usage error, and no temporary is left."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
-        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +322,7 @@ def _build_params(args, model) -> CompoundPoissonParams:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_bounds(args) -> tuple[int, str]:
+def cmd_bounds(args) -> tuple[int, dict, Iterator[list]]:
     model = _build_model(args)
     params = _build_params(args, model)
     th = theta(params, 3)
@@ -337,15 +338,14 @@ def cmd_bounds(args) -> tuple[int, str]:
     }
     if model is not None:
         payload["input"] = model.to_json()
-    csv_rows = rows + [dict(best, method="BEST")]
-    return EXIT_OK, _emit(args, payload, csv_rows)
+    return EXIT_OK, payload, _csv_dicts(rows + [dict(best, method="BEST")])
 
 
-def cmd_verify(args) -> tuple[int, str]:
+def cmd_verify(args) -> tuple[int, dict, Iterator[list]]:
     model = _build_model(args)
     report = verify(_build_params(args, model), model, **_law(args, model))
     code = EXIT_OK if report["pass"] else EXIT_VIOLATION
-    return code, _emit(args, report, [report])
+    return code, report, _csv_dicts([report])
 
 
 def _parse_range(text: str, what: str) -> list[float]:
@@ -366,13 +366,12 @@ def _parse_range(text: str, what: str) -> list[float]:
     return [start + i * step for i in range(count)]
 
 
-def cmd_sweep(args) -> tuple[int, str]:
+def cmd_sweep(args) -> tuple[int, dict, Iterator[list]]:
     keys, swept = MODELS[args.model].keys, _SWEPT[args.model]
     base = _model_json(args, keys[:-1] + (swept,), "sweep")
     values = _parse_range(base.pop(swept), _flag(swept))
     table = _sweep_table(base, keys[-1], values)
-    payload = {"model": args.model, "rows": table}
-    return EXIT_OK, _emit(args, payload, table.dicts() if args.format == "csv" else None)
+    return EXIT_OK, {"model": args.model, "rows": table}, _csv_table(table)
 
 
 _THETA_COLUMNS = tuple(f"theta{i}" for i in range(4))
@@ -427,7 +426,7 @@ def _sweep_columns(base: dict, key: str, values: list[float]) -> _Table:
     return _Table(list(map(shapes.__getitem__, order3)), columns)
 
 
-def cmd_stein_solve(args) -> tuple[int, str]:
+def cmd_stein_solve(args) -> tuple[int, dict, Iterator[list]]:
     params = _build_params(args, _build_model(args))
     if args.y is None:
         raise UsageError("stein-solve requires --y")
@@ -441,13 +440,10 @@ def cmd_stein_solve(args) -> tuple[int, str]:
         "residual0": sol.residual0,
         "f": sol.f.tolist(),
     }
-    csv_rows = None
-    if args.format == "csv":
-        csv_rows = [{"x": x, "f": float(v)} for x, v in enumerate(sol.f)]
-    return EXIT_OK, _emit(args, payload, csv_rows)
+    return EXIT_OK, payload, chain([["x", "f"]], enumerate(map(_csv_cell, payload["f"])))
 
 
-def cmd_pmf(args) -> tuple[int, str]:
+def cmd_pmf(args) -> tuple[int, dict, Iterator[list]]:
     if args.law == "approx":
         _refuse_unread(args, (*_INPUTS, "law"), "--law approx")
     model = _build_model(args)
@@ -458,10 +454,8 @@ def cmd_pmf(args) -> tuple[int, str]:
     payload = table.to_json()
     if table.stderr is not None:
         payload["stderr"] = [float(s) for s in table.stderr]
-    csv_rows = None
-    if args.format == "csv":
-        csv_rows = [{"x": x, "probability": float(v)} for x, v in enumerate(table.pmf)]
-    return EXIT_OK, _emit(args, payload, csv_rows)
+    pmf = map(_csv_cell, payload["pmf"])
+    return EXIT_OK, payload, chain([["x", "probability"]], enumerate(pmf))
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +524,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        code, text = args.func(args)
-        _write_output(text, args.output)
+        code, payload, records = args.func(args)
+        out = contextlib.nullcontext(sys.stdout) if args.output is None else _atomic(args.output)
+        with out as fh:
+            if args.format == "csv":
+                csv.writer(fh, lineterminator="\n").writerows(records)
+            else:
+                _write_json(fh, payload)
     except (BudgetExceededError, TruncationCapError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -526,8 +526,8 @@ def test_regime_classify_reads_only_its_rows(monkeypatch):
     # theta_2 < 2 theta_1, and a runs sweep row
     monkeypatch.setattr(bounds, "delta_k_grid", forbidden)
     assert bound_cor3(ThetaVector([1.0, 0.6, 0.3, 0.0])).method == "COR3"
-    (row,) = cli._sweep_table({"model": "runs", "n": 50}, "p", [0.2]).dicts()
-    assert row["cor3_applicable"]
+    table = cli._sweep_table({"model": "runs", "n": 50}, "p", [0.2])
+    assert table.columns[table.keys[0].index("cor3_applicable")][0] is True
     for name in ("bound_bx99", "bound_cor3", "bound_thm4", "theta"):
         monkeypatch.setattr(bounds, name, forbidden)
     for regime, rows in catalogues:
@@ -756,8 +756,8 @@ def test_stein_factor_bound_invariants():
 
 
 def test_stein_factor_bound_copies_and_pickles():
-    # the bound functions' results, whose notes are templates, and a bound
-    # built through the constructor both come back equal
+    # a bound function's result, whose note is formatted when the bound is
+    # built, and a bound built through the constructor both come back equal
     th = theta(CompoundPoissonParams([1.0, 0.2]), 3)
     for b in (bound_bx99(th), SteinFactorBound(1.0, 2.0, "X", True, "50% of it")):
         for back in (copy.copy(b), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):

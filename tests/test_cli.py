@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -779,15 +780,42 @@ def test_verify_reliability_exact_n5(capsys, k, q):
 
 
 def test_output_file_atomic(tmp_path, capsys):
-    target = tmp_path / "out.json"
-    code, out, _ = run_cli(
-        capsys, "bounds", "--rates", "1.0,0.2", "--output", str(target)
-    )
-    assert code == 0
-    assert out == ""  # nothing on stdout when writing to a file
-    _, direct, _ = run_cli(capsys, "bounds", "--rates", "1.0,0.2")
-    assert target.read_text() == direct
-    assert not list(tmp_path.glob("*.tmp.*"))
+    # a whole payload, a sweep written row by row whose rows have two shapes
+    # (THM2(3) in the last row, COR3 in the others), in JSON and CSV, and a
+    # CSV written record by record: the file holds the bytes stdout gets
+    sweep = ["sweep", "--model", "reliability", "--n", "30", "--k", "2",
+             "--q-range", "0.1:0.9:8"]
+    target = tmp_path / "out"
+    for argv in (["bounds", "--rates", "1.0,0.2"], sweep, [*sweep, "--format", "csv"],
+                 ["pmf", "--rates", "2,1", "--format", "csv"]):
+        code, out, _ = run_cli(capsys, *argv, "--output", str(target))
+        assert code == 0
+        assert out == ""  # nothing on stdout when writing to a file
+        _, direct, _ = run_cli(capsys, *argv)
+        assert target.read_bytes() == direct.encode()
+        assert not list(tmp_path.glob("*.tmp.*"))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sweep_printer_holds_one_row(tmp_path, fmt):
+    # printing a 5 000-row sweep adds less than 1 MiB to the peak of building
+    # its columns: the printer holds a row at a time, not a copy of the output
+    # (about 3.5 MB of JSON or 1.3 MB of CSV here)
+    q_range = "0.05:0.8:5000"
+    argv = ["sweep", "--model", "reliability", "--n", "10", "--k", "2", "--q-range", q_range,
+            "--format", fmt, "--output", str(tmp_path / "out")]
+    values = cli._parse_range(q_range, "--q-range")
+    assert main(argv) == 0  # fills the parser's and the catalogue's caches
+    tracemalloc.start()
+    try:
+        cli._sweep_table({"model": "reliability", "n": 10, "k": 2}, "q", values)
+        columns = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert main(argv) == 0
+        printed = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert printed <= columns + 2**20, (printed, columns)
 
 
 @pytest.mark.parametrize("target", ["missing/out.json", "taken"])

@@ -18,7 +18,8 @@ The layers are those the benchmark's tracer names: ``theta`` and ``delta_k``
 ``empirical_factors`` and ``solve_stein`` (the Stein oracle at total rates
 whose mean theta_0 is small, medium and large), each exact law, and
 ``distance``; ``sweep`` is a whole ``cpstein sweep`` command, reliability
-sweeps of 16, 256 and 4096 rows through ``cli.main`` with stdout captured,
+sweeps of 16, 256 and 4096 rows through ``cli.main`` with stdout written
+to ``os.devnull``, so that ``peak_mb`` is the command's own memory,
 and ``catalogue`` is ``bounds._evaluate_columns`` on the laws of those
 sweeps: the law checks, theta, and each of the five catalogue rows as one
 call of its function over the columns of every law, as the sweep computes
@@ -29,8 +30,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import json
+import os
 import statistics
 import sys
 import tracemalloc
@@ -119,7 +120,7 @@ def _call(layer: str, given: dict):
     """A zero-argument call of ``layer`` on the parameters ``given``."""
     if "argv" in given:
         def command():
-            with contextlib.redirect_stdout(io.StringIO()):
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
                 cli.main(given["argv"])
 
         return command
