@@ -14,14 +14,16 @@ polynomials, formed by repeated squaring on the degrees up to its
 truncation point D only, O(D^2 log n); it takes n <= 2000 (0.5-3.5 ms at
 n = 2000, by p, within n u of the exact law).  Reliability takes grids up
 to n = 11 for k = 2 and n = 8 for k = 3 (0.2-0.25 s there), Monte Carlo
-beyond (about 5 ms per 10 000 grids at n = 10, most of it drawing them,
-up to MC_CELL_BUDGET grid cells, through one draw buffer of MC_DRAW_CELLS
-cells); 2 vCPUs, numpy 2.4.  The mixed-Poisson tables take ``cp_pmf``'s
-truncation rule and residual tail: the two-point mixture mixes its Poisson
-tables, and the negative binomial, Loader's kernel in (shape, scale), is cut
-on a bound from its pmf ratio and, for shape <= 1, from its 1/k decay.  The
-runs law takes the same rule on the Chernoff bound of its pgf, which is
-also its ``tail_mass``.
+beyond, up to MC_CELL_BUDGET grid cells, through one draw buffer of
+MC_DRAW_CELLS cells (5-6 ms per 10 000 grids at n = 10 and k = 2 and about
+2 ms at n = 6, most of it drawing them, 2.3-3.6 ns a cell by the host's
+state; a draw of 327 grids at n = 10 is counted in about 20 us); 2 vCPUs,
+numpy 2.4.  The mixed-Poisson tables
+take ``cp_pmf``'s truncation rule and residual tail: the two-point mixture
+mixes its Poisson tables, and the negative binomial, Loader's kernel in
+(shape, scale), is cut on a bound from its pmf ratio and, for shape <= 1,
+from its 1/k decay.  The runs law takes the same rule on the Chernoff bound
+of its pgf, which is also its ``tail_mass``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .core import CompoundPoissonParams, DistributionTable
 from .core import (
@@ -62,9 +64,10 @@ MC_CHUNK = 1 << 17
 # grid cells of one draw, the size of the one double and one bool buffer a
 # Monte Carlo law reuses for every draw: 256 KB of doubles, 327 grids at n = 10
 MC_DRAW_CELLS = 1 << 15
-# samples x n^2 grid cells of one Monte Carlo law, about 5-6.5 ns each:
-# 2e8 cells (10^6 samples at n = 14, 20 000 at n = 100) take 1.0-1.3 s and
-# 36-37 MB of peak RSS for a cold pmf, 10^6 samples at n = 10 0.45 s
+# samples x n^2 grid cells of one Monte Carlo law, about 3.5-5 ns each:
+# 2e8 cells take 0.92-0.99 s (10^6 samples at n = 14) and 0.73-0.89 s
+# (20 000 at n = 100), and 36 MB of peak RSS for a cold pmf, 10^6 samples
+# at n = 10 0.39-0.50 s
 MC_CELL_BUDGET = 200_000_000
 
 
@@ -134,7 +137,7 @@ def runs_exact_pmf(m: models.RunsModel) -> DistributionTable:
     n, p = m.n, m.p
     mean = n * p * p
     start = _bulk_start(mean, mean * (1.0 + 2.0 * p - 3.0 * p * p), 1)
-    d_max, tail = _truncation_point(start, functools.partial(_runs_tail, n, p))
+    d_max, tail = _truncation_point(start, _runs_tail(n, p))
     pmf = _runs_coefficients(n, p, min(d_max, n))
     return DistributionTable(pmf=pmf / pmf.sum(), tail_mass=tail)
 
@@ -159,15 +162,25 @@ def _runs_log_pgf(n: int, p: float, zm1: np.ndarray) -> np.ndarray:
     return n * np.log(0.5 * plus) + np.log1p(ratio**n)
 
 
-def _runs_tail(n: int, p: float, x: int) -> float:
-    """Chernoff bound on P(W > x): the least exp(-s x) E e^{sW} over
-    ``chernoff_tail``'s grid of s, E e^{sW} from ``_runs_log_pgf`` at z = e^s,
-    formed in logs; 0 for x >= n, past the support."""
-    if x >= n:
-        return 0.0
+def _runs_tail(n: int, p: float) -> Callable[[int], float]:
+    """Chernoff bound on P(W > x) as a function of x: the least
+    exp(-s x) E e^{sW} over ``chernoff_tail``'s grid of s, E e^{sW} from
+    ``_runs_log_pgf`` at z = e^s, formed in logs; 0 for x >= n, past the
+    support.  The log pgf on the grid does not depend on x: it is formed at
+    the first x < n, and each point is then one subtraction and one min."""
     s, e = _chernoff_grid(1)
-    exponent = float((_runs_log_pgf(n, p, e[:, 0]) - x * s).min())
-    return math.exp(exponent) if exponent < 0.0 else 1.0
+    log_pgf = None
+
+    def tail(x: int) -> float:
+        nonlocal log_pgf
+        if x >= n:
+            return 0.0
+        if log_pgf is None:
+            log_pgf = _runs_log_pgf(n, p, e[:, 0])
+        exponent = float((log_pgf - x * s).min())
+        return math.exp(exponent) if exponent < 0.0 else 1.0
+
+    return tail
 
 
 def _runs_coefficients(n: int, p: float, d_max: int) -> np.ndarray:
@@ -220,31 +233,46 @@ def _runs_coefficients(n: int, p: float, d_max: int) -> np.ndarray:
 
 
 def _count_subgrids(grids: np.ndarray, k: int) -> np.ndarray:
-    """Count all-failed k x k subgrids in each n x n boolean grid.
+    """Count all-failed k x k subgrids, k >= 2, in each n x n boolean grid.
 
-    ``grids`` has shape (m, n, n) and is read on the flattened n^2 index
-    i = r n + c; returns shape (m,).  The AND of k views shifted by 0, n,
-    ..., (k-1) n marks the cells that start a vertical run of k failures;
-    the AND of k views of that shifted by 0..k-1 marks the top-left corners
-    of all-failed windows, once the corners in the columns c > n - k, whose
-    shifted views wrap into the next row, are masked off.
+    ``grids`` has shape (m, n, n) and is read as one flat array, cell (r, c)
+    of grid g at i = (g n + r) n + c; returns shape (m,).  The AND of k
+    views shifted by 0, n, ..., (k-1) n marks the cells that start a
+    vertical run of k failures, and the AND of k views of that shifted by
+    0..k-1 the top-left corners of all-failed windows.  Each AND is one
+    pass over the contiguous draw.  At a corner, r <= n - k and c <= n - k,
+    every shifted cell lies in the corner's own grid; the other starts may
+    reach into the next row or grid, and ``_corner_weights`` gives them 0.
+    One float32 product with those weights masks and counts each grid's
+    corners at once: its sums of 0s and 1s are below 2^24, so exact.
     """
     import numpy as np
 
     m, n, _ = grids.shape
-    flat = grids.reshape(m, n * n)
-    tall = n * (n - k + 1)  # the rows r <= n - k
-    runs = flat[:, :tall].copy()
-    for i in range(1, k):
-        runs &= flat[:, i * n : i * n + tall]
-    wide = tall - k + 1
-    full = runs[:, :wide].copy()
-    for j in range(1, k):
-        full &= runs[:, j : j + wide]
-    corner = np.zeros((n - k + 1, n), dtype=bool)
-    corner[:, : n - k + 1] = True
-    full &= corner.reshape(-1)[:wide]
-    return np.count_nonzero(full, axis=1)
+    flat = grids.reshape(-1)
+    size = flat.size
+    runs = np.zeros(size, dtype=bool)
+    np.bitwise_and(flat[: size - n], flat[n:], out=runs[: size - n])
+    for i in range(2, k):
+        runs[: size - i * n] &= flat[i * n :]
+    full = np.zeros(size, dtype=bool)
+    np.bitwise_and(runs[:-1], runs[1:], out=full[:-1])
+    for j in range(2, k):
+        full[:-j] &= runs[j:]
+    return (full.reshape(m, n * n) @ _corner_weights(n, k)).astype(np.intp)
+
+
+@functools.lru_cache(maxsize=16)
+def _corner_weights(n: int, k: int) -> np.ndarray:
+    """1 at the flat index r n + c of each window corner of an n x n grid,
+    r and c <= n - k, and 0 elsewhere; float32, read-only."""
+    import numpy as np
+
+    w = np.zeros((n, n), dtype=np.float32)
+    w[: n - k + 1, : n - k + 1] = 1.0
+    w = w.reshape(-1)
+    w.flags.writeable = False
+    return w
 
 
 def _reliability_step(k: int, q: float, row_start: bool, window: bool) -> np.ndarray:

@@ -31,7 +31,12 @@ terms, and only that block is solved, by banded Gaussian elimination with
 partial pivoting.  For a sweep of thresholds y = 0..y_max, linearity gives
 f_y = c_y - P(U <= y) g with (*) solved for right-hand sides I(. <= y) and
 1, and c_y = 0 above max(y, x0), so one elimination serves every y, and
-the solutions truncated at N and at 2N differ only in g.
+the solutions truncated at N and at 2N differ only in g.  They rarely
+differ even there: the backward recursion forgets its start, so the tail
+truncated at N meets the one truncated at 2N, bit for bit, a few dozen
+points below N.  The N tail is run only until then, and where the two
+agree on the J values that enter the block, one g and one reduction of
+each block serve both truncations; only the sups above the block differ.
 
 Sweeping y and taking sups of |f| and |f(x+1)-f(x)| yields empirical
 Kolmogorov Stein factors, the ground truth that every bound in
@@ -49,7 +54,9 @@ import math
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
-from .core import CompoundPoissonParams, TruncationCapError, _jlam, cp_pmf, theta
+from .core import (
+    CompoundPoissonParams, DistributionTable, TruncationCapError, _jlam, cp_pmf, theta,
+)
 from .bounds import best_of, encode_float, evaluate_all
 from .exact import BudgetExceededError, distance
 
@@ -126,7 +133,14 @@ def default_x_max(params: CompoundPoissonParams, y: int) -> int:
     return max(math.ceil(bulk), int(y) + 20 * params.max_cluster_size)
 
 
-def _tail(jl: list[float], lo: int, n: int, r: float) -> list[float]:
+def _same_bits(a: float, b: float) -> bool:
+    """a and b are the same double: -0.0 is not 0.0, and a nan is nothing."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _tail(
+    jl: list[float], lo: int, n: int, r: float, ref: list[float] | None = None
+) -> list[float]:
     """Backward recursion t(x) = (sum_j j lambda_j t(x+j) - r) / x, x = n..lo.
 
     This is (*) with constant right-hand side r and t = 0 beyond n.  It is
@@ -138,17 +152,33 @@ def _tail(jl: list[float], lo: int, n: int, r: float) -> list[float]:
     locals, which gives the same bits as the loop over j in less time.
     J = 2 runs the J = 3 form with c3 = 0.0: the running sum is never -0.0,
     so adding 0.0 * t, t finite, leaves its bits as they are.
+
+    ``ref`` is this recursion from the same lo and r to a larger n.  The
+    recursion forgets its start, so the two meet a few dozen points below
+    n: once the values this one carries (J of them, three at J = 2) are
+    ref's bit for bit, every value below is ref's too, and is taken from
+    it.  Until then the loop over j runs, which has the written-out form's
+    bits while every value is finite; a non-finite value sends the call
+    back to the recursion without ref.
     """
     J = len(jl)
-    if J > 3:
+    if J > 3 or ref is not None:
         t = [0.0] * (n - lo + 1 + J)
+        carried, run = (3 if J == 2 else J), 0
         for i in range(n - lo, -1, -1):
             s = 0.0
             k = i
             for c in jl:
                 k += 1
                 s += c * t[k]
-            t[i] = (s - r) / (lo + i)
+            t[i] = v = (s - r) / (lo + i)
+            if ref is not None:
+                if not math.isfinite(v):
+                    return _tail(jl, lo, n, r)
+                run = run + 1 if _same_bits(v, ref[i]) else 0
+                if run == carried:
+                    t[:i] = ref[:i]
+                    return t
         return t
     t = [0.0] * J  # t(n + J), ..., t(n + 1), then t(n), ..., t(lo)
     push = t.append
@@ -375,8 +405,9 @@ def interior_residuals(sol: SteinSolution) -> np.ndarray:
 
 
 def _sups(C: np.ndarray, P: np.ndarray, g: np.ndarray, g_next: float, acc: np.ndarray) -> None:
-    """Fold into acc = [m0, m1] the sups of |f_y| over x = 1..M and of
-    |f_y(x+1) - f_y(x)| over x = 1..M, for the thresholds y of C's columns.
+    """Fold into acc = [m0, m1], or into each of its rows [m0, m1], the sups
+    of |f_y| over x = 1..M and of |f_y(x+1) - f_y(x)| over x = 1..M, for
+    the thresholds y of C's columns.
 
     On the block f_y = C[:, y] - P[y] g, and f_y(M+1) = -P[y] g_next.
     F = C - g P^T and its differences D are formed a few rows at a time in
@@ -400,7 +431,7 @@ def _sups(C: np.ndarray, P: np.ndarray, g: np.ndarray, g_next: float, acc: np.nd
         # a nan makes max and min both nan
         np.maximum(acc, (max(f.max(), -f.min()), max(d.max(), -d.min())), out=acc)
     across = g_next * P + f[-1]  # f_y(M) - f_y(M+1)
-    acc[1] = np.maximum(acc[1], np.abs(across, out=across).max())
+    acc[..., 1] = np.maximum(acc[..., 1], np.abs(across, out=across).max())
 
 
 def empirical_factors(
@@ -418,16 +449,35 @@ def empirical_factors(
     I(. <= y) and vanishes above max(y, x0), and g solves them with
     right-hand side 1.  One elimination of the block x <= M solves every
     c_y and g for truncation at x_max and at 2 x_max, BLOCK_COLUMNS
-    right-hand sides at a time (the two g first), with running sups; the
-    sups are taken on the interior x <= x_max - J, and both pairs of sups
-    must agree within STABILITY_TOL and be finite, or ConvergenceError is
+    right-hand sides at a time (the g first), with running sups; the sups
+    are taken on the interior x <= x_max - J, and both pairs of sups must
+    agree within STABILITY_TOL and be finite, or ConvergenceError is
     raised.  The factors at 2 x_max are returned.
+
+    The 2 x_max pass does the work once where the x_max pass would repeat
+    it bit for bit.  The backward recursion above the block forgets its
+    start, so the x_max tail is run only until it meets the 2 x_max tail
+    (``_tail`` with ``ref``), a few dozen points below x_max.  Where the two
+    tails agree on the J values that enter the block, the two g agree too:
+    one g column is solved, and each block's sups are taken once for both
+    truncations.  Only the sups above the block, up to x_max - J and up to
+    2 x_max - J, are taken for each.  Where the tails differ at the block,
+    as in a window with x_max at its floor, both g are solved and reduced.
     A sweep of more than ORACLE_CELL_BUDGET cells, M x (y_max + 3), raises
     BudgetExceededError before anything is solved.
     """
+    return _measure(params, cp_pmf(params), y_max, x_max)
+
+
+def _measure(
+    params: CompoundPoissonParams,
+    table: DistributionTable,
+    y_max: int | None,
+    x_max: int | None,
+) -> EmpiricalFactors:
+    """``empirical_factors`` with ``table``, the table of ``cp_pmf(params)``."""
     import numpy as np
 
-    table = cp_pmf(params)
     cdf = table.cdf()
     tail = 1.0 - cdf + table.tail_mass
     if y_max is None:
@@ -451,35 +501,41 @@ def empirical_factors(
         )
     J = len(jl)
     n = max(int(x_max), M + J)
-    tails = [_tail(jl, M + 1, n, 1.0), _tail(jl, M + 1, 2 * n, 1.0)]
+    wide = _tail(jl, M + 1, 2 * n, 1.0)
+    tails = [_tail(jl, M + 1, n, 1.0, wide), wide]
+    acc = np.empty((2, 2))  # running [m0, m1] at truncation n and at 2n
+    # each distinct g, from the tail that makes it, with the rows of acc it serves
+    if all(map(_same_bits, tails[0][:J], wide[:J])):
+        gs = [(wide, acc)]
+    else:
+        gs = [(tails[0], acc[:1]), (wide, acc[1:])]
     lu = _factor(jl, x0, M)
     xs = np.delete(np.arange(M + 1), x0)[:, None]
-    # g at truncation n and at 2n, then thresholds y = lo..hi - 1, fill the
-    # first block; each later block holds thresholds alone
-    B = np.empty((M, min(BLOCK_COLUMNS, y_max + 3)))
-    for col, t in enumerate(tails):
+    # the g, then thresholds y = lo..hi - 1, fill the first block; each later
+    # block holds thresholds alone
+    B = np.empty((M, min(BLOCK_COLUMNS, y_max + 1 + len(gs))))
+    for col, (t, _) in enumerate(gs):
         B[:, col] = 1.0 - _tail_terms(jl, x0, M, t)
     # where f passes the largest double (off the support of a lattice law
     # at a large rate) the sups are inf or nan: the sweep stops at the first
     # such block, and the law is refused
     with np.errstate(over="ignore", invalid="ignore"):
-        acc = np.empty((2, 2))  # running [m0, m1] at truncation n and at 2n
         for a, t, top in zip(acc, tails, (n, 2 * n)):
             # above the block f_y = -P[y] g, and P is increasing: there the sups
             # over y are P[y_max] times those of g, on the interior x <= top - J
             gt = np.array(t[: top - J - M + 1])
             a[0] = P[-1] * np.abs(gt[:-1]).max(initial=0.0)
             a[1] = P[-1] * np.abs(gt[1:] - gt[:-1]).max(initial=0.0)
-        lo, col = 0, 2
+        lo, col = 0, len(gs)
         while lo <= y_max:
             hi = min(lo + B.shape[1] - col, y_max + 1)
             block = B[:, : col + hi - lo]
             np.less_equal(xs, np.arange(lo, hi), out=block[:, col:])
             _block_solve(jl, x0, M, block, lu)
-            if col:  # g at n and at 2n, kept from the block that solved them
-                g = B[:, :2].T.copy()
-            for k, t in enumerate(tails):
-                _sups(block[:, col:], P[lo:hi], g[k], t[0], acc[k])
+            if col:  # the g, kept from the block that solved them
+                g = B[:, :col].T.copy()
+            for g_k, (t, rows) in zip(g, gs):
+                _sups(block[:, col:], P[lo:hi], g_k, t[0], rows)
             if hi <= y_max and not np.isfinite(acc).all():
                 break
             lo, col = hi, 0
@@ -496,10 +552,11 @@ def verify(params: CompoundPoissonParams, model=None, **law) -> dict:
     factors and, given a model, its d_K bound against the exact distance;
     returns the report that ``cpstein verify`` prints.
 
-    The oracle runs once for every row: a row passes if m0_hat <= m0 and
-    m1_hat <= m1.  ``model`` is any object with the methods of the
-    :mod:`cpstein.models` classes, and ``law`` holds the arguments of its
-    ``exact_law``.  Its d_K bound is taken at the best m1 of the catalogue
+    ``cp_pmf`` builds the approximant's table once, for the oracle and for
+    the distance.  The oracle runs once for every row: a row passes if
+    m0_hat <= m0 and m1_hat <= m1.  ``model`` is any object with the
+    methods of the :mod:`cpstein.models` classes, and ``law`` holds the
+    arguments of its ``exact_law``.  Its d_K bound is taken at the best m1 of the catalogue
     and passes if d_k + certified_slack - 4 mc_stderr <= dk_bound: the tail
     mass the tables leave out counts against the model, and a Monte Carlo
     law gets four standard errors.  An infinite best m1 (only GENERAL
@@ -508,7 +565,8 @@ def verify(params: CompoundPoissonParams, model=None, **law) -> dict:
     bound (independent sums) is judged by its rows alone.  ``pass`` holds
     if every check does.
     """
-    emp = empirical_factors(params)
+    table = cp_pmf(params)
+    emp = _measure(params, table, None, None)
     bounds = evaluate_all(params)
     checks = [
         {
@@ -528,7 +586,7 @@ def verify(params: CompoundPoissonParams, model=None, **law) -> dict:
     ok = all(c["pass"] for c in checks)
     if model is not None:
         report["input"] = model.to_json()
-        dist = distance(model.exact_law(**law), cp_pmf(params))
+        dist = distance(model.exact_law(**law), table)
         report["distance"] = dist.to_json()
         best = best_of(bounds)
         dk_bound = model.dk_bound(best.m1)

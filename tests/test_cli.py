@@ -124,7 +124,7 @@ def test_verify_exit_one_on_violation(capsys, monkeypatch):
         y_max=5,
         x_max=10,
     )
-    monkeypatch.setattr(oracle, "empirical_factors", lambda params: fake)
+    monkeypatch.setattr(oracle, "_measure", lambda params, table, y_max, x_max: fake)
     code, out, _ = run_cli(capsys, "verify", "--rates", "8")
     assert code == 1
     doc = json.loads(out)
@@ -161,20 +161,61 @@ def test_verify_infinite_best_m1_is_a_vacuous_dk_bound(capsys):
 
 
 def test_verify_runs_oracle_once(capsys, monkeypatch):
+    # the oracle's sweep, which empirical_factors runs on its own table and
+    # verify on the one it also gives the distance
     from cpstein import oracle
 
     calls = []
-    real = oracle.empirical_factors
+    real = oracle._measure
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "empirical_factors", counting)
+    monkeypatch.setattr(oracle, "_measure", counting)
     code, out, _ = run_cli(capsys, "verify", "--model", "runs", "--n", "200", "--p", "0.1")
     assert code == 0
     assert len(json.loads(out)["checks"]) > 1
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("block_columns", [512, 8])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify --model runs --n 200 --p 0.1",
+        "verify --model reliability --n 8 --k 2 --q 0.3 --samples 10000 --seed 1",
+        "verify --model mixed --gamma 17.3,0.41",
+        "verify --model sums --components 0.7,0.1,0.1,0.1",
+        "verify --rates 30,10,5",
+    ],
+)
+def test_verify_builds_the_approximant_once(capsys, monkeypatch, argv, block_columns):
+    # one cp_pmf table serves the oracle and the distance, and where the
+    # tails at N and 2N agree at the block (every law here), one g column
+    # serves both truncations: one _sups call per block of BLOCK_COLUMNS
+    # columns, the g and y_max + 1 thresholds, over both rows of the sups
+    from cpstein import core, oracle
+
+    tables, sups = [], []
+
+    def counting_pmf(*args, _real=core.cp_pmf):
+        tables.append(args)
+        return _real(*args)
+
+    def counting_sups(C, P, g, g_next, acc, _real=oracle._sups):
+        sups.append(acc.shape)
+        _real(C, P, g, g_next, acc)
+
+    for module in (core, oracle, cli):
+        monkeypatch.setattr(module, "cp_pmf", counting_pmf)
+    monkeypatch.setattr(oracle, "_sups", counting_sups)
+    monkeypatch.setattr(oracle, "BLOCK_COLUMNS", block_columns)
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    y_max = json.loads(out)["empirical"]["y_max"]
+    assert len(tables) == 1
+    assert sups == [(2, 2)] * -(-(y_max + 2) // block_columns)
 
 
 # the column function of each catalogue row, in catalogue order
@@ -369,6 +410,36 @@ def test_sweep_error_is_the_first_failing_rows(capsys):
     assert (code, out, err) == (2, "", "error: at least one rate must be positive\n")
     code, out, err = run_cli(capsys, *argv, "--n", "10", "--q-range", "0.5:1.5:3")
     assert (code, out, err) == (2, "", "error: q must lie in [0, 1]\n")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize(
+    "q_range, code",
+    [("0.2:0.5:4", 0), ("0.5:1.5:3", 2)],  # a passing sweep, and one whose row 3 raises
+)
+def test_sweep_leaves_the_collector_as_it_was(capsys, monkeypatch, q_range, code, enabled):
+    # the columns are built with the cyclic collector paused, and the sweep
+    # leaves it on or off as it found it, also when a row raises
+    import gc
+
+    during = []
+
+    def spy(*args, _real=cli._sweep_columns):
+        during.append(gc.isenabled())
+        return _real(*args)
+
+    monkeypatch.setattr(cli, "_sweep_columns", spy)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        got, _, _ = run_cli(capsys, "sweep", "--model", "reliability", "--n", "10", "--k", "2",
+                            "--q-range", q_range)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert got == code
+    assert after is enabled
+    assert during and not any(during)
 
 
 def test_sweep_reliability(capsys):

@@ -23,6 +23,7 @@ LAYERS = {
     "mixed_exact_pmf",
     "sums_exact_pmf",
     "distance",
+    "verify",
     "sweep",
     "catalogue",
 }

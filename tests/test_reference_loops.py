@@ -7,6 +7,13 @@ order, so the results must agree bit for bit, -0.0 and all, with the loops
 as first written, which are kept here: ``block_solve_reference``,
 ``tail_reference``, ``panjer_reference`` and ``chernoff_tail_reference``.
 
+The oracle's sweep does the work of the truncation at N only where it
+differs from the truncation at 2N: the N tail stops where it meets the 2N
+tail, and one g serves both where the tails agree at the block.
+``empirical_factors_reference``, the sweep as first written, with both
+tails in full and each g solved and reduced on its own, is kept here; every
+field, and the error where there is one, must agree with it bit for bit.
+
 The truncation of ``cp_pmf`` and of both mixed-Poisson tables is one
 doubling rule, ``core._truncation_point``, from one bulk start.  The loop
 that ``cp_pmf`` replaced is kept here, ``cp_pmf_x_max_reference``, and so
@@ -415,6 +422,53 @@ def block_solve_reference(jl, x0, M, B, lu):
         B[k] = b / u[0]
 
 
+def empirical_factors_reference(params, y_max=None, x_max=None):
+    # the sweep as first written: both tails in full, a g column for each,
+    # and the sups of every block taken once for each tail
+    table = oracle.cp_pmf(params)
+    cdf = table.cdf()
+    tail = 1.0 - cdf + table.tail_mass
+    if y_max is None:
+        y_max = int(np.nonzero(tail <= oracle.TAIL_FOR_YMAX)[0][0])
+    P = cdf[: y_max + 1].astype(float)
+    if x_max is None:
+        x_max = default_x_max(params, y_max)
+    jl, x0, M = oracle._split(params, table.pmf, y_max)
+    J = len(jl)
+    n = max(int(x_max), M + J)
+    tails = [oracle._tail(jl, M + 1, n, 1.0), oracle._tail(jl, M + 1, 2 * n, 1.0)]
+    lu = oracle._factor(jl, x0, M)
+    xs = np.delete(np.arange(M + 1), x0)[:, None]
+    B = np.empty((M, min(oracle.BLOCK_COLUMNS, y_max + 3)))
+    for col, t in enumerate(tails):
+        B[:, col] = 1.0 - oracle._tail_terms(jl, x0, M, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = np.empty((2, 2))
+        for a, t, top in zip(acc, tails, (n, 2 * n)):
+            gt = np.array(t[: top - J - M + 1])
+            a[0] = P[-1] * np.abs(gt[:-1]).max(initial=0.0)
+            a[1] = P[-1] * np.abs(gt[1:] - gt[:-1]).max(initial=0.0)
+        lo, col = 0, 2
+        while lo <= y_max:
+            hi = min(lo + B.shape[1] - col, y_max + 1)
+            block = B[:, : col + hi - lo]
+            np.less_equal(xs, np.arange(lo, hi), out=block[:, col:])
+            oracle._block_solve(jl, x0, M, block, lu)
+            if col:
+                g = B[:, :2].T.copy()
+            for k, t in enumerate(tails):
+                oracle._sups(block[:, col:], P[lo:hi], g[k], t[0], acc[k])
+            if hi <= y_max and not np.isfinite(acc).all():
+                break
+            lo, col = hi, 0
+    if not np.isfinite(acc).all():
+        raise ConvergenceError("Stein solution passes the largest double")
+    (m0_a, m1_a), (m0_b, m1_b) = acc.tolist()
+    if abs(m0_b - m0_a) <= oracle.STABILITY_TOL and abs(m1_b - m1_a) <= oracle.STABILITY_TOL:
+        return oracle.EmpiricalFactors(m0_hat=m0_b, m1_hat=m1_b, y_max=y_max, x_max=2 * n)
+    raise ConvergenceError("truncation not converged")
+
+
 @pytest.fixture
 def reference(monkeypatch):
     """Within the block: the oracle and cp_pmf run on the reference loops."""
@@ -524,6 +578,28 @@ def test_tail_bit_identical_to_reference(J):
         assert _bits(oracle._tail(jl, 1, 5, r)) == _bits(tail_reference(jl, 1, 5, r))
 
 
+@pytest.mark.parametrize("J", [1, 2, 3, 4, 5])
+def test_tail_meeting_a_longer_tail_bit_identical_to_reference(J):
+    # run until it meets the tail to 2n, or to its end: the same bits as the
+    # recursion in full, -0.0 and all
+    rng = random.Random(200 + J)
+    met = 0
+    for _ in range(40):
+        jl = [rng.choice([0.0, -0.0, rng.uniform(0.0, 50.0)]) for _ in range(J)]
+        lo = rng.randrange(1, 80)
+        n = lo - 1 + rng.randrange(0, 300)
+        r = rng.choice([1.0, -0.4, 0.0, -0.0])
+        ref = oracle._tail(jl, lo, 2 * n, r)
+        got = oracle._tail(jl, lo, n, r, ref)
+        assert _bits(got) == _bits(tail_reference(jl, lo, n, r))
+        met += any(a is b for a, b in zip(got, ref))
+    assert met
+    # one sign of zero against the other, and a nan, never meet
+    jl = [0.0] * J
+    for r, ref in ((0.0, [-0.0] * 20), (1.0, [math.nan] * 20)):
+        assert _bits(oracle._tail(jl, 1, 5, r, ref)) == _bits(tail_reference(jl, 1, 5, r))
+
+
 def test_chernoff_tail_bit_identical_to_reference():
     for rates in PMF_CASES[::3] + [[1e-300, 2.0], [300.0]]:
         params = CompoundPoissonParams(rates)
@@ -561,25 +637,48 @@ def test_solve_stein_bit_identical_to_reference(rates, y, x_max, reference):
     assert _bits([got.eh_u, got.residual0]) == _bits([want.eh_u, want.residual0])
 
 
-def _factors(params, **kw):
+def _factors(factors, params, **kw):
     try:
-        emp = empirical_factors(params, **kw)
+        emp = factors(params, **kw)
     except ConvergenceError as exc:
         return repr(exc)
     return (_bits([emp.m0_hat, emp.m1_hat]), emp.y_max, emp.x_max)
 
 
 @pytest.mark.parametrize("rates", ORACLE_CASES, ids=_ids(ORACLE_CASES))
-def test_empirical_factors_bit_identical_to_reference(rates, reference):
+def test_empirical_factors_bit_identical_to_reference(rates, reference, monkeypatch):
+    # the x_max pass reuses the 2 x_max pass, against both passes in full on
+    # the reference loops; by default the tails agree at the block and one
+    # g serves both truncations, and in an explicit window, a larger y_max
+    # and x_max at its floor M + J, they differ and each has its own
     params = CompoundPoissonParams(rates)
-    got = _factors(params)
+    shapes = []
+
+    def sups(C, P, g, g_next, acc, _real=oracle._sups):
+        shapes.append(acc.shape)
+        _real(C, P, g, g_next, acc)
+
+    monkeypatch.setattr(oracle, "_sups", sups)
+    got = _factors(empirical_factors, params)
+    assert set(shapes) == {(2, 2)}
     table = cp_pmf(params)
     y_max = int(np.argmax(1.0 - table.cdf() + table.tail_mass <= oracle.TAIL_FOR_YMAX))
-    # an explicit window: a larger y_max, and x_max at its floor M + J
-    got_window = _factors(params, y_max=y_max + 3, x_max=1)
+    shapes.clear()
+    got_window = _factors(empirical_factors, params, y_max=y_max + 3, x_max=1)
+    assert set(shapes) == {(1, 2)}
     reference()
-    assert got == _factors(params)
-    assert got_window == _factors(params, y_max=y_max + 3, x_max=1)
+    assert got == _factors(empirical_factors_reference, params)
+    assert got_window == _factors(empirical_factors_reference, params, y_max=y_max + 3, x_max=1)
+
+
+def test_empirical_factors_not_converged_as_the_reference(reference, monkeypatch):
+    # the input of test_empirical_factors_unreachable_tolerance: the same error
+    params = CompoundPoissonParams([0.3])
+    monkeypatch.setattr(oracle, "STABILITY_TOL", -1.0)
+    got = _factors(empirical_factors, params, x_max=4)
+    reference()
+    assert got == _factors(empirical_factors_reference, params, x_max=4)
+    assert got == repr(ConvergenceError("truncation not converged"))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,11 @@ The layers are those the benchmark's tracer names: ``theta`` and ``delta_k``
 (the closed forms and the order-3 Bernstein enclosure), ``cp_pmf``,
 ``empirical_factors`` and ``solve_stein`` (the Stein oracle at total rates
 whose mean theta_0 is small, medium and large), each exact law, and
-``distance``; ``sweep`` is a whole ``cpstein sweep`` command, reliability
+``distance``; ``verify`` is the whole check of a model, ``oracle.verify``:
+the approximant's table, the oracle's sweep, the catalogue, the exact law
+and the distance, on a gamma mixture, a runs law at n = 800 and a
+reliability Monte Carlo law at n = 8 with 10 000 samples, in that order of
+cost; ``sweep`` is a whole ``cpstein sweep`` command, reliability
 sweeps of 16, 256 and 4096 rows through ``cli.main`` with stdout written
 to ``os.devnull``, so that ``peak_mb`` is the command's own memory,
 and ``catalogue`` is ``bounds._evaluate_columns`` on the laws of those
@@ -53,6 +57,7 @@ from cpstein import (  # noqa: E402
     model_from_json,
     solve_stein,
     theta,
+    verify,
 )
 from cpstein import bounds, cli  # noqa: E402
 from cpstein.oracle import default_x_max  # noqa: E402
@@ -104,6 +109,11 @@ CASES = {
         "large": {"model": "sums", "components": SUMS * 200},
     },
     "distance": RUNS,  # the runs law against its approximant
+    "verify": {
+        "small": {"model": "mixed", "gamma": [17.3, 0.41]},
+        "medium": {"model": "runs", "n": 800, "p": 0.2},
+        "large": {"model": "reliability", "n": 8, "k": 2, "q": 0.3, "samples": 10_000},
+    },
     "sweep": {
         size: {"argv": ["sweep", "--model", "reliability", "--n", "10", "--k", "2",
                         "--q-range", q_range]}
@@ -150,8 +160,12 @@ def _call(layer: str, given: dict):
     if layer == "distance":
         a, b = model.exact_law(), cp_pmf(model.cp_params())
         return lambda: distance(a, b)
-    law = {"exact": layer != "reliability_mc_pmf", "samples": given.get("samples"), "seed": 1}
-    return lambda: model.exact_law(**{k: law[k] for k in model.law_keys})
+    law = {"exact": "samples" not in given, "samples": given.get("samples"), "seed": 1}
+    law = {k: law[k] for k in model.law_keys}
+    if layer == "verify":
+        params = model.cp_params()
+        return lambda: verify(params, model, **law)
+    return lambda: model.exact_law(**law)
 
 
 def _time(call, repeat: int) -> dict:
