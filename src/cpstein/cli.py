@@ -9,6 +9,7 @@ Subcommands:
 * ``stein-solve`` - dump one Stein-equation solution
 * ``pmf``         - dump a distribution table
 
+A command is parsed by its own parser, with the full parser as fallback.
 Output is JSON (default) or CSV, with floats printed to 17 significant
 digits so regression files are exact.  It is written as it is formed, to
 stdout or, atomically, to ``--output``.  Exit codes: 0 ok, 1 verification
@@ -27,7 +28,7 @@ import os
 import sys
 from collections.abc import Iterator
 from dataclasses import fields
-from itertools import chain, repeat, tee
+from itertools import chain, repeat
 from operator import itemgetter
 
 from .bounds import (_evaluate_columns, _first_least, best_of, encode_float, evaluate_all,
@@ -95,16 +96,21 @@ def _cells(col: list, fmt) -> Iterator[str]:
     return map(known.__getitem__, col)
 
 
+def _json_cells(col: list) -> list[str]:
+    """A column's cells as ``dumps`` prints them: ``_cells``, inf, -inf and nan quoted."""
+    texts = [*_cells(col, dumps)]
+    return [*map(_NON_FINITE.get, texts, texts)] if type(col[0]) is float else texts
+
+
 def _dumps_table(table: _Table, indent: int) -> Iterator[str]:
     """``dumps`` of the table's rows, as dicts, in pieces, one per row, through
     one %-template per row shape: a column of finite floats is printed by the
-    template's %.17g, any other by ``_cells``.  Templates and columns are
-    prepared by the call, and each row is formatted as it is read."""
+    template's %.17g, any other by ``_json_cells``.  Templates and text
+    columns are prepared by the call, and each row is formatted as it is read."""
     pad, inner, field = "  " * indent, "  " * (indent + 1), "  " * (indent + 2)
     finite = [type(col[0]) is float and math.isfinite(sum(col)) for col in table.columns]
     marks = ["%.17g" if f else "%s" for f in finite]
-    columns = [col if f else map(_NON_FINITE.get, *tee(_cells(col, dumps)))
-               for col, f in zip(table.columns, finite)]
+    columns = [col if f else _json_cells(col) for col, f in zip(table.columns, finite)]
     # each template starts with the comma that ends the row before
     templates = {
         keys: f",\n{inner}{{\n" + ",\n".join(
@@ -117,32 +123,48 @@ def _dumps_table(table: _Table, indent: int) -> Iterator[str]:
 
 
 def dumps(obj, indent: int = 0) -> str:
-    """Minimal deterministic JSON emitter with 17-significant-digit floats."""
+    """Minimal deterministic JSON emitter with 17-significant-digit floats: a
+    scalar's formatter's text, or a container's pieces joined once."""
     fmt = _SCALARS.get(type(obj))
     if fmt is not None:
         return fmt(obj)
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+    out: list[str] = []
+    _emit(obj, 0, out, ["\n" + "  " * indent])
+    return "".join(out)
+
+
+def _emit(obj, depth: int, out: list[str], nl: list[str]) -> None:
+    """Append ``dumps`` of the container ``obj`` to ``out`` in pieces; ``nl[d]``
+    is a newline and the indent of depth d, formed the first time it is needed."""
+    if len(nl) == depth + 1:
+        nl.append(nl[depth] + "  ")
+    inner, get = nl[depth + 1], _SCALARS.get
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        get = _SCALARS.get
-        items = [
-            f'{inner}"{k}": {fmt(v) if (fmt := get(type(v))) else dumps(v, indent + 1)}'
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        sep = f",\n{inner}"
+        sep, comma = "{" + inner, "," + inner
+        for k, v in obj.items():
+            if (fmt := get(type(v))) is not None:
+                out.append(f'{sep}"{k}": {fmt(v)}')
+            else:
+                out.append(f'{sep}"{k}": ')
+                _emit(v, depth + 1, out, nl)
+            sep = comma
+        out.append(nl[depth] + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        sep, comma = "[" + inner, "," + inner
         # a finite sum means no inf or nan, which _fmt_float prints as strings
         if {*map(type, obj)} == {float} and math.isfinite(sum(obj)):
-            body = sep.join(["%.17g"] * len(obj)) % tuple(obj)
-        else:
-            body = sep.join(dumps(v, indent + 1) for v in obj)
-        return "[\n" + inner + body + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+            out.append(sep + comma.join(["%.17g"] * len(obj)) % tuple(obj) + nl[depth] + "]")
+            return
+        for v in obj:
+            if (fmt := get(type(v))) is not None:
+                out.append(sep + fmt(v))
+            else:
+                out.append(sep)
+                _emit(v, depth + 1, out, nl)
+            sep = comma
+        out.append(nl[depth] + "]" if obj else "[]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _write_json(fh, payload: dict) -> None:
@@ -540,8 +562,22 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv) -> argparse.Namespace:
+    """``argv`` parsed by its command's parser, which the full parser would hand
+    it to, into a namespace without ``command``; by the full parser where argv
+    names no command first or the command's parser leaves words unread."""
+    parser = _parser()
+    if argv:
+        sub = parser._subparsers._group_actions[0].choices.get(argv[0])
+        if sub is not None:
+            args, extra = sub.parse_known_args(argv[1:])
+            if not extra:
+                return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         code, payload, records = args.func(args)
         out = contextlib.nullcontext(sys.stdout) if args.output is None else _atomic(args.output)

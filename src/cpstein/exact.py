@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .core import CompoundPoissonParams, DistributionTable
@@ -93,7 +93,7 @@ class DistanceReport:
     certified_slack: float
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 def runs_exact_pmf(m: models.RunsModel) -> DistributionTable:

@@ -51,11 +51,12 @@ model's d_K bound against its exact law.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .core import (
-    CompoundPoissonParams, DistributionTable, TruncationCapError, _jlam, cp_pmf, theta,
+    CompoundPoissonParams, DistributionTable, ThetaVector, TruncationCapError, _jlam, cp_pmf,
+    theta,
 )
 from .bounds import best_of, encode_float, evaluate_all
 from .exact import BudgetExceededError, distance
@@ -126,7 +127,11 @@ def default_x_max(params: CompoundPoissonParams, y: int) -> int:
     max(4 (theta_0 + 10 sqrt(theta_0 + theta_1)), y + 20 J), rounded up.
     y + 20 J is formed in integers, so a y past the float range gives an
     x_max that ``solve_stein`` refuses, not an OverflowError."""
-    th = theta(params, 1)
+    return _x_max_rule(params, theta(params, 1), y)
+
+
+def _x_max_rule(params: CompoundPoissonParams, th: ThetaVector, y: int) -> int:
+    """``default_x_max`` with ``th``, theta(params, K) for any K >= 1."""
     bulk = 4.0 * (th[0] + 10.0 * math.sqrt(th[0] + th[1]))
     if bulk == math.inf:  # far past any table cp_pmf builds
         raise TruncationCapError("truncation cap exceeded")
@@ -474,8 +479,10 @@ def _measure(
     table: DistributionTable,
     y_max: int | None,
     x_max: int | None,
+    th: ThetaVector | None = None,
 ) -> EmpiricalFactors:
-    """``empirical_factors`` with ``table``, the table of ``cp_pmf(params)``."""
+    """``empirical_factors`` with ``table``, the table of ``cp_pmf(params)``,
+    and ``th``, theta(params, K) for some K >= 1, or None."""
     import numpy as np
 
     cdf = table.cdf()
@@ -492,7 +499,7 @@ def _measure(
     P = cdf[: y_max + 1].astype(float)
 
     if x_max is None:
-        x_max = default_x_max(params, y_max)
+        x_max = _x_max_rule(params, theta(params, 1) if th is None else th, y_max)
     jl, x0, M = _split(params, table.pmf, y_max)
     if M * (y_max + 3) > ORACLE_CELL_BUDGET:
         raise BudgetExceededError(
@@ -566,8 +573,9 @@ def verify(params: CompoundPoissonParams, model=None, **law) -> dict:
     if every check does.
     """
     table = cp_pmf(params)
-    emp = _measure(params, table, None, None)
-    bounds = evaluate_all(params)
+    th = theta(params, 3)
+    emp = _measure(params, table, None, None, th)
+    bounds = evaluate_all(params, th=th)
     checks = [
         {
             "method": b.method,
@@ -582,7 +590,8 @@ def verify(params: CompoundPoissonParams, model=None, **law) -> dict:
         for b in bounds
         if b.applicable
     ]
-    report = {"rates": list(params.rates), "empirical": asdict(emp), "checks": checks}
+    empirical = {k: getattr(emp, k) for k in emp.__dataclass_fields__}
+    report = {"rates": list(params.rates), "empirical": empirical, "checks": checks}
     ok = all(c["pass"] for c in checks)
     if model is not None:
         report["input"] = model.to_json()

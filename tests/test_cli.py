@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
 import math
 import os
 import random
+import shlex
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,7 +127,7 @@ def test_verify_exit_one_on_violation(capsys, monkeypatch):
         y_max=5,
         x_max=10,
     )
-    monkeypatch.setattr(oracle, "_measure", lambda params, table, y_max, x_max: fake)
+    monkeypatch.setattr(oracle, "_measure", lambda params, table, y_max, x_max, th: fake)
     code, out, _ = run_cli(capsys, "verify", "--rates", "8")
     assert code == 1
     doc = json.loads(out)
@@ -177,6 +180,34 @@ def test_verify_runs_oracle_once(capsys, monkeypatch):
     assert code == 0
     assert len(json.loads(out)["checks"]) > 1
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify --rates 8",
+        "verify --rates 5.3,0.6",
+        "verify --model runs --n 30 --p 0.15",
+        "verify --model reliability --n 6 --k 2 --q 0.3 --samples 10000 --seed 1",
+        "verify --model mixed --gamma 17.3,0.41",
+        "verify --model sums --components 0.7,0.1,0.1,0.1",
+    ],
+)
+def test_verify_forms_theta_twice(capsys, monkeypatch, argv):
+    # cp_pmf's truncation forms theta(params, 1) behind its public signature;
+    # verify forms theta(params, 3) once, for the oracle's x_max and for the
+    # catalogue
+    orders, real = [], core.theta
+
+    def counting(params, K):
+        orders.append(K)
+        return real(params, K)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cpstein") and getattr(module, "theta", None) is real:
+            monkeypatch.setattr(module, "theta", counting)
+    assert run_cli(capsys, *argv.split())[0] == 0
+    assert orders == [1, 3]
 
 
 @pytest.mark.parametrize("block_columns", [512, 8])
@@ -597,6 +628,80 @@ def test_parser_reused_after_rejected_call(capsys):
     capsys.readouterr()
     assert run_cli(capsys, "bounds", "--rates", "1,0.2") == first
     assert cli._parser() is parser
+
+
+# every golden command line, then malformed and edge ones, each with the
+# number of times main calls the full parser's parse_known_args on it
+GOLDEN = [
+    (shlex.split(command), 0)
+    for command in json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+]
+EDGES = [
+    ([], 1),
+    (["-h"], 1),
+    (["--help"], 1),
+    (["-h", "bounds"], 1),
+    (["bounds", "-h"], 0),
+    (["verify", "--rates", "1", "-h"], 0),
+    (["boundz", "--rates", "1"], 1),
+    (["--rates", "1", "bounds"], 1),
+    (["--", "bounds", "--rates", "1"], 1),
+    (["bounds", "--rates", "1", "--no-such-flag"], 1),
+    (["bounds", "--rates", "1", "extra"], 1),
+    (["bounds", "--rates", "8", "--y", "3"], 1),
+    (["bounds", "--rat", "1"], 1),
+    (["bounds", "--rates"], 0),
+    (["bounds", "--model", "nope"], 0),
+    (["pmf", "--rates", "1", "--law", "both"], 0),
+    (["stein-solve", "--rates", "8", "--y", "abc"], 0),
+    (["bounds", "--rates=1.5"], 0),
+    (["bounds", "--rates", "1", "--rates", "2"], 0),
+    (["bounds", "--", "--rates", "1"], 1),
+    (["bounds", "--rates", "1", "--"], 1),
+    (["bounds", "--rates", "-1"], 0),
+    (["sweep", "--model", "reliability", "--n", "10", "--k", "2", "--q-range",
+      f"0.05:0.8:{cli.SWEEP_ROW_BUDGET + 1}"], 0),
+]
+
+
+def _outcome(capsys, call):
+    """What ``call()`` returns, or ("exit", code) of the SystemExit it raises,
+    with what it printed to stdout and to stderr."""
+    try:
+        result = call()
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv,full_calls", GOLDEN + EDGES,
+                         ids=[shlex.join(argv) for argv, _ in GOLDEN + EDGES])
+def test_command_parser_parses_as_the_full_parser(capsys, monkeypatch, argv, full_calls):
+    # main hands a command's words to the parser the full parser would hand
+    # them to; the namespace differs only in the full parser's "command", and
+    # every other line goes to the full parser, which prints every usage
+    # error and help text
+    parser = cli._parser()
+    full = _outcome(capsys, lambda: parser.parse_args(argv))
+    calls = []
+
+    def counting(*args, _real=parser.parse_known_args):
+        calls.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(parser, "parse_known_args", counting)
+    own = _outcome(capsys, lambda: cli._parse(argv))
+    assert len(calls) == full_calls
+    if isinstance(full[0], argparse.Namespace):
+        assert vars(full[0]).pop("command") == argv[0]
+        assert vars(own[0]) == vars(full[0]) and own[1:] == full[1:] == ("", "")
+    else:
+        assert own == full
+    monkeypatch.setattr(cli, "_parse", parser.parse_args)
+    full = _outcome(capsys, lambda: main(argv))
+    monkeypatch.undo()
+    assert _outcome(capsys, lambda: main(argv)) == full
 
 
 @pytest.mark.parametrize("flag", [["--seed", "1"], ["--samples", "20000"], ["--exact"]])

@@ -13,6 +13,7 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "layer_times.py"
 LAYERS = {
     "theta",
     "evaluate_all",
+    "cli",
     "delta_k",
     "cp_pmf",
     "empirical_factors",

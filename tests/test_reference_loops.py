@@ -43,14 +43,24 @@ one law at a time in floats, are kept here: ``general_reference``,
 relied on (``check_law_reference``, ``monotone_rates_reference``).  Every
 field of every row, note arguments included, must agree with them in repr,
 law by law and over one column set of all the laws.
+
+``cli.dumps`` appends the pieces of a payload to one list and joins it once;
+``dumps_reference``, the emitter that formed and joined a string for each
+container, is kept here.  The two must print the same text for the payload
+of every golden command that prints JSON, built in process, and for empty,
+non-finite, quoted and 100-deep inputs.
 """
 
 from __future__ import annotations
 
+import io
+import json
 import math
 import operator
 import random
+import shlex
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -479,6 +489,35 @@ def reference(monkeypatch):
         monkeypatch.setattr(oracle, "cp_pmf", cp_pmf_reference)
 
     return use
+
+
+def dumps_reference(obj, indent=0):
+    """``cli.dumps`` as it was before it wrote one list: a string formed and
+    joined for each container."""
+    fmt = cli._SCALARS.get(type(obj))
+    if fmt is not None:
+        return fmt(obj)
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        get = cli._SCALARS.get
+        items = [
+            f'{inner}"{k}": {fmt(v) if (fmt := get(type(v))) else dumps_reference(v, indent + 1)}'
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        sep = f",\n{inner}"
+        if {*map(type, obj)} == {float} and math.isfinite(sum(obj)):
+            body = sep.join(["%.17g"] * len(obj)) % tuple(obj)
+        else:
+            body = sep.join(dumps_reference(v, indent + 1) for v in obj)
+        return "[\n" + inner + body + "\n" + pad + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -988,3 +1027,57 @@ def test_reliability_rate_columns_bit_identical_to_reference(k, n_past_k):
     qs = [i / 63 for i in range(64)] + [1e-300, 0.5 - 1e-17, 1.0 - 2**-52]
     model = ReliabilityModel(n=k + n_past_k, k=k, q=0.5)
     assert repr(model.rate_columns(qs)) == repr(reliability_rate_columns_reference(model, qs))
+
+
+# ---------------------------------------------------------------------------
+# the JSON emitter
+
+
+def _golden_json_commands() -> list[str]:
+    """Every golden command that prints JSON."""
+    golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+    return [c for c, want in golden.items() if want["code"] in (0, 1) and "--format csv" not in c]
+
+
+def _plain(payload: dict) -> dict:
+    return {k: [dict(zip(keys, row)) for keys, row in zip(v.keys, zip(*v.columns))]
+            if isinstance(v, cli._Table) else v for k, v in payload.items()}
+
+
+def _nested(depth: int):
+    obj = [1.5, {"k": None}]
+    for i in range(depth):
+        obj = {"a": obj, "b": [], "c": {}} if i % 2 else [obj, True, 0, (), {}]
+    return obj
+
+
+EMITTER_EDGES = [
+    {}, [], (), {"a": {}}, [[]], {"a": [{}, [], {"b": [[], {}]}]}, [[[{}]]],
+    (1, (2.5, "t"), ()), {"t": (0.1, 0.2)},
+    [True, 1, False, 0, None], {"true": True, "one": 1, "zero": 0, "false": False},
+    [math.inf, -math.inf, math.nan, -0.0, 0.0], {"a": math.inf, "b": -math.inf, "c": math.nan,
+                                                  "d": -0.0},
+    [0.1, 0.2, math.inf, 0.3], [-0.0, 5e-324, 1e308, 1e308],
+    ['say "hi"', "back\\slash", '\\"', ""], {'k"ey': 'v"al\\ue'},
+    _nested(100), _nested(101),
+    1.5, -0.0, math.nan, "bare", True, None, 3,
+]
+
+
+@pytest.mark.parametrize("command", _golden_json_commands())
+def test_golden_payload_printed_as_the_reference(command):
+    # the payload built in process by the command's function; a sweep's
+    # table is printed row by row, and compared as its rows
+    args = cli._parser().parse_args(shlex.split(command))
+    payload = args.func(args)[1]
+    plain = _plain(payload)
+    assert cli.dumps(plain) == dumps_reference(plain)
+    out = io.StringIO()
+    cli._write_json(out, payload)
+    assert out.getvalue() == dumps_reference(plain) + "\n"
+
+
+@pytest.mark.parametrize("obj", EMITTER_EDGES)
+def test_dumps_matches_reference_on_edges(obj):
+    for indent in (0, 1, 4):
+        assert cli.dumps(obj, indent) == dumps_reference(obj, indent)

@@ -14,7 +14,11 @@ every layer with N = 3, in well under two seconds, as a smoke test; the
 default times every case with N = 15.
 
 The layers are those the benchmark's tracer names: ``theta`` and ``delta_k``
-(the closed forms and the order-3 Bernstein enclosure), ``cp_pmf``,
+(the closed forms and the order-3 Bernstein enclosure), ``evaluate_all``
+(the catalogue of one law), ``cli``, a whole one-law ``cpstein bounds
+--rates`` through ``cli.main`` on the same rates with stdout written to
+``os.devnull``, so that its excess over ``evaluate_all`` is the parse and
+the print, ``cp_pmf``,
 ``empirical_factors`` and ``solve_stein`` (the Stein oracle at total rates
 whose mean theta_0 is small, medium and large), each exact law, and
 ``distance``; ``verify`` is the whole check of a model, ``oracle.verify``:
@@ -78,6 +82,10 @@ SWEEP_RANGES = {"small": "0.05:0.8:16", "medium": "0.05:0.8:256", "large": "0.05
 CASES = {
     "theta": RATES,
     "evaluate_all": RATES,
+    "cli": {
+        size: {"argv": ["bounds", "--rates", ",".join(map(str, given["rates"]))]}
+        for size, given in RATES.items()
+    },
     # order-3 enclosure: theta_2 >= 2 theta_1 leaves no closed form
     "delta_k": {
         "small": {"rates": [1.0, 0.0, 0.3], "k": 3},
@@ -129,8 +137,12 @@ CASES = {
 def _call(layer: str, given: dict):
     """A zero-argument call of ``layer`` on the parameters ``given``."""
     if "argv" in given:
+        # one sink for every call, open until the run ends: opening one takes
+        # 15-30 us, a tenth of a one-law command
+        sink = open(os.devnull, "w")
+
         def command():
-            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            with contextlib.redirect_stdout(sink):
                 cli.main(given["argv"])
 
         return command
