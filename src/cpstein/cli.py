@@ -10,10 +10,14 @@ Subcommands:
 * ``pmf``         - dump a distribution table
 
 A command is parsed by its own parser, with the full parser as fallback.
+Importing the module loads ``core`` and the model registry, ``models``; a
+command loads ``bounds``, ``exact`` or ``oracle`` when it first runs one.
 Output is JSON (default) or CSV, with floats printed to 17 significant
 digits so regression files are exact.  It is written as it is formed, to
 stdout or, atomically, to ``--output``.  Exit codes: 0 ok, 1 verification
-inequality violated, 2 usage error, 3 resource budget exceeded.
+inequality violated, 2 usage error, 3 resource budget exceeded; a reader
+that closes stdout early, as head does, ends the command quietly with its
+own code.
 """
 
 from __future__ import annotations
@@ -31,12 +35,8 @@ from dataclasses import fields
 from itertools import chain, repeat
 from operator import itemgetter
 
-from .bounds import (_evaluate_columns, _first_least, best_of, encode_float, evaluate_all,
-                     regime_classify)
 from .core import CompoundPoissonParams, TruncationCapError, cp_pmf, theta
-from .exact import BudgetExceededError
 from .models import MIXINGS, MODELS, model_from_json
-from .oracle import ConvergenceError, default_x_max, solve_stein, verify
 
 # rows of one sweep, about 0.022 ms and 0.7 KB of JSON each: a 100 000-row
 # reliability sweep takes 2.0-2.6 s and 118 MB of peak memory (the process's
@@ -53,11 +53,18 @@ class UsageError(ValueError):
     """Malformed command-line input."""
 
 
+@functools.cache
+def _layer(name: str):
+    """The layer ``cpstein.<name>``, imported on the first call by the import
+    statement's path (``__import__``), which ``-X importtime`` reports."""
+    return __import__(f"{__package__}.{name}", fromlist=["*"])
+
+
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
 def _fmt_float(x: float) -> str:
-    return format(x, ".17g") if math.isfinite(x) else f'"{encode_float(x)}"'
+    return format(x, ".17g") if math.isfinite(x) else f'"{x}"'
 
 
 def _fmt_str(s: str) -> str:
@@ -346,16 +353,17 @@ def _build_params(args, model) -> CompoundPoissonParams:
 # subcommands
 
 def cmd_bounds(args) -> tuple[int, dict, Iterator[list]]:
+    bounds = _layer("bounds")
     model = _build_model(args)
     params = _build_params(args, model)
     th = theta(params, 3)
-    bounds = evaluate_all(params, th=th)
-    rows = [b.to_json() for b in bounds]
-    best = best_of(bounds).to_json()
+    catalogue = bounds.evaluate_all(params, th=th)
+    rows = [b.to_json() for b in catalogue]
+    best = bounds.best_of(catalogue).to_json()
     payload = {
         "rates": list(params.rates),
         "theta": [th[i] for i in range(4)],
-        "regime": regime_classify(bounds),
+        "regime": bounds.regime_classify(catalogue),
         "bounds": rows,
         "best": best,
     }
@@ -366,7 +374,7 @@ def cmd_bounds(args) -> tuple[int, dict, Iterator[list]]:
 
 def cmd_verify(args) -> tuple[int, dict, Iterator[list]]:
     model = _build_model(args)
-    report = verify(_build_params(args, model), model, **_law(args, model))
+    report = _layer("oracle").verify(_build_params(args, model), model, **_law(args, model))
     code = EXIT_OK if report["pass"] else EXIT_VIOLATION
     return code, report, _csv_dicts([report])
 
@@ -382,7 +390,8 @@ def _parse_range(text: str, what: str) -> list[float]:
     if count < 1:
         raise UsageError(f"{what} count must be >= 1")
     if count > SWEEP_ROW_BUDGET:
-        raise BudgetExceededError(f"{what} count {count} exceeds budget {SWEEP_ROW_BUDGET} rows")
+        raise _layer("exact").BudgetExceededError(
+            f"{what} count {count} exceeds budget {SWEEP_ROW_BUDGET} rows")
     if count == 1:
         return [start]
     step = (stop - start) / (count - 1)
@@ -441,11 +450,12 @@ def _collector_paused():
 
 
 def _sweep_columns(base: dict, key: str, values: list[float]) -> _Table:
+    bounds = _layer("bounds")
     # the model at the first value, whose column methods take every value
     model = model_from_json({**base, key: values[0]})
-    thetas, catalogue = _evaluate_columns(model.rate_columns(values))
+    thetas, catalogue = bounds._evaluate_columns(model.rate_columns(values))
     # each law's best_of m1 row, from the m1 of its rows
-    picks = _first_least(zip(*[row.m1 for row in catalogue]))
+    picks = bounds._first_least(zip(*[row.m1 for row in catalogue]))
     best_m1s = [catalogue[p].m1[i] for i, p in enumerate(picks)]
     dks = model.dk_columns(values, best_m1s)
 
@@ -468,11 +478,12 @@ def _sweep_columns(base: dict, key: str, values: list[float]) -> _Table:
 
 
 def cmd_stein_solve(args) -> tuple[int, dict, Iterator[list]]:
+    oracle = _layer("oracle")
     params = _build_params(args, _build_model(args))
     if args.y is None:
         raise UsageError("stein-solve requires --y")
-    x_max = default_x_max(params, args.y) if args.x_max is None else args.x_max
-    sol = solve_stein(params, args.y, x_max)
+    x_max = oracle.default_x_max(params, args.y) if args.x_max is None else args.x_max
+    sol = oracle.solve_stein(params, args.y, x_max)
     payload = {
         "rates": list(params.rates),
         "y": sol.y,
@@ -586,7 +597,16 @@ def main(argv=None) -> int:
                 csv.writer(fh, lineterminator="\n").writerows(records)
             else:
                 _write_json(fh, payload)
-    except (BudgetExceededError, TruncationCapError, ConvergenceError) as exc:
+            fh.flush()
+    except BrokenPipeError:  # a reader closed stdout: devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return code
+    except RuntimeError as exc:
+        # the budget errors of exact and oracle, looked up only here, as
+        # naming them would load their layers
+        if not isinstance(exc, (TruncationCapError, _layer("exact").BudgetExceededError,
+                                _layer("oracle").ConvergenceError)):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except ValueError as exc:

@@ -38,8 +38,8 @@ from .core import (
     _bulk_start, _chernoff_grid, _cp_table, _cp_x_max, _residual_table, _truncation_point,
 )
 
-# for annotations only: numpy loads in the functions that use it, and models
-# imports this module (the laws read model attributes only)
+# for annotations only: numpy loads in the functions that use it, and models'
+# methods import this module (the laws read model attributes only)
 if TYPE_CHECKING:
     import numpy as np
 

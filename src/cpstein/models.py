@@ -32,17 +32,8 @@ from dataclasses import astuple, dataclass, field, fields
 from typing import Iterable, Sequence
 
 from .core import CompoundPoissonParams, DistributionTable
-from .exact import (
-    BudgetExceededError,
-    _stirlerr,
-    mixed_exact_pmf,
-    nbinom_table,
-    poisson_mixture_table,
-    reliability_exact_pmf,
-    reliability_mc_pmf,
-    runs_exact_pmf,
-    sums_exact_pmf,
-)
+
+# cpstein.exact loads in the methods that use it: bounds and sweep run none
 
 __all__ = [
     "RunsModel",
@@ -113,6 +104,7 @@ class RunsModel:
         ]
 
     def exact_law(self) -> DistributionTable:
+        from .exact import runs_exact_pmf
         return runs_exact_pmf(self)
 
     def dk_bound(self, m1: float) -> float:
@@ -216,6 +208,7 @@ class ReliabilityModel:
     ) -> DistributionTable:
         """The transfer-matrix law if ``exact`` (within its cost budget: n <= 11
         at k = 2, n <= 8 at k = 3), else seeded Monte Carlo."""
+        from .exact import reliability_exact_pmf, reliability_mc_pmf
         if exact:
             return reliability_exact_pmf(self)
         return reliability_mc_pmf(self, samples=samples, seed=seed)
@@ -235,6 +228,7 @@ class ReliabilityModel:
         n, k = self.n, self.k
         terms = len(qs) * ((k - 1) ** 2 + (k - 2))
         if terms > DK_BRACKET_BUDGET:
+            from .exact import BudgetExceededError
             raise BudgetExceededError(f"reliability d_K bracket of {terms} terms exceeds"
                                       f" budget {DK_BRACKET_BUDGET} terms")
         psis = _all_failed(qs, k)
@@ -303,6 +297,7 @@ class TwoPointMixing:
         return w * v * (w * w + v * v) * d * d * d
 
     def exact_law(self) -> DistributionTable:
+        from .exact import poisson_mixture_table
         return poisson_mixture_table([self.w, 1.0 - self.w], [self.a, self.b])
 
 
@@ -355,6 +350,7 @@ class GammaMixing:
         1 - Q(a, a) - f / sqrt(a) turns g into 4 S / (a sqrt(2 pi)) +
         4 f / a + 4 f, free of cancellation, by Horner's rule in 1/a.
         """
+        from .exact import _stirlerr
         a = self.shape
         f = math.exp(-_stirlerr([a])[0]) / math.sqrt(2.0 * math.pi)  # sqrt(a) f_a(a)
         if a < _TEMME_MIN_SHAPE:
@@ -377,6 +373,7 @@ class GammaMixing:
         return float(t * t * t * g)
 
     def exact_law(self) -> DistributionTable:
+        from .exact import nbinom_table
         return nbinom_table(self.shape, self.scale)
 
 
@@ -411,6 +408,7 @@ class MixedPoissonModel:
         return CompoundPoissonParams((nu - s2, s2 / 2.0))
 
     def exact_law(self) -> DistributionTable:
+        from .exact import mixed_exact_pmf
         return mixed_exact_pmf(self)
 
     def dk_bound(self, m1: float) -> float:
@@ -492,6 +490,7 @@ class IndependentSumModel:
         return CompoundPoissonParams((lam1, lam2))
 
     def exact_law(self) -> DistributionTable:
+        from .exact import sums_exact_pmf
         return sums_exact_pmf(self)
 
     def dk_bound(self, m1: float) -> None:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cpstein import cli, models
+from cpstein import cli, exact, models
 from cpstein import (
     GammaMixing,
     IndependentSumModel,
@@ -251,7 +251,7 @@ def test_reliability_dk_bracket_past_its_budget_is_refused_unread(k, count):
     # refused before one q is read or one exponent formed
     qs = _CountedQs([0.5] * count)
     m = ReliabilityModel(n=10**6, k=k, q=0.5)
-    with pytest.raises(models.BudgetExceededError, match="exceeds budget 1000000"):
+    with pytest.raises(exact.BudgetExceededError, match="exceeds budget 1000000"):
         m.dk_columns(qs, [1.0] * count)
     assert qs.reads == 0
 
@@ -261,7 +261,7 @@ def test_reliability_dk_bracket_at_its_budget_is_summed(monkeypatch):
     monkeypatch.setattr(models, "DK_BRACKET_BUDGET", 20)
     m = ReliabilityModel(n=30, k=3, q=0.5)
     assert m.dk_columns([0.5] * 4, [1.0] * 4) == [m.dk_bound(1.0)] * 4
-    with pytest.raises(models.BudgetExceededError, match="25 terms exceeds budget 20 terms"):
+    with pytest.raises(exact.BudgetExceededError, match="25 terms exceeds budget 20 terms"):
         m.dk_columns([0.5] * 5, [1.0] * 5)
 
 

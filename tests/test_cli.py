@@ -1272,6 +1272,59 @@ def test_closed_form_commands_leave_out_numpy():
     assert verify == "0 True"
 
 
+# runs ``python -m cpstein argv`` as -m does, then prints the cpstein layers
+# and numpy that it loaded
+_LOADED_BY_COMMAND = """\
+import contextlib, io, json, runpy, sys
+sys.argv = ["cpstein", *{argv!r}]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    runpy.run_module("cpstein", run_name="__main__", alter_sys=True)
+print(json.dumps([m for m in sys.modules if m.startswith("cpstein.") or m == "numpy"]))
+"""
+
+
+def test_import_loads_no_layer():
+    # the package exports its layers' names lazily (PEP 562)
+    out = _fresh_python(
+        "import sys, cpstein\n"
+        "print(sorted(m for m in sys.modules if m.startswith('cpstein.') or m == 'numpy'))"
+    )
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["bounds", "--rates", "1"], {"cpstein.oracle", "numpy"}),
+        (["sweep", "--model", "runs", "--n", "50", "--p-range", "0.05:0.3:5"],
+         {"cpstein.oracle", "numpy"}),
+        (["pmf", "--rates", "12.5"], {"cpstein.oracle", "cpstein.bounds"}),
+    ],
+)
+def test_command_loads_only_the_layers_it_runs(argv, absent):
+    # counted by module, not timed; the command's own layers show that the
+    # check sees a layer when it loads
+    loaded = set(json.loads(_fresh_python(_LOADED_BY_COMMAND.format(argv=argv))))
+    assert {"cpstein.cli", "cpstein.core"} <= loaded
+    assert not loaded & absent
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_closed_pipe_ends_quietly(fmt):
+    # a reader that stops after one line, as head -1 does, of an output far
+    # past a pipe's buffer: no traceback, and the command's own exit code
+    src = os.path.dirname(os.path.dirname(cpstein.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "cpstein", "sweep", "--model", "reliability", "--n", "10",
+            "--k", "2", "--q-range", "0.05:0.8:2000", "--format", fmt]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (0, b"")
+
+
 # ---------------------------------------------------------------------------
 # total rates beyond a one-sided Stein recursion and e^{-lambda}
 

@@ -5,6 +5,10 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import cpstein
@@ -24,6 +28,31 @@ def test_package_all_is_the_modules_all():
             # a function or class is listed by the module that defines it
             if inspect.isfunction(obj) or inspect.isclass(obj):
                 assert obj.__module__ == mod.__name__, f"{mod.__name__}.{name}"
+
+
+# in a fresh interpreter, where the first lookup loads the layers: the
+# names dir() lists, and the names a star-import binds whose object is not
+# their layer's
+_FRESH_LOOKUPS = f"""\
+import json, sys, cpstein
+listed = dir(cpstein)
+ns = {{}}
+exec("from cpstein import *", ns)
+layers = [sys.modules["cpstein." + name] for name in {MODULES!r}]
+wrong = [k for mod in layers for k in mod.__all__ if ns.get(k) is not getattr(mod, k)]
+print(json.dumps([listed, sorted(set(ns) - {{"__builtins__"}}), wrong]))
+"""
+
+
+def test_dir_and_star_import_in_a_fresh_interpreter():
+    src = os.path.dirname(os.path.dirname(cpstein.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _FRESH_LOOKUPS], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    listed, bound, wrong = json.loads(out)
+    assert set(cpstein.__all__) <= set(listed)
+    assert bound == sorted(cpstein.__all__)
+    assert wrong == []
 
 
 # The public functions and classes that nothing in src/, tools/ or cpbench/
