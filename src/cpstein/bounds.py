@@ -434,11 +434,6 @@ def _cor3_deltas(t0: Sequence[float], t1: Sequence[float], t2: Sequence[float],
     ]
 
 
-def _cor3_delta(t0: float, t1: float, t2: float, t3: float) -> float | None:
-    """``_cor3_deltas`` of one law."""
-    return _cor3_deltas([t0], [t1], [t2], [t3])[0]
-
-
 def delta_k(th: ThetaVector, k: int) -> DeltaResult:
     """delta_k = inf g_k, via closed form where available.
 
@@ -462,7 +457,7 @@ def delta_k(th: ThetaVector, k: int) -> DeltaResult:
         ]
         idx = min(range(4), key=vals.__getitem__)
         return DeltaResult(2, vals[idx], corners[idx], True, vals[idx], "closed form")
-    if k == 3 and (delta := _cor3_delta(*th.values[:4])) is not None:
+    if k == 3 and (delta := _cor3_deltas(*zip(th.values[:4]))[0]) is not None:
         return DeltaResult(3, delta, (math.pi, 0.0), True, delta, "closed form")
     return delta_k_grid(th, k)
 

@@ -482,8 +482,7 @@ def cmd_stein_solve(args) -> tuple[int, dict, Iterator[list]]:
     params = _build_params(args, _build_model(args))
     if args.y is None:
         raise UsageError("stein-solve requires --y")
-    x_max = oracle.default_x_max(params, args.y) if args.x_max is None else args.x_max
-    sol = oracle.solve_stein(params, args.y, x_max)
+    sol = oracle.solve_stein(params, args.y, args.x_max)
     payload = {
         "rates": list(params.rates),
         "y": sol.y,

@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .core import CompoundPoissonParams, DistributionTable
 from .core import (
@@ -137,7 +137,7 @@ def runs_exact_pmf(m: models.RunsModel) -> DistributionTable:
     n, p = m.n, m.p
     mean = n * p * p
     start = _bulk_start(mean, mean * (1.0 + 2.0 * p - 3.0 * p * p), 1)
-    d_max, tail = _truncation_point(start, _runs_tail(n, p))
+    d_max, tail = _truncation_point(start, functools.partial(_runs_tail, n, p))
     pmf = _runs_coefficients(n, p, min(d_max, n))
     return DistributionTable(pmf=pmf / pmf.sum(), tail_mass=tail)
 
@@ -162,25 +162,15 @@ def _runs_log_pgf(n: int, p: float, zm1: np.ndarray) -> np.ndarray:
     return n * np.log(0.5 * plus) + np.log1p(ratio**n)
 
 
-def _runs_tail(n: int, p: float) -> Callable[[int], float]:
-    """Chernoff bound on P(W > x) as a function of x: the least
-    exp(-s x) E e^{sW} over ``chernoff_tail``'s grid of s, E e^{sW} from
-    ``_runs_log_pgf`` at z = e^s, formed in logs; 0 for x >= n, past the
-    support.  The log pgf on the grid does not depend on x: it is formed at
-    the first x < n, and each point is then one subtraction and one min."""
+def _runs_tail(n: int, p: float, x: int) -> float:
+    """Chernoff bound on P(W > x): the least exp(-s x) E e^{sW} over
+    ``chernoff_tail``'s grid of s, E e^{sW} from ``_runs_log_pgf`` at z = e^s,
+    formed in logs; 0 for x >= n, past the support."""
+    if x >= n:
+        return 0.0
     s, e = _chernoff_grid(1)
-    log_pgf = None
-
-    def tail(x: int) -> float:
-        nonlocal log_pgf
-        if x >= n:
-            return 0.0
-        if log_pgf is None:
-            log_pgf = _runs_log_pgf(n, p, e[:, 0])
-        exponent = float((log_pgf - x * s).min())
-        return math.exp(exponent) if exponent < 0.0 else 1.0
-
-    return tail
+    exponent = float((_runs_log_pgf(n, p, e[:, 0]) - x * s).min())
+    return math.exp(exponent) if exponent < 0.0 else 1.0
 
 
 def _runs_coefficients(n: int, p: float, d_max: int) -> np.ndarray:

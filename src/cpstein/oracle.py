@@ -122,16 +122,14 @@ class EmpiricalFactors:
     x_max: int
 
 
-def default_x_max(params: CompoundPoissonParams, y: int) -> int:
+def default_x_max(params: CompoundPoissonParams, y: int, th: ThetaVector | None = None) -> int:
     """Default truncation point for thresholds up to y:
     max(4 (theta_0 + 10 sqrt(theta_0 + theta_1)), y + 20 J), rounded up.
+    ``th`` is theta(params, K) for any K >= 1, formed at K = 1 if None.
     y + 20 J is formed in integers, so a y past the float range gives an
     x_max that ``solve_stein`` refuses, not an OverflowError."""
-    return _x_max_rule(params, theta(params, 1), y)
-
-
-def _x_max_rule(params: CompoundPoissonParams, th: ThetaVector, y: int) -> int:
-    """``default_x_max`` with ``th``, theta(params, K) for any K >= 1."""
+    if th is None:
+        th = theta(params, 1)
     bulk = 4.0 * (th[0] + 10.0 * math.sqrt(th[0] + th[1]))
     if bulk == math.inf:  # far past any table cp_pmf builds
         raise TruncationCapError("truncation cap exceeded")
@@ -340,20 +338,25 @@ def _split(
     return jl, x0, max(y, x0) + len(jl) + 1
 
 
-def solve_stein(params: CompoundPoissonParams, y: int, x_max: int) -> SteinSolution:
+def solve_stein(
+    params: CompoundPoissonParams, y: int, x_max: int | None = None
+) -> SteinSolution:
     """Solve the Stein equation for h = I(. <= y) on x = 1..x_max.
 
-    E h(U) comes from the certified pmf table.  f = 0 beyond x_max, and the
-    equation is imposed at x = 0..x_max except one point x0 <=
-    min(floor(theta_0), x_max), chosen as in the module docstring: f above
-    the block x <= M comes from the backward recursion, f on the block
-    from its banded elimination.  residual0 is the defect
+    x_max defaults to ``default_x_max(params, y)``, formed before any
+    argument is checked.  E h(U) comes from the certified pmf table.  f = 0
+    beyond x_max, and the equation is imposed at x = 0..x_max except one
+    point x0 <= min(floor(theta_0), x_max), chosen as in the module
+    docstring: f above the block x <= M comes from the backward recursion,
+    f on the block from its banded elimination.  residual0 is the defect
     of the one equation left out, |sum_j j lambda_j f(x0+j) - x0 f(x0) -
     (h(x0) - E h(U))|, a truncation and rounding diagnostic.  An x_max above
     STEIN_POINT_BUDGET raises BudgetExceededError before anything is built.
     """
     import numpy as np
 
+    if x_max is None:
+        x_max = default_x_max(params, y)
     y = int(y)
     if y < 0:
         raise ValueError("y must be >= 0")
@@ -443,13 +446,19 @@ def empirical_factors(
     params: CompoundPoissonParams,
     y_max: int | None = None,
     x_max: int | None = None,
+    *,
+    table: DistributionTable | None = None,
+    th: ThetaVector | None = None,
 ) -> EmpiricalFactors:
     """Empirical Kolmogorov Stein factors by sweeping thresholds y = 0..y_max.
 
     y_max defaults to the smallest y with P(U > y) <= 1e-8; beyond it the
     right-hand side h - E h(U) is uniformly small and contributes nothing at
     the reported precision.  x_max defaults to ``default_x_max(params,
-    y_max)`` (and is raised to M + J if smaller).  By linearity f_y = c_y -
+    y_max, th)`` (and is raised to M + J if smaller).  ``table`` is the
+    table of ``cp_pmf(params)``, built here if None, and ``th`` is
+    theta(params, K) for any K >= 1, or None; a caller that holds them,
+    as ``verify`` does, passes them in.  By linearity f_y = c_y -
     P(U <= y) g, where c_y solves the equations with right-hand side
     I(. <= y) and vanishes above max(y, x0), and g solves them with
     right-hand side 1.  One elimination of the block x <= M solves every
@@ -471,20 +480,10 @@ def empirical_factors(
     A sweep of more than ORACLE_CELL_BUDGET cells, M x (y_max + 3), raises
     BudgetExceededError before anything is solved.
     """
-    return _measure(params, cp_pmf(params), y_max, x_max)
-
-
-def _measure(
-    params: CompoundPoissonParams,
-    table: DistributionTable,
-    y_max: int | None,
-    x_max: int | None,
-    th: ThetaVector | None = None,
-) -> EmpiricalFactors:
-    """``empirical_factors`` with ``table``, the table of ``cp_pmf(params)``,
-    and ``th``, theta(params, K) for some K >= 1, or None."""
     import numpy as np
 
+    if table is None:
+        table = cp_pmf(params)
     cdf = table.cdf()
     tail = 1.0 - cdf + table.tail_mass
     if y_max is None:
@@ -499,7 +498,7 @@ def _measure(
     P = cdf[: y_max + 1].astype(float)
 
     if x_max is None:
-        x_max = _x_max_rule(params, theta(params, 1) if th is None else th, y_max)
+        x_max = default_x_max(params, y_max, th)
     jl, x0, M = _split(params, table.pmf, y_max)
     if M * (y_max + 3) > ORACLE_CELL_BUDGET:
         raise BudgetExceededError(
@@ -560,7 +559,9 @@ def verify(params: CompoundPoissonParams, model=None, **law) -> dict:
     returns the report that ``cpstein verify`` prints.
 
     ``cp_pmf`` builds the approximant's table once, for the oracle and for
-    the distance.  The oracle runs once for every row: a row passes if
+    the distance, and theta(params, 3) is formed once, for the oracle's
+    x_max and for the catalogue.  One ``empirical_factors`` call on both
+    serves every row: a row passes if
     m0_hat <= m0 and m1_hat <= m1.  ``model`` is any object with the
     methods of the :mod:`cpstein.models` classes, and ``law`` holds the
     arguments of its ``exact_law``.  Its d_K bound is taken at the best m1 of the catalogue
@@ -574,7 +575,7 @@ def verify(params: CompoundPoissonParams, model=None, **law) -> dict:
     """
     table = cp_pmf(params)
     th = theta(params, 3)
-    emp = _measure(params, table, None, None, th)
+    emp = empirical_factors(params, table=table, th=th)
     bounds = evaluate_all(params, th=th)
     checks = [
         {

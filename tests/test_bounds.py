@@ -35,7 +35,7 @@ from cpstein import (
     regime_classify,
     theta,
 )
-from cpstein.bounds import _cor3_delta, _evaluate_columns, _factors_from_delta, log_plus
+from cpstein.bounds import _cor3_deltas, _evaluate_columns, _factors_from_delta, log_plus
 from cpstein.models import RunsModel
 
 
@@ -614,7 +614,7 @@ def test_regime_is_thm4_only_where_bound_thm4_applies(rates):
     # past 2 theta_1 - theta_0 of about 473, THM4's delta underflows to 0:
     # (10, 300) has 590, and its THM4 row reads "delta underflowed to 0"
     th = theta(CompoundPoissonParams(rates), 3)
-    assert not bound_bx99(th).applicable and _cor3_delta(*th.values[:4]) < 0.0
+    assert not bound_bx99(th).applicable and _cor3_deltas(*zip(th.values[:4]))[0] < 0.0
     thm4 = bound_thm4(th)
     rows = evaluate_all(CompoundPoissonParams(rates))
     assert rows[4] == thm4
@@ -639,7 +639,7 @@ def test_cor3_delta_past_the_largest_double_is_the_largest_double():
     # delta = 1.58 max: the largest double is a lower end, and the factors hold
     big = sys.float_info.max
     th = ThetaVector([big, 0.3 * big, 0.59 * big, 0.0])
-    assert _cor3_delta(*th.values) == big
+    assert _cor3_deltas(*zip(th.values))[0] == big
     b = bound_cor3(th)
     assert b.applicable and b.method == "COR3"
     assert (b.m0, b.m1) == _factors_from_delta(big)

@@ -127,7 +127,7 @@ def test_verify_exit_one_on_violation(capsys, monkeypatch):
         y_max=5,
         x_max=10,
     )
-    monkeypatch.setattr(oracle, "_measure", lambda params, table, y_max, x_max, th: fake)
+    monkeypatch.setattr(oracle, "empirical_factors", lambda params, *, table, th: fake)
     code, out, _ = run_cli(capsys, "verify", "--rates", "8")
     assert code == 1
     doc = json.loads(out)
@@ -164,22 +164,23 @@ def test_verify_infinite_best_m1_is_a_vacuous_dk_bound(capsys):
 
 
 def test_verify_runs_oracle_once(capsys, monkeypatch):
-    # the oracle's sweep, which empirical_factors runs on its own table and
-    # verify on the one it also gives the distance
+    # the oracle's sweep, on the table verify also gives the distance, so the
+    # approximant is built once
     from cpstein import oracle
 
     calls = []
-    real = oracle._measure
+    real = oracle.empirical_factors
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        calls.append(kwargs)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "_measure", counting)
+    monkeypatch.setattr(oracle, "empirical_factors", counting)
     code, out, _ = run_cli(capsys, "verify", "--model", "runs", "--n", "200", "--p", "0.1")
     assert code == 0
     assert len(json.loads(out)["checks"]) > 1
     assert len(calls) == 1
+    assert calls[0].get("table") is not None
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,7 @@ from cpstein import (
     interior_residuals,
     poisson_stein_forward,
     solve_stein,
+    theta,
     verify,
 )
 from cpstein import oracle
@@ -286,6 +288,34 @@ def test_empirical_factors_raises_small_truncation():
     b = empirical_factors(params, x_max=5)
     assert b.x_max > 2 * 5 and b.y_max == a.y_max
     assert_allclose([b.m0_hat, b.m1_hat], [a.m0_hat, a.m1_hat], rtol=1e-12)
+
+
+def _seeded_law(seed, J):
+    rng = random.Random(seed)
+    return CompoundPoissonParams([rng.uniform(0.1, 6.0 / j) for j in range(1, J + 1)])
+
+
+def _bits(*values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("J", [1, 2, 4])
+def test_oracle_keywords_give_the_plain_call_bits(seed, J):
+    # a table, a theta of higher order and an x_max that a caller passes in
+    # are the ones each function forms itself
+    params = _seeded_law(seed, J)
+    y = random.Random(seed).randrange(0, 25)
+    plain = empirical_factors(params)
+    given = empirical_factors(params, table=cp_pmf(params), th=theta(params, 3))
+    assert (plain.y_max, plain.x_max) == (given.y_max, given.x_max)
+    assert _bits(plain.m0_hat, plain.m1_hat) == _bits(given.m0_hat, given.m1_hat)
+    x_max = default_x_max(params, y)
+    assert default_x_max(params, y, theta(params, 3)) == x_max
+    a, b = solve_stein(params, y), solve_stein(params, y, x_max)
+    assert (a.y, a.x_max) == (b.y, b.x_max) == (y, x_max)
+    assert a.f.tobytes() == b.f.tobytes()
+    assert _bits(a.eh_u, a.residual0) == _bits(b.eh_u, b.residual0)
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,7 @@ from cpstein import (
     solve_stein,
     theta,
 )
-from cpstein.bounds import _cor3_delta, _evaluate_columns, bound_thm2
+from cpstein.bounds import _cor3_deltas, _evaluate_columns, bound_thm2
 from cpstein.oracle import default_x_max
 from test_bounds import COR3_OVERFLOW_LAW, _catalogue_laws
 from test_exact import check_nbinom_table
@@ -244,7 +244,7 @@ def regime_classify_reference(th):
         return "GENERAL_ONLY"
     if bound_bx99(th).applicable:
         return "BX99_OK"
-    cor3 = _cor3_delta(*th.values[:4])
+    cor3 = _cor3_deltas(*zip(th.values[:4]))[0]
     if cor3 is not None and cor3 > 0.0:
         return "COR3_OK"
     if bound_thm4(th).applicable:
