@@ -33,14 +33,15 @@ import sys
 from collections.abc import Iterator
 from dataclasses import fields
 from itertools import chain, repeat
-from operator import itemgetter
+from operator import getitem, itemgetter
 
 from .core import CompoundPoissonParams, TruncationCapError, cp_pmf, theta
 from .models import MIXINGS, MODELS, model_from_json
 
-# rows of one sweep, about 0.022 ms and 0.7 KB of JSON each: a 100 000-row
-# reliability sweep takes 2.0-2.6 s and 118 MB of peak memory (the process's
-# ru_maxrss), and prints 70 MB of JSON or 25 MB of CSV (2-vCPU host)
+# rows of one sweep, about 0.02 ms and 0.7 KB of JSON each: a 100 000-row
+# reliability sweep takes 1.4-1.9 s in JSON (1.8-2.9 s in CSV) and 117 MB
+# of peak memory (the process's ru_maxrss), and prints 70 MB of JSON or
+# 25 MB of CSV (2-vCPU host)
 SWEEP_ROW_BUDGET = 100_000
 
 EXIT_OK = 0
@@ -82,10 +83,6 @@ _SCALARS = {
     str: _fmt_str,
 }
 
-# '%.17g' % x prints _fmt_float(x) for finite x; _fmt_float quotes the others
-_NON_FINITE = {s: f'"{s}"' for s in ("inf", "-inf", "nan")}
-
-
 class _Table:
     """Records in columns: row r maps ``keys[r]`` to the r-th entry of each
     column.  Rows of one shape share a key tuple; a column holds one type."""
@@ -103,29 +100,33 @@ def _cells(col: list, fmt) -> Iterator[str]:
     return map(known.__getitem__, col)
 
 
-def _json_cells(col: list) -> list[str]:
-    """A column's cells as ``dumps`` prints them: ``_cells``, inf, -inf and nan quoted."""
-    texts = [*_cells(col, dumps)]
-    return [*map(_NON_FINITE.get, texts, texts)] if type(col[0]) is float else texts
-
-
 def _dumps_table(table: _Table, indent: int) -> Iterator[str]:
     """``dumps`` of the table's rows, as dicts, in pieces, one per row, through
-    one %-template per row shape: a column of finite floats is printed by the
-    template's %.17g, any other by ``_json_cells``.  Templates and text
-    columns are prepared by the call, and each row is formatted as it is read."""
+    one %-template per row key.  A row's key is its key tuple, its text cells
+    (those of the columns that hold no floats) and, in each float column that
+    is not all finite, whether its cell is finite.  The template holds the
+    text cells as ``dumps`` prints them, so the row substitutes only its
+    floats, each by %.17g, which prints inf, -inf and nan bare, and so a
+    non-finite one inside quotes.  A template is made when its key first
+    comes, and each row is formatted as it is read."""
     pad, inner, field = "  " * indent, "  " * (indent + 1), "  " * (indent + 2)
-    finite = [type(col[0]) is float and math.isfinite(sum(col)) for col in table.columns]
-    marks = ["%.17g" if f else "%s" for f in finite]
-    columns = [col if f else _json_cells(col) for col, f in zip(table.columns, finite)]
-    # each template starts with the comma that ends the row before
-    templates = {
-        keys: f",\n{inner}{{\n" + ",\n".join(
-            f'{field}"{k.replace("%", "%%")}": {mark}' for k, mark in zip(keys, marks)
+    floats = [i for i, col in enumerate(table.columns) if type(col[0]) is float]
+    texts = [i for i, col in enumerate(table.columns) if type(col[0]) is not float]
+    flagged = [i for i in floats if not math.isfinite(sum(table.columns[i]))]
+
+    def template(key: tuple) -> str:
+        keys, *cells = key
+        marks = dict(zip(texts, (dumps(v).replace("%", "%%") for v in cells)))
+        marks.update((i, "%.17g" if f else '"%.17g"') for i, f in zip(flagged, cells[len(texts):]))
+        # it starts with the comma that ends the row before
+        return f",\n{inner}{{\n" + ",\n".join(
+            f'{field}"{k.replace("%", "%%")}": {marks.get(i, "%.17g")}' for i, k in enumerate(keys)
         ) + f"\n{inner}}}"
-        for keys in set(table.keys)
-    }
-    rows = map(str.__mod__, map(templates.__getitem__, table.keys), zip(*columns))
+
+    keys = zip(table.keys, *[table.columns[i] for i in texts],
+               *[map(math.isfinite, table.columns[i]) for i in flagged])
+    values = zip(*[table.columns[i] for i in floats]) if floats else repeat(())
+    rows = map(str.__mod__, map(functools.cache(template), keys), values)
     return chain(["[" + next(rows)[1:]], rows, [f"\n{pad}]"])
 
 
@@ -453,16 +454,17 @@ def _sweep_columns(base: dict, key: str, values: list[float]) -> _Table:
     bounds = _layer("bounds")
     # the model at the first value, whose column methods take every value
     model = model_from_json({**base, key: values[0]})
-    thetas, catalogue = bounds._evaluate_columns(model.rate_columns(values))
+    thetas, catalogue = bounds.evaluate_columns(model.rate_columns(values))
     # each law's best_of m1 row, from the m1 of its rows
-    picks = bounds._first_least(zip(*[row.m1 for row in catalogue]))
-    best_m1s = [catalogue[p].m1[i] for i, p in enumerate(picks)]
+    m1s = [row.m1 for row in catalogue]
+    picks = bounds._first_least(zip(*m1s))
+    best_m1s = list(map(getitem, zip(*m1s), picks))
     dks = model.dk_columns(values, best_m1s)
 
     columns = [[v] * len(values) for v in base.values()] + [values] + thetas
     for row in catalogue:
         columns += [row.applicable, row.m1]
-    best_methods = [catalogue[p].method[i] for i, p in enumerate(picks)]
+    best_methods = list(map(getitem, zip(*[row.method for row in catalogue]), picks))
     columns += [best_methods, best_m1s, dks, [dk > 1.0 for dk in dks]]
     # a row's keys follow the methods of its catalogue, of which only the
     # order-3 row's varies (COR3 or THM2(3)): one key tuple for each, from a

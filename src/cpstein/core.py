@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:  # numpy loads in the functions that use it
@@ -85,9 +84,10 @@ def _check_laws(rates: Sequence[Sequence[float]]) -> None:
     building a CompoundPoissonParams for each."""
     if len(rates) == 0:
         raise ValueError("rates must be nonempty")
-    # the common case: every rate finite and nonnegative, every law with one positive
-    if (_all_finite(chain.from_iterable(rates)) and min(map(min, rates)) >= 0.0
-            and min(map(max, zip(*rates))) > 0.0):
+    # the common case: every rate >= 0 and finite, as their sum is, and every
+    # law with one that is not 0
+    if (min(map(min, rates)) >= 0.0 and math.isfinite(sum(map(sum, rates)))
+            and all(map(any, zip(*rates)))):
         return
     # the first law with a rate outside [0, inf), and the first with none positive
     n = len(rates[0])
@@ -157,15 +157,17 @@ def _theta_columns(rates: Sequence[Sequence[float]], K: int) -> list[list[float]
     """theta_0..theta_K of many laws at once: ``rates[j - 1]`` holds lambda_j
     of every law, and column k of the result its theta_k.
 
-    Each sum runs over j in increasing order with one rounding per term; zero
-    rates add nothing, so they are skipped.  ``sum`` is not used: since
-    Python 3.12 it compensates, which would change the last bits.
+    Each sum runs over j in increasing order from 0.0, with one rounding per
+    term; a zero rate adds a zero, which leaves every bit of the sum as it
+    is.  ``sum`` is not used: since Python 3.12 it compensates, which would
+    change the last bits.
     """
     totals = []
     for k, ffs in enumerate(_falling_factorials(len(rates), K)):
-        total = [0.0] * len(rates[0])
-        for ff, lam_j in zip(ffs, rates[k:]):
-            total = [t + ff * lam if lam else t for t, lam in zip(total, lam_j)]
+        # theta_k is 0 where k >= J
+        total = [0.0 + ffs[0] * lam for lam in rates[k]] if ffs else [0.0] * len(rates[0])
+        for ff, lam_j in zip(ffs[1:], rates[k + 1:]):
+            total = [t + ff * lam for t, lam in zip(total, lam_j)]
         totals.append(total)
     return totals
 
@@ -418,10 +420,11 @@ def monotone_condition(params: CompoundPoissonParams) -> bool:
 
 def _monotone_columns(rates: Sequence[Sequence[float]]) -> list[bool]:
     """``monotone_condition`` of many laws at once: ``rates[j - 1]`` holds
-    lambda_j of every law.  Each pass compares ``_jlam``'s entries j - 1 and
-    j of every law, from j = J (against lambda_{J+1} = 0) down."""
+    lambda_j of every law, each law's rates >= 0.  Each pass compares
+    ``_jlam``'s entries j - 1 and j of every law, from j = J - 1 down; at
+    j = J, against lambda_{J+1} = 0, every law passes."""
     J = len(rates)
-    monotone = [J * lam >= 0.0 for lam in rates[-1]]
+    monotone = [True] * len(rates[0])
     for j in range(J - 1, 0, -1):
         monotone = [m and j * a >= (j + 1) * b
                     for m, a, b in zip(monotone, rates[j - 1], rates[j])]

@@ -129,9 +129,6 @@ class RunsModel:
 # 2-vCPU host
 DK_BRACKET_BUDGET = 1_000_000
 
-# C(m, e) for m = 2, 3, 4, one row per e = j - 1 of the rates j = 1..5
-_RELIABILITY_BINOMIALS = tuple(tuple(math.comb(m, e) for m in (2, 3, 4)) for e in range(5))
-
 
 def _all_failed(qs: Sequence[float], k: int) -> list[float]:
     """psi = q^(k^2) at each q, the chance that a fixed k x k subgrid is
@@ -177,30 +174,34 @@ class ReliabilityModel:
 
     def rate_columns(self, qs: Sequence[float]) -> list[list[float]]:
         """The rates of ``cp_params`` at each q of ``qs``, each q checked as the
-        model checks its own: column j - 1 holds lambda_j."""
+        model checks its own: column j - 1 holds lambda_j.
+
+        With e = j - 1, y = q^k and P(m, e) = C(m, e) y^e (1-y)^(m-e),
+
+            lambda_j = psi/j * [4 P(2, e) + 4u P(3, e) + u^2 P(4, e)],
+
+        each P formed as the float product C(m, e) * y**e * (1-y)**(m-e),
+        in one pass over the q: a term whose binomial is 0 is left out, and a
+        factor of 1 (psi/1, C = 1, a power 0) and a power 1 are dropped,
+        which changes no bit."""
         _check_probabilities("q", qs)
         if self.n <= self.k + 1:
             raise ValueError("n must exceed k+1")
         k = self.k
         u = float(self.n - k - 1)  # u * u as a float is inf past 1.3e154
         four_u, u_sq = 4.0 * u, u * u
-        ys = [q**k for q in qs]
         psis = _all_failed(qs, k)
-        # y**e and (1-y)**e, e = 0..4
-        y_pow = [[y**e for y in ys] for e in range(5)]
-        z_pow = [[(1.0 - y) ** e for y in ys] for e in range(5)]
-        zeros = [0.0] * len(ys)
-        columns = []
-        # pi_i(e + 1) = P(Bin(m, y) = e) = C(m, e) * y**e * (1-y)**(m-e) for
-        # m = i + 1, and 0 where C(m, e) = 0 (e > m)
-        for e, (c2, c3, c4) in enumerate(_RELIABILITY_BINOMIALS):
-            z2 = z_pow[2 - e] if c2 else zeros
-            z3 = z_pow[3 - e] if c3 else zeros
-            columns.append([
-                psi / (e + 1) * (4.0 * (c2 * a * b2 if c2 else 0.0)
-                                 + four_u * (c3 * a * b3 if c3 else 0.0) + u_sq * (c4 * a * b4))
-                for psi, a, b2, b3, b4 in zip(psis, y_pow[e], z2, z3, z_pow[4 - e])
-            ])
+        columns: list[list[float]] = [[], [], [], [], []]
+        put1, put2, put3, put4, put5 = (col.append for col in columns)
+        for psi, q in zip(psis, qs):
+            y = q**k
+            z = 1.0 - y
+            y2, y3, z2, z3 = y**2, y**3, z**2, z**3
+            put1(psi * (4.0 * z2 + four_u * z3 + u_sq * z**4))
+            put2(psi / 2 * (4.0 * (2 * y * z) + four_u * (3 * y * z2) + u_sq * (4 * y * z3)))
+            put3(psi / 3 * (4.0 * y2 + four_u * (3 * y2 * z) + u_sq * (6 * y2 * z2)))
+            put4(psi / 4 * (four_u * y3 + u_sq * (4 * y3 * z)))
+            put5(psi / 5 * (u_sq * y**4))
         return columns
 
     def exact_law(

@@ -35,7 +35,7 @@ from cpstein import (
     regime_classify,
     theta,
 )
-from cpstein.bounds import _cor3_deltas, _evaluate_columns, _factors_from_delta, log_plus
+from cpstein.bounds import _cor3_deltas, evaluate_columns, _factors_from_delta, log_plus
 from cpstein.models import RunsModel
 
 
@@ -580,7 +580,7 @@ def test_catalogue_columns_match_one_law_at_a_time():
     seen = set()
     for J in range(1, 6):
         laws = _catalogue_laws(J, 60, rng) + [COR3_OVERFLOW_LAW] * (J == 4)
-        thetas, catalogue = _evaluate_columns([list(col) for col in zip(*laws)])
+        thetas, catalogue = evaluate_columns([list(col) for col in zip(*laws)])
         for i, rates in enumerate(laws):
             params = CompoundPoissonParams(rates)
             th = theta(params, 3)

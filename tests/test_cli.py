@@ -386,6 +386,45 @@ def _seeded_sweeps(seed: int) -> list:
             pytest.param(reliability, id=f"reliability-seed{seed}")]
 
 
+def _crossing_sweeps(seed: int) -> list:
+    """Sweeps at parameters drawn from ``seed`` whose rows cross every boundary
+    the catalogue's columns branch on, as the test below checks: a runs sweep
+    across p = 1/4, where theta_0 - 2 theta_1 = n p^2 (1 - 4p) and so BX99
+    and THM4 change sign, and p = 1/3, where j lambda_j stops being
+    nonincreasing; and a k = 2 and a
+    k = 3 reliability sweep from small q, where every row but THM4 applies,
+    past theta_2 = 2 theta_1, where the order-3 row takes the THM2(3) route,
+    to q near 1 on a grid large enough that no row is finite."""
+    rng = random.Random(seed)
+    runs = ["--model", "runs", "--n", str(rng.randint(20, 500)),
+            "--p-range", f"{rng.uniform(0.05, 0.2)}:{rng.uniform(0.4, 0.8)}:9"]
+    out = [pytest.param(runs, id=f"crossing-runs-seed{seed}")]
+    for k in (2, 3):
+        q_range = f"{rng.uniform(0.1, 0.25)}:{rng.uniform(0.97, 0.99)}:12"
+        reliability = ["--model", "reliability", "--n", str(rng.randint(150, 300)),
+                       "--k", str(k), "--q-range", q_range]
+        out.append(pytest.param(reliability, id=f"crossing-reliability-k{k}-seed{seed}"))
+    return out
+
+
+CROSSING_SWEEPS = [*_crossing_sweeps(11), *_crossing_sweeps(12)]
+
+
+@pytest.mark.parametrize("sweep", CROSSING_SWEEPS)
+def test_crossing_sweeps_cross_every_boundary(capsys, sweep):
+    code, out, err = run_cli(capsys, "sweep", *sweep)
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["rows"]
+    seen = {key: {row[key] for row in rows}
+            for key in ("monotone_applicable", "bx99_applicable", "thm4_applicable")}
+    assert seen == dict.fromkeys(seen, {True, False})
+    if sweep[1] == "reliability":
+        assert ["thm2_m1" in row for row in rows].count(True) not in (0, len(rows))
+        assert ["cor3_m1" in row for row in rows].count(True) not in (0, len(rows))
+        assert rows[-1]["best_m1"] == rows[-1]["dk_bound"] == "inf"
+        assert all(v == "inf" for key, v in rows[-1].items() if key.endswith("_m1"))
+
+
 @pytest.mark.parametrize(
     "sweep",
     [
@@ -393,6 +432,7 @@ def _seeded_sweeps(seed: int) -> list:
         *_seeded_sweeps(1),
         *_seeded_sweeps(2),
         *_seeded_sweeps(3),
+        *CROSSING_SWEEPS,
         # the last row takes the THM2(3) route (theta_2 >= 2 theta_1)
         pytest.param(["--model", "reliability", "--n", "30", "--k", "2", "--q-range", "0.1:0.9:8"],
                      id="thm2-route"),

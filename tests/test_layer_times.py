@@ -26,7 +26,10 @@ LAYERS = {
     "distance",
     "verify",
     "sweep",
+    "rate_columns",
     "catalogue",
+    "sweep_table",
+    "sweep_print",
 }
 
 

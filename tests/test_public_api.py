@@ -72,6 +72,8 @@ UNCALLED = {
     "bound_lemma_c": ACCEPTANCE,
     # the catalogue's order-3 fallback reads the enclosure through bounds._thm2
     "bound_thm2": "THM2(k) at any order k, where the catalogue evaluates k = 3 only",
+    # _factors_from_delta writes log+ out, and the tests check it against log_plus
+    "log_plus": REFERENCE,
     "g_k_eval": REFERENCE,
     "poisson_stein_forward": REFERENCE,
     "interior_residuals": REFERENCE,

@@ -87,7 +87,7 @@ from cpstein import (
     solve_stein,
     theta,
 )
-from cpstein.bounds import _cor3_deltas, _evaluate_columns, bound_thm2
+from cpstein.bounds import _cor3_deltas, evaluate_columns, bound_thm2
 from cpstein.oracle import default_x_max
 from test_bounds import COR3_OVERFLOW_LAW, _catalogue_laws
 from test_exact import check_nbinom_table
@@ -960,7 +960,7 @@ def test_catalogue_rows_match_references_over_one_column_set():
     # all the laws at once, padded to J = 5 with zero rates, which change
     # neither theta nor any row
     laws = [rates + (0.0,) * (5 - len(rates)) for rates in _reference_laws()]
-    thetas, catalogue = _evaluate_columns([list(col) for col in zip(*laws)])
+    thetas, catalogue = evaluate_columns([list(col) for col in zip(*laws)])
     methods = set()
     for i, rates in enumerate(laws):
         want = catalogue_reference(rates)
@@ -1075,6 +1075,38 @@ def test_golden_payload_printed_as_the_reference(command):
     out = io.StringIO()
     cli._write_json(out, payload)
     assert out.getvalue() == dumps_reference(plain) + "\n"
+
+
+def _varying_table() -> cli._Table:
+    """Rows of one key shape whose text cells vary, strings that need
+    escaping, a % among them, included, with floats finite in one column
+    and not in another, and a second shape whose key names a %."""
+    nan, inf = math.nan, math.inf
+    shape, other = ("name", "n", "x", "ok", "y"), ("name", "n", "x", "ok", "100%")
+    rows = [
+        (shape, "a", 1, 0.5, True, 1.5),
+        (shape, 'say "%s"', 1, 0.25, False, inf),
+        (shape, "back\\slash", 2, 1e-300, True, -inf),
+        (other, "a", 1, -0.0, False, nan),
+        (shape, "a", 1, 0.1, True, 2.5),
+        (shape, "50%", 3, 1e308, False, -0.0),
+    ]
+    keys, *columns = zip(*rows)
+    return cli._Table(list(keys), [list(col) for col in columns])
+
+
+def test_table_with_varying_text_cells_printed_as_the_reference():
+    # a row's text cells and non-finite floats are folded into the template
+    # of its key, so rows of one shape print through several templates
+    payload = {"model": "t", "rows": _varying_table()}
+    out = io.StringIO()
+    cli._write_json(out, payload)
+    assert out.getvalue() == dumps_reference(_plain(payload)) + "\n"
+    # no float column: each row is its template alone
+    text_only = cli._Table([("a", "b")] * 3, [["x", "y%", "x"], [True, False, True]])
+    out = io.StringIO()
+    cli._write_json(out, {"rows": text_only})
+    assert out.getvalue() == dumps_reference(_plain({"rows": text_only})) + "\n"
 
 
 @pytest.mark.parametrize("obj", EMITTER_EDGES)

@@ -27,11 +27,15 @@ and the distance, on a gamma mixture, a runs law at n = 800 and a
 reliability Monte Carlo law at n = 8 with 10 000 samples, in that order of
 cost; ``sweep`` is a whole ``cpstein sweep`` command, reliability
 sweeps of 16, 256 and 4096 rows through ``cli.main`` with stdout written
-to ``os.devnull``, so that ``peak_mb`` is the command's own memory,
-and ``catalogue`` is ``bounds._evaluate_columns`` on the laws of those
-sweeps: the law checks, theta, and each of the five catalogue rows as one
-call of its function over the columns of every law, as the sweep computes
-them, without the model's rates or the printer.
+to ``os.devnull``, so that ``peak_mb`` is the command's own memory.
+The parts of those sweeps are timed on the same q values: ``rate_columns``,
+the model's rates; ``catalogue``, ``bounds.evaluate_columns`` on them (the
+law checks, theta, and each of the five catalogue rows as one call of its
+function over the columns of every law); ``sweep_table``, the whole table
+of rows, ``cli._sweep_table``, of which the rates and the catalogue are
+part and the rest is the best m1, the d_K bound and the columns; and
+``sweep_print``, that table printed by ``cli._dumps_table`` to
+``os.devnull``.
 """
 
 from __future__ import annotations
@@ -127,9 +131,12 @@ CASES = {
                         "--q-range", q_range]}
         for size, q_range in SWEEP_RANGES.items()
     },
-    "catalogue": {
-        size: {"model": "reliability", "n": 10, "k": 2, "q_range": q_range}
-        for size, q_range in SWEEP_RANGES.items()
+    **{
+        layer: {
+            size: {"model": "reliability", "n": 10, "k": 2, "q_range": q_range}
+            for size, q_range in SWEEP_RANGES.items()
+        }
+        for layer in ("rate_columns", "catalogue", "sweep_table", "sweep_print")
     },
 }
 
@@ -148,9 +155,18 @@ def _call(layer: str, given: dict):
         return command
     if "q_range" in given:
         qs = cli._parse_range(given["q_range"], "--q-range")
-        model = model_from_json({k: v for k, v in given.items() if k != "q_range"} | {"q": qs[0]})
-        rates = model.rate_columns(qs)
-        return lambda: bounds._evaluate_columns(rates)
+        base = {k: v for k, v in given.items() if k != "q_range"}
+        model = model_from_json(base | {"q": qs[0]})
+        if layer == "rate_columns":
+            return lambda: model.rate_columns(qs)
+        if layer == "catalogue":
+            rates = model.rate_columns(qs)
+            return lambda: bounds.evaluate_columns(rates)
+        if layer == "sweep_table":
+            return lambda: cli._sweep_table(base, "q", qs)
+        table = cli._sweep_table(base, "q", qs)
+        sink = open(os.devnull, "w")
+        return lambda: sink.writelines(cli._dumps_table(table, 1))
     if "rates" in given:
         params = CompoundPoissonParams(given["rates"])
         th = theta(params, 3)
