@@ -15,10 +15,11 @@ truncation point D only, O(D^2 log n); it takes n <= 2000 (0.5-3.5 ms at
 n = 2000, by p, within n u of the exact law).  Reliability takes grids up
 to n = 11 for k = 2 and n = 8 for k = 3 (0.2-0.25 s there), Monte Carlo
 beyond, up to MC_CELL_BUDGET grid cells, through one draw buffer of
-MC_DRAW_CELLS cells (5-6 ms per 10 000 grids at n = 10 and k = 2 and about
-2 ms at n = 6, most of it drawing them, 2.3-3.6 ns a cell by the host's
-state; a draw of 327 grids at n = 10 is counted in about 20 us); 2 vCPUs,
-numpy 2.4.  The mixed-Poisson tables
+MC_DRAW_CELLS cells (1.5 ms per 10 000 grids at n = 10 and k = 2 and 0.6 ms
+at n = 6, about 1.5 ns a cell: one random byte a cell and a 64-bit tie word
+for one cell in 256 are drawn in about 0.8 ns, where one double a cell took
+2.3-3.6 ns; a draw of 327 grids at n = 10 is counted in about 17 us); 2
+vCPUs, numpy 2.4.  The mixed-Poisson tables
 take ``cp_pmf``'s truncation rule and residual tail: the two-point mixture
 mixes its Poisson tables, and the negative binomial, Loader's kernel in
 (shape, scale), is cut on a bound from its pmf ratio and, for shape <= 1,
@@ -61,13 +62,14 @@ RELIABILITY_COST_BUDGET = 60_000_000
 SUMS_CELL_BUDGET = 10_000_000
 MC_MIN_SAMPLES = 10_000
 MC_CHUNK = 1 << 17
-# grid cells of one draw, the size of the one double and one bool buffer a
-# Monte Carlo law reuses for every draw: 256 KB of doubles, 327 grids at n = 10
+# grid cells of one draw, the size of the one byte-stream and one bool buffer
+# a Monte Carlo law reuses for every draw: 32 KB of random words (one byte a
+# cell) and 32 KB of bools, 327 grids at n = 10
 MC_DRAW_CELLS = 1 << 15
-# samples x n^2 grid cells of one Monte Carlo law, about 3.5-5 ns each:
-# 2e8 cells take 0.92-0.99 s (10^6 samples at n = 14) and 0.73-0.89 s
+# samples x n^2 grid cells of one Monte Carlo law, about 1.6-2 ns each:
+# 2e8 cells take 0.32-0.39 s (10^6 samples at n = 14) and 0.39-0.41 s
 # (20 000 at n = 100), and 36 MB of peak RSS for a cold pmf, 10^6 samples
-# at n = 10 0.39-0.50 s
+# at n = 10 0.29-0.40 s, numpy's import included (0.17 s in process)
 MC_CELL_BUDGET = 200_000_000
 
 
@@ -357,17 +359,54 @@ def reliability_exact_pmf(m: models.ReliabilityModel) -> DistributionTable:
     return DistributionTable(pmf=pmf / pmf.sum(), tail_mass=0.0)
 
 
+def _cell_threshold(q: float) -> tuple[int, int]:
+    """(t >> 45, t mod 2^45) for t = ceil(q 2^53): a cell whose 53-bit
+    uniform m lies below t fails, with probability t / 2^53.  q 2^53 is
+    exact, a power-of-two scaling; q = 1 gives t >> 45 = 256."""
+    t = math.ceil(q * 2.0**53)
+    return t >> 45, t & ((1 << 45) - 1)
+
+
+def _failed_cells(octets: np.ndarray, t_hi: int, t_lo: int, tie, out: np.ndarray) -> None:
+    """Mark in ``out`` (bool, contiguous, one entry per byte) the cells whose
+    uniform m = b 2^45 + r is below t = t_hi 2^45 + t_lo: a cell fails iff
+    its byte b < t_hi, or b == t_hi and r < t_lo, r the top 45 bits of the
+    next word of the bit generator ``tie``, one word per tie cell in cell
+    order."""
+    import numpy as np
+
+    flat = out.reshape(-1)
+    np.less(octets, t_hi, out=flat)
+    ties = np.flatnonzero(octets == t_hi)
+    if ties.size:
+        flat[ties] = (tie.random_raw(ties.size) >> 19) < t_lo
+
+
 def reliability_mc_pmf(
     m: models.ReliabilityModel, samples: int, seed: int
 ) -> DistributionTable:
     """Monte Carlo law of the subgrid count, reproducible for a given seed.
 
     The seed stream is split into one substream per fixed-size chunk, so the
-    result does not depend on how chunks are scheduled.  A chunk is drawn
-    and counted as many whole grids as fit in MC_DRAW_CELLS cells at a time,
-    through one double and one bool buffer allocated once per call:
-    consecutive draws continue one stream, so the table is the same as from
-    one draw of the whole chunk, and memory stays bounded.  More than
+    result does not depend on how chunks are scheduled.  Each chunk's
+    substream spawns two PCG64 streams: a byte stream, whose ``random_raw``
+    words are read as little-endian bytes, one byte per cell in cell order,
+    and a tie stream, one word per tie cell in cell order.  A cell fails
+    with the law of ``rng.random() < q``: a 53-bit uniform m below
+    t = ceil(q 2^53), here m = b 2^45 + r, its byte b the top 8 bits of m
+    and r, the top 45 bits of its tie word, the rest.  With
+    t = t_hi 2^45 + t_lo the cell fails iff b < t_hi, or b == t_hi and
+    r < t_lo, so with probability exactly t / 2^53, independently of every
+    other cell; r is drawn only for the one cell in 256 whose byte ties
+    (Knuth & Yao 1976 compare random bits with q's expansion from the top
+    the same way).  q = 1 gives t_hi = 256: every cell fails.
+
+    A chunk is drawn and counted as many whole grids as fit in
+    MC_DRAW_CELLS cells at a time, through one word and one bool buffer
+    allocated once per call; a word's bytes left over at the end of a draw
+    are carried to the next.  Consecutive draws continue both streams, so
+    the table is the same as from one draw of the whole chunk, a function
+    of (model, samples, seed) alone, and memory stays bounded.  More than
     MC_CELL_BUDGET cells in all raise BudgetExceededError before the first
     draw.  The table's ``mc_samples`` gives its per-bin binomial standard
     errors.
@@ -384,20 +423,29 @@ def reliability_mc_pmf(
             f"Monte Carlo cost {samples} x {n}^2 cells exceeds budget {MC_CELL_BUDGET}"
         )
     block = max(1, MC_DRAW_CELLS // (n * n))
-    uniform = np.empty((block, n, n))
+    # word 0 holds the bytes carried from the last draw at its end, octets
+    # lo..7, and the draw's new words follow it
+    words = np.empty(1 + (block * n * n + 7) // 8, dtype="<u8")
+    octets = words.view(np.uint8)
     failed = np.empty((block, n, n), dtype=bool)
+    t_hi, t_lo = _cell_threshold(q)
     max_count = (n - k + 1) ** 2
     n_chunks = (samples + MC_CHUNK - 1) // MC_CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     freq = np.zeros(max_count + 1, dtype=np.int64)
     done = 0
     for child in children:
-        rng = np.random.default_rng(child)
+        byte_stream, tie_stream = (np.random.PCG64(s) for s in child.spawn(2))
         take = min(MC_CHUNK, samples - done)
+        lo = 8
         for start in range(0, take, block):
             size = min(block, take - start)
-            rng.random(out=uniform[:size])
-            np.less(uniform[:size], q, out=failed[:size])
+            end = lo + size * n * n
+            new = (end - 1) // 8  # the fewest words that reach octet end
+            words[1 : 1 + new] = byte_stream.random_raw(new)
+            _failed_cells(octets[lo:end], t_hi, t_lo, tie_stream, failed[:size])
+            lo = end - 8 * new  # carry octets end..8 + 8 new to the end of word 0
+            octets[lo:8] = octets[end : 8 + 8 * new]
             counts = _count_subgrids(failed[:size], k)
             freq += np.bincount(counts, minlength=max_count + 1)
         done += take

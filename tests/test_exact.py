@@ -33,7 +33,7 @@ from cpstein import (
 from cpstein.cli import main
 from cpstein import exact
 from cpstein.core import TAIL_TARGET
-from cpstein.exact import MC_CHUNK, _count_subgrids
+from cpstein.exact import MC_CHUNK, _cell_threshold, _count_subgrids, _failed_cells
 from test_core import plain_recursion_pmf
 
 U = 2.0**-53  # unit roundoff of a double
@@ -110,16 +110,25 @@ def subgrid_counts_by_prefix_sums(grids, k):
 
 def reliability_mc_by_prefix_sums(m, samples, seed):
     """The Monte Carlo loop of reliability_mc_pmf as first written: the same
-    substream per chunk and the same draws, counted by prefix sums."""
+    substream per chunk and the same draws, counted by prefix sums.  Each
+    chunk is drawn at once: a cell fails iff its byte of the byte stream is
+    below t >> 45, or equals it and the top 45 bits of its word of the tie
+    stream are below t mod 2^45, for t = ceil(q 2^53)."""
     n, k, q = m.n, m.k, m.q
     max_count = (n - k + 1) ** 2
     n_chunks = (samples + MC_CHUNK - 1) // MC_CHUNK
     freq = np.zeros(max_count + 1)
     done = 0
+    t = math.ceil(q * 2.0**53)
     for child in np.random.SeedSequence(seed).spawn(n_chunks):
-        rng = np.random.default_rng(child)
+        byte_stream, tie_stream = (np.random.PCG64(s) for s in child.spawn(2))
         take = min(MC_CHUNK, samples - done)
-        grids = rng.random((take, n, n)) < q
+        cells = take * n * n
+        octets = byte_stream.random_raw(-(-cells // 8)).astype("<u8").view(np.uint8)[:cells]
+        grids = octets < t >> 45
+        ties = np.flatnonzero(octets == t >> 45)
+        grids[ties] = (tie_stream.random_raw(ties.size) >> 19) < t % 2**45
+        grids = grids.reshape(take, n, n)
         counts = subgrid_counts_by_prefix_sums(grids, k)
         freq += np.bincount(counts, minlength=max_count + 1)
         done += take
@@ -337,12 +346,14 @@ def test_reliability_exact_budget_limit(n, k):
 
 
 def test_reliability_exact_matches_mc_n8():
-    m = ReliabilityModel(8, 2, 0.4)
-    exact = reliability_exact_pmf(m)
-    mc = reliability_mc_pmf(m, samples=200_000, seed=8)
-    se = np.sqrt(exact.pmf * (1.0 - exact.pmf) / mc.mc_samples)
-    assert np.all(np.abs(mc.pmf - exact.pmf) <= 5 * se + 1e-12)
-    assert exact.pmf[1] > 0.1  # the check is not on empty bins only
+    # at q = 0.05 the cells whose byte ties with t >> 45 = 12 take the tie stream
+    for k, q, seed, bin1 in ((2, 0.4, 8, 0.1), (3, 0.6, 83, 0.1), (2, 0.05, 85, 2e-4)):
+        m = ReliabilityModel(8, k, q)
+        exact = reliability_exact_pmf(m)
+        mc = reliability_mc_pmf(m, samples=200_000, seed=seed)
+        se = np.sqrt(exact.pmf * (1.0 - exact.pmf) / mc.mc_samples)
+        assert np.all(np.abs(mc.pmf - exact.pmf) <= 5 * se + 1e-12), (k, q)
+        assert exact.pmf[1] > bin1, (k, q)  # the check is not on empty bins only
 
 
 def test_reliability_degenerate_q():
@@ -412,6 +423,43 @@ def test_reliability_mc_bit_identical_to_prefix_sum_loop(n, k, q, samples):
     pmf, stderr = reliability_mc_by_prefix_sums(ReliabilityModel(n, k, q), samples, 11)
     assert np.array_equal(t.pmf, pmf)
     assert np.array_equal(t.stderr, stderr)
+
+
+class _TieWords:
+    """A tie stream that hands out the given words in order."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+        self.used = 0
+
+    def random_raw(self, size):
+        self.used += size
+        return self.words[self.used - size : self.used]
+
+
+@pytest.mark.parametrize(
+    "q",
+    [0.0, 2.0**-60, 2.0**-53, math.nextafter(77 / 256, 0.0), 77 / 256,
+     math.nextafter(77 / 256, 1.0), 0.5, math.nextafter(1.0, 0.0), 1.0],
+)
+def test_cell_rule_is_the_53_bit_uniform_rule(q):
+    # every byte b, each with 45-bit rests r at both ends and on both sides
+    # of t mod 2^45, so that the cells whose byte ties with t >> 45 take
+    # every such r from the tie stream (in its words' top 45 bits, the low
+    # 19 bits set to show that they are ignored); each cell must fail
+    # exactly when the 53-bit uniform m = b 2^45 + r fails the rule
+    # m 2^-53 < q of rng.random() < q
+    t_hi, t_lo = _cell_threshold(q)
+    rests = sorted({0, 1, max(t_lo - 1, 0), t_lo, min(t_lo + 1, 2**45 - 1), 2**45 - 1})
+    cells = [(b, r) for b in range(256) for r in rests]
+    octets = np.array([b for b, _ in cells], dtype=np.uint8)
+    tie = _TieWords([r << 19 | (1 << 19) - 1 for b, r in cells if b == t_hi])
+    failed = np.empty(len(cells), dtype=bool)
+    _failed_cells(octets, t_hi, t_lo, tie, failed)
+    assert tie.used == tie.words.size == (len(rests) if t_hi < 256 else 0)
+    expected = [(b * 2**45 + r) * 2.0**-53 < q for b, r in cells]
+    assert failed.tolist() == expected
+    assert math.ceil(q * 2.0**53) == t_hi * 2**45 + t_lo  # the law is t / 2^53
 
 
 @pytest.mark.parametrize("block", [1000, 777, 1 << 17])

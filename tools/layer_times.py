@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import json
 import os
 import statistics
@@ -55,20 +56,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from cpstein import (  # noqa: E402
-    CompoundPoissonParams,
-    cp_pmf,
-    delta_k_grid,
-    distance,
-    empirical_factors,
-    evaluate_all,
-    model_from_json,
-    solve_stein,
-    theta,
-    verify,
-)
-from cpstein import bounds, cli  # noqa: E402
-from cpstein.oracle import default_x_max  # noqa: E402
+import cpstein  # noqa: E402
 
 SUMS = [[0.7, 0.1, 0.1, 0.1], [0.6, 0.1, 0.3]]
 RATES = {  # theta_0 = 1.4, 150 and 980
@@ -141,8 +129,12 @@ CASES = {
 }
 
 
-def _call(layer: str, given: dict):
-    """A zero-argument call of ``layer`` on the parameters ``given``."""
+def _call(layer: str, given: dict, pkg=cpstein):
+    """A zero-argument call of ``layer`` on the parameters ``given``, through
+    the package ``pkg``: this tree's cpstein, or another tree's loaded under
+    another name (``tools/ab.py``)."""
+    cli, bounds, oracle = (importlib.import_module(f"{pkg.__name__}.{m}")
+                           for m in ("cli", "bounds", "oracle"))
     if "argv" in given:
         # one sink for every call, open until the run ends: opening one takes
         # 15-30 us, a tenth of a one-law command
@@ -156,7 +148,7 @@ def _call(layer: str, given: dict):
     if "q_range" in given:
         qs = cli._parse_range(given["q_range"], "--q-range")
         base = {k: v for k, v in given.items() if k != "q_range"}
-        model = model_from_json(base | {"q": qs[0]})
+        model = pkg.model_from_json(base | {"q": qs[0]})
         if layer == "rate_columns":
             return lambda: model.rate_columns(qs)
         if layer == "catalogue":
@@ -168,31 +160,31 @@ def _call(layer: str, given: dict):
         sink = open(os.devnull, "w")
         return lambda: sink.writelines(cli._dumps_table(table, 1))
     if "rates" in given:
-        params = CompoundPoissonParams(given["rates"])
-        th = theta(params, 3)
+        params = pkg.CompoundPoissonParams(given["rates"])
+        th = pkg.theta(params, 3)
         if layer == "theta":
-            return lambda: theta(params, 3)
+            return lambda: pkg.theta(params, 3)
         if layer == "evaluate_all":
-            return lambda: evaluate_all(params)
+            return lambda: pkg.evaluate_all(params)
         if layer == "delta_k":
-            return lambda: delta_k_grid(th, given["k"])
+            return lambda: pkg.delta_k_grid(th, given["k"])
         if layer == "cp_pmf":
-            return lambda: cp_pmf(params)
+            return lambda: pkg.cp_pmf(params)
         if layer == "empirical_factors":
-            return lambda: empirical_factors(params)
+            return lambda: pkg.empirical_factors(params)
         y = int(th[0])
-        x_max = default_x_max(params, y)
-        return lambda: solve_stein(params, y, x_max)
+        x_max = oracle.default_x_max(params, y)
+        return lambda: pkg.solve_stein(params, y, x_max)
     obj = {k: v for k, v in given.items() if k != "samples"}
-    model = model_from_json(obj)
+    model = pkg.model_from_json(obj)
     if layer == "distance":
-        a, b = model.exact_law(), cp_pmf(model.cp_params())
-        return lambda: distance(a, b)
+        a, b = model.exact_law(), pkg.cp_pmf(model.cp_params())
+        return lambda: pkg.distance(a, b)
     law = {"exact": "samples" not in given, "samples": given.get("samples"), "seed": 1}
     law = {k: law[k] for k in model.law_keys}
     if layer == "verify":
         params = model.cp_params()
-        return lambda: verify(params, model, **law)
+        return lambda: pkg.verify(params, model, **law)
     return lambda: model.exact_law(**law)
 
 

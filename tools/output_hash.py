@@ -33,18 +33,22 @@ SEED = 7
 SECONDS = 20
 
 
-def commands() -> list[list[str]]:
-    """The golden commands, then the seed-7 job lists of every workload."""
+def workload_jobs(workload: str, seed: int) -> list:
+    """The job list of a ``SECONDS``-second run of ``workload`` at ``seed``."""
     sys.dont_write_bytecode = True  # import the workloads without a __pycache__
     sys.path.insert(0, str(ROOT / "cpbench"))
     try:
         import workloads
     finally:
         sys.path.remove(str(ROOT / "cpbench"))
+    return workloads.make_jobs(workload, seed, workloads.rounds_for(workload, SECONDS))
+
+
+def commands() -> list[list[str]]:
+    """The golden commands, then the seed-7 job lists of every workload."""
     argvs = [shlex.split(c) for c in json.loads(GOLDEN.read_text())]
     for w in WORKLOADS:
-        jobs = workloads.make_jobs(w, SEED, workloads.rounds_for(w, SECONDS))
-        argvs.extend(list(job.argv) for job in jobs)
+        argvs.extend(list(job.argv) for job in workload_jobs(w, SEED))
     return argvs
 
 
